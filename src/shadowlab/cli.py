@@ -1,15 +1,16 @@
 """Command-line entry point.
 
-    shadowlab run <name|config.json> [--window N] [--seed S] [--out DIR] [--parallel]
+    shadowlab run <name|config.json|all> [--window N] [--seed S] [--out DIR]
     shadowlab list [--json]
     shadowlab plot <trace.csv> --kind {orbit2d,slack,boxwidth} [--out FILE]
 
-Exit codes: 0 when every run matches the expected result, 2 when some run
-contradicts it, 64 for usage or configuration errors, 70 for internal
-contract violations.  ``run all`` executes the whole built-in catalog; with
-``--parallel`` the independent scenarios run concurrently (they share nothing
-but read-only catalogs).  The only environment override is OUTPUT_DIR for the
-default artifact directory.
+Exit codes: 0 when every run matches the expected result, 1 when some run is
+inconclusive, 2 when some run contradicts it (the largest code wins), 64 for
+usage or configuration errors (an oversized oracle grid included), 70 for
+internal contract violations.  ``run all`` executes the whole built-in
+catalog on up to four threads; the scenarios share no mutable state, and
+numpy releases the GIL in their array work.  The only environment override
+is OUTPUT_DIR for the default artifact directory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ConfigError, ContractViolation, PositivityError
+from .errors import ConfigError, ContractViolation, PositivityError, SearchSpaceError
 from .plots import emit_plot
 from .scenarios import SCENARIO_NAMES, list_scenarios, load_config, run_scenario
 
@@ -44,7 +45,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--window", type=int, default=None, help="override the window limit")
     run.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     run.add_argument("--out", default=None, help="output directory (default: out/)")
-    run.add_argument("--parallel", action="store_true", help="run independent scenarios concurrently")
 
     lst = sub.add_parser("list", help="list the built-in scenarios")
     lst.add_argument("--json", action="store_true", help="machine-readable catalog")
@@ -68,11 +68,8 @@ def _run_command(args) -> int:
             config.seed = args.seed
         configs.append(config)
 
-    if args.parallel and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-            reports = list(pool.map(lambda c: run_scenario(c, out_dir), configs))
-    else:
-        reports = [run_scenario(c, out_dir) for c in configs]
+    with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
+        reports = list(pool.map(lambda c: run_scenario(c, out_dir), configs))
 
     worst = 0
     for report in reports:
@@ -103,7 +100,7 @@ def main(argv=None) -> int:
             out = emit_plot(args.csv, args.kind, args.out)
             print(out)
             return 0
-    except ConfigError as exc:
+    except (ConfigError, SearchSpaceError) as exc:
         print(f"shadowlab: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (ContractViolation, PositivityError) as exc:

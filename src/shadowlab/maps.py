@@ -340,17 +340,20 @@ def is_diagonal_affine(m: MapSpec) -> bool:
     return isinstance(m, DiagonalAffine)
 
 
-def affine_fixed_point(m: DiagonalAffine) -> np.ndarray:
-    """The fixed point of a diagonal-affine map, if unique.
+def affine_fixed_point(m: DiagonalAffine) -> np.ndarray | None:
+    """The fixed point of a diagonal-affine map, or None when there is none.
 
-    Solves a_j y + t_j = y per coordinate; raises when some coordinate has
-    a_j = 1 with t_j != 0 (no fixed point) or a_j = 1 with t_j = 0 (a whole
-    line of them), since neither has a single answer.
+    Solves a_j y + t_j = y per coordinate.  A coordinate with a_j = 1 and
+    t_j != 0 has no solution, so the map has no fixed point; one with a_j = 1
+    and t_j = 0 has a whole line of them, which raises.  The result never
+    carries a negative zero.
     """
     unit = m.scales == 1.0
+    if np.any(unit & (m.translation != 0.0)):
+        return None
     if np.any(unit):
-        raise ContractViolation("fixed point undefined or non-unique for unit scales")
-    return m.translation / (1.0 - m.scales)
+        raise ContractViolation("fixed points of a unit scale are not unique")
+    return m.translation / (1.0 - m.scales) + 0.0
 
 
 # ---------------------------------------------------------------------------

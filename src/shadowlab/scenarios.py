@@ -49,9 +49,15 @@ from .errors import ConfigError, ContractViolation
 from .geometry import MetricKind, metric_norm
 from .maps import (
     DiagonalAffine,
+    affine_fixed_point,
     conjugate_map,
+    diffeo_from_dict,
+    homothety,
     map_from_dict,
     power_map,
+    reverse_homothety,
+    saddle,
+    translation_map,
 )
 from .pseudo_orbit import (
     OrbitWindow,
@@ -411,12 +417,6 @@ def _run_metric_warp(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, 
 # ---------------------------------------------------------------------------
 
 
-def _build_change(obj: dict):
-    from .maps import diffeo_from_dict
-
-    return diffeo_from_dict(obj)
-
-
 def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
@@ -430,7 +430,7 @@ def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, di
     specs = generate_orbit_ensemble(m, delta, metric, window, int(p.get("count", 40)),
                                     config.seed, r0, anchored_fraction=0.0,
                                     start_range=(1.05 * r0, 4.0 * r0))
-    changes = {name: _build_change(obj) for name, obj in p["changes"].items()}
+    changes = {name: diffeo_from_dict(obj) for name, obj in p["changes"].items()}
 
     results = {}
     all_pass = True
@@ -660,39 +660,8 @@ def _run_neighborhood(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str,
 # ---------------------------------------------------------------------------
 
 
-def _grid_fixed_points(m, half_extent: float, coarse_step: float,
-                       metric: MetricKind, tol: float = 1e-9) -> list[list[float]]:
-    """Grid search plus local refinement for solutions of f(x) = x."""
-    axis = np.arange(-half_extent, half_extent + coarse_step / 2, coarse_step)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    residual = metric_norm(metric, m.apply(pts) - pts)
-    found = []
-    order = np.argsort(residual, kind="stable")
-    for idx in order[:8]:
-        center = pts[idx]
-        span = coarse_step
-        for _ in range(60):
-            offsets = span * np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-            cand = center[None, :] + offsets
-            res = metric_norm(metric, m.apply(cand) - cand)
-            best = int(np.argmin(res))
-            center = cand[best]
-            span *= 0.6
-        if float(metric_norm(metric, m.apply(center) - center)) < tol:
-            if not any(float(metric_norm(metric, center - np.asarray(f))) < 1e-6 for f in found):
-                found.append([float(v) for v in center])
-    return found
-
-
 def _run_fixed_point_scan(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     metric = config.metric_kind()
-    p = config.params
-    half = float(p.get("half_extent", 6.0))
-    step = float(p.get("coarse_step", 0.5))
-
-    from .maps import homothety, reverse_homothety, saddle, translation_map
-
     catalog = {
         "saddle": saddle(),
         "homothety-2": homothety(2.0),
@@ -703,7 +672,8 @@ def _run_fixed_point_scan(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[
     entries = {}
     contradiction = False
     for name, m in catalog.items():
-        fixed = _grid_fixed_points(m, half, step, metric)
+        point = affine_fixed_point(m)
+        fixed = [] if point is None else [[float(v) for v in point]]
         if name in ("saddle", "translation"):
             # Adversarial certificate: emptiness is evidence against shadowing.
             if name == "saddle":
@@ -873,8 +843,7 @@ def builtin_config(name: str) -> ScenarioConfig:
             })
     if name == "fixed-point-scan":
         return ScenarioConfig(
-            name=name, kind="fixed_point_scan", seed=43,
-            params={"half_extent": 6.0, "coarse_step": 0.5})
+            name=name, kind="fixed_point_scan", seed=43)
     raise ConfigError(f"unknown scenario {name!r}")
 
 

@@ -31,8 +31,8 @@ following the iterates f^k(y_{-k}), reporting non-convergence rather than
 guessing a limit.
 
 ``sampled_search`` is the independent oracle: a brute-force grid scan over a
-candidate box, valid for any map and metric, including warped metrics whose
-balls are not boxes.
+candidate box, streamed in row blocks, valid for any map and metric,
+including warped metrics whose balls are not boxes.
 """
 
 from __future__ import annotations
@@ -499,7 +499,8 @@ class SearchResult:
 
 
 _MAX_GRID = 100_000_000
-_GRID_CACHE: dict[tuple, np.ndarray] = {}
+# Grid points per scanned block; bounds the scan's memory at any grid size.
+_BLOCK_POINTS = 1_000_000
 
 
 def _grid_axes(search_box, grid_step: float) -> list[np.ndarray]:
@@ -512,128 +513,64 @@ def _grid_axes(search_box, grid_step: float) -> list[np.ndarray]:
     return axes
 
 
-def _selectivity_order(window: OrbitWindow, eps_vals: np.ndarray,
-                       n_min: int, n_max: int) -> list[int]:
-    # Tightest tolerance first (deep indices break ties): the live set then
-    # collapses before the expensive full-set work can repeat.
-    return sorted(range(n_min, n_max + 1),
-                  key=lambda n: (eps_vals[n - window.start], -abs(n)))
+def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
+    """The grid spanned by ``axes`` as row-major points (first axis slowest)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([b.ravel() for b in mesh], axis=-1)
 
 
-def _scan_diagonal_chunks(spec: PseudoOrbitSpec, eps_vals: np.ndarray,
-                          window: OrbitWindow, metric: MetricKind,
-                          axes: list[np.ndarray]) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Stream the virtual grid in row blocks; first surviving point wins.
+def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
+          points: np.ndarray, jumps: list | None) -> tuple[np.ndarray, float | None]:
+    """Scan one block of candidates against every window constraint.
 
-    Chunks follow row-major index order; within a chunk all window
-    constraints are applied (most restrictive first) with pruning.  The first
-    chunk that keeps a survivor therefore contains the globally first passing
-    grid point, and the scan stops there.  On absence the best near-miss at
-    the killing constraints is carried across chunks.
+    Returns ``(first passing point, None)``, or ``(near miss, gap)`` for the
+    candidate closest to the constraint that emptied the block.  The
+    surviving set is an intersection, so constraints may be processed in any
+    order.  ``jumps`` holds (n, a^n, drift(n)) of a diagonal-affine map,
+    tightest tolerance first, so each image is one closed-form jump and the
+    live set collapses early; without it the map is marched outward from
+    index 0, so inverses are only composed with inverses.  Boolean pruning
+    keeps row-major order, so the first survivor is the block's first
+    passing point.
     """
-    m = spec.map
-    n_min, n_max = spec.window
-    order = _selectivity_order(window, eps_vals, n_min, n_max)
-    coefficients = {n: m.power_coefficients(n) for n in order if n != 0}
-
-    rest = axes[1:]
-    rest_size = int(np.prod([len(a) for a in rest])) if rest else 1
-    rows_per_chunk = max(1, 1_000_000 // max(rest_size, 1))
-    best_gap = np.inf
-    best_point = None
-
-    for row_start in range(0, len(axes[0]), rows_per_chunk):
-        block_axes = [axes[0][row_start:row_start + rows_per_chunk]] + rest
-        mesh = np.meshgrid(*block_axes, indexing="ij")
-        live = np.stack([b.ravel() for b in mesh], axis=-1)
-        live_idx = np.arange(live.shape[0])
-        dead = False
-        for n in order:
-            if n == 0:
-                img = live
-            else:
-                pow_, drift = coefficients[n]
-                img = live * pow_ + drift
-            x_n = window.point_at(n)
-            e_n = float(eps_vals[n - window.start])
-            dist = distance(metric, img, x_n)
-            ok = dist < e_n
-            if not np.any(ok):
-                gaps = dist - e_n
-                j = int(np.argmin(gaps))
-                if gaps[j] < best_gap:
-                    best_gap = float(gaps[j])
-                    best_point = live[j].copy()
-                dead = True
-                break
-            if not np.all(ok):
-                live = live[ok]
-                live_idx = live_idx[ok]
-        if not dead and live.shape[0] > 0:
-            return live[int(np.argmin(live_idx))].copy(), None
-    return None, best_point
-
-
-def _scan(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
-          candidates: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(first passing candidate, near miss) for the spec's window constraints.
-
-    The surviving set is an intersection, so constraints may be processed in
-    any order.  Diagonal-affine maps admit constant-time jumps to any window
-    index, so they are processed most-restrictive-tolerance-first, which
-    collapses the live set (usually on the first pass) before the expensive
-    full-grid work repeats; other maps are marched sequentially from index 0.
-    """
-    n_min, n_max = spec.window
-    window = realize(spec)
-    eps_vals = np.atleast_1d(epsilon.eval(window.points))
-
-    m = spec.map
-    live_idx = np.arange(candidates.shape[0])
-    live = candidates
+    live = points
+    miss = None
 
     def check(img, n):
-        """(all_dead, mask_or_near_miss) for constraint n over the live set."""
-        x_n = window.point_at(n)
+        """Mask of the images inside constraint n, or None (recording the miss)."""
+        nonlocal miss
         e_n = float(eps_vals[n - window.start])
-        dist = distance(metric, img, x_n)
+        dist = distance(metric, img, window.point_at(n))
         ok = dist < e_n
-        if not np.any(ok):
-            return True, live[int(np.argmin(dist - e_n))].copy()
-        return False, ok
+        if np.any(ok):
+            return ok
+        j = int(np.argmin(dist - e_n))
+        miss = (live[j].copy(), float(dist[j] - e_n))
+        return None
 
-    if isinstance(m, DiagonalAffine):
-        order = _selectivity_order(window, eps_vals, n_min, n_max)
-        for n in order:
-            if n == 0:
-                img = live
-            else:
-                pow_, drift = m.power_coefficients(n)
-                img = live * pow_ + drift
-            dead, out = check(img, n)
-            if dead:
-                return None, out
-            if not np.all(out):
-                live = live[out]
-                live_idx = live_idx[out]
+    if jumps is not None:
+        for n, pow_, drift in jumps:
+            ok = check(live if n == 0 else live * pow_ + drift, n)
+            if ok is None:
+                return miss
+            if not np.all(ok):
+                live = live[ok]
     else:
-        sweeps = [(0, 0, 1), (1, n_max, 1), (-1, n_min, -1)]
-        for begin, end, step in sweeps:
-            if (end - begin) * step < 0:
-                continue
-            current = live.copy()
-            for n in range(begin, end + step, step):
-                if n != 0:
-                    current = m.apply(current) if step > 0 else m.apply_inverse(current)
-                dead, out = check(current, n)
-                if dead:
-                    return None, out
-                if not np.all(out):
-                    live = live[out]
-                    live_idx = live_idx[out]
-                    current = current[out]
-    first = int(np.argmin(live_idx))
-    return live[first].copy(), None
+        ok = check(live, 0)
+        if ok is None:
+            return miss
+        if not np.all(ok):
+            live = live[ok]
+        for step, end, advance in ((1, window.stop, m.apply), (-1, window.start, m.apply_inverse)):
+            img = live
+            for n in range(step, end + step, step):
+                img = advance(img)
+                ok = check(img, n)
+                if ok is None:
+                    return miss
+                if not np.all(ok):
+                    live, img = live[ok], img[ok]
+    return live[0].copy(), None
 
 
 def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
@@ -641,10 +578,12 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     """Grid-scan a box for a point whose whole-window report passes.
 
     The fallback decision procedure for maps without the diagonal-affine
-    structure, and the independent oracle validating the exact one.  Scans in
-    row-major order and returns the first passing grid point; on absence, one
-    refinement pass halves the step in a one-cell neighborhood of the closest
-    miss before giving up.
+    structure, and the independent oracle validating the exact one.  Streams
+    the grid in row-major blocks of whole rows and returns the first passing
+    grid point: the first block that keeps a survivor holds it.  On absence
+    the near miss is the closest point, over all blocks, to the constraint
+    that emptied its block, and one refinement pass scans the half-step grid
+    in a one-cell neighborhood of it before giving up.
     """
     if grid_step <= 0.0:
         raise ContractViolation("grid_step must be positive")
@@ -653,30 +592,32 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     if total > _MAX_GRID:
         raise SearchSpaceError(f"grid of {total} points exceeds the {_MAX_GRID} limit")
 
-    if is_diagonal_affine(spec.map):
-        window = realize(spec)
-        eps_vals = np.atleast_1d(epsilon.eval(window.points))
-        found, near = _scan_diagonal_chunks(spec, eps_vals, window, metric, axes)
-    else:
-        # Candidate grids are read-only; cache the few large ones that repeat.
-        key = (tuple((float(lo), float(hi)) for lo, hi in search_box), float(grid_step))
-        candidates = _GRID_CACHE.get(key)
-        if candidates is None:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            candidates = np.stack([m.ravel() for m in mesh], axis=-1)
-            if len(_GRID_CACHE) < 4:
-                _GRID_CACHE[key] = candidates
-        found, near = _scan(spec, epsilon, metric, candidates)
+    m = spec.map
+    window = realize(spec)
+    eps_vals = np.atleast_1d(epsilon.eval(window.points))
+    jumps = None
+    if is_diagonal_affine(m):
+        # Tightest tolerance first; deep indices break ties.
+        order = sorted(range(window.start, window.stop + 1),
+                       key=lambda n: (eps_vals[n - window.start], -abs(n)))
+        jumps = [(n, *m.power_coefficients(n)) for n in order]
 
-    if found is not None:
-        return SearchResult(found, total, grid_step)
+    row_size = int(np.prod([len(a) for a in axes[1:]]))
+    rows_per_block = max(1, _BLOCK_POINTS // row_size)
+    best_gap, near = np.inf, None
+    for row in range(0, len(axes[0]), rows_per_block):
+        block = _grid_points([axes[0][row:row + rows_per_block]] + axes[1:])
+        point, gap = _scan(m, window, eps_vals, metric, block, jumps)
+        if gap is None:
+            return SearchResult(point, total, grid_step)
+        if gap < best_gap:
+            best_gap, near = gap, point
+
     if refine and near is not None:
-        sub_axes = [near[j] + (grid_step / 2.0) * np.arange(-2, 3) for j in range(len(axes))]
-        sub_mesh = np.meshgrid(*sub_axes, indexing="ij")
-        sub = np.stack([m.ravel() for m in sub_mesh], axis=-1)
-        found2, _ = _scan(spec, epsilon, metric, sub)
-        if found2 is not None:
-            return SearchResult(found2, total + sub.shape[0], grid_step, refined=True)
+        sub = _grid_points([near[j] + (grid_step / 2.0) * np.arange(-2, 3) for j in range(len(axes))])
+        point, gap = _scan(m, window, eps_vals, metric, sub, jumps)
+        if gap is None:
+            return SearchResult(point, total + sub.shape[0], grid_step, refined=True)
         return SearchResult(None, total + sub.shape[0], grid_step, near_miss=near, refined=True)
     return SearchResult(None, total, grid_step, near_miss=near)
 

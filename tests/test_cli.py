@@ -68,6 +68,19 @@ def test_run_config_file_with_overrides(tmp_path, capsys):
     assert report["seed"] == 9
 
 
+def test_oversized_oracle_grid_is_config_error(tmp_path, capsys):
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config("saddle-not-tsp").to_obj()
+    config["params"]["oracle"]["step"] = 1e-5
+    path = tmp_path / "huge-grid.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and "exceeds" in err
+    assert "Traceback" not in err
+
+
 def test_bad_config_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",, }', encoding="utf-8")

@@ -58,6 +58,14 @@ def test_conjugated_fixed_point_via_change_of_coordinates():
     inner_fixed = affine_fixed_point(homothety(2.0))
     expected = change.apply(inner_fixed)
     assert np.allclose(g.apply(expected), expected, atol=1e-9)
+    # 0 / (1 - 2) is -0.0; the fixed point is written as a plain zero.
+    assert not np.any(np.signbit(inner_fixed))
+    # A translation moves every point: no fixed point at all.
+    assert affine_fixed_point(translation_map(2)) is None
+    assert affine_fixed_point(DiagonalAffine([2.0, 1.0], [1.0, 0.5])) is None
+    # A unit scale without translation fixes a whole line: no unique answer.
+    with pytest.raises(ContractViolation):
+        affine_fixed_point(DiagonalAffine([2.0, 1.0], [1.0, 0.0]))
 
 
 def test_iterate_examples():

@@ -10,7 +10,8 @@ from shadowlab.errors import (
     UnsupportedMapError,
 )
 from shadowlab.geometry import MetricKind
-from shadowlab.maps import RadialRescale, conjugate_map, homothety, saddle, translation_map
+from shadowlab import shadowing
+from shadowlab.maps import AffineChange, RadialRescale, conjugate_map, homothety, saddle, translation_map
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
@@ -314,6 +315,53 @@ def test_search_grid_size_limit():
     spec = true_orbit_spec(homothety(2.0), [0.0, 0.0], (-1, 1))
     with pytest.raises(SearchSpaceError):
         sampled_search(spec, Const(1.0), SUP, [(-1.0, 1.0), (-1.0, 1.0)], 1e-5)
+
+
+SEARCH_MAPS = {
+    "saddle": saddle(),
+    "homothety": homothety(2.0),
+    "affine-saddle": conjugate_map(saddle(), AffineChange([[0.96, -0.72], [0.72, 0.96]], [0.3, -0.2])),
+    "radial-homothety": conjugate_map(homothety(2.0), RadialRescale(1.0, 0.5)),
+}
+
+
+def first_passing_grid_point(spec, epsilon, box, step):
+    """Brute force: the first row-major grid point whose whole report passes."""
+    window = realize(spec)
+    axes = [lo + step * np.arange(int(np.floor((hi - lo) / step + 0.5)) + 1) for lo, hi in box]
+    for x in axes[0]:
+        for y in axes[1]:
+            if is_shadowed_by(window, [x, y], spec.map, epsilon, SUP).passed:
+                return np.array([x, y])
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_MAPS))
+def test_search_first_point_is_independent_of_block_size(name, monkeypatch):
+    # Blocks of 7 and 31 points cut the grids below into one or several
+    # rows per block; 10**6 scans each grid as a single block.
+    m = SEARCH_MAPS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    outcomes = set()
+    for _ in range(5):
+        seed = rng.uniform(-0.8, 0.8, 2)
+        jump = rng.uniform(-1.2, 1.2, 2)
+        back, ahead = (int(k) for k in rng.integers(0, 4, 2))
+        spec = PseudoOrbitSpec(SplicedRule(seed, seed + jump, 0), (-back, max(ahead, 1 - back)), m)
+        epsilon = Const(float(rng.uniform(0.2, 0.6)))
+        half = rng.uniform(0.3, 1.0, 2)
+        box = [(seed[j] - half[j], seed[j] + half[j]) for j in range(2)]
+        step = float(rng.choice([0.05, 0.1]))
+        expected = first_passing_grid_point(spec, epsilon, box, step)
+        outcomes.add(expected is None)
+        for block in (7, 31, 10**6):
+            monkeypatch.setattr(shadowing, "_BLOCK_POINTS", block)
+            found = sampled_search(spec, epsilon, SUP, box, step, refine=False).found
+            if expected is None:
+                assert found is None
+            else:
+                assert found is not None and np.array_equal(found, expected)
+    assert outcomes == {True, False}  # both found and absent cases are exercised
 
 
 def test_certificate_json_schema():
