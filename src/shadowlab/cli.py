@@ -9,8 +9,9 @@ inconclusive, 2 when some run contradicts it (the largest code wins), 64 for
 usage or configuration errors (an oversized oracle grid included), 70 for
 internal contract violations.  ``run all`` executes the whole built-in
 catalog on up to four threads; the scenarios share no mutable state, and
-numpy releases the GIL in their array work.  The only environment override
-is OUTPUT_DIR for the default artifact directory.
+numpy releases the GIL in their array work.  Each scenario's line reports the
+CPU time of its own thread, which pooled wall time would inflate.  The only
+environment override is OUTPUT_DIR for the default artifact directory.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _run_command(args) -> int:
 
     worst = 0
     for report in reports:
-        print(f"{report.name}: {report.verdict} ({report.wall_time:.2f}s, "
+        print(f"{report.name}: {report.verdict} ({report.cpu_time:.2f}s CPU, "
               f"{len(report.artifacts)} artifacts)")
         worst = max(worst, report.exit_code)
     return worst

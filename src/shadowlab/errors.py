@@ -68,3 +68,12 @@ class SearchSpaceError(ValueError):
 
 class ConfigError(ValueError):
     """A scenario configuration failed to parse or validate."""
+
+
+def config_field(obj, key: str, where: str):
+    """``obj[key]`` of a parsed config object ``where``, or a ConfigError naming it."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config field '{where}' must be an object")
+    if key not in obj:
+        raise ConfigError(f"missing config field '{where}.{key}'")
+    return obj[key]

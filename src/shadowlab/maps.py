@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionMismatch, IterationRangeError
+from .errors import ConfigError, ContractViolation, DimensionMismatch, IterationRangeError, config_field
 from .geometry import as_point, radial_rescale
 
 __all__ = [
@@ -381,17 +381,19 @@ def diffeo_to_dict(change: Diffeo) -> dict:
     raise ContractViolation(f"cannot serialize {type(change).__name__}")
 
 
-def diffeo_from_dict(obj: dict) -> Diffeo:
-    kind = obj.get("kind")
+def diffeo_from_dict(obj: dict, where: str = "change") -> Diffeo:
+    """Rebuild a change of coordinates; ``where`` names ``obj`` in config errors."""
+    kind = config_field(obj, "kind", where)
     if kind == "identity":
         return IdentityChange()
     if kind == "affine":
-        return AffineChange(obj["matrix"], obj["offset"])
+        return AffineChange(config_field(obj, "matrix", where), config_field(obj, "offset", where))
     if kind == "radial":
         return RadialRescale(obj.get("a", 1.0), obj.get("b", 1.0))
     if kind == "composed":
-        return ComposedChange(diffeo_from_dict(obj["outer"]), diffeo_from_dict(obj["inner"]))
-    raise ContractViolation(f"unknown change of coordinates {kind!r}")
+        return ComposedChange(diffeo_from_dict(config_field(obj, "outer", where), f"{where}.outer"),
+                              diffeo_from_dict(config_field(obj, "inner", where), f"{where}.inner"))
+    raise ConfigError(f"'{where}.kind': unknown change of coordinates {kind!r}")
 
 
 def map_to_dict(m: MapSpec) -> dict:
@@ -410,10 +412,11 @@ def map_to_dict(m: MapSpec) -> dict:
     raise ContractViolation(f"cannot serialize {type(m).__name__}")
 
 
-def map_from_dict(obj: dict) -> MapSpec:
-    kind = obj.get("kind")
+def map_from_dict(obj: dict, where: str = "map") -> MapSpec:
+    """Rebuild a map from its kind + parameters; ``where`` names ``obj`` in config errors."""
+    kind = config_field(obj, "kind", where)
     if kind == "diagonal_affine":
-        return DiagonalAffine(obj["scales"], obj.get("translation"))
+        return DiagonalAffine(config_field(obj, "scales", where), obj.get("translation"))
     if kind == "saddle":
         return saddle()
     if kind == "homothety":
@@ -423,7 +426,9 @@ def map_from_dict(obj: dict) -> MapSpec:
     if kind == "reverse_homothety":
         return reverse_homothety(obj.get("factor", 0.5))
     if kind == "conjugated":
-        return Conjugated(map_from_dict(obj["inner"]), diffeo_from_dict(obj["change"]))
+        return Conjugated(map_from_dict(config_field(obj, "inner", where), f"{where}.inner"),
+                          diffeo_from_dict(config_field(obj, "change", where), f"{where}.change"))
     if kind == "power":
-        return power_map(map_from_dict(obj["inner"]), obj["k"])
-    raise ContractViolation(f"unknown map kind {kind!r}")
+        return power_map(map_from_dict(config_field(obj, "inner", where), f"{where}.inner"),
+                         config_field(obj, "k", where))
+    raise ConfigError(f"'{where}.kind': unknown map kind {kind!r}")

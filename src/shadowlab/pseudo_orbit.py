@@ -294,8 +294,118 @@ def classify_pseudo_orbit(window: OrbitWindow, r0: float,
 # ---------------------------------------------------------------------------
 
 
-def _draw_in_ball(metric: MetricKind, dim: int, radius: float, rng) -> np.ndarray:
-    return uniform_ball(metric, dim, rng, 1)[0] * radius
+class _BallStreams:
+    """Unit-ball draws for a batch of orbits, each orbit from its own stream.
+
+    Orbit i takes its draws, in order, from ``rngs[i]`` in blocks of
+    ``uniform_ball(metric, dim, rngs[i], block)`` held in one fixed
+    ``(N, block, dim)`` buffer; when an orbit's cursor reaches the end of its
+    row, only that row is refilled.  Under the sup metric a ``(block, dim)``
+    uniform block is the same doubles as ``block`` single draws, so every
+    orbit sees exactly the sequence a one-draw-at-a-time sampler would.
+    """
+
+    def __init__(self, metric: MetricKind, dim: int, rngs, block: int):
+        self.metric = metric
+        self.rngs = rngs
+        self.buf = np.empty((len(rngs), block, dim))
+        self.cursor = np.full(len(rngs), block)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next draw of each orbit in ``rows`` (distinct), shape ``(len(rows), dim)``."""
+        _, block, dim = self.buf.shape
+        cur = self.cursor[rows]
+        spent = cur == block
+        for i in rows[spent]:
+            self.buf[i] = uniform_ball(self.metric, dim, self.rngs[i], block)
+        cur[spent] = 0
+        self.cursor[rows] = cur + 1
+        return self.buf[rows, cur]
+
+
+def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
+                     window: tuple[int, int], seeds: np.ndarray, rngs,
+                     keep_within: np.ndarray) -> np.ndarray:
+    """Advance N random pseudo-orbits together; points of shape ``(N, L, d)``.
+
+    ``seeds[i]`` sits at index 0 of orbit i, which draws from ``rngs[i]``
+    through :class:`_BallStreams` in blocks of one window's step count.
+    ``keep_within[i]`` is orbit i's anchor radius, ``inf`` for a free orbit.
+    Each step makes one map call and one ``delta.eval`` over the batch, then
+    runs rejection rounds over the orbits still pending; within a step an
+    orbit's rounds, draws and fallbacks are those of the one-orbit loop (see
+    :func:`random_pseudo_orbit`).
+    """
+    n_min, n_max = window
+    if not (n_min <= 0 <= n_max) or n_min == n_max:
+        raise ContractViolation("window must be a nonempty range containing 0")
+    count, dim = seeds.shape
+    streams = _BallStreams(metric, dim, rngs, n_max - n_min)
+    free = np.isposinf(keep_within)
+
+    def kept(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        return free[rows] | (metric_norm(metric, pts) <= keep_within[rows])
+
+    points = np.empty((count, n_max - n_min + 1, dim))
+    points[:, -n_min] = seeds
+    everyone = np.arange(count)
+    x = seeds
+    for n in range(1, n_max + 1):
+        fx = m.apply(x)
+        rad = 0.99 * delta.eval(fx)
+        nxt = fx.copy()  # the exact step, kept by orbits that exhaust their rounds
+        pending = everyone
+        for _ in range(10_000):
+            f, rp = fx[pending], rad[pending]
+            r = streams.take(pending) * rp[:, None]
+            cand = f + r
+            # The stored step is what validation sees.  Once the slack drops
+            # near the coordinate ulp (or to subnormal scales), fx + r can
+            # round to an inadmissible point; halving the draw bottoms out at
+            # the exact step, which is always admissible.
+            live = np.arange(len(pending))
+            for _ in range(200):
+                live = live[~(distance(metric, cand[live], f[live]) < rp[live])]
+                if not live.size:
+                    break
+                r[live] *= 0.5
+                cand[live] = f[live] + r[live]
+            else:
+                cand[live] = f[live]
+            ok = kept(pending, cand)
+            nxt[pending[ok]] = cand[ok]
+            pending = pending[~ok]
+            if not pending.size:
+                break
+        points[:, n - n_min] = nxt
+        x = nxt
+    x = seeds
+    for n in range(-1, n_min - 1, -1):
+        rad = 0.99 * delta.eval(x)
+        r = streams.take(everyone) * rad[:, None]
+        prev = m.apply_inverse(x)  # the exact step, kept by orbits that exhaust their rounds
+        pending = everyone
+        for _ in range(10_000):
+            rp = r[pending]
+            target = x[pending] - rp
+            # The perturbation is sized against delta at f(x_{n-1}) = target;
+            # a pending orbit halves r, accepts, or redraws.
+            fits = metric_norm(metric, rp) < 0.99 * delta.eval(target)
+            r[pending[~fits]] *= 0.5
+            rows = pending[fits]
+            cand = m.apply_inverse(target[fits])
+            ok = kept(rows, cand)
+            prev[rows[ok]] = cand[ok]
+            redraw = rows[~ok]
+            r[redraw] = streams.take(redraw) * rad[redraw, None]
+            stay = ~fits
+            stay[fits] = ~ok
+            pending = pending[stay]
+            if not pending.size:
+                break
+        points[:, n - n_min] = prev
+        x = prev
+    return points
 
 
 def random_pseudo_orbit(m: MapSpec, delta: CPlusFn, metric: MetricKind,
@@ -304,69 +414,28 @@ def random_pseudo_orbit(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     """Draw a random delta-pseudo-orbit around a seed at index 0.
 
     Forward steps perturb the exact image: x_{n+1} = f(x_n) + r with r drawn
-    uniformly from the metric ball of radius 0.99 * delta(f(x_n)).  Backward
-    steps pick r with |r| < 0.99 * delta(x_n - r) by halving a candidate draw
-    until the strict condition holds (r = 0 always qualifies, so this stops).
+    uniformly from the metric ball of radius 0.99 * delta(f(x_n)); a draw
+    whose stored point rounds to an inadmissible step is halved (at most 200
+    times, then the exact step is taken).  Backward steps start from one draw
+    r of radius 0.99 * delta(x_n); each round accepts x_{n-1} = f^{-1}(x_n - r)
+    when |r| < 0.99 * delta(x_n - r), and otherwise halves r.
 
-    ``keep_within`` switches on anchored mode: draws are rejected until the
-    next point stays inside the given radius, which manufactures members of
-    the bounded class.  The rejection changes the sampling law, never the
-    pseudo-orbit property: every accepted step still satisfies the strict
-    slack condition.
+    ``keep_within`` switches on anchored mode: a candidate outside the given
+    radius is rejected and redrawn, which manufactures members of the bounded
+    class.  After 10 000 rounds in one step the exact step is taken.  The
+    rejection changes the sampling law, never the pseudo-orbit property:
+    every accepted step still satisfies the strict slack condition.
+
+    This is the one-orbit case of the lockstep generator behind
+    :func:`generate_orbit_ensemble`.  Draws come from ``rng`` in blocks of
+    one window's step count, so ``rng`` may advance past the draws used.
     """
     n_min, n_max = window
-    if not (n_min <= 0 <= n_max):
-        raise ContractViolation("window must contain 0")
     x0 = as_point(seed_point)
-    dim = x0.size
-    forward: list[np.ndarray] = [x0]
-    x = x0
-    for _ in range(n_max):
-        fx = m.apply(x)
-        rad = 0.99 * float(delta.eval(fx))
-        for _ in range(10_000):
-            r = _draw_in_ball(metric, dim, rad, rng)
-            nxt = fx + r
-            # The stored step is what validation sees.  Once the slack drops
-            # near the coordinate ulp (or to subnormal scales), fx + r can
-            # round to an inadmissible point; halving the draw bottoms out at
-            # the exact step, which is always admissible.
-            for _ in range(200):
-                if float(distance(metric, nxt, fx)) < rad:
-                    break
-                r = r * 0.5
-                nxt = fx + r
-            else:
-                nxt = fx
-            if keep_within is None or float(metric_norm(metric, nxt)) <= keep_within:
-                break
-        else:
-            nxt = fx  # fall back to the exact step; always admissible
-        forward.append(nxt)
-        x = nxt
-    backward: list[np.ndarray] = []
-    x = x0
-    for _ in range(-n_min):
-        rad = 0.99 * float(delta.eval(x))
-        r = _draw_in_ball(metric, dim, rad, rng)
-        prev = None
-        for _ in range(10_000):
-            target = x - r
-            # The perturbation is sized against delta at f(x_{n-1}) = target.
-            if float(metric_norm(metric, r)) < 0.99 * float(delta.eval(target)):
-                cand = m.apply_inverse(target)
-                if keep_within is None or float(metric_norm(metric, cand)) <= keep_within:
-                    prev = cand
-                    break
-                r = _draw_in_ball(metric, dim, rad, rng)
-            else:
-                r = r * 0.5
-        if prev is None:
-            prev = m.apply_inverse(x)  # exact step, always admissible
-        backward.append(prev)
-        x = prev
-    points = np.stack(backward[::-1] + forward)
-    return PseudoOrbitSpec(ExplicitRule(points, n_min), (n_min, n_max), m)
+    keep = np.inf if keep_within is None else float(keep_within)
+    points = _lockstep_orbits(m, delta, metric, (n_min, n_max), x0[None, :], [rng],
+                              np.array([keep]))
+    return PseudoOrbitSpec(ExplicitRule(points[0], n_min), (n_min, n_max), m)
 
 
 def generate_orbit_ensemble(m: MapSpec, delta: CPlusFn, metric: MetricKind,
@@ -375,11 +444,17 @@ def generate_orbit_ensemble(m: MapSpec, delta: CPlusFn, metric: MetricKind,
                             start_range: tuple[float, float] | None = None) -> list[PseudoOrbitSpec]:
     """A reproducible batch of random pseudo-orbits, mixed by class.
 
-    Orbit i uses its own stream ``default_rng(seed + i)`` so batches are
-    deterministic and order-independent.  A fixed fraction is generated in
-    anchored mode near the origin (bounded class material); the rest start at
-    log-uniform radii and escape on their own.
+    Orbit i uses its own stream ``default_rng(seed + i)``: it draws its start
+    point, then takes every perturbation of :func:`random_pseudo_orbit`'s law
+    from that stream in blocks of one window's step count.  All orbits advance
+    together, one ``(count, d)`` array per step, yet no orbit's points depend
+    on the others, so batches are deterministic and order-independent: the
+    first j orbits of a batch of count >= j are the batch of j.  A fixed
+    fraction is generated in anchored mode near the origin (bounded class
+    material); the rest start at log-uniform radii and escape on their own.
     """
+    if count < 1:
+        raise ContractViolation(f"an ensemble needs at least one orbit, got count={count}")
     if start_range is None:
         start_range = (1e-2 * r0, 4.0 * r0)
     dim = getattr(m, "dimension", 2)
@@ -389,20 +464,22 @@ def generate_orbit_ensemble(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     # keep * (k - 1) comfortably below the slack near the origin.
     k = float(np.max(np.abs(m.scales))) if isinstance(m, DiagonalAffine) else 2.0
     keep = 0.45 * min(delta0, r0) / max(1.0, k - 1.0)
-    specs = []
     n_anchored = int(round(anchored_fraction * count))
-    for i in range(count):
-        rng = np.random.default_rng(seed + i)
+    lo, hi = start_range
+    rngs = [np.random.default_rng(seed + i) for i in range(count)]
+    seeds = np.empty((count, dim))
+    for i, rng in enumerate(rngs):
         if i < n_anchored:
-            x0 = _draw_in_ball(metric, dim, 0.25 * keep, rng)
-            specs.append(random_pseudo_orbit(m, delta, metric, window, x0, rng, keep_within=keep))
+            seeds[i] = uniform_ball(metric, dim, rng, 1)[0] * (0.25 * keep)
         else:
-            lo, hi = start_range
             radius = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
             u = rng.standard_normal(dim)
             u /= max(float(metric_norm(metric, u)), 1e-300)
-            specs.append(random_pseudo_orbit(m, delta, metric, window, radius * u, rng))
-    return specs
+            seeds[i] = radius * u
+    limits = np.where(np.arange(count) < n_anchored, keep, np.inf)
+    n_min, n_max = window
+    points = _lockstep_orbits(m, delta, metric, (n_min, n_max), seeds, rngs, limits)
+    return [PseudoOrbitSpec(ExplicitRule(p, n_min), (n_min, n_max), m) for p in points]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ build the shadow, report) and judges the outcome:
 
 Artifacts (JSON certificates and reports, CSV traces, SVG plots) are written
 under ``<out>/<scenario>/`` and are byte-deterministic for a fixed config and
-seed: no timestamps, sorted keys, fixed float formatting.  Wall time is
-reported on the in-memory run report only, never in the files.
+seed: no timestamps, sorted keys, fixed float formatting.  Wall and CPU
+time are reported on the in-memory run report only, never in the files.
 
 A scenario config is one JSON document; ``shadowlab run`` accepts a built-in
 name or a path to such a document.  The only environment override honored is
@@ -45,7 +45,7 @@ from .cplus import (
     synthesize_delta_homothety,
     verify_delta_conditions,
 )
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, config_field
 from .geometry import MetricKind, metric_norm
 from .maps import (
     DiagonalAffine,
@@ -156,15 +156,23 @@ class ScenarioConfig:
         for req in ("name", "kind"):
             if req not in obj:
                 raise ConfigError(f"missing config field {req!r}")
+        name = str(obj["name"])
+        # The name is the artifact directory under the output root, so it
+        # must stay one path component.
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ConfigError(f"field 'name' must be a single path component, got {name!r}")
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("field 'params' must be an object")
         cfg = cls(
-            name=str(obj["name"]),
+            name=name,
             kind=str(obj["kind"]),
             metric=str(obj.get("metric", "sup")),
             seed=int(obj.get("seed", 0)),
             window_limit=int(obj.get("window_limit", 32)),
             margin=float(obj.get("margin", 0.0)),
             out_dir=obj.get("out_dir"),
-            params=dict(obj.get("params", {})),
+            params=dict(params),
         )
         cfg.metric_kind()
         return cfg
@@ -177,6 +185,7 @@ class RunReport:
     artifacts: list[str]
     wall_time: float
     details: dict = field(default_factory=dict)
+    cpu_time: float = 0.0  # CPU seconds of the running thread; a pool does not inflate it
 
     @property
     def exit_code(self) -> int:
@@ -197,6 +206,30 @@ def parse_fn(spec) -> CPlusFn:
         if spec.startswith("table:"):
             return RadialTable(json.loads(spec.split(":", 1)[1]))
     raise ConfigError(f"cannot parse function descriptor {spec!r}")
+
+
+def _param(p: dict, key: str):
+    """A required ``params`` field; a missing one is a ConfigError naming it."""
+    return config_field(p, key, "params")
+
+
+def _window_param(p: dict, default: tuple[int, int]) -> tuple[int, int]:
+    """``params.window``: integers [n_min, n_max] with n_min <= 0 <= n_max, n_min < n_max."""
+    window = p.get("window", default)
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and all(isinstance(n, int) and not isinstance(n, bool) for n in window)
+            and window[0] <= 0 <= window[1] and window[0] < window[1]):
+        raise ConfigError("'params.window' must be integers [n_min, n_max] with "
+                          f"n_min <= 0 <= n_max and n_min < n_max, got {window!r}")
+    return window[0], window[1]
+
+
+def _count_param(p: dict, default: int) -> int:
+    """``params.count``: the number of orbits in an ensemble, at least one."""
+    count = p.get("count", default)
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ConfigError(f"'params.count' must be an integer >= 1, got {count!r}")
+    return count
 
 
 def _json_text(obj) -> str:
@@ -228,10 +261,10 @@ class _ArtifactSink:
 def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
-    m = map_from_dict(p["map"])
-    epsilon = parse_fn(p["epsilon"])
-    fwd = np.asarray(p["forward_seed"], dtype=float)
-    direction = np.asarray(p["jump_direction"], dtype=float)
+    m = map_from_dict(_param(p, "map"), "params.map")
+    epsilon = parse_fn(_param(p, "epsilon"))
+    fwd = np.asarray(_param(p, "forward_seed"), dtype=float)
+    direction = np.asarray(_param(p, "jump_direction"), dtype=float)
     rng = np.random.default_rng(config.seed)
 
     if "jump" in p:
@@ -270,8 +303,9 @@ def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[s
     if oracle or any(c.near_degenerate for _, c, _ in runs):
         chosen = max(range(len(runs)), key=lambda i: jumps[i])
         spec = runs[chosen][0]
-        result = sampled_search(spec, epsilon, metric,
-                                [tuple(b) for b in oracle["box"]], float(oracle["step"]))
+        box = config_field(oracle, "box", "params.oracle")
+        step = config_field(oracle, "step", "params.oracle")
+        result = sampled_search(spec, epsilon, metric, [tuple(b) for b in box], float(step))
         oracle_entry = {"run": chosen, **result.to_obj()}
         all_empty = all_empty and result.absent
 
@@ -295,7 +329,7 @@ def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[s
 def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
-    declared = map_from_dict(p["map"])
+    declared = map_from_dict(_param(p, "map"), "params.map")
     m = power_map(declared, -1) if p.get("invert_first") else declared
     if not isinstance(m, DiagonalAffine):
         raise ConfigError("the shadowing pipeline needs a diagonal linear map")
@@ -304,8 +338,10 @@ def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tupl
     scales = m.scales
     k = float(np.abs(scales[0]))
     growth = (k + 1.0) / 2.0
+    window = _window_param(p, (-20, 40))
+    count = _count_param(p, 200)
 
-    epsilon = parse_fn(p["epsilon"])
+    epsilon = parse_fn(_param(p, "epsilon"))
     delta = synthesize_delta_homothety(epsilon, metric, factor=k,
                                        sphere_samples=int(p.get("sphere_samples", 64)))
     r0, m_level = cplus.delta_reference_levels(epsilon, metric)
@@ -314,8 +350,6 @@ def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tupl
         n_points=int(p.get("verify_points", 20_000)),
         rng=np.random.default_rng(config.seed + 1_000_003))
 
-    window = tuple(p.get("window", (-20, 40)))
-    count = int(p.get("count", 200))
     specs = generate_orbit_ensemble(
         m, delta, metric, window, count, config.seed, r0,
         anchored_fraction=float(p.get("anchored_fraction", 0.2)),
@@ -377,16 +411,17 @@ def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tupl
 
 def _run_metric_warp(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
-    m = map_from_dict(p["map"])
-    fwd = np.asarray(p["forward_seed"], dtype=float)
-    q = float(p["jump"])
-    direction = np.asarray(p["jump_direction"], dtype=float)
-    window = tuple(p.get("window", (-24, 24)))
+    m = map_from_dict(_param(p, "map"), "params.map")
+    fwd = np.asarray(_param(p, "forward_seed"), dtype=float)
+    q = float(_param(p, "jump"))
+    direction = np.asarray(_param(p, "jump_direction"), dtype=float)
+    window = _window_param(p, (-24, 24))
     spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction, 0), window, m)
     epsilon = Const(float(p.get("epsilon_level", 1.0)))
     delta = Const(float(p.get("delta_level", 0.02)))
-    box = [tuple(b) for b in p["oracle"]["box"]]
-    step = float(p["oracle"]["step"])
+    oracle = _param(p, "oracle")
+    box = [tuple(b) for b in config_field(oracle, "box", "params.oracle")]
+    step = float(config_field(oracle, "step", "params.oracle"))
 
     valid_warp = validate(spec, delta, MetricKind.POLAR_WARP).passed
     valid_sup = validate(spec, delta, MetricKind.SUP).passed
@@ -420,17 +455,19 @@ def _run_metric_warp(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, 
 def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
-    m = map_from_dict(p["map"])
+    m = map_from_dict(_param(p, "map"), "params.map")
     scales = m.scales
     k = float(np.abs(scales[0]))
-    epsilon = parse_fn(p["epsilon"])
+    window = _window_param(p, (-10, 20))
+    count = _count_param(p, 40)
+    changes = {name: diffeo_from_dict(obj, f"params.changes.{name}")
+               for name, obj in _param(p, "changes").items()}
+    epsilon = parse_fn(_param(p, "epsilon"))
     delta = synthesize_delta_homothety(epsilon, metric, factor=k)
     r0, _ = cplus.delta_reference_levels(epsilon, metric)
-    window = tuple(p.get("window", (-10, 20)))
-    specs = generate_orbit_ensemble(m, delta, metric, window, int(p.get("count", 40)),
+    specs = generate_orbit_ensemble(m, delta, metric, window, count,
                                     config.seed, r0, anchored_fraction=0.0,
                                     start_range=(1.05 * r0, 4.0 * r0))
-    changes = {name: diffeo_from_dict(obj) for name, obj in p["changes"].items()}
 
     results = {}
     all_pass = True
@@ -468,17 +505,17 @@ def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, di
 def _run_forward_to_full(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
-    m = map_from_dict(p["map"])
+    m = map_from_dict(_param(p, "map"), "params.map")
     scales = m.scales
     k = float(np.abs(scales[0]))
-    epsilon = parse_fn(p["epsilon"])
+    epsilon = parse_fn(_param(p, "epsilon"))
     delta = synthesize_delta_homothety(epsilon, metric, factor=k)
     r0, _ = cplus.delta_reference_levels(epsilon, metric)
     depth = int(p.get("depth", 16))
-    window = tuple(p.get("window", (-depth, 2 * depth)))
+    window = _window_param(p, (-depth, 2 * depth))
     tol = float(p.get("tol", 1e-9))
     match_tol = float(p.get("match_tol", 1e-8))
-    count = int(p.get("count", 20))
+    count = _count_param(p, 20)
 
     specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4.0 * r0))
@@ -636,7 +673,7 @@ def _run_neighborhood(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str,
     metric = config.metric_kind()
     n = int(p.get("points_per_axis", 81))
     half = float(p.get("half_extent", 10.0))
-    radius_fns = {name: parse_fn(obj) for name, obj in p["radius_functions"].items()}
+    radius_fns = {name: parse_fn(obj) for name, obj in _param(p, "radius_functions").items()}
 
     results = {}
     ok = True
@@ -878,8 +915,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunRepor
     root = Path(out_dir or config.out_dir or "out") / config.name
     sink = _ArtifactSink(root)
     started = time.perf_counter()
+    cpu_started = time.thread_time()
     verdict, details = handler(config, sink)
     wall = time.perf_counter() - started
+    cpu = time.thread_time() - cpu_started
     report_obj = {
         "scenario": config.name,
         "verdict": verdict,
@@ -889,4 +928,4 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunRepor
         "artifacts": sorted(str(Path(p).relative_to(root)) for p in sink.paths),
     }
     sink.write("report.json", _json_text(report_obj))
-    return RunReport(config.name, verdict, sink.paths, wall, details)
+    return RunReport(config.name, verdict, sink.paths, wall, details, cpu)

@@ -152,3 +152,69 @@ def test_parallel_run_matches_sequential(tmp_path):
     for name in names:
         for f in sorted((tmp_path / "seq" / name).iterdir()):
             assert f.read_bytes() == (tmp_path / "par" / name / f.name).read_bytes()
+
+
+def _write_config(path, config):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["homothety-tsp", "conjugacy-invariance", "forward-to-full"])
+@pytest.mark.parametrize("edit", [{"count": -3}, {"count": 0}, {"window": [2, 8]},
+                                  {"window": [-4, -1]}, {"window": [0, 0]}])
+def test_bad_ensemble_count_or_window_is_config_error(tmp_path, capsys, name, edit):
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config(name).to_obj()
+    config["params"].update(edit)
+    path = _write_config(tmp_path / "bad.json", config)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and f"params.{next(iter(edit))}" in err
+    assert not (tmp_path / "out" / name / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["../escape", "..", ".", "", "a/b", "/tmp/abs", "a\\b"])
+def test_scenario_name_cannot_leave_out_dir(tmp_path, capsys, name):
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config("translation-adversarial").to_obj()
+    config["name"] = name
+    path = _write_config(tmp_path / "cfg" / "escape.json", config)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    assert "config error" in capsys.readouterr().err
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+    assert written <= {"cfg", "cfg/escape.json", "out"}
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"epsilon": "const:1.0"}, "params.map"),
+    ({"map": {"kind": "warp-drive"}, "epsilon": "const:1.0"}, "params.map.kind"),
+    ({"map": {"kind": "power", "k": 2}, "epsilon": "const:1.0"}, "params.map.inner"),
+    ({"map": {"kind": "homothety", "factor": 2.0}}, "params.epsilon"),
+])
+def test_malformed_params_are_config_errors(tmp_path, capsys, params, field):
+    config = {"name": "malformed", "kind": "homothety_shadow", "params": params}
+    path = _write_config(tmp_path / "malformed.json", config)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert "Traceback" not in err
+
+
+def test_unknown_change_of_coordinates_is_config_error(tmp_path, capsys):
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config("conjugacy-invariance").to_obj()
+    config["params"]["changes"]["affine"] = {"kind": "shear"}
+    path = _write_config(tmp_path / "shear.json", config)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert "params.changes.affine.kind" in err and "Traceback" not in err
+
+
+def test_run_prints_thread_cpu_time(tmp_path, capsys):
+    assert main(["run", "translation-adversarial", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "s CPU, " in out

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from shadowlab.cplus import Const, delta_reference_levels, synthesize_delta_homothety
+from shadowlab.cplus import (
+    Const,
+    delta_reference_levels,
+    saddle_adversarial_epsilon,
+    synthesize_delta_homothety,
+)
 from shadowlab.errors import ContractViolation
-from shadowlab.geometry import MetricKind
-from shadowlab.maps import homothety, reverse_homothety, saddle, translation_map
+from shadowlab.geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
+from shadowlab.maps import DiagonalAffine, homothety, power_map, reverse_homothety, saddle, translation_map
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
@@ -217,3 +222,162 @@ def test_validation_report_serializes_to_json():
     steps = {entry["n"]: entry for entry in payload["steps"]}
     assert steps[-1]["ok"] is False and steps[-1]["gap"] == pytest.approx(0.4)
     assert steps[0]["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# The one-orbit, one-draw loop the lockstep generator must reproduce
+# ---------------------------------------------------------------------------
+
+
+def _draw_in_ball(metric, dim, radius, rng):
+    return uniform_ball(metric, dim, rng, 1)[0] * radius
+
+
+def reference_random_pseudo_orbit(m, delta, metric, window, seed_point, rng, keep_within=None):
+    """Scalar reference: one orbit, one point and one ball draw at a time."""
+    n_min, n_max = window
+    x0 = as_point(seed_point)
+    dim = x0.size
+    forward = [x0]
+    x = x0
+    for _ in range(n_max):
+        fx = m.apply(x)
+        rad = 0.99 * float(delta.eval(fx))
+        for _ in range(10_000):
+            r = _draw_in_ball(metric, dim, rad, rng)
+            nxt = fx + r
+            for _ in range(200):
+                if float(distance(metric, nxt, fx)) < rad:
+                    break
+                r = r * 0.5
+                nxt = fx + r
+            else:
+                nxt = fx
+            if keep_within is None or float(metric_norm(metric, nxt)) <= keep_within:
+                break
+        else:
+            nxt = fx
+        forward.append(nxt)
+        x = nxt
+    backward = []
+    x = x0
+    for _ in range(-n_min):
+        rad = 0.99 * float(delta.eval(x))
+        r = _draw_in_ball(metric, dim, rad, rng)
+        prev = None
+        for _ in range(10_000):
+            target = x - r
+            if float(metric_norm(metric, r)) < 0.99 * float(delta.eval(target)):
+                cand = m.apply_inverse(target)
+                if keep_within is None or float(metric_norm(metric, cand)) <= keep_within:
+                    prev = cand
+                    break
+                r = _draw_in_ball(metric, dim, rad, rng)
+            else:
+                r = r * 0.5
+        if prev is None:
+            prev = m.apply_inverse(x)
+        backward.append(prev)
+        x = prev
+    return np.stack(backward[::-1] + forward)
+
+
+def reference_ensemble(m, delta, metric, window, count, seed, r0, anchored_fraction, start_range):
+    """Scalar reference for ``generate_orbit_ensemble``: the orbits one after another."""
+    dim = m.dimension
+    delta0 = float(delta.eval(np.zeros(dim)))
+    k = float(np.max(np.abs(m.scales)))
+    keep = 0.45 * min(delta0, r0) / max(1.0, k - 1.0)
+    n_anchored = int(round(anchored_fraction * count))
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng(seed + i)
+        if i < n_anchored:
+            x0 = _draw_in_ball(metric, dim, 0.25 * keep, rng)
+            out.append(reference_random_pseudo_orbit(m, delta, metric, window, x0, rng,
+                                                     keep_within=keep))
+        else:
+            lo, hi = start_range
+            radius = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            u = rng.standard_normal(dim)
+            u /= max(float(metric_norm(metric, u)), 1e-300)
+            out.append(reference_random_pseudo_orbit(m, delta, metric, window, radius * u, rng))
+    return out
+
+
+_SHADOWED_MAPS = {
+    "homothety": homothety(2.0),
+    "squared-homothety": power_map(homothety(2.0), 2),
+    "inverted-reverse-homothety": power_map(reverse_homothety(0.5), -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHADOWED_MAPS))
+@pytest.mark.parametrize("anchored_fraction", [0.0, 0.2])
+def test_lockstep_ensemble_matches_scalar_reference(name, anchored_fraction):
+    m = _SHADOWED_MAPS[name]
+    assert isinstance(m, DiagonalAffine)
+    eps = saddle_adversarial_epsilon()
+    k = float(np.max(np.abs(m.scales)))
+    delta = synthesize_delta_homothety(eps, SUP, factor=k)
+    r0, _ = delta_reference_levels(eps, SUP)
+    for seed in (1, 17, 23):
+        args = (m, delta, SUP, (-12, 24), 25, seed, r0)
+        kwargs = dict(anchored_fraction=anchored_fraction, start_range=(0.3 * r0, 4.0 * r0))
+        got = generate_orbit_ensemble(*args, **kwargs)
+        want = reference_ensemble(*args, **kwargs)
+        assert len(got) == len(want)
+        for spec, points in zip(got, want):
+            assert spec.window == (-12, 24) and spec.rule.start == -12
+            assert np.array_equal(spec.rule.points, points)
+
+
+@pytest.mark.parametrize("seed, x0, keep_within", [
+    (4, [0.0, 0.0], None), (8, [2.5, 0.0], None), (4, [0.0, 0.0], 0.2), (9, [0.05, -0.1], 0.2),
+])
+def test_single_orbit_matches_scalar_reference(seed, x0, keep_within):
+    delta = synthesize_delta_homothety(Const(1.0))
+    args = (homothety(2.0), delta, SUP, (-10, 10), np.array(x0))
+    got = random_pseudo_orbit(*args, np.random.default_rng(seed), keep_within=keep_within)
+    want = reference_random_pseudo_orbit(*args, np.random.default_rng(seed), keep_within=keep_within)
+    assert got.window == (-10, 10)
+    assert np.array_equal(got.rule.points, want)
+
+
+def test_ensemble_prefix_is_order_independent():
+    eps = Const(1.0)
+    delta = synthesize_delta_homothety(eps)
+    r0, _ = delta_reference_levels(eps)
+    seven = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-6, 12), 7, 55, r0,
+                                    anchored_fraction=0.0)
+    three = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-6, 12), 3, 55, r0,
+                                    anchored_fraction=0.0)
+    for a, b in zip(seven[:3], three):
+        assert np.array_equal(a.rule.points, b.rule.points)
+
+
+def test_euclidean_ensemble_validates_and_repeats():
+    eps = Const(1.0)
+    metric = MetricKind.EUCLIDEAN
+    delta = synthesize_delta_homothety(eps, metric)
+    r0, _ = delta_reference_levels(eps, metric)
+    a = generate_orbit_ensemble(homothety(2.0), delta, metric, (-8, 16), 12, 5, r0)
+    b = generate_orbit_ensemble(homothety(2.0), delta, metric, (-8, 16), 12, 5, r0)
+    for sa, sb in zip(a, b):
+        assert validate(sa, delta, metric).passed
+        assert np.array_equal(sa.rule.points, sb.rule.points)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_empty_ensemble_is_refused(count):
+    delta = synthesize_delta_homothety(Const(1.0))
+    with pytest.raises(ContractViolation):
+        generate_orbit_ensemble(homothety(2.0), delta, SUP, (-4, 8), count, 1, 1.0)
+
+
+def test_random_orbit_window_must_contain_zero():
+    delta = synthesize_delta_homothety(Const(1.0))
+    for window in ((1, 5), (0, 0)):
+        with pytest.raises(ContractViolation):
+            random_pseudo_orbit(homothety(2.0), delta, SUP, window, np.zeros(2),
+                                np.random.default_rng(0))
