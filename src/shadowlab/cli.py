@@ -6,12 +6,12 @@
 
 Exit codes: 0 when every run matches the expected result, 1 when some run is
 inconclusive, 2 when some run contradicts it (the largest code wins), 64 for
-usage or configuration errors (an oversized oracle grid included), 70 for
-internal contract violations.  ``run all`` executes the whole built-in
-catalog on up to four threads; the scenarios share no mutable state, and
-numpy releases the GIL in their array work.  Each scenario's line reports the
-CPU time of its own thread, which pooled wall time would inflate.  The only
-environment override is OUTPUT_DIR for the default artifact directory.
+usage or configuration errors (ill-typed params, refused maps, oversized oracle
+grids, windows past double range), 70 for internal contract violations.  ``run
+all`` runs the built-in catalog on up to four threads; the scenarios share no
+mutable state, and numpy releases the GIL in their array work.  Each scenario's
+line reports its own thread's CPU time, which pooled wall time would inflate.
+The only environment override is OUTPUT_DIR for the default artifact directory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ConfigError, ContractViolation, PositivityError, SearchSpaceError
+from .errors import ConfigError, ContractViolation, IterationRangeError, PositivityError, SearchSpaceError
 from .plots import emit_plot
 from .scenarios import SCENARIO_NAMES, list_scenarios, load_config, run_scenario
 
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             out = emit_plot(args.csv, args.kind, args.out)
             print(out)
             return 0
-    except (ConfigError, SearchSpaceError) as exc:
+    except (ConfigError, SearchSpaceError, IterationRangeError) as exc:
         print(f"shadowlab: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (ContractViolation, PositivityError) as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class ContractViolation(ValueError):
     """A documented precondition or invariant was broken at runtime."""
@@ -77,3 +79,12 @@ def config_field(obj, key: str, where: str):
     if key not in obj:
         raise ConfigError(f"missing config field '{where}.{key}'")
     return obj[key]
+
+
+@contextmanager
+def config_path(where: str):
+    """Report a ContractViolation raised inside as a ConfigError naming config path ``where``."""
+    try:
+        yield
+    except ContractViolation as exc:
+        raise ConfigError(f"'{where}': {exc}") from exc

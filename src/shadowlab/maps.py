@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, DimensionMismatch, IterationRangeError, config_field
+from .errors import (ConfigError, ContractViolation, DimensionMismatch, IterationRangeError,
+                     config_field, config_path)
 from .geometry import as_point, radial_rescale
 
 __all__ = [
@@ -383,17 +384,18 @@ def diffeo_to_dict(change: Diffeo) -> dict:
 
 def diffeo_from_dict(obj: dict, where: str = "change") -> Diffeo:
     """Rebuild a change of coordinates; ``where`` names ``obj`` in config errors."""
-    kind = config_field(obj, "kind", where)
-    if kind == "identity":
-        return IdentityChange()
-    if kind == "affine":
-        return AffineChange(config_field(obj, "matrix", where), config_field(obj, "offset", where))
-    if kind == "radial":
-        return RadialRescale(obj.get("a", 1.0), obj.get("b", 1.0))
-    if kind == "composed":
-        return ComposedChange(diffeo_from_dict(config_field(obj, "outer", where), f"{where}.outer"),
-                              diffeo_from_dict(config_field(obj, "inner", where), f"{where}.inner"))
-    raise ConfigError(f"'{where}.kind': unknown change of coordinates {kind!r}")
+    with config_path(where):
+        kind = config_field(obj, "kind", where)
+        if kind == "identity":
+            return IdentityChange()
+        if kind == "affine":
+            return AffineChange(config_field(obj, "matrix", where), config_field(obj, "offset", where))
+        if kind == "radial":
+            return RadialRescale(obj.get("a", 1.0), obj.get("b", 1.0))
+        if kind == "composed":
+            return ComposedChange(diffeo_from_dict(config_field(obj, "outer", where), f"{where}.outer"),
+                                  diffeo_from_dict(config_field(obj, "inner", where), f"{where}.inner"))
+        raise ConfigError(f"'{where}.kind': unknown change of coordinates {kind!r}")
 
 
 def map_to_dict(m: MapSpec) -> dict:
@@ -414,21 +416,22 @@ def map_to_dict(m: MapSpec) -> dict:
 
 def map_from_dict(obj: dict, where: str = "map") -> MapSpec:
     """Rebuild a map from its kind + parameters; ``where`` names ``obj`` in config errors."""
-    kind = config_field(obj, "kind", where)
-    if kind == "diagonal_affine":
-        return DiagonalAffine(config_field(obj, "scales", where), obj.get("translation"))
-    if kind == "saddle":
-        return saddle()
-    if kind == "homothety":
-        return homothety(obj.get("factor", 2.0), obj.get("dimension", 2))
-    if kind == "translation":
-        return translation_map(obj.get("dimension", 2))
-    if kind == "reverse_homothety":
-        return reverse_homothety(obj.get("factor", 0.5))
-    if kind == "conjugated":
-        return Conjugated(map_from_dict(config_field(obj, "inner", where), f"{where}.inner"),
-                          diffeo_from_dict(config_field(obj, "change", where), f"{where}.change"))
-    if kind == "power":
-        return power_map(map_from_dict(config_field(obj, "inner", where), f"{where}.inner"),
-                         config_field(obj, "k", where))
-    raise ConfigError(f"'{where}.kind': unknown map kind {kind!r}")
+    with config_path(where):
+        kind = config_field(obj, "kind", where)
+        if kind == "diagonal_affine":
+            return DiagonalAffine(config_field(obj, "scales", where), obj.get("translation"))
+        if kind == "saddle":
+            return saddle()
+        if kind == "homothety":
+            return homothety(obj.get("factor", 2.0), obj.get("dimension", 2))
+        if kind == "translation":
+            return translation_map(obj.get("dimension", 2))
+        if kind == "reverse_homothety":
+            return reverse_homothety(obj.get("factor", 0.5))
+        if kind == "conjugated":
+            return Conjugated(map_from_dict(config_field(obj, "inner", where), f"{where}.inner"),
+                              diffeo_from_dict(config_field(obj, "change", where), f"{where}.change"))
+        if kind == "power":
+            return power_map(map_from_dict(config_field(obj, "inner", where), f"{where}.inner"),
+                             config_field(obj, "k", where))
+        raise ConfigError(f"'{where}.kind': unknown map kind {kind!r}")

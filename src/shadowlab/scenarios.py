@@ -45,10 +45,11 @@ from .cplus import (
     synthesize_delta_homothety,
     verify_delta_conditions,
 )
-from .errors import ConfigError, ContractViolation, config_field
+from .errors import ConfigError, ContractViolation, NonConvergenceError, config_field, config_path
 from .geometry import MetricKind, metric_norm
 from .maps import (
     DiagonalAffine,
+    MapSpec,
     affine_fixed_point,
     conjugate_map,
     diffeo_from_dict,
@@ -78,6 +79,7 @@ from .shadowing import (
     homothety_shadow_point,
     homothety_shadow_report,
     is_shadowed_by,
+    linear_scales,
     sampled_search,
     shadow_tail_bound,
     transported_epsilon_values,
@@ -208,9 +210,22 @@ def parse_fn(spec) -> CPlusFn:
     raise ConfigError(f"cannot parse function descriptor {spec!r}")
 
 
-def _param(p: dict, key: str):
-    """A required ``params`` field; a missing one is a ConfigError naming it."""
-    return config_field(p, key, "params")
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", dict: "an object",
+               list: "a list of numbers"}
+
+
+def _param(p: dict, key: str, kind: type, default=None):
+    """``params.<key>`` of type ``kind`` (``object``: any), required unless it has a default;
+    a missing field or a value of another type is a ConfigError naming it.  A float field
+    admits integers, a list holds numbers, and a bool is no number."""
+    if default is not None and key not in p:
+        return default
+    value = config_field(p, key, "params")
+    numbers = value if kind is list else [value] if kind in (int, float) else []
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers)):
+        raise ConfigError(f"'params.{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _window_param(p: dict, default: tuple[int, int]) -> tuple[int, int]:
@@ -222,14 +237,6 @@ def _window_param(p: dict, default: tuple[int, int]) -> tuple[int, int]:
         raise ConfigError("'params.window' must be integers [n_min, n_max] with "
                           f"n_min <= 0 <= n_max and n_min < n_max, got {window!r}")
     return window[0], window[1]
-
-
-def _count_param(p: dict, default: int) -> int:
-    """``params.count``: the number of orbits in an ensemble, at least one."""
-    count = p.get("count", default)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError(f"'params.count' must be an integer >= 1, got {count!r}")
-    return count
 
 
 def _json_text(obj) -> str:
@@ -261,17 +268,17 @@ class _ArtifactSink:
 def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
-    m = map_from_dict(_param(p, "map"), "params.map")
-    epsilon = parse_fn(_param(p, "epsilon"))
-    fwd = np.asarray(_param(p, "forward_seed"), dtype=float)
-    direction = np.asarray(_param(p, "jump_direction"), dtype=float)
+    m = map_from_dict(_param(p, "map", dict), "params.map")
+    epsilon = parse_fn(_param(p, "epsilon", object))
+    fwd = np.asarray(_param(p, "forward_seed", list), dtype=float)
+    direction = np.asarray(_param(p, "jump_direction", list), dtype=float)
     rng = np.random.default_rng(config.seed)
 
     if "jump" in p:
         deltas = [None]
-        jumps = [float(p["jump"])]
+        jumps = [_param(p, "jump", float)]
     else:
-        deltas = [random_positive_fn(rng) for _ in range(int(p.get("delta_count", 5)))]
+        deltas = [random_positive_fn(rng) for _ in range(_param(p, "delta_count", int, 5))]
         jumps = []
 
     runs = []
@@ -279,13 +286,13 @@ def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[s
     for i, delta in enumerate(deltas):
         if delta is not None:
             probe = PseudoOrbitSpec(
-                SplicedRule(fwd, fwd + direction, int(p.get("splice", 0))),
+                SplicedRule(fwd, fwd + direction, _param(p, "splice", int, 0)),
                 (-config.window_limit, config.window_limit), m)
             q = max_splice_jump(probe, delta, metric, direction=direction)
             jumps.append(q)
         q = jumps[i]
         spec = PseudoOrbitSpec(
-            SplicedRule(fwd, fwd + q * direction, int(p.get("splice", 0))),
+            SplicedRule(fwd, fwd + q * direction, _param(p, "splice", int, 0)),
             (-config.window_limit, config.window_limit), m)
         cert = box_feasibility(spec, epsilon, config.window_limit, config.margin)
         entry = {"jump": q, "outcome": cert.outcome,
@@ -322,64 +329,76 @@ def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[s
 
 
 # ---------------------------------------------------------------------------
-# Homothety shadowing pipeline (shared by three scenarios)
+# Homothety ensembles (homothety_shadow, conjugacy, forward_to_full, and the
+# homothety maps of fixed_point_scan)
 # ---------------------------------------------------------------------------
 
 
-def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
-    p = config.params
+def _homothety_ensemble(m: MapSpec, epsilon: CPlusFn, config: ScenarioConfig,
+                        window: tuple[int, int], count: int, anchored_fraction: float,
+                        sphere_samples: int = 64):
+    """(k, delta, r0, ball_min, specs): the slack of ``m`` for ``epsilon`` and its pseudo-orbits.
+
+    This is the map gate of the ensemble kinds: the synthesis and the shadow series
+    need a diagonal linear map whose scales share one modulus |k| > 1."""
+    with config_path("params.map"):
+        if not isinstance(m, DiagonalAffine) or np.any(m.translation != 0.0):
+            raise ContractViolation("the ensemble kinds need a diagonal linear map")
+        k = float(np.abs(linear_scales(m.scales, m.dimension)[0]))
+    if count < 1:
+        raise ConfigError(f"'params.count' must be an integer >= 1, got {count!r}")
     metric = config.metric_kind()
-    declared = map_from_dict(_param(p, "map"), "params.map")
-    m = power_map(declared, -1) if p.get("invert_first") else declared
-    if not isinstance(m, DiagonalAffine):
-        raise ConfigError("the shadowing pipeline needs a diagonal linear map")
-    if np.any(m.translation != 0.0):
-        raise ConfigError("the shadowing pipeline needs a linear (origin-fixing) map")
-    scales = m.scales
-    k = float(np.abs(scales[0]))
-    growth = (k + 1.0) / 2.0
-    window = _window_param(p, (-20, 40))
-    count = _count_param(p, 200)
+    delta = synthesize_delta_homothety(epsilon, metric, sphere_samples=sphere_samples, factor=k)
+    r0, ball_min = cplus.delta_reference_levels(epsilon, metric, sphere_samples)
+    specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
+                                    anchored_fraction=anchored_fraction,
+                                    start_range=(1.05 * r0, 4.0 * r0))
+    return k, delta, r0, ball_min, specs
 
-    epsilon = parse_fn(_param(p, "epsilon"))
-    delta = synthesize_delta_homothety(epsilon, metric, factor=k,
-                                       sphere_samples=int(p.get("sphere_samples", 64)))
-    r0, m_level = cplus.delta_reference_levels(epsilon, metric)
-    conditions = verify_delta_conditions(
-        delta, epsilon, metric, factor=k,
-        n_points=int(p.get("verify_points", 20_000)),
-        rng=np.random.default_rng(config.seed + 1_000_003))
 
-    specs = generate_orbit_ensemble(
-        m, delta, metric, window, count, config.seed, r0,
-        anchored_fraction=float(p.get("anchored_fraction", 0.2)),
-        start_range=(1.05 * r0, 4.0 * r0))
-
+def _classify_and_shadow(m, epsilon, metric, delta, r0, specs):
+    """(tallies, all_shadowed, bound_respected, example): bounded pseudo-orbits shadowed by the
+    origin, escaping ones by the series point; the example is the first escaping one."""
+    growth = (float(np.abs(m.scales[0])) + 1.0) / 2.0
     tallies = {"bounded": 0, "escaping": 0, "unclassified": 0}
-    all_valid = True
-    all_shadowed = True
-    bound_respected = True
-    example = None
+    all_shadowed, bound_respected, example = True, True, None
     for spec in specs:
-        if not validate(spec, delta, metric).passed:
-            all_valid = False
         window_pts = realize(spec)
         cls = classify_pseudo_orbit(window_pts, r0, metric, growth)
         tallies[cls.kind] += 1
         if cls.bounded:
             report = is_shadowed_by(window_pts, np.zeros(m.dimension), m, epsilon, metric)
         elif cls.escaping:
-            w, report = homothety_shadow_report(window_pts, epsilon, scales, metric)
-            bounds = shadow_tail_bound(window_pts, m, delta, scales)
-            if not np.all(report.distances <= bounds):
-                bound_respected = False
+            _, report = homothety_shadow_report(window_pts, epsilon, m.scales, metric)
+            bounds = shadow_tail_bound(window_pts, m, delta, m.scales)
+            bound_respected = bound_respected and bool(np.all(report.distances <= bounds))
             if example is None:
                 example = (window_pts, report, bounds)
         else:
             all_shadowed = False
             continue
-        if not report.passed:
-            all_shadowed = False
+        all_shadowed = all_shadowed and report.passed
+    return tallies, all_shadowed, bound_respected, example
+
+
+def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
+    p = config.params
+    metric = config.metric_kind()
+    m = map_from_dict(_param(p, "map", dict), "params.map")
+    if _param(p, "invert_first", bool, False):
+        m = power_map(m, -1)
+    window = _window_param(p, (-20, 40))
+    epsilon = parse_fn(_param(p, "epsilon", object))
+    k, delta, r0, m_level, specs = _homothety_ensemble(
+        m, epsilon, config, window, _param(p, "count", int, 200),
+        _param(p, "anchored_fraction", float, 0.2), _param(p, "sphere_samples", int, 64))
+    conditions = verify_delta_conditions(
+        delta, epsilon, metric, factor=k,
+        n_points=_param(p, "verify_points", int, 20_000),
+        rng=np.random.default_rng(config.seed + 1_000_003))
+    all_valid = all(validate(spec, delta, metric).passed for spec in specs)
+    tallies, all_shadowed, bound_respected, example = _classify_and_shadow(
+        m, epsilon, metric, delta, r0, specs)
 
     if example is not None:
         window_pts, report, bounds = example
@@ -411,15 +430,15 @@ def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tupl
 
 def _run_metric_warp(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
-    m = map_from_dict(_param(p, "map"), "params.map")
-    fwd = np.asarray(_param(p, "forward_seed"), dtype=float)
-    q = float(_param(p, "jump"))
-    direction = np.asarray(_param(p, "jump_direction"), dtype=float)
+    m = map_from_dict(_param(p, "map", dict), "params.map")
+    fwd = np.asarray(_param(p, "forward_seed", list), dtype=float)
+    q = _param(p, "jump", float)
+    direction = np.asarray(_param(p, "jump_direction", list), dtype=float)
     window = _window_param(p, (-24, 24))
     spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction, 0), window, m)
-    epsilon = Const(float(p.get("epsilon_level", 1.0)))
-    delta = Const(float(p.get("delta_level", 0.02)))
-    oracle = _param(p, "oracle")
+    epsilon = Const(_param(p, "epsilon_level", float, 1.0))
+    delta = Const(_param(p, "delta_level", float, 0.02))
+    oracle = _param(p, "oracle", dict)
     box = [tuple(b) for b in config_field(oracle, "box", "params.oracle")]
     step = float(config_field(oracle, "step", "params.oracle"))
 
@@ -455,19 +474,12 @@ def _run_metric_warp(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, 
 def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
-    m = map_from_dict(_param(p, "map"), "params.map")
-    scales = m.scales
-    k = float(np.abs(scales[0]))
-    window = _window_param(p, (-10, 20))
-    count = _count_param(p, 40)
+    m = map_from_dict(_param(p, "map", dict), "params.map")
     changes = {name: diffeo_from_dict(obj, f"params.changes.{name}")
-               for name, obj in _param(p, "changes").items()}
-    epsilon = parse_fn(_param(p, "epsilon"))
-    delta = synthesize_delta_homothety(epsilon, metric, factor=k)
-    r0, _ = cplus.delta_reference_levels(epsilon, metric)
-    specs = generate_orbit_ensemble(m, delta, metric, window, count,
-                                    config.seed, r0, anchored_fraction=0.0,
-                                    start_range=(1.05 * r0, 4.0 * r0))
+               for name, obj in _param(p, "changes", dict).items()}
+    epsilon = parse_fn(_param(p, "epsilon", object))
+    *_, specs = _homothety_ensemble(m, epsilon, config, _window_param(p, (-10, 20)),
+                                    _param(p, "count", int, 40), 0.0)
 
     results = {}
     all_pass = True
@@ -476,7 +488,7 @@ def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, di
         passed = 0
         for spec in specs:
             window_pts = realize(spec)
-            w, base_report = homothety_shadow_report(window_pts, epsilon, scales, metric)
+            w, base_report = homothety_shadow_report(window_pts, epsilon, m.scales, metric)
             if not base_report.passed:
                 all_pass = False
                 continue
@@ -505,26 +517,17 @@ def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, di
 def _run_forward_to_full(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
-    m = map_from_dict(_param(p, "map"), "params.map")
-    scales = m.scales
-    k = float(np.abs(scales[0]))
-    epsilon = parse_fn(_param(p, "epsilon"))
-    delta = synthesize_delta_homothety(epsilon, metric, factor=k)
-    r0, _ = cplus.delta_reference_levels(epsilon, metric)
-    depth = int(p.get("depth", 16))
+    m = map_from_dict(_param(p, "map", dict), "params.map")
+    epsilon = parse_fn(_param(p, "epsilon", object))
+    depth = _param(p, "depth", int, 16)
     window = _window_param(p, (-depth, 2 * depth))
-    tol = float(p.get("tol", 1e-9))
-    match_tol = float(p.get("match_tol", 1e-8))
-    count = _count_param(p, 20)
-
-    specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
-                                    anchored_fraction=0.0, start_range=(1.05 * r0, 4.0 * r0))
+    tol = _param(p, "tol", float, 1e-9)
+    match_tol = _param(p, "match_tol", float, 1e-8)
+    *_, specs = _homothety_ensemble(m, epsilon, config, window, _param(p, "count", int, 20), 0.0)
 
     def forward_shadower(z_window: OrbitWindow) -> np.ndarray:
-        _, w = homothety_shadow_point(z_window, scales, dtype=np.longdouble)
+        _, w = homothety_shadow_point(z_window, m.scales, dtype=np.longdouble)
         return w
-
-    from .errors import NonConvergenceError
 
     converged = 0
     matched = 0
@@ -541,9 +544,7 @@ def _run_forward_to_full(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[s
             failures.append({"orbit": i, "error": str(exc)})
             continue
         converged += 1
-        window_pts = realize(spec)
-        _, w_direct = homothety_shadow_point(window_pts, scales, dtype=np.longdouble)
-        direct_at_zero = m.iterate(w_direct, -window[0])
+        direct_at_zero = m.iterate(forward_shadower(realize(spec)), -window[0])
         gap = float(metric_norm(metric, np.asarray(limit - direct_at_zero, dtype=float)))
         if gap <= match_tol:
             matched += 1
@@ -671,9 +672,9 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
 def _run_neighborhood(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
     p = config.params
     metric = config.metric_kind()
-    n = int(p.get("points_per_axis", 81))
-    half = float(p.get("half_extent", 10.0))
-    radius_fns = {name: parse_fn(obj) for name, obj in _param(p, "radius_functions").items()}
+    n = _param(p, "points_per_axis", int, 81)
+    half = _param(p, "half_extent", float, 10.0)
+    radius_fns = {name: parse_fn(obj) for name, obj in _param(p, "radius_functions", dict).items()}
 
     results = {}
     ok = True
@@ -698,7 +699,6 @@ def _run_neighborhood(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str,
 
 
 def _run_fixed_point_scan(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
-    metric = config.metric_kind()
     catalog = {
         "saddle": saddle(),
         "homothety-2": homothety(2.0),
@@ -726,25 +726,10 @@ def _run_fixed_point_scan(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[
         else:
             work = m if abs(m.scales[0]) > 1.0 else power_map(m, -1)
             epsilon = Const(1.0)
-            k = float(np.abs(work.scales[0]))
-            delta = synthesize_delta_homothety(epsilon, metric, factor=k)
-            r0, _ = cplus.delta_reference_levels(epsilon, metric)
-            specs = generate_orbit_ensemble(work, delta, metric, (-8, 16), 30,
-                                            config.seed, r0, anchored_fraction=0.2,
-                                            start_range=(1.05 * r0, 4.0 * r0))
-            good = 0
-            for spec in specs:
-                pts = realize(spec)
-                cls = classify_pseudo_orbit(pts, r0, metric, (k + 1.0) / 2.0)
-                if cls.bounded:
-                    rep = is_shadowed_by(pts, np.zeros(2), work, epsilon, metric)
-                elif cls.escaping:
-                    _, rep = homothety_shadow_report(pts, epsilon, work.scales, metric)
-                else:
-                    continue
-                if rep.passed:
-                    good += 1
-            evidence = "shadowing" if good == len(specs) else "not-shadowing"
+            _, delta, r0, _, specs = _homothety_ensemble(work, epsilon, config, (-8, 16), 30, 0.2)
+            _, all_shadowed, _, _ = _classify_and_shadow(
+                work, epsilon, config.metric_kind(), delta, r0, specs)
+            evidence = "shadowing" if all_shadowed else "not-shadowing"
         flag = evidence == "shadowing" and not fixed
         contradiction = contradiction or flag
         entries[name] = {

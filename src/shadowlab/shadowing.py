@@ -334,7 +334,8 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
 # ---------------------------------------------------------------------------
 
 
-def _linear_scales(factor, dim: int) -> np.ndarray:
+def linear_scales(factor, dim: int) -> np.ndarray:
+    """Per-coordinate scales of an expanding linear map with one modulus |k| > 1."""
     scales = np.atleast_1d(np.asarray(factor, dtype=float))
     if scales.size == 1:
         scales = np.full(dim, scales[0])
@@ -364,7 +365,7 @@ def homothety_shadow_point(window: OrbitWindow, factor=2.0, dtype=None) -> tuple
     """
     if len(window) < 2:
         raise ContractViolation("window too short: need at least one step")
-    scales = _linear_scales(factor, window.dimension)
+    scales = linear_scales(factor, window.dimension)
     if dtype is None:
         dtype = np.float64
     x = window.points.astype(dtype)
@@ -389,7 +390,7 @@ def homothety_shadow_report(window: OrbitWindow, epsilon, factor=2.0,
     subtracting two nearly equal k^l-sized points, which matters once the
     window's far end exceeds about 2^50 times its start.
     """
-    scales = _linear_scales(factor, window.dimension)
+    scales = linear_scales(factor, window.dimension)
     start, w = homothety_shadow_point(window, factor)
     x = window.points
     residuals = x[1:] - x[:-1] * scales[None, :]
@@ -413,7 +414,7 @@ def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn, factor=2.
     shadow-point orbit never exceeds it when every perturbation respects the
     strict slack condition.
     """
-    scales = _linear_scales(factor, window.dimension)
+    scales = linear_scales(factor, window.dimension)
     k = float(np.abs(scales[0]))
     images = m.apply(window.points[:-1])
     d_vals = np.atleast_1d(delta.eval(images))

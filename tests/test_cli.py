@@ -193,6 +193,18 @@ def test_scenario_name_cannot_leave_out_dir(tmp_path, capsys, name):
     ({"map": {"kind": "warp-drive"}, "epsilon": "const:1.0"}, "params.map.kind"),
     ({"map": {"kind": "power", "k": 2}, "epsilon": "const:1.0"}, "params.map.inner"),
     ({"map": {"kind": "homothety", "factor": 2.0}}, "params.epsilon"),
+    ({"map": {"kind": "homothety", "factor": 1.0}, "epsilon": "const:1.0"}, "params.map"),
+    ({"map": {"kind": "power", "inner": {"kind": "homothety", "factor": 2.0}, "k": 0},
+      "epsilon": "const:1.0"}, "params.map"),
+    ({"map": {"kind": "conjugated", "inner": {"kind": "homothety", "factor": 2.0},
+              "change": {"kind": "affine", "matrix": [[1.0, 2.0], [2.0, 4.0]], "offset": [0.0, 0.0]}},
+      "epsilon": "const:1.0"}, "params.map.change"),
+    ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "sphere_samples": "7"},
+     "params.sphere_samples"),
+    ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "invert_first": "yes"},
+     "params.invert_first"),
+    ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "count": True},
+     "params.count"),
 ])
 def test_malformed_params_are_config_errors(tmp_path, capsys, params, field):
     config = {"name": "malformed", "kind": "homothety_shadow", "params": params}
@@ -200,6 +212,58 @@ def test_malformed_params_are_config_errors(tmp_path, capsys, params, field):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, edit, field", [
+    ("metric-warp", {"jump": "abc"}, "params.jump"),
+    ("conjugacy-invariance", {"changes": []}, "params.changes"),
+    ("neighborhood-equivalence", {"radius_functions": []}, "params.radius_functions"),
+    ("saddle-not-tsp", {"forward_seed": ["a", 0.0]}, "params.forward_seed"),
+    ("forward-to-full", {"depth": "16"}, "params.depth"),
+    ("conjugacy-invariance", {"changes": {"affine": {"kind": "affine", "offset": [0.0, 0.0],
+                                                      "matrix": [[1.0, 2.0], [2.0, 4.0]]}}},
+     "params.changes.affine"),
+])
+def test_ill_typed_or_refused_params_are_config_errors(tmp_path, capsys, name, edit, field):
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config(name).to_obj()
+    config["params"].update(edit)
+    path = _write_config(tmp_path / "bad.json", config)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["homothety-tsp", "conjugacy-invariance", "forward-to-full"])
+@pytest.mark.parametrize("map_obj", [
+    {"kind": "saddle"},
+    {"kind": "translation"},
+    {"kind": "homothety", "factor": 0.5},
+    {"kind": "diagonal_affine", "scales": [2.0, 3.0]},
+    {"kind": "diagonal_affine", "scales": [2.0, 2.0], "translation": [1.0, 0.0]},
+])
+def test_ensemble_kinds_need_an_expanding_homothety(tmp_path, capsys, name, map_obj):
+    # The paper's shadowing side holds for expanding homotheties only; any
+    # other map in these kinds is a misconfiguration, not a refutation.
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config(name).to_obj()
+    config["params"]["map"] = map_obj
+    path = _write_config(tmp_path / "map.json", config)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and "params.map" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / name / "report.json").exists()
+
+
+def test_window_past_double_range_is_config_error(tmp_path, capsys):
+    assert main(["run", "saddle-not-tsp", "--window", "2000", "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and "n=1024" in err
     assert "Traceback" not in err
 
 

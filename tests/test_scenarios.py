@@ -54,6 +54,20 @@ def test_run_report_exit_codes():
     assert RunReport("x", "inconclusive", [], 0.0).exit_code == 1
 
 
+def test_ball_min_is_the_level_the_synthesis_used(tmp_path):
+    from shadowlab.cplus import delta_reference_levels
+    from shadowlab.geometry import MetricKind
+
+    eps = {"op": "exp2neg", "args": [{"op": "norm", "args": ["euclidean"]}]}
+    config = ScenarioConfig(name="ball-min", kind="homothety_shadow", seed=5, params={
+        "map": {"kind": "homothety", "factor": 2.0}, "epsilon": eps, "sphere_samples": 7,
+        "count": 4, "window": [-4, 8], "verify_points": 200})
+    report = run_scenario(config, str(tmp_path))
+    levels_7 = delta_reference_levels(parse_fn(eps), MetricKind.SUP, 7)
+    assert report.details["ball_min"] == levels_7[1]
+    assert levels_7[1] != delta_reference_levels(parse_fn(eps), MetricKind.SUP)[1]
+
+
 def test_metric_warp_scenario_verdict(tmp_path):
     report = run_scenario(builtin_config("metric-warp"), str(tmp_path))
     assert report.verdict == "matches-paper"
