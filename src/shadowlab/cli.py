@@ -6,8 +6,10 @@
 
 Exit codes: 0 when every run matches the expected result, 1 when some run is
 inconclusive, 2 when some run contradicts it (the largest code wins), 64 for
-usage or configuration errors (ill-typed params, refused maps, oversized oracle
-grids, windows past double range), 70 for internal contract violations.  ``run
+usage or configuration errors (unknown fields, ill-typed or out-of-range values,
+--window/--seed overrides included, refused maps, margins that swallow the
+tolerance, maps the exact certificate does not support, oversized oracle grids,
+windows past double range), 70 for internal contract violations.  ``run
 all`` runs the built-in catalog on up to four threads; the scenarios share no
 mutable state, and numpy releases the GIL in their array work.  Each scenario's
 line reports its own thread's CPU time, which pooled wall time would inflate.
@@ -22,7 +24,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ConfigError, ContractViolation, IterationRangeError, PositivityError, SearchSpaceError
+from .errors import ConfigError, ContractViolation, IterationRangeError, PositivityError
 from .plots import emit_plot
 from .scenarios import SCENARIO_NAMES, list_scenarios, load_config, run_scenario
 
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
             out = emit_plot(args.csv, args.kind, args.out)
             print(out)
             return 0
-    except (ConfigError, SearchSpaceError, IterationRangeError) as exc:
+    except (ConfigError, IterationRangeError) as exc:
         print(f"shadowlab: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (ContractViolation, PositivityError) as exc:

@@ -26,12 +26,14 @@ args mix child trees and literals; radial tables carry sorted
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
 import numpy as np
 
-from .errors import ContractViolation, PositivityError
+from .errors import (REQUIRED, ContractViolation, PositivityError, check, number, numbers, one_of,
+                     read_fields, rows, within)
 from .geometry import MetricKind, metric_norm, sample_directions
 
 __all__ = [
@@ -337,6 +339,8 @@ class Envelope(CPlusFn):
             raise ContractViolation("one value per sample point required")
         if np.any(self.values <= 0.0):
             raise PositivityError("envelope", float(np.min(self.values)))
+        if metric not in (MetricKind.SUP, MetricKind.EUCLIDEAN):
+            raise ContractViolation("envelope supports sup and Euclidean metrics")
         self.metric = metric
         self._node_values: np.ndarray | None = None
 
@@ -348,10 +352,8 @@ class Envelope(CPlusFn):
             block = pts[lo : lo + chunk]
             if self.metric is MetricKind.SUP:
                 dist = np.max(np.abs(block[:, None, :] - self.points[None, :, :]), axis=-1)
-            elif self.metric is MetricKind.EUCLIDEAN:
-                dist = np.linalg.norm(block[:, None, :] - self.points[None, :, :], axis=-1)
             else:
-                raise ContractViolation("envelope supports sup and Euclidean metrics")
+                dist = np.linalg.norm(block[:, None, :] - self.points[None, :, :], axis=-1)
             out[lo : lo + chunk] = np.min(self.values[None, :] + dist, axis=1)
         return out
 
@@ -368,38 +370,48 @@ class Envelope(CPlusFn):
         }
 
 
-_NODE_KINDS = {}
-for _cls in (Const, Norm, Coord, Add, Sub, Mul, Min, Max, Exp2Neg, Recip, Clamp, RadialTable, Envelope):
-    _NODE_KINDS[_cls.op] = _cls
+def fn_from_obj(obj) -> CPlusFn:
+    """Rebuild a tree, unevaluated, from an ``{"op", "args"}`` object or a shorthand string
+    (``saddle_adversarial``, ``const:<value>``, ``decaying:<rate>``, ``table:<pairs>``); a
+    malformed node raises ContractViolation whose path locates it, as in ``.args[1]``."""
+    if isinstance(obj, str):
+        kinds, (op, _, text) = _SHORTHANDS, obj.partition(":")
+        with within(".args[0]"):
+            try:
+                args = [json.loads(text)] if text else []
+            except json.JSONDecodeError as exc:
+                raise ContractViolation(f"not JSON: {text!r}") from exc
+    else:
+        obj = read_fields(obj, {"op": (_ANY, REQUIRED), "args": (_LIST, [])})
+        kinds, op, args = _NODE_KINDS, obj["op"], obj["args"]
+    with within(".op"):
+        build, readers = kinds[one_of(kinds)(op)]
+    try:
+        inspect.signature(build).bind(*args)
+    except TypeError as exc:
+        raise ContractViolation(f"{op!r} does not take {len(args)} arguments") from exc
+    decoded = []
+    for i, value in enumerate(args):
+        with within(f".args[{i}]"):
+            decoded.append(readers[min(i, len(readers) - 1)](value, decoded))
+    return build(*decoded)
 
 
-def fn_from_obj(obj: dict) -> CPlusFn:
-    """Rebuild a tree from its JSON object form."""
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ContractViolation(f"not a function node: {obj!r}")
-    op = obj["op"]
-    args = obj.get("args", [])
-    if op == "const":
-        return Const(args[0])
-    if op == "norm":
-        return Norm(MetricKind.from_name(args[0]))
-    if op == "coord":
-        return Coord(args[0])
-    if op in ("add", "mul", "min", "max"):
-        return _NODE_KINDS[op](*[fn_from_obj(a) for a in args])
-    if op == "sub":
-        return Sub(fn_from_obj(args[0]), fn_from_obj(args[1]))
-    if op == "exp2neg":
-        return Exp2Neg(fn_from_obj(args[0]))
-    if op == "recip":
-        return Recip(fn_from_obj(args[0]))
-    if op == "clamp":
-        return Clamp(fn_from_obj(args[0]), args[1], args[2])
-    if op == "radial":
-        return RadialTable(args[1], MetricKind.from_name(args[0]), args[2] if len(args) > 2 else "clamp")
-    if op == "envelope":
-        return Envelope(args[1], args[2], MetricKind.from_name(args[0]))
-    raise ContractViolation(f"unknown node kind {op!r}")
+_ANY = lambda v, f: v
+_LIST = lambda v, f: check(isinstance(v, (list, tuple)), "a list", v)
+_FN = lambda v, f: fn_from_obj(v)
+_METRIC = lambda v, f: MetricKind(one_of([k.value for k in MetricKind])(v))
+_POSITIVE = number(0.0, open_lo=True)
+# op -> (builder, argument readers); a builder taking *args repeats its last reader.
+_NODE_KINDS = {
+    "const": (Const, (_POSITIVE,)),
+    "norm": (Norm, (_METRIC,)),
+    "coord": (Coord, (number(0, integer=True),)),
+    **{cls.op: (cls, (_FN,)) for cls in (Add, Mul, Min, Max, Sub, Exp2Neg, Recip)},
+    "clamp": (Clamp, (_FN, number(), number())),
+    "radial": (lambda metric, pairs, tail="clamp": RadialTable(pairs, metric, tail), (_METRIC, rows, _ANY)),
+    "envelope": (lambda metric, points, values: Envelope(points, values, metric), (_METRIC, rows, numbers)),
+}
 
 
 def fn_from_json(text: str) -> CPlusFn:
@@ -426,6 +438,14 @@ def decaying_epsilon(rate: float) -> CPlusFn:
     if rate <= 0.0:
         raise ContractViolation("rate must be positive")
     return Min(Const(1.0), Mul(Const(rate), Recip(Add(Const(1.0), Norm(MetricKind.SUP)))))
+
+
+_SHORTHANDS = {
+    "saddle_adversarial": (saddle_adversarial_epsilon, ()),
+    "const": _NODE_KINDS["const"],
+    "decaying": (decaying_epsilon, (_POSITIVE,)),
+    "table": (RadialTable, (rows,)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the typed reader of config values."""
 
 from __future__ import annotations
 
+import math
+import sys
 from contextlib import contextmanager
 
 
 class ContractViolation(ValueError):
     """A documented precondition or invariant was broken at runtime."""
+
+    path = ""  # where in a decoded config value, as in ".args[1]"
 
 
 class DimensionMismatch(ContractViolation):
@@ -36,11 +40,15 @@ class IterationRangeError(OverflowError):
         super().__init__(msg)
 
 
-class UnsupportedMapError(ValueError):
+class ConfigError(ValueError):
+    """A scenario configuration failed to parse or validate."""
+
+
+class UnsupportedMapError(ConfigError):
     """The exact feasibility path only accepts diagonal-affine maps."""
 
 
-class DegenerateMarginError(ValueError):
+class DegenerateMarginError(ConfigError):
     """The rounding margin swallowed the tolerance on the window."""
 
     def __init__(self, n: int, epsilon: float, margin: float):
@@ -64,27 +72,92 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
 
 
-class SearchSpaceError(ValueError):
+class SearchSpaceError(ConfigError):
     """A grid search request exceeded the hard size limit."""
 
 
-class ConfigError(ValueError):
-    """A scenario configuration failed to parse or validate."""
+REQUIRED = object()  # the default of a field that must be present
 
 
-def config_field(obj, key: str, where: str):
-    """``obj[key]`` of a parsed config object ``where``, or a ConfigError naming it."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config field '{where}' must be an object")
-    if key not in obj:
-        raise ConfigError(f"missing config field '{where}.{key}'")
-    return obj[key]
+@contextmanager
+def within(step: str):
+    """Prefix ``step`` to the path of a ContractViolation raised inside."""
+    try:
+        yield
+    except ContractViolation as exc:
+        exc.path = step + exc.path
+        raise
 
 
 @contextmanager
 def config_path(where: str):
-    """Report a ContractViolation raised inside as a ConfigError naming config path ``where``."""
+    """Report a ContractViolation raised inside as a ConfigError at ``where`` + its path."""
     try:
         yield
     except ContractViolation as exc:
-        raise ConfigError(f"'{where}': {exc}") from exc
+        path = (where + exc.path).lstrip(".")
+        raise ConfigError(f"'{path}': {exc}" if path else f"config {exc}") from exc
+
+
+def check(ok, wanted: str, value):
+    """``value``, or a ContractViolation saying that it must be ``wanted``."""
+    if not ok:
+        raise ContractViolation(f"must be {wanted}, got {value!r}")
+    return value
+
+
+def number(lo=-math.inf, hi=math.inf, integer=False, open_lo=False):
+    """Reader of a finite number (an int when ``integer``) in [lo, hi], or (lo, hi] when ``open_lo``."""
+    wanted = ("an integer" if integer else "a finite number") + (
+        f" in {'(' if open_lo else '['}{lo:g}, {hi:g}]" if lo > -math.inf else "")
+
+    def read(value, fields=None):
+        check(isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+              and (integer or abs(value) <= sys.float_info.max)
+              and (lo < value if open_lo else lo <= value) and value <= hi, wanted, value)
+        return value if integer else float(value)
+    return read
+
+
+def numbers(value, fields=None) -> list:
+    """Reader of a nonempty list of finite numbers."""
+    return [number()(v) for v in check(isinstance(value, (list, tuple)) and value, "a nonempty list", value)]
+
+
+def rows(value, fields=None) -> list:
+    """Reader of a nonempty list of equally long ``numbers`` lists."""
+    table = [numbers(v) for v in check(isinstance(value, (list, tuple)) and value, "a nonempty list", value)]
+    return check(len({len(row) for row in table}) == 1, "rows of one length", table)
+
+
+def one_of(names):
+    """Reader of a string among ``names``."""
+    wanted = f"one of {{{', '.join(sorted(names))}}}"
+    return lambda value, fields=None: check(isinstance(value, str) and value in names, wanted, value)
+
+
+def read_fields(obj, table: dict) -> dict:
+    """Decode the object ``obj`` by ``table``: field -> ``(read, default)``, where
+    ``read(value, fields)`` and a callable default see the fields decoded before."""
+    check(isinstance(obj, dict), "an object", obj)
+    for key in obj:
+        with within(f".{key}"):
+            one_of(table)(key)
+    fields = {}
+    for key, (read, default) in table.items():
+        with within(f".{key}"):
+            if key in obj:
+                fields[key] = read(obj[key], fields)
+            elif default is REQUIRED:
+                raise ContractViolation("missing field")
+            else:
+                fields[key] = default(fields) if callable(default) else default
+    return fields
+
+
+def read_kind(obj, kinds: dict):
+    """``build(**fields)`` for the ``(build, table)`` named by ``obj["kind"]`` in ``kinds``."""
+    check(isinstance(obj, dict), "an object", obj)
+    with within(".kind"):
+        build, table = kinds[one_of(kinds)(obj.get("kind"))]
+    return build(**read_fields({k: v for k, v in obj.items() if k != "kind"}, table))

@@ -43,13 +43,6 @@ class MetricKind(Enum):
     EUCLIDEAN = "euclidean"
     POLAR_WARP = "polar_warp"
 
-    @classmethod
-    def from_name(cls, name: str) -> "MetricKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ContractViolation(f"unknown metric {name!r}")
-
 
 def as_point(coords) -> np.ndarray:
     """Validate and return a 1-D float coordinate vector.

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (ConfigError, ContractViolation, DimensionMismatch, IterationRangeError,
-                     config_field, config_path)
+from .errors import (REQUIRED, ContractViolation, DimensionMismatch, IterationRangeError, number, numbers,
+                     read_kind, rows)
 from .geometry import as_point, radial_rescale
 
 __all__ = [
@@ -382,20 +382,19 @@ def diffeo_to_dict(change: Diffeo) -> dict:
     raise ContractViolation(f"cannot serialize {type(change).__name__}")
 
 
-def diffeo_from_dict(obj: dict, where: str = "change") -> Diffeo:
-    """Rebuild a change of coordinates; ``where`` names ``obj`` in config errors."""
-    with config_path(where):
-        kind = config_field(obj, "kind", where)
-        if kind == "identity":
-            return IdentityChange()
-        if kind == "affine":
-            return AffineChange(config_field(obj, "matrix", where), config_field(obj, "offset", where))
-        if kind == "radial":
-            return RadialRescale(obj.get("a", 1.0), obj.get("b", 1.0))
-        if kind == "composed":
-            return ComposedChange(diffeo_from_dict(config_field(obj, "outer", where), f"{where}.outer"),
-                                  diffeo_from_dict(config_field(obj, "inner", where), f"{where}.inner"))
-        raise ConfigError(f"'{where}.kind': unknown change of coordinates {kind!r}")
+def diffeo_from_dict(obj: dict) -> Diffeo:
+    """Rebuild a change of coordinates; a malformed ``obj`` raises ContractViolation located
+    at the offending field, as in ``.inner.a``."""
+    return read_kind(obj, _DIFFEO_KINDS)
+
+
+_DIFFEO = (lambda v, f: diffeo_from_dict(v), REQUIRED)
+_DIFFEO_KINDS = {
+    "identity": (IdentityChange, {}),
+    "affine": (AffineChange, {"matrix": (rows, REQUIRED), "offset": (numbers, REQUIRED)}),
+    "radial": (RadialRescale, {"a": (number(), 1.0), "b": (number(), 1.0)}),
+    "composed": (ComposedChange, {"outer": _DIFFEO, "inner": _DIFFEO}),
+}
 
 
 def map_to_dict(m: MapSpec) -> dict:
@@ -414,24 +413,20 @@ def map_to_dict(m: MapSpec) -> dict:
     raise ContractViolation(f"cannot serialize {type(m).__name__}")
 
 
-def map_from_dict(obj: dict, where: str = "map") -> MapSpec:
-    """Rebuild a map from its kind + parameters; ``where`` names ``obj`` in config errors."""
-    with config_path(where):
-        kind = config_field(obj, "kind", where)
-        if kind == "diagonal_affine":
-            return DiagonalAffine(config_field(obj, "scales", where), obj.get("translation"))
-        if kind == "saddle":
-            return saddle()
-        if kind == "homothety":
-            return homothety(obj.get("factor", 2.0), obj.get("dimension", 2))
-        if kind == "translation":
-            return translation_map(obj.get("dimension", 2))
-        if kind == "reverse_homothety":
-            return reverse_homothety(obj.get("factor", 0.5))
-        if kind == "conjugated":
-            return Conjugated(map_from_dict(config_field(obj, "inner", where), f"{where}.inner"),
-                              diffeo_from_dict(config_field(obj, "change", where), f"{where}.change"))
-        if kind == "power":
-            return power_map(map_from_dict(config_field(obj, "inner", where), f"{where}.inner"),
-                             config_field(obj, "k", where))
-        raise ConfigError(f"'{where}.kind': unknown map kind {kind!r}")
+def map_from_dict(obj: dict) -> MapSpec:
+    """Rebuild a map from its kind + parameters; a malformed ``obj`` raises ContractViolation
+    located at the offending field, as in ``.inner.factor``."""
+    return read_kind(obj, _MAP_KINDS)
+
+
+_DIMENSION = (number(1, integer=True), 2)
+_MAP = (lambda v, f: map_from_dict(v), REQUIRED)
+_MAP_KINDS = {
+    "diagonal_affine": (DiagonalAffine, {"scales": (numbers, REQUIRED), "translation": (numbers, None)}),
+    "saddle": (saddle, {}),
+    "homothety": (homothety, {"factor": (number(), 2.0), "dimension": _DIMENSION}),
+    "translation": (translation_map, {"dimension": _DIMENSION}),
+    "reverse_homothety": (reverse_homothety, {"factor": (number(), 0.5)}),
+    "conjugated": (Conjugated, {"inner": _MAP, "change": _DIFFEO}),
+    "power": (power_map, {"inner": _MAP, "k": (number(integer=True), REQUIRED)}),
+}

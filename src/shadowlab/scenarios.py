@@ -24,9 +24,10 @@ name or a path to such a document.  The only environment override honored is
 
 from __future__ import annotations
 
+import copy
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,6 @@ from .cplus import (
     Const,
     CPlusFn,
     NeighborhoodSpec,
-    RadialTable,
     decaying_epsilon,
     epsilon_from_neighborhood,
     fn_from_obj,
@@ -45,7 +45,8 @@ from .cplus import (
     synthesize_delta_homothety,
     verify_delta_conditions,
 )
-from .errors import ConfigError, ContractViolation, NonConvergenceError, config_field, config_path
+from .errors import (REQUIRED, ConfigError, ContractViolation, NonConvergenceError, check,
+                     config_path, number, numbers, one_of, read_fields, rows, within)
 from .geometry import MetricKind, metric_norm
 from .maps import (
     DiagonalAffine,
@@ -89,33 +90,6 @@ __all__ = ["ScenarioConfig", "RunReport", "SCENARIO_NAMES", "builtin_config",
            "list_scenarios", "run_scenario", "load_config"]
 
 
-SCENARIO_NAMES = [
-    "saddle-not-tsp",
-    "homothety-tsp",
-    "reverse-homothety-tsp",
-    "translation-adversarial",
-    "metric-warp",
-    "conjugacy-invariance",
-    "power-invariance",
-    "forward-to-full",
-    "neighborhood-equivalence",
-    "fixed-point-scan",
-]
-
-_SUMMARIES = {
-    "saddle-not-tsp": "adversarial splice against the saddle: emptiness certificate",
-    "homothety-tsp": "synthesized slack shadows every random pseudo-orbit of x -> 2x",
-    "reverse-homothety-tsp": "same pipeline through the inverse of z -> conj(z)/2",
-    "translation-adversarial": "decaying tolerance defeats the unit translation",
-    "metric-warp": "radial warp removes the constant-tolerance shadowing point",
-    "conjugacy-invariance": "transported orbits are shadowed by transported points",
-    "power-invariance": "the squared homothety reproduces the shadowing pipeline",
-    "forward-to-full": "forward-only shadowing upgraded to the full window",
-    "neighborhood-equivalence": "ball neighborhoods become 1-Lipschitz tolerances",
-    "fixed-point-scan": "fixed points versus finite-window shadowing evidence",
-}
-
-
 @dataclass
 class ScenarioConfig:
     """One runnable experiment: a kind, a metric, a seed, and knobs."""
@@ -129,55 +103,15 @@ class ScenarioConfig:
     out_dir: str | None = None
     params: dict = field(default_factory=dict)
 
-    def metric_kind(self) -> MetricKind:
-        try:
-            return MetricKind.from_name(self.metric)
-        except ContractViolation as exc:
-            raise ConfigError(f"field 'metric': {exc}") from exc
-
     def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "metric": self.metric,
-            "seed": self.seed,
-            "window_limit": self.window_limit,
-            "margin": self.margin,
-            "out_dir": self.out_dir,
-            "params": self.params,
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ScenarioConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {"name", "kind", "metric", "seed", "window_limit", "margin", "out_dir", "params"}
-        for key in obj:
-            if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
-        for req in ("name", "kind"):
-            if req not in obj:
-                raise ConfigError(f"missing config field {req!r}")
-        name = str(obj["name"])
-        # The name is the artifact directory under the output root, so it
-        # must stay one path component.
-        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-            raise ConfigError(f"field 'name' must be a single path component, got {name!r}")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("field 'params' must be an object")
-        cfg = cls(
-            name=name,
-            kind=str(obj["kind"]),
-            metric=str(obj.get("metric", "sup")),
-            seed=int(obj.get("seed", 0)),
-            window_limit=int(obj.get("window_limit", 32)),
-            margin=float(obj.get("margin", 0.0)),
-            out_dir=obj.get("out_dir"),
-            params=dict(params),
-        )
-        cfg.metric_kind()
-        return cfg
+        """The config of a JSON object whose top-level fields pass ``_CONFIG_FIELDS``;
+        ``run_scenario`` checks the whole config again, ``params`` included."""
+        with config_path(""):
+            return cls(**read_fields(obj, _CONFIG_FIELDS))
 
 
 @dataclass
@@ -195,48 +129,9 @@ class RunReport:
 
 
 def parse_fn(spec) -> CPlusFn:
-    """Tolerance/slack descriptors: an expression object or a shorthand string."""
-    if isinstance(spec, dict):
+    """A tolerance or slack descriptor: an expression object or a shorthand string."""
+    with config_path("function descriptor"):
         return fn_from_obj(spec)
-    if isinstance(spec, str):
-        if spec == "saddle_adversarial":
-            return saddle_adversarial_epsilon()
-        if spec.startswith("const:"):
-            return Const(float(spec.split(":", 1)[1]))
-        if spec.startswith("decaying:"):
-            return decaying_epsilon(float(spec.split(":", 1)[1]))
-        if spec.startswith("table:"):
-            return RadialTable(json.loads(spec.split(":", 1)[1]))
-    raise ConfigError(f"cannot parse function descriptor {spec!r}")
-
-
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", dict: "an object",
-               list: "a list of numbers"}
-
-
-def _param(p: dict, key: str, kind: type, default=None):
-    """``params.<key>`` of type ``kind`` (``object``: any), required unless it has a default;
-    a missing field or a value of another type is a ConfigError naming it.  A float field
-    admits integers, a list holds numbers, and a bool is no number."""
-    if default is not None and key not in p:
-        return default
-    value = config_field(p, key, "params")
-    numbers = value if kind is list else [value] if kind in (int, float) else []
-    if (not isinstance(value, (int, float) if kind is float else kind)
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers)):
-        raise ConfigError(f"'params.{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
-
-
-def _window_param(p: dict, default: tuple[int, int]) -> tuple[int, int]:
-    """``params.window``: integers [n_min, n_max] with n_min <= 0 <= n_max, n_min < n_max."""
-    window = p.get("window", default)
-    if not (isinstance(window, (list, tuple)) and len(window) == 2
-            and all(isinstance(n, int) and not isinstance(n, bool) for n in window)
-            and window[0] <= 0 <= window[1] and window[0] < window[1]):
-        raise ConfigError("'params.window' must be integers [n_min, n_max] with "
-                          f"n_min <= 0 <= n_max and n_min < n_max, got {window!r}")
-    return window[0], window[1]
 
 
 def _json_text(obj) -> str:
@@ -265,20 +160,17 @@ class _ArtifactSink:
 # ---------------------------------------------------------------------------
 
 
-def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
-    p = config.params
-    metric = config.metric_kind()
-    m = map_from_dict(_param(p, "map", dict), "params.map")
-    epsilon = parse_fn(_param(p, "epsilon", object))
-    fwd = np.asarray(_param(p, "forward_seed", list), dtype=float)
-    direction = np.asarray(_param(p, "jump_direction", list), dtype=float)
+def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
+    metric = MetricKind(config.metric)
+    m, epsilon = p["map"], p["epsilon"]
+    fwd, direction = p["forward_seed"], p["jump_direction"]
     rng = np.random.default_rng(config.seed)
 
-    if "jump" in p:
+    if p["jump"] is not None:
         deltas = [None]
-        jumps = [_param(p, "jump", float)]
+        jumps = [p["jump"]]
     else:
-        deltas = [random_positive_fn(rng) for _ in range(_param(p, "delta_count", int, 5))]
+        deltas = [random_positive_fn(rng) for _ in range(p["delta_count"])]
         jumps = []
 
     runs = []
@@ -286,13 +178,13 @@ def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[s
     for i, delta in enumerate(deltas):
         if delta is not None:
             probe = PseudoOrbitSpec(
-                SplicedRule(fwd, fwd + direction, _param(p, "splice", int, 0)),
+                SplicedRule(fwd, fwd + direction, p["splice"]),
                 (-config.window_limit, config.window_limit), m)
             q = max_splice_jump(probe, delta, metric, direction=direction)
             jumps.append(q)
         q = jumps[i]
         spec = PseudoOrbitSpec(
-            SplicedRule(fwd, fwd + q * direction, _param(p, "splice", int, 0)),
+            SplicedRule(fwd, fwd + q * direction, p["splice"]),
             (-config.window_limit, config.window_limit), m)
         cert = box_feasibility(spec, epsilon, config.window_limit, config.margin)
         entry = {"jump": q, "outcome": cert.outcome,
@@ -305,14 +197,14 @@ def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[s
 
     # Oracle cross-check at the largest admissible jump over the slack draws;
     # near-degenerate certificates would force this even if disabled.
-    oracle = p.get("oracle")
+    oracle = p["oracle"]
     oracle_entry = None
     if oracle or any(c.near_degenerate for _, c, _ in runs):
+        if oracle is None:
+            raise ConfigError("'params.oracle': a near-degenerate certificate needs the oracle")
         chosen = max(range(len(runs)), key=lambda i: jumps[i])
         spec = runs[chosen][0]
-        box = config_field(oracle, "box", "params.oracle")
-        step = config_field(oracle, "step", "params.oracle")
-        result = sampled_search(spec, epsilon, metric, [tuple(b) for b in box], float(step))
+        result = sampled_search(spec, epsilon, metric, *oracle)
         oracle_entry = {"run": chosen, **result.to_obj()}
         all_empty = all_empty and result.absent
 
@@ -337,17 +229,10 @@ def _run_adversarial_box(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[s
 def _homothety_ensemble(m: MapSpec, epsilon: CPlusFn, config: ScenarioConfig,
                         window: tuple[int, int], count: int, anchored_fraction: float,
                         sphere_samples: int = 64):
-    """(k, delta, r0, ball_min, specs): the slack of ``m`` for ``epsilon`` and its pseudo-orbits.
-
-    This is the map gate of the ensemble kinds: the synthesis and the shadow series
-    need a diagonal linear map whose scales share one modulus |k| > 1."""
-    with config_path("params.map"):
-        if not isinstance(m, DiagonalAffine) or np.any(m.translation != 0.0):
-            raise ContractViolation("the ensemble kinds need a diagonal linear map")
-        k = float(np.abs(linear_scales(m.scales, m.dimension)[0]))
-    if count < 1:
-        raise ConfigError(f"'params.count' must be an integer >= 1, got {count!r}")
-    metric = config.metric_kind()
+    """(k, delta, r0, ball_min, specs): the slack of the expanding homothety ``m`` for
+    ``epsilon`` and its pseudo-orbits."""
+    k = float(np.abs(m.scales[0]))
+    metric = MetricKind(config.metric)
     delta = synthesize_delta_homothety(epsilon, metric, sphere_samples=sphere_samples, factor=k)
     r0, ball_min = cplus.delta_reference_levels(epsilon, metric, sphere_samples)
     specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
@@ -381,20 +266,14 @@ def _classify_and_shadow(m, epsilon, metric, delta, r0, specs):
     return tallies, all_shadowed, bound_respected, example
 
 
-def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
-    p = config.params
-    metric = config.metric_kind()
-    m = map_from_dict(_param(p, "map", dict), "params.map")
-    if _param(p, "invert_first", bool, False):
-        m = power_map(m, -1)
-    window = _window_param(p, (-20, 40))
-    epsilon = parse_fn(_param(p, "epsilon", object))
+def _run_homothety_pipeline(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
+    metric = MetricKind(config.metric)
+    m, window, epsilon = p["map"], p["window"], p["epsilon"]
     k, delta, r0, m_level, specs = _homothety_ensemble(
-        m, epsilon, config, window, _param(p, "count", int, 200),
-        _param(p, "anchored_fraction", float, 0.2), _param(p, "sphere_samples", int, 64))
+        m, epsilon, config, window, p["count"], p["anchored_fraction"], p["sphere_samples"])
     conditions = verify_delta_conditions(
         delta, epsilon, metric, factor=k,
-        n_points=_param(p, "verify_points", int, 20_000),
+        n_points=p["verify_points"],
         rng=np.random.default_rng(config.seed + 1_000_003))
     all_valid = all(validate(spec, delta, metric).passed for spec in specs)
     tallies, all_shadowed, bound_respected, example = _classify_and_shadow(
@@ -428,19 +307,11 @@ def _run_homothety_pipeline(config: ScenarioConfig, sink: _ArtifactSink) -> tupl
 # ---------------------------------------------------------------------------
 
 
-def _run_metric_warp(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
-    p = config.params
-    m = map_from_dict(_param(p, "map", dict), "params.map")
-    fwd = np.asarray(_param(p, "forward_seed", list), dtype=float)
-    q = _param(p, "jump", float)
-    direction = np.asarray(_param(p, "jump_direction", list), dtype=float)
-    window = _window_param(p, (-24, 24))
-    spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction, 0), window, m)
-    epsilon = Const(_param(p, "epsilon_level", float, 1.0))
-    delta = Const(_param(p, "delta_level", float, 0.02))
-    oracle = _param(p, "oracle", dict)
-    box = [tuple(b) for b in config_field(oracle, "box", "params.oracle")]
-    step = float(config_field(oracle, "step", "params.oracle"))
+def _run_metric_warp(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
+    fwd, direction, q, window = p["forward_seed"], p["jump_direction"], p["jump"], p["window"]
+    spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction, 0), window, p["map"])
+    epsilon, delta = Const(p["epsilon_level"]), Const(p["delta_level"])
+    box, step = p["oracle"]
 
     valid_warp = validate(spec, delta, MetricKind.POLAR_WARP).passed
     valid_sup = validate(spec, delta, MetricKind.SUP).passed
@@ -471,15 +342,10 @@ def _run_metric_warp(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, 
 # ---------------------------------------------------------------------------
 
 
-def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
-    p = config.params
-    metric = config.metric_kind()
-    m = map_from_dict(_param(p, "map", dict), "params.map")
-    changes = {name: diffeo_from_dict(obj, f"params.changes.{name}")
-               for name, obj in _param(p, "changes", dict).items()}
-    epsilon = parse_fn(_param(p, "epsilon", object))
-    *_, specs = _homothety_ensemble(m, epsilon, config, _window_param(p, (-10, 20)),
-                                    _param(p, "count", int, 40), 0.0)
+def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
+    metric = MetricKind(config.metric)
+    m, changes, epsilon = p["map"], p["changes"], p["epsilon"]
+    *_, specs = _homothety_ensemble(m, epsilon, config, p["window"], p["count"], 0.0)
 
     results = {}
     all_pass = True
@@ -514,16 +380,11 @@ def _run_conjugacy(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, di
 # ---------------------------------------------------------------------------
 
 
-def _run_forward_to_full(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
-    p = config.params
-    metric = config.metric_kind()
-    m = map_from_dict(_param(p, "map", dict), "params.map")
-    epsilon = parse_fn(_param(p, "epsilon", object))
-    depth = _param(p, "depth", int, 16)
-    window = _window_param(p, (-depth, 2 * depth))
-    tol = _param(p, "tol", float, 1e-9)
-    match_tol = _param(p, "match_tol", float, 1e-8)
-    *_, specs = _homothety_ensemble(m, epsilon, config, window, _param(p, "count", int, 20), 0.0)
+def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
+    metric = MetricKind(config.metric)
+    m, epsilon, depth, window = p["map"], p["epsilon"], p["depth"], p["window"]
+    tol, match_tol = p["tol"], p["match_tol"]
+    *_, specs = _homothety_ensemble(m, epsilon, config, window, p["count"], 0.0)
 
     def forward_shadower(z_window: OrbitWindow) -> np.ndarray:
         _, w = homothety_shadow_point(z_window, m.scales, dtype=np.longdouble)
@@ -669,12 +530,9 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
     }
 
 
-def _run_neighborhood(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
-    p = config.params
-    metric = config.metric_kind()
-    n = _param(p, "points_per_axis", int, 81)
-    half = _param(p, "half_extent", float, 10.0)
-    radius_fns = {name: parse_fn(obj) for name, obj in _param(p, "radius_functions", dict).items()}
+def _run_neighborhood(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
+    metric = MetricKind(config.metric)
+    n, half, radius_fns = p["points_per_axis"], p["half_extent"], p["radius_functions"]
 
     results = {}
     ok = True
@@ -698,7 +556,7 @@ def _run_neighborhood(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str,
 # ---------------------------------------------------------------------------
 
 
-def _run_fixed_point_scan(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[str, dict]:
+def _run_fixed_point_scan(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
     catalog = {
         "saddle": saddle(),
         "homothety-2": homothety(2.0),
@@ -728,7 +586,7 @@ def _run_fixed_point_scan(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[
             epsilon = Const(1.0)
             _, delta, r0, _, specs = _homothety_ensemble(work, epsilon, config, (-8, 16), 30, 0.2)
             _, all_shadowed, _, _ = _classify_and_shadow(
-                work, epsilon, config.metric_kind(), delta, r0, specs)
+                work, epsilon, MetricKind(config.metric), delta, r0, specs)
             evidence = "shadowing" if all_shadowed else "not-shadowing"
         flag = evidence == "shadowing" and not fixed
         contradiction = contradiction or flag
@@ -744,133 +602,176 @@ def _run_fixed_point_scan(config: ScenarioConfig, sink: _ArtifactSink) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Registry and runner
+# Schema, registry and runner
 # ---------------------------------------------------------------------------
 
 
-_HANDLERS = {
-    "adversarial_box": _run_adversarial_box,
-    "homothety_shadow": _run_homothety_pipeline,
-    "metric_warp": _run_metric_warp,
-    "conjugacy": _run_conjugacy,
-    "forward_to_full": _run_forward_to_full,
-    "neighborhood": _run_neighborhood,
-    "fixed_point_scan": _run_fixed_point_scan,
+def _name(value, fields):
+    # The name is the artifact directory under the output root: one path component.
+    ok = isinstance(value, str) and value not in ("", ".", "..") and not any(c in value for c in "/\\\0")
+    return check(ok, "a single path component", value)
+
+
+def _point(value, fields):
+    point = numbers(value)
+    return np.array(check(len(point) == fields["map"].dimension, "one coordinate per map dimension", point))
+
+
+def _direction(value, fields):
+    direction = _point(value, fields)
+    return check(np.any(direction), "a nonzero direction", direction)
+
+
+def _window(value, fields):
+    ok = (isinstance(value, (list, tuple)) and len(value) == 2 and all(type(n) is int for n in value)
+          and value[0] <= 0 <= value[1] and value[0] < value[1])
+    return tuple(check(ok, "integers [n_min, n_max] with n_min <= 0 <= n_max, n_min < n_max", value))
+
+
+def _oracle(value, fields):
+    """(box, step): ``box`` holds one [lo, hi] pair with lo < hi per map dimension."""
+    oracle = read_fields(value, {"box": (rows, REQUIRED), "step": (_POSITIVE, REQUIRED)})
+    with within(".box"):
+        box = check(len(oracle["box"]) == fields["map"].dimension
+                    and all(len(b) == 2 and b[0] < b[1] for b in oracle["box"]),
+                    "one [lo, hi] pair with lo < hi per map dimension", oracle["box"])
+    return [tuple(b) for b in box], oracle["step"]
+
+
+def _homothety_map(value, fields):
+    """The ensemble kinds' map, inverted first when asked: the synthesis and the shadow
+    series need a diagonal linear map whose scales share one modulus |k| > 1."""
+    m = map_from_dict(value)
+    if fields.get("invert_first"):
+        m = power_map(m, -1)
+    check(isinstance(m, DiagonalAffine) and not np.any(m.translation), "a diagonal linear map", value)
+    linear_scales(m.scales, m.dimension)
+    return m
+
+
+def _each(read):
+    """Reader of a nonempty object whose every value ``read`` decodes."""
+    return lambda v, f: read_fields(check(isinstance(v, dict) and v, "a nonempty object", v),
+                                    dict.fromkeys(v, (lambda item, _: read(item, f), REQUIRED)))
+
+
+def _change(value, fields):
+    change = diffeo_from_dict(value)
+    check(change.dimension in (None, fields["map"].dimension), "a change of the map's dimension", value)
+    return change
+
+
+_POSITIVE = number(0.0, open_lo=True)
+_COUNT = number(1, integer=True)
+_MAP = (lambda v, f: map_from_dict(v), REQUIRED)
+_HOMOTHETY = (_homothety_map, REQUIRED)
+_FN = (lambda v, f: fn_from_obj(v), REQUIRED)
+_POINT = (_point, REQUIRED)
+_DIRECTION = (_direction, REQUIRED)
+_METRICS = [k.value for k in MetricKind]
+_SAMPLED = ["sup", "euclidean"]  # the metrics with uniform ball sampling
+# kind -> (handler, metrics, params table); the tables are documented in README.md.
+_KINDS = {
+    "adversarial_box": (_run_adversarial_box, _METRICS, {
+        "map": _MAP, "epsilon": _FN, "forward_seed": _POINT, "jump_direction": _DIRECTION,
+        "jump": (_POSITIVE, None), "delta_count": (_COUNT, 5), "splice": (number(integer=True), 0),
+        "oracle": (_oracle, None)}),
+    "homothety_shadow": (_run_homothety_pipeline, _SAMPLED, {
+        "invert_first": (lambda v, f: check(isinstance(v, bool), "true or false", v), False),
+        "map": _HOMOTHETY, "window": (_window, (-20, 40)), "epsilon": _FN, "count": (_COUNT, 200),
+        "anchored_fraction": (number(0.0, 1.0), 0.2), "sphere_samples": (number(4, integer=True), 64),
+        "verify_points": (_COUNT, 20_000)}),
+    "metric_warp": (_run_metric_warp, _METRICS, {
+        "map": _MAP, "forward_seed": _POINT, "jump": (_POSITIVE, REQUIRED), "jump_direction": _DIRECTION,
+        "window": (_window, (-24, 24)), "epsilon_level": (_POSITIVE, 1.0),
+        "delta_level": (_POSITIVE, 0.02), "oracle": (_oracle, REQUIRED)}),
+    "conjugacy": (_run_conjugacy, _SAMPLED, {
+        "map": _HOMOTHETY, "changes": (_each(_change), REQUIRED), "epsilon": _FN,
+        "window": (_window, (-10, 20)), "count": (_COUNT, 40)}),
+    "forward_to_full": (_run_forward_to_full, _SAMPLED, {
+        "map": _HOMOTHETY, "epsilon": _FN, "depth": (_COUNT, 16),
+        "window": (_window, lambda f: (-f["depth"], 2 * f["depth"])), "tol": (_POSITIVE, 1e-9),
+        "match_tol": (_POSITIVE, 1e-8), "count": (_COUNT, 20)}),
+    "neighborhood": (_run_neighborhood, ["sup"], {
+        "points_per_axis": (number(2, integer=True), 81), "half_extent": (_POSITIVE, 10.0),
+        "radius_functions": (_each(_FN[0]), REQUIRED)}),
+    "fixed_point_scan": (_run_fixed_point_scan, _SAMPLED, {}),
+}
+# The top-level fields; their defaults are ScenarioConfig's.
+_CONFIG_FIELDS = {
+    "name": (_name, REQUIRED),
+    "kind": (one_of(_KINDS), REQUIRED),
+    "metric": (lambda v, f: one_of(_KINDS[f["kind"]][1])(v), ScenarioConfig.metric),
+    "seed": (number(0, integer=True), ScenarioConfig.seed),
+    "window_limit": (_COUNT, ScenarioConfig.window_limit),
+    "margin": (number(0.0), ScenarioConfig.margin),
+    "out_dir": (lambda v, f: check(v is None or isinstance(v, str), "a path or null", v), None),
+    "params": (lambda v, f: dict(check(isinstance(v, dict), "an object", v)), lambda f: {}),
 }
 
 
+_BUILTINS = {
+    "saddle-not-tsp": ("adversarial splice against the saddle: emptiness certificate", dict(
+        kind="adversarial_box", seed=11, window_limit=32, margin=0.0, params={
+            "map": {"kind": "saddle"}, "epsilon": "saddle_adversarial",
+            "forward_seed": [1.0, 0.0], "jump_direction": [0.0, 1.0], "delta_count": 5,
+            "oracle": {"box": [[0.0, 2.0], [-1.0, 1.0]], "step": 1e-3}})),
+    "homothety-tsp": ("synthesized slack shadows every random pseudo-orbit of x -> 2x", dict(
+        kind="homothety_shadow", seed=17, params={
+            "map": {"kind": "homothety", "factor": 2.0}, "epsilon": "saddle_adversarial",
+            "count": 200, "window": [-20, 40]})),
+    "reverse-homothety-tsp": ("same pipeline through the inverse of z -> conj(z)/2", dict(
+        kind="homothety_shadow", seed=19, params={
+            "map": {"kind": "reverse_homothety", "factor": 0.5}, "invert_first": True,
+            "epsilon": "const:1.0", "count": 150, "window": [-20, 40]})),
+    "translation-adversarial": ("decaying tolerance defeats the unit translation", dict(
+        kind="adversarial_box", seed=13, window_limit=64, margin=1e-12, params={
+            "map": {"kind": "translation"}, "epsilon": "decaying:1.0",
+            "forward_seed": [0.0, 0.0], "jump_direction": [0.0, 1.0], "jump": 0.5,
+            "oracle": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "step": 1e-2}})),
+    "metric-warp": ("radial warp removes the constant-tolerance shadowing point", dict(
+        kind="metric_warp", seed=29, metric="polar_warp", params={
+            "map": {"kind": "saddle"}, "forward_seed": [1.0, 0.0], "jump_direction": [0.0, 1.0],
+            "jump": 0.00500003, "window": [-24, 24], "epsilon_level": 1.0, "delta_level": 0.02,
+            "oracle": {"box": [[0.0, 4.0], [-2.0, 2.0]], "step": 5e-3}})),
+    "conjugacy-invariance": ("transported orbits are shadowed by transported points", dict(
+        kind="conjugacy", seed=31, params={
+            "map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0",
+            "count": 40, "window": [-10, 20],
+            "changes": {
+                "affine": {"kind": "affine", "matrix": [[0.96, -0.72], [0.72, 0.96]],
+                           "offset": [0.3, -0.2]},
+                "radial": {"kind": "radial", "a": 1.0, "b": 0.5}}})),
+    "power-invariance": ("the squared homothety reproduces the shadowing pipeline", dict(
+        kind="homothety_shadow", seed=23, params={
+            "map": {"kind": "power", "inner": {"kind": "homothety", "factor": 2.0}, "k": 2},
+            "epsilon": "saddle_adversarial", "count": 150, "window": [-20, 40]})),
+    "forward-to-full": ("forward-only shadowing upgraded to the full window", dict(
+        kind="forward_to_full", seed=37, params={
+            "map": {"kind": "homothety", "factor": 2.0}, "epsilon": "saddle_adversarial",
+            "count": 20, "depth": 16, "window": [-16, 32], "tol": 1e-9, "match_tol": 1e-8})),
+    "neighborhood-equivalence": ("ball neighborhoods become 1-Lipschitz tolerances", dict(
+        kind="neighborhood", seed=41, params={
+            "points_per_axis": 61, "half_extent": 10.0,
+            "radius_functions": {
+                "constant": "const:0.7",
+                "well": "table:[[0.0, 0.1], [0.5, 1.0]]",
+                "cone": {"op": "add", "args": [{"op": "const", "args": [1.0]},
+                                               {"op": "norm", "args": ["sup"]}]}}})),
+    "fixed-point-scan": ("fixed points versus finite-window shadowing evidence", dict(
+        kind="fixed_point_scan", seed=43)),
+}
+SCENARIO_NAMES = list(_BUILTINS)
+
+
 def builtin_config(name: str) -> ScenarioConfig:
-    if name == "saddle-not-tsp":
-        return ScenarioConfig(
-            name=name, kind="adversarial_box", seed=11, window_limit=32, margin=0.0,
-            params={
-                "map": {"kind": "saddle"},
-                "epsilon": "saddle_adversarial",
-                "forward_seed": [1.0, 0.0],
-                "jump_direction": [0.0, 1.0],
-                "delta_count": 5,
-                "oracle": {"box": [[0.0, 2.0], [-1.0, 1.0]], "step": 1e-3},
-            })
-    if name == "translation-adversarial":
-        return ScenarioConfig(
-            name=name, kind="adversarial_box", seed=13, window_limit=64, margin=1e-12,
-            params={
-                "map": {"kind": "translation"},
-                "epsilon": "decaying:1.0",
-                "forward_seed": [0.0, 0.0],
-                "jump_direction": [0.0, 1.0],
-                "jump": 0.5,
-                "oracle": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "step": 1e-2},
-            })
-    if name == "homothety-tsp":
-        return ScenarioConfig(
-            name=name, kind="homothety_shadow", seed=17,
-            params={
-                "map": {"kind": "homothety", "factor": 2.0},
-                "epsilon": "saddle_adversarial",
-                "count": 200,
-                "window": [-20, 40],
-            })
-    if name == "reverse-homothety-tsp":
-        return ScenarioConfig(
-            name=name, kind="homothety_shadow", seed=19,
-            params={
-                "map": {"kind": "reverse_homothety", "factor": 0.5},
-                "invert_first": True,
-                "epsilon": "const:1.0",
-                "count": 150,
-                "window": [-20, 40],
-            })
-    if name == "power-invariance":
-        return ScenarioConfig(
-            name=name, kind="homothety_shadow", seed=23,
-            params={
-                "map": {"kind": "power", "inner": {"kind": "homothety", "factor": 2.0}, "k": 2},
-                "epsilon": "saddle_adversarial",
-                "count": 150,
-                "window": [-20, 40],
-            })
-    if name == "metric-warp":
-        return ScenarioConfig(
-            name=name, kind="metric_warp", seed=29, metric="polar_warp",
-            params={
-                "map": {"kind": "saddle"},
-                "forward_seed": [1.0, 0.0],
-                "jump_direction": [0.0, 1.0],
-                "jump": 0.00500003,
-                "window": [-24, 24],
-                "epsilon_level": 1.0,
-                "delta_level": 0.02,
-                "oracle": {"box": [[0.0, 4.0], [-2.0, 2.0]], "step": 5e-3},
-            })
-    if name == "conjugacy-invariance":
-        return ScenarioConfig(
-            name=name, kind="conjugacy", seed=31,
-            params={
-                "map": {"kind": "homothety", "factor": 2.0},
-                "epsilon": "const:1.0",
-                "count": 40,
-                "window": [-10, 20],
-                "changes": {
-                    "affine": {"kind": "affine",
-                               "matrix": [[0.96, -0.72], [0.72, 0.96]],
-                               "offset": [0.3, -0.2]},
-                    "radial": {"kind": "radial", "a": 1.0, "b": 0.5},
-                },
-            })
-    if name == "forward-to-full":
-        return ScenarioConfig(
-            name=name, kind="forward_to_full", seed=37,
-            params={
-                "map": {"kind": "homothety", "factor": 2.0},
-                "epsilon": "saddle_adversarial",
-                "count": 20,
-                "depth": 16,
-                "window": [-16, 32],
-                "tol": 1e-9,
-                "match_tol": 1e-8,
-            })
-    if name == "neighborhood-equivalence":
-        return ScenarioConfig(
-            name=name, kind="neighborhood", seed=41,
-            params={
-                "points_per_axis": 61,
-                "half_extent": 10.0,
-                "radius_functions": {
-                    "constant": "const:0.7",
-                    "well": "table:[[0.0, 0.1], [0.5, 1.0]]",
-                    "cone": {"op": "add", "args": [{"op": "const", "args": [1.0]},
-                                                   {"op": "norm", "args": ["sup"]}]},
-                },
-            })
-    if name == "fixed-point-scan":
-        return ScenarioConfig(
-            name=name, kind="fixed_point_scan", seed=43)
-    raise ConfigError(f"unknown scenario {name!r}")
+    if name not in _BUILTINS:
+        raise ConfigError(f"unknown scenario {name!r}")
+    return ScenarioConfig(name=name, **copy.deepcopy(_BUILTINS[name][1]))
 
 
 def list_scenarios() -> list[dict]:
-    return [{"name": n, "summary": _SUMMARIES[n]} for n in SCENARIO_NAMES]
+    return [{"name": n, "summary": summary} for n, (summary, _) in _BUILTINS.items()]
 
 
 def load_config(source: str) -> ScenarioConfig:
@@ -894,14 +795,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunRepor
     result; the written files carry no timing or other nondeterminism, so a
     rerun with the same config and seed is byte-identical.
     """
-    handler = _HANDLERS.get(config.kind)
-    if handler is None:
-        raise ConfigError(f"unknown scenario kind {config.kind!r}")
+    with config_path(""):
+        read_fields(config.to_obj(), _CONFIG_FIELDS)
+    handler, _, table = _KINDS[config.kind]
+    with config_path("params"):
+        params = read_fields(config.params, table)
     root = Path(out_dir or config.out_dir or "out") / config.name
     sink = _ArtifactSink(root)
     started = time.perf_counter()
     cpu_started = time.thread_time()
-    verdict, details = handler(config, sink)
+    verdict, details = handler(config, params, sink)
     wall = time.perf_counter() - started
     cpu = time.thread_time() - cpu_started
     report_obj = {

@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -505,19 +506,19 @@ _BLOCK_POINTS = 1_000_000
 
 
 def _grid_axes(search_box, grid_step: float) -> list[np.ndarray]:
-    axes = []
-    for lo, hi in search_box:
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ContractViolation("search box must be bounded with lo <= hi")
-        count = int(np.floor((hi - lo) / grid_step + 0.5)) + 1
-        axes.append(lo + grid_step * np.arange(count))
-    return axes
+    if not all(np.isfinite(lo) and np.isfinite(hi) and lo <= hi for lo, hi in search_box):
+        raise ContractViolation("search box must be bounded with lo <= hi")
+    # Sized before any axis is built: a tiny step must not allocate first.
+    counts = [float(np.floor((hi - lo) / grid_step + 0.5)) + 1 for lo, hi in search_box]
+    if math.prod(counts) > _MAX_GRID:
+        raise SearchSpaceError(f"grid of {math.prod(counts):.0f} points exceeds the {_MAX_GRID} limit")
+    return [lo + grid_step * np.arange(int(c)) for (lo, _), c in zip(search_box, counts)]
 
 
 def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
     """The grid spanned by ``axes`` as row-major points (first axis slowest)."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([b.ravel() for b in mesh], axis=-1)
+    # Broadcast views: only the stacked points are allocated.
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
 def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
@@ -586,14 +587,14 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     that emptied its block, and one refinement pass scans the half-step grid
     in a one-cell neighborhood of it before giving up.
     """
+    m = spec.map
     if grid_step <= 0.0:
         raise ContractViolation("grid_step must be positive")
+    if len(search_box) != m.dimension:
+        raise ContractViolation(f"search box has {len(search_box)} axes for a map of dimension {m.dimension}")
     axes = _grid_axes(search_box, grid_step)
     total = int(np.prod([len(a) for a in axes]))
-    if total > _MAX_GRID:
-        raise SearchSpaceError(f"grid of {total} points exceeds the {_MAX_GRID} limit")
 
-    m = spec.map
     window = realize(spec)
     eps_vals = np.atleast_1d(epsilon.eval(window.points))
     jumps = None
