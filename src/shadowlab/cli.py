@@ -7,9 +7,13 @@
 Exit codes: 0 when every run matches the expected result, 1 when some run is
 inconclusive, 2 when some run contradicts it (the largest code wins), 64 for
 usage or configuration errors (unknown fields, ill-typed or out-of-range values,
---window/--seed overrides included, refused maps, margins that swallow the
-tolerance, maps the exact certificate does not support, oversized oracle grids,
-windows past double range), 70 for internal contract violations.  ``run
+--window/--seed overrides included, refused maps such as an adversarial map
+that shadows or a non-planar ensemble map, tolerance trees not positive at the
+origin, margins that swallow the tolerance, maps the exact certificate does not
+support, oversized oracle grids, and iterates that leave double range before
+the run decides: the certificate stops at the depth that decides it, while the
+oracle and the ensembles realize their whole windows), 70 for internal
+contract violations, a tolerance tree tripping its own guard included.  ``run
 all`` runs the built-in catalog on up to four threads; the scenarios share no
 mutable state, and numpy releases the GIL in their array work.  Each scenario's
 line reports its own thread's CPU time, which pooled wall time would inflate.

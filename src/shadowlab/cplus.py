@@ -32,8 +32,8 @@ import math
 
 import numpy as np
 
-from .errors import (REQUIRED, ContractViolation, PositivityError, check, number, numbers, one_of,
-                     read_fields, rows, within)
+from .errors import (REQUIRED, ContractViolation, DimensionMismatch, PositivityError, check, number,
+                     numbers, one_of, read_fields, rows, within)
 from .geometry import MetricKind, metric_norm, sample_directions
 
 __all__ = [
@@ -146,53 +146,37 @@ class Coord(CPlusFn):
 
 
 class _Nary(CPlusFn):
+    fold = None  # the binary ufunc combining the terms left to right
+
     def __init__(self, *terms: CPlusFn):
         if len(terms) < 2:
             raise ContractViolation(f"{self.op} needs at least two operands")
         self.terms = tuple(terms)
+
+    def _eval(self, pts):
+        out = self.terms[0]._eval(pts)
+        for t in self.terms[1:]:
+            out = self.fold(out, t._eval(pts))
+        return out
 
     def to_obj(self):
         return {"op": self.op, "args": [t.to_obj() for t in self.terms]}
 
 
 class Add(_Nary):
-    op = "add"
-
-    def _eval(self, pts):
-        out = self.terms[0]._eval(pts)
-        for t in self.terms[1:]:
-            out = out + t._eval(pts)
-        return out
+    op, fold = "add", np.add
 
 
 class Mul(_Nary):
-    op = "mul"
-
-    def _eval(self, pts):
-        out = self.terms[0]._eval(pts)
-        for t in self.terms[1:]:
-            out = out * t._eval(pts)
-        return out
+    op, fold = "mul", np.multiply
 
 
 class Min(_Nary):
-    op = "min"
-
-    def _eval(self, pts):
-        out = self.terms[0]._eval(pts)
-        for t in self.terms[1:]:
-            out = np.minimum(out, t._eval(pts))
-        return out
+    op, fold = "min", np.minimum
 
 
 class Max(_Nary):
-    op = "max"
-
-    def _eval(self, pts):
-        out = self.terms[0]._eval(pts)
-        for t in self.terms[1:]:
-            out = np.maximum(out, t._eval(pts))
-        return out
+    op, fold = "max", np.maximum
 
 
 class Sub(CPlusFn):
@@ -214,13 +198,18 @@ class Sub(CPlusFn):
         return {"op": "sub", "args": [self.a.to_obj(), self.b.to_obj()]}
 
 
-class Exp2Neg(CPlusFn):
+class _Unary(CPlusFn):
+    def __init__(self, child: CPlusFn):
+        self.child = child
+
+    def to_obj(self):
+        return {"op": self.op, "args": [self.child.to_obj()]}
+
+
+class Exp2Neg(_Unary):
     """u -> 2^(-u); saturates at the smallest subnormal instead of underflowing."""
 
     op = "exp2neg"
-
-    def __init__(self, child: CPlusFn):
-        self.child = child
 
     def _eval(self, pts):
         u = self.child._eval(pts)
@@ -228,26 +217,17 @@ class Exp2Neg(CPlusFn):
             out = np.exp2(-u)
         return np.maximum(out, _TINY)
 
-    def to_obj(self):
-        return {"op": "exp2neg", "args": [self.child.to_obj()]}
 
-
-class Recip(CPlusFn):
+class Recip(_Unary):
     """u -> 1/u, guarded: the denominator must be strictly positive."""
 
     op = "recip"
-
-    def __init__(self, child: CPlusFn):
-        self.child = child
 
     def _eval(self, pts):
         u = self.child._eval(pts)
         if not np.all(u > 0.0):
             raise PositivityError("recip", float(np.min(u)))
         return 1.0 / u
-
-    def to_obj(self):
-        return {"op": "recip", "args": [self.child.to_obj()]}
 
 
 class Clamp(CPlusFn):
@@ -345,6 +325,8 @@ class Envelope(CPlusFn):
         self._node_values: np.ndarray | None = None
 
     def _eval(self, pts):
+        if pts.shape[1] != self.points.shape[1]:
+            raise DimensionMismatch(f"{pts.shape[1]}-D query of {self.points.shape[1]}-D envelope samples")
         out = np.empty(pts.shape[0])
         # Chunk the query axis; each chunk forms a (chunk, M) distance block.
         chunk = max(1, int(4_000_000 // max(1, self.points.shape[0])))
@@ -394,7 +376,10 @@ def fn_from_obj(obj) -> CPlusFn:
     for i, value in enumerate(args):
         with within(f".args[{i}]"):
             decoded.append(readers[min(i, len(readers) - 1)](value, decoded))
-    return build(*decoded)
+    try:
+        return build(*decoded)
+    except PositivityError as exc:  # a tabulated value <= 0 is refused as it is read
+        raise ContractViolation(str(exc)) from exc
 
 
 _ANY = lambda v, f: v
@@ -476,9 +461,7 @@ def epsilon_from_neighborhood(nbhd: NeighborhoodSpec, grid, metric: MetricKind =
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ContractViolation("grid must be a nonempty (M, d) array")
-    rho_values = nbhd.radius.eval(pts)
-    rho_values = np.atleast_1d(rho_values)
-    return Envelope(pts, rho_values, metric)
+    return Envelope(pts, np.atleast_1d(nbhd.radius.eval(pts)), metric)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +477,8 @@ def _metric_directions(metric: MetricKind, dim: int, count: int) -> np.ndarray:
 
 def _reference_levels(epsilon: CPlusFn, metric: MetricKind, sphere_samples: int, dim: int):
     """(r0, m): the tolerance at the origin and 0.9 times the sampled ball minimum."""
+    if sphere_samples < 4:
+        raise ContractViolation("need at least 4 sphere samples")
     origin = np.zeros(dim)
     r0 = float(epsilon.eval(origin))
     dirs = _metric_directions(metric, dim, sphere_samples)
@@ -506,8 +491,6 @@ def _reference_levels(epsilon: CPlusFn, metric: MetricKind, sphere_samples: int,
 def delta_reference_levels(epsilon: CPlusFn, metric: MetricKind = MetricKind.SUP,
                            sphere_samples: int = 64, dim: int = 2):
     """Expose (r0, m) exactly as the synthesizer derives them."""
-    if sphere_samples < 4:
-        raise ContractViolation("need at least 4 sphere samples")
     return _reference_levels(epsilon, metric, sphere_samples, dim)
 
 
@@ -535,8 +518,6 @@ def synthesize_delta_homothety(epsilon: CPlusFn, metric: MetricKind = MetricKind
     the table continues by the harmonic tail rule, which preserves positivity
     and strict decrease at arbitrarily large radii.
     """
-    if sphere_samples < 4:
-        raise ContractViolation("need at least 4 sphere samples")
     k = abs(float(factor))
     if k <= 1.0:
         raise ContractViolation("synthesis needs an expanding factor, |factor| > 1")

@@ -91,11 +91,15 @@ def within(step: str):
 
 @contextmanager
 def config_path(where: str):
-    """Report a ContractViolation raised inside as a ConfigError at ``where`` + its path."""
+    """Report a ContractViolation or IterationRangeError raised inside as a ConfigError at
+    ``where`` + its path.  A PositivityError, a tree tripping its own guard where it is
+    evaluated, stays an internal fault."""
     try:
         yield
-    except ContractViolation as exc:
-        path = (where + exc.path).lstrip(".")
+    except PositivityError:
+        raise
+    except (ContractViolation, IterationRangeError) as exc:
+        path = (where + getattr(exc, "path", "")).lstrip(".")
         raise ConfigError(f"'{path}': {exc}" if path else f"config {exc}") from exc
 
 

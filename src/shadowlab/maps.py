@@ -218,11 +218,12 @@ class DiagonalAffine(MapSpec):
         """(a^n, drift(n)) for one index or an integer array of indices.
 
         drift_j(n) = t_j*(a_j^n - 1)/(a_j - 1), or n*t_j when a_j == 1.
-        Raises IterationRangeError if a_j^n leaves double range.
+        Raises IterationRangeError if a_j^n leaves double range.  Unlike
+        ``power``, ``float_power`` gives a_j^n the same bits in a call of any size.
         """
         ns = np.atleast_1d(np.asarray(n, dtype=float))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            pow_ = np.power(self.scales[None, :], ns[:, None])
+            pow_ = np.float_power(self.scales[None, :], ns[:, None])
         if not np.all(np.isfinite(pow_)):
             bad = int(ns[np.argwhere(~np.all(np.isfinite(pow_), axis=1))[0][0]])
             raise IterationRangeError(bad, f"scale power left double range")

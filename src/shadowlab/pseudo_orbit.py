@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cplus import CPlusFn
-from .errors import ContractViolation
+from .errors import ContractViolation, IterationRangeError
 from .geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
 from .maps import DiagonalAffine, MapSpec, map_to_dict
 
@@ -352,6 +352,8 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     x = seeds
     for n in range(1, n_max + 1):
         fx = m.apply(x)
+        if not np.all(np.isfinite(fx)):
+            raise IterationRangeError(n, "an exact image left double range")
         rad = 0.99 * delta.eval(fx)
         nxt = fx.copy()  # the exact step, kept by orbits that exhaust their rounds
         pending = everyone
@@ -384,6 +386,8 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
         rad = 0.99 * delta.eval(x)
         r = streams.take(everyone) * rad[:, None]
         prev = m.apply_inverse(x)  # the exact step, kept by orbits that exhaust their rounds
+        if not np.all(np.isfinite(prev)):
+            raise IterationRangeError(n, "an exact image left double range")
         pending = everyone
         for _ in range(10_000):
             rp = r[pending]

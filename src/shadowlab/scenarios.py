@@ -165,27 +165,16 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     m, epsilon = p["map"], p["epsilon"]
     fwd, direction = p["forward_seed"], p["jump_direction"]
     rng = np.random.default_rng(config.seed)
+    window = (-config.window_limit, config.window_limit)
 
-    if p["jump"] is not None:
-        deltas = [None]
-        jumps = [p["jump"]]
-    else:
-        deltas = [random_positive_fn(rng) for _ in range(p["delta_count"])]
-        jumps = []
-
+    # One run at the given jump, or one per drawn slack at its largest admissible jump.
+    deltas = [None] if p["jump"] is not None else [random_positive_fn(rng) for _ in range(p["delta_count"])]
     runs = []
-    all_empty = True
-    for i, delta in enumerate(deltas):
-        if delta is not None:
-            probe = PseudoOrbitSpec(
-                SplicedRule(fwd, fwd + direction, p["splice"]),
-                (-config.window_limit, config.window_limit), m)
-            q = max_splice_jump(probe, delta, metric, direction=direction)
-            jumps.append(q)
-        q = jumps[i]
-        spec = PseudoOrbitSpec(
-            SplicedRule(fwd, fwd + q * direction, p["splice"]),
-            (-config.window_limit, config.window_limit), m)
+    for delta in deltas:
+        q = p["jump"] if delta is None else max_splice_jump(
+            PseudoOrbitSpec(SplicedRule(fwd, fwd + direction, p["splice"]), window, m), delta, metric,
+            direction=direction)
+        spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction, p["splice"]), window, m)
         cert = box_feasibility(spec, epsilon, config.window_limit, config.margin)
         entry = {"jump": q, "outcome": cert.outcome,
                  "emptiness_window": cert.emptiness_window,
@@ -193,7 +182,7 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
         if delta is not None:
             entry["delta"] = delta.to_obj()
         runs.append((spec, cert, entry))
-        all_empty = all_empty and cert.empty
+    all_empty = all(cert.empty for _, cert, _ in runs)
 
     # Oracle cross-check at the largest admissible jump over the slack draws;
     # near-degenerate certificates would force this even if disabled.
@@ -202,7 +191,7 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     if oracle or any(c.near_degenerate for _, c, _ in runs):
         if oracle is None:
             raise ConfigError("'params.oracle': a near-degenerate certificate needs the oracle")
-        chosen = max(range(len(runs)), key=lambda i: jumps[i])
+        chosen = max(range(len(runs)), key=lambda i: runs[i][2]["jump"])
         spec = runs[chosen][0]
         result = sampled_search(spec, epsilon, metric, *oracle)
         oracle_entry = {"run": chosen, **result.to_obj()}
@@ -233,11 +222,13 @@ def _homothety_ensemble(m: MapSpec, epsilon: CPlusFn, config: ScenarioConfig,
     ``epsilon`` and its pseudo-orbits."""
     k = float(np.abs(m.scales[0]))
     metric = MetricKind(config.metric)
-    delta = synthesize_delta_homothety(epsilon, metric, sphere_samples=sphere_samples, factor=k)
-    r0, ball_min = cplus.delta_reference_levels(epsilon, metric, sphere_samples)
-    specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
-                                    anchored_fraction=anchored_fraction,
-                                    start_range=(1.05 * r0, 4.0 * r0))
+    with config_path("params.epsilon"):
+        delta = synthesize_delta_homothety(epsilon, metric, sphere_samples=sphere_samples, factor=k)
+        r0, ball_min = cplus.delta_reference_levels(epsilon, metric, sphere_samples)
+    with config_path("params.map"):
+        specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
+                                        anchored_fraction=anchored_fraction,
+                                        start_range=(1.05 * r0, 4.0 * r0))
     return k, delta, r0, ball_min, specs
 
 
@@ -638,15 +629,35 @@ def _oracle(value, fields):
     return [tuple(b) for b in box], oracle["step"]
 
 
+def _adversarial_map(value, fields):
+    """The adversarial kind's map: a map expanding or contracting in every coordinate shadows,
+    so no emptiness claim is made for it."""
+    m = map_from_dict(value)
+    moduli = np.abs(m.scales) if isinstance(m, DiagonalAffine) else np.ones(1)
+    check(not (np.all(moduli > 1.0) or np.all(moduli < 1.0)),
+          "a map neither expanding nor contracting", value)
+    return m
+
+
 def _homothety_map(value, fields):
-    """The ensemble kinds' map, inverted first when asked: the synthesis and the shadow
-    series need a diagonal linear map whose scales share one modulus |k| > 1."""
+    """The ensemble kinds' map, inverted first when asked: the synthesis, its check and the
+    shadow series need a planar diagonal linear map whose scales share one modulus |k| > 1."""
     m = map_from_dict(value)
     if fields.get("invert_first"):
         m = power_map(m, -1)
-    check(isinstance(m, DiagonalAffine) and not np.any(m.translation), "a diagonal linear map", value)
+    check(isinstance(m, DiagonalAffine) and not np.any(m.translation) and m.dimension == 2,
+          "a planar diagonal linear map", value)
     linear_scales(m.scales, m.dimension)
     return m
+
+
+def _fn(value, fields):
+    """A tolerance tree, evaluated once at the origin of the map's dimension (of the plane
+    without a map): a tree that is not positive there is not in C+."""
+    fn = fn_from_obj(value)
+    origin = np.zeros((1, fields["map"].dimension if "map" in fields else 2))
+    check(fn._eval(origin)[0] > 0.0, "a tree positive at the origin", value)
+    return fn
 
 
 def _each(read):
@@ -665,7 +676,7 @@ _POSITIVE = number(0.0, open_lo=True)
 _COUNT = number(1, integer=True)
 _MAP = (lambda v, f: map_from_dict(v), REQUIRED)
 _HOMOTHETY = (_homothety_map, REQUIRED)
-_FN = (lambda v, f: fn_from_obj(v), REQUIRED)
+_FN = (_fn, REQUIRED)
 _POINT = (_point, REQUIRED)
 _DIRECTION = (_direction, REQUIRED)
 _METRICS = [k.value for k in MetricKind]
@@ -673,7 +684,8 @@ _SAMPLED = ["sup", "euclidean"]  # the metrics with uniform ball sampling
 # kind -> (handler, metrics, params table); the tables are documented in README.md.
 _KINDS = {
     "adversarial_box": (_run_adversarial_box, _METRICS, {
-        "map": _MAP, "epsilon": _FN, "forward_seed": _POINT, "jump_direction": _DIRECTION,
+        "map": (_adversarial_map, REQUIRED), "epsilon": _FN, "forward_seed": _POINT,
+        "jump_direction": _DIRECTION,
         "jump": (_POSITIVE, None), "delta_count": (_COUNT, 5), "splice": (number(integer=True), 0),
         "oracle": (_oracle, None)}),
     "homothety_shadow": (_run_homothety_pipeline, _SAMPLED, {
@@ -694,7 +706,7 @@ _KINDS = {
         "match_tol": (_POSITIVE, 1e-8), "count": (_COUNT, 20)}),
     "neighborhood": (_run_neighborhood, ["sup"], {
         "points_per_axis": (number(2, integer=True), 81), "half_extent": (_POSITIVE, 10.0),
-        "radius_functions": (_each(_FN[0]), REQUIRED)}),
+        "radius_functions": (_each(_fn), REQUIRED)}),
     "fixed_point_scan": (_run_fixed_point_scan, _SAMPLED, {}),
 }
 # The top-level fields; their defaults are ScenarioConfig's.

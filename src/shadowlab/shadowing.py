@@ -49,13 +49,14 @@ from .cplus import CPlusFn
 from .errors import (
     ContractViolation,
     DegenerateMarginError,
+    IterationRangeError,
     NonConvergenceError,
     SearchSpaceError,
     UnsupportedMapError,
 )
 from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions
 from .maps import DiagonalAffine, MapSpec, is_diagonal_affine
-from .pseudo_orbit import OrbitWindow, PseudoOrbitSpec, realize
+from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, realize
 
 __all__ = [
     "ShadowReport",
@@ -156,16 +157,18 @@ def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon,
     ``epsilon`` may be a function or a precomputed per-index array (used for
     transported tolerances).
     """
-    y = as_point(y)
-    orbit = _orbit_of(m, y, window.start, len(window))
-    dists = distance(metric, orbit, window.points)
+    orbit = _orbit_of(m, as_point(y), window.start, len(window))
+    return ShadowReport(window.start, distance(metric, orbit, window.points), _tolerances(window, epsilon))
+
+
+def _tolerances(window: OrbitWindow, epsilon) -> np.ndarray:
+    """``epsilon`` at every window point, or the precomputed per-index values it holds."""
     if isinstance(epsilon, CPlusFn):
-        tols = np.atleast_1d(epsilon.eval(window.points))
-    else:
-        tols = np.asarray(epsilon, dtype=float)
-        if tols.shape != (len(window),):
-            raise ContractViolation("need one tolerance per window index")
-    return ShadowReport(window.start, dists, tols)
+        return np.atleast_1d(epsilon.eval(window.points))
+    tols = np.asarray(epsilon, dtype=float)
+    if tols.shape != (len(window),):
+        raise ContractViolation("need one tolerance per window index")
+    return tols
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +238,13 @@ class FeasibilityCertificate:
         return buf.getvalue()
 
 
-def _constraint_order(n_min: int, n_max: int, limit: int) -> list[int]:
-    order = [0]
-    for k in range(1, limit + 1):
-        if k <= n_max:
-            order.append(k)
-        if -k >= n_min:
-            order.append(-k)
-        if k > n_max and -k < n_min:
-            break
-    return order
+# Constraints in the first block of the walk; each later block doubles.
+_FIRST_BLOCK = 16
+
+
+def _constraint_order(rows: np.ndarray) -> np.ndarray:
+    """Window indices at positions ``rows`` of the order 0, 1, -1, 2, -2, ..."""
+    return np.where(rows % 2 == 1, (rows + 1) // 2, -(rows // 2))
 
 
 def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
@@ -256,9 +256,15 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
     demand).  Requires a diagonal-affine map and the sup norm, where tolerance
     balls are boxes and orbit maps are coordinatewise affine.
 
-    Raises ``UnsupportedMapError`` for other maps (use ``sampled_search``) and
+    The order is walked in blocks of ``_FIRST_BLOCK`` constraints, doubling
+    each time; a block realizes and evaluates only its own indices and
+    intersects its intervals by running maxima and minima, so a walk that
+    decides early never realizes the far end of a long window.
+
+    Raises ``UnsupportedMapError`` for other maps (use ``sampled_search``),
     ``DegenerateMarginError`` if a still-undecided run reaches a constraint
-    whose tolerance does not exceed the margin.
+    whose tolerance does not exceed the margin, and ``IterationRangeError``
+    if it reaches an index whose iterates leave double range.
     """
     m = spec.map
     if not is_diagonal_affine(m):
@@ -271,63 +277,54 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
     if window_limit < 0:
         raise ContractViolation("window_limit must be positive")
 
-    from .pseudo_orbit import ExplicitRule
-
     if isinstance(spec.rule, ExplicitRule):
         n_min = max(spec.window[0], spec.rule.start)
         n_max = min(spec.window[1], spec.rule.start + len(spec.rule.points) - 1)
+        if not n_min <= 0 <= n_max:
+            raise ContractViolation("explicit rule must cover index 0 of its window")
     else:
         n_min, n_max = -window_limit, window_limit
-    order = _constraint_order(n_min, n_max, window_limit)
+    rows = 2 * min(window_limit, max(n_max, -n_min)) + 1
 
-    dim = m.dimension
-    lo = np.full(dim, -np.inf)
-    hi = np.full(dim, np.inf)
-    trace: list = []
+    lo, hi = np.full(m.dimension, -np.inf), np.full(m.dimension, np.inf)
+    trace: list = []  # (n, lo, hi) after each constraint
+    start, size = 0, _FIRST_BLOCK
+    while start < rows:
+        ns = _constraint_order(np.arange(start, min(start + size, rows)))
+        ns = ns[(n_min <= ns) & (ns <= n_max)]
+        start, size = start + size, 2 * size
+        overflow = None
+        try:
+            pow_, drift = m.power_coefficients(ns)
+        except IterationRangeError as exc:
+            # Decide on the constraints before the overflow, or refuse.
+            overflow, ns = exc, ns[: np.argmax(ns == exc.n)]
+            pow_, drift = m.power_coefficients(ns)
+        if ns.size:
+            window = realize(spec, (ns.min(), ns.max()))
+            x_n = window.points[ns - window.start]
+            eps = np.atleast_1d(epsilon.eval(x_n))
+            radius = (eps - margin)[:, None]
+            ends = ((x_n - drift - radius) / pow_, (x_n - drift + radius) / pow_)
+            los = np.maximum.accumulate(np.vstack([lo, np.minimum(*ends)]))[1:]
+            his = np.minimum.accumulate(np.vstack([hi, np.maximum(*ends)]))[1:]
+            decided = np.flatnonzero((radius[:, 0] <= 0.0) | np.any(los > his, axis=1))
+            trace.extend(zip(ns[: decided[0] + 1 if decided.size else None].tolist(), los, his))
+            if decided.size:
+                i, n = decided[0], int(ns[decided[0]])
+                if radius[i, 0] <= 0.0:
+                    raise DegenerateMarginError(n, float(eps[i]), margin)
+                gap = float(np.max(los[i] - his[i]))
+                return FeasibilityCertificate("empty", window_limit, margin, los[i], his[i],
+                                              emptiness_window=abs(n), trace=trace,
+                                              near_degenerate=margin > 0.0 and gap <= 4.0 * margin)
+            lo, hi = los[-1], his[-1]
+        if overflow is not None:
+            raise overflow
 
-    window = realize(spec, (min(order), max(order)))
-    eps_all = np.atleast_1d(epsilon.eval(window.points))
-
-    for n in order:
-        x_n = window.point_at(n)
-        eps_n = float(eps_all[n - window.start])
-        radius = eps_n - margin
-        if radius <= 0.0:
-            raise DegenerateMarginError(n, eps_n, margin)
-        pow_, drift = m.power_coefficients(n)
-        center = x_n - drift
-        end_a = (center - radius) / pow_
-        end_b = (center + radius) / pow_
-        lo_n = np.minimum(end_a, end_b)
-        hi_n = np.maximum(end_a, end_b)
-        lo = np.maximum(lo, lo_n)
-        hi = np.minimum(hi, hi_n)
-        trace.append((n, lo.copy(), hi.copy()))
-        if np.any(lo > hi):
-            gap = float(np.max(lo - hi))
-            return FeasibilityCertificate(
-                outcome="empty",
-                window_limit=window_limit,
-                margin=margin,
-                lo=lo,
-                hi=hi,
-                emptiness_window=abs(n),
-                near_degenerate=margin > 0.0 and gap <= 4.0 * margin,
-                trace=trace,
-            )
-
-    witness = 0.5 * (lo + hi)
     min_width = float(np.min(hi - lo))
-    return FeasibilityCertificate(
-        outcome="nonempty",
-        window_limit=window_limit,
-        margin=margin,
-        lo=lo,
-        hi=hi,
-        witness=witness,
-        near_degenerate=margin > 0.0 and min_width <= 4.0 * margin,
-        trace=trace,
-    )
+    return FeasibilityCertificate("nonempty", window_limit, margin, lo, hi, witness=0.5 * (lo + hi),
+                                  near_degenerate=margin > 0.0 and min_width <= 4.0 * margin, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +396,7 @@ def homothety_shadow_report(window: OrbitWindow, epsilon, factor=2.0,
     tails = np.zeros((L + 1, window.dimension))
     for i in range(L, 0, -1):
         tails[i - 1] = (residuals[i - 1] + tails[i]) / scales
-    dists = metric_norm(metric, tails)
-    if isinstance(epsilon, CPlusFn):
-        tols = np.atleast_1d(epsilon.eval(window.points))
-    else:
-        tols = np.asarray(epsilon, dtype=float)
-    return w, ShadowReport(window.start, dists, tols)
+    return w, ShadowReport(window.start, metric_norm(metric, tails), _tolerances(window, epsilon))
 
 
 def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn, factor=2.0) -> np.ndarray:

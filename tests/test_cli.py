@@ -267,6 +267,18 @@ def test_window_past_double_range_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_certificate_past_double_range_decides_without_the_oracle(tmp_path, capsys):
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config("saddle-not-tsp").to_obj()
+    del config["params"]["oracle"]
+    path = _write_config(tmp_path / "no-oracle.json", config)
+    assert main(["run", path, "--window", "2000", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "saddle-not-tsp" / "report.json").read_text())
+    assert report["verdict"] == "matches-paper"
+    assert all(run["outcome"] == "empty" and run["emptiness_window"] <= 32 for run in report["details"]["runs"])
+
+
 def test_unknown_change_of_coordinates_is_config_error(tmp_path, capsys):
     from shadowlab.scenarios import builtin_config
 

@@ -96,6 +96,22 @@ REFUSED = [
     ("power-invariance", ["params", "map", "k"], 2.0, "params.map.k"),
     # This one reported inconclusive.
     ("forward-to-full", ["params", "tol"], -1.0, "params.tol"),
+    # Maps that shadow, for which no emptiness claim is made: these gave a
+    # false contradicts-paper.
+    ("saddle-not-tsp", ["params", "map"], {"kind": "homothety", "factor": 2.0}, "params.map"),
+    ("saddle-not-tsp", ["params", "map"], {"kind": "reverse_homothety"}, "params.map"),
+    # The ensemble kinds are planar: 1-D exited 70 from the plot, 3-D was
+    # checked on planar points only.
+    ("homothety-tsp", ["params", "map", "dimension"], 1, "params.map"),
+    ("homothety-tsp", ["params", "map", "dimension"], 3, "params.map"),
+    # Pseudo-orbits that leave double range: this one never finished.
+    ("homothety-tsp", ["params", "map", "factor"], 1e300, "params.map"),
+    # Tolerance trees that fail where they are first evaluated: exit 70, a
+    # false contradicts-paper, and a numpy traceback.
+    ("homothety-tsp", ["params", "epsilon"], "const:1e-300", "params.epsilon"),
+    ("saddle-not-tsp", ["params", "epsilon"], {"op": "coord", "args": [0]}, "params.epsilon"),
+    ("saddle-not-tsp", ["params", "epsilon"], {"op": "envelope", "args": ["sup", [[0.0, 0.0, 0.0]], [1.0]]},
+     "params.epsilon"),
 ]
 
 

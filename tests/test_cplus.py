@@ -27,7 +27,7 @@ from shadowlab.cplus import (
     synthesize_delta_homothety,
     verify_delta_conditions,
 )
-from shadowlab.errors import ContractViolation, PositivityError
+from shadowlab.errors import ContractViolation, DimensionMismatch, PositivityError
 from shadowlab.geometry import MetricKind
 
 
@@ -114,6 +114,13 @@ def _dense_grid(half, n):
     axis = np.linspace(-half, half, n)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+
+
+def test_envelope_refuses_a_query_of_another_dimension():
+    env = Envelope(np.zeros((1, 3)), np.ones(1))
+    assert env.eval(np.zeros(3)) == 1.0
+    with pytest.raises(DimensionMismatch):
+        env.eval(np.zeros(2))
 
 
 def test_envelope_constant_radius_is_exact():

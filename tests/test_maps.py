@@ -149,6 +149,16 @@ def test_power_saddle_cubed_matches_composition(rng):
     assert np.allclose(cubed.apply(p), composed, rtol=1e-12)
 
 
+def test_powers_do_not_depend_on_how_many_indices_are_asked_for():
+    m = DiagonalAffine([5.575547516111294, 0.9, -1.7], [0.0, 1.0, -0.5])
+    ns = np.arange(-40, 41)
+    pow_, drift = m.power_coefficients(ns)
+    for i, n in enumerate(ns):
+        p, d = m.power_coefficients(int(n))
+        assert np.array_equal(pow_[i], p) and np.array_equal(drift[i], d)
+    assert np.array_equal(m.orbit([0.3, -0.2, 1.1], ns)[40:43], m.orbit([0.3, -0.2, 1.1], [0, 1, 2]))
+
+
 def test_power_zero_rejected():
     with pytest.raises(ContractViolation):
         power_map(homothety(2.0), 0)

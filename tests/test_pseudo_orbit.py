@@ -7,7 +7,7 @@ from shadowlab.cplus import (
     saddle_adversarial_epsilon,
     synthesize_delta_homothety,
 )
-from shadowlab.errors import ContractViolation
+from shadowlab.errors import ContractViolation, IterationRangeError
 from shadowlab.geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
 from shadowlab.maps import DiagonalAffine, homothety, power_map, reverse_homothety, saddle, translation_map
 from shadowlab.pseudo_orbit import (
@@ -373,6 +373,14 @@ def test_empty_ensemble_is_refused(count):
     delta = synthesize_delta_homothety(Const(1.0))
     with pytest.raises(ContractViolation):
         generate_orbit_ensemble(homothety(2.0), delta, SUP, (-4, 8), count, 1, 1.0)
+
+
+@pytest.mark.parametrize("factor, n", [(1e300, 2), (1e-300, -2)])
+def test_ensemble_leaving_double_range_is_refused(factor, n):
+    with pytest.raises(IterationRangeError) as err:
+        generate_orbit_ensemble(homothety(factor), Const(0.5), SUP, (-4, 4), 3, 1, 1.0,
+                                anchored_fraction=0.0, start_range=(1.0, 2.0))
+    assert err.value.n == n
 
 
 def test_random_orbit_window_must_contain_zero():

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shadowlab.cplus import Const, delta_reference_levels, saddle_adversarial_epsilon, synthesize_delta_homothety
+from shadowlab.cplus import (Const, decaying_epsilon, delta_reference_levels, saddle_adversarial_epsilon,
+                             synthesize_delta_homothety)
 from shadowlab.errors import (
     ContractViolation,
     DegenerateMarginError,
+    IterationRangeError,
     NonConvergenceError,
+    PositivityError,
     SearchSpaceError,
     UnsupportedMapError,
 )
 from shadowlab.geometry import MetricKind
 from shadowlab import shadowing
-from shadowlab.maps import AffineChange, RadialRescale, conjugate_map, homothety, saddle, translation_map
+from shadowlab.maps import (AffineChange, DiagonalAffine, RadialRescale, conjugate_map, homothety, saddle,
+                            translation_map)
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
@@ -22,6 +28,7 @@ from shadowlab.pseudo_orbit import (
     transport_pseudo_orbit,
 )
 from shadowlab.shadowing import (
+    FeasibilityCertificate,
     box_feasibility,
     forward_to_full_shadow,
     homothety_shadow_point,
@@ -362,6 +369,157 @@ def test_search_first_point_is_independent_of_block_size(name, monkeypatch):
             else:
                 assert found is not None and np.array_equal(found, expected)
     assert outcomes == {True, False}  # both found and absent cases are exercised
+
+
+# ---------------------------------------------------------------------------
+# The block walk against the per-constraint reference loop
+# ---------------------------------------------------------------------------
+
+
+def reference_box_feasibility(spec, epsilon, window_limit, margin=0.0):
+    """The certificate one constraint at a time, after realizing the whole window."""
+    m = spec.map
+    if not isinstance(m, DiagonalAffine):
+        raise UnsupportedMapError(f"{type(m).__name__} is not diagonal-affine")
+    if isinstance(spec.rule, ExplicitRule):
+        n_min = max(spec.window[0], spec.rule.start)
+        n_max = min(spec.window[1], spec.rule.start + len(spec.rule.points) - 1)
+    else:
+        n_min, n_max = -window_limit, window_limit
+    order = [0]
+    for k in range(1, window_limit + 1):
+        if k <= n_max:
+            order.append(k)
+        if -k >= n_min:
+            order.append(-k)
+        if k > n_max and -k < n_min:
+            break
+
+    lo = np.full(m.dimension, -np.inf)
+    hi = np.full(m.dimension, np.inf)
+    trace = []
+    window = realize(spec, (min(order), max(order)))
+    eps_all = np.atleast_1d(epsilon.eval(window.points))
+    for n in order:
+        x_n = window.point_at(n)
+        eps_n = float(eps_all[n - window.start])
+        radius = eps_n - margin
+        if radius <= 0.0:
+            raise DegenerateMarginError(n, eps_n, margin)
+        pow_, drift = m.power_coefficients(n)
+        center = x_n - drift
+        end_a = (center - radius) / pow_
+        end_b = (center + radius) / pow_
+        lo = np.maximum(lo, np.minimum(end_a, end_b))
+        hi = np.minimum(hi, np.maximum(end_a, end_b))
+        trace.append((n, lo.copy(), hi.copy()))
+        if np.any(lo > hi):
+            gap = float(np.max(lo - hi))
+            return FeasibilityCertificate("empty", window_limit, margin, lo, hi, emptiness_window=abs(n),
+                                          near_degenerate=margin > 0.0 and gap <= 4.0 * margin, trace=trace)
+    return FeasibilityCertificate("nonempty", window_limit, margin, lo, hi, witness=0.5 * (lo + hi),
+                                  near_degenerate=margin > 0.0 and float(np.min(hi - lo)) <= 4.0 * margin,
+                                  trace=trace)
+
+
+def _outcome(decide, *args):
+    """(json, csv) of the certificate ``decide(*args)``, or (error type, message)."""
+    try:
+        cert = decide(*args)
+    except Exception as exc:  # the two routes must fail alike
+        return type(exc), str(exc), exc
+    return cert.to_json(), cert.trace_to_csv(), cert
+
+
+_SCALES = st.sampled_from([1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 0.25, 4.0, 3.0, 0.9, 5.0]) | st.floats(0.1, 6.0)
+_TOLERANCES = [Const(1.0), Const(0.05), Const(1e-3), decaying_epsilon(1.0), saddle_adversarial_epsilon()]
+
+
+@st.composite
+def _certificate_case(draw):
+    dim = draw(st.integers(1, 2))
+    m = DiagonalAffine(draw(st.lists(_SCALES, min_size=dim, max_size=dim)),
+                       draw(st.lists(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0),
+                                     min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window_limit = draw(st.integers(0, 512))
+    if draw(st.booleans()):
+        forward = rng.uniform(-3.0, 3.0, dim)
+        backward = forward + 10.0 ** rng.uniform(-6.0, 0.0) * rng.standard_normal(dim)
+        spec = PseudoOrbitSpec(SplicedRule(forward, backward, draw(st.integers(-3, 3))),
+                               (-max(window_limit, 1), max(window_limit, 1)), m)
+    else:
+        count = draw(st.integers(1, 200))
+        start = -draw(st.integers(0, count - 1))
+        window = (draw(st.integers(-600, 0)), draw(st.integers(1, 600)))
+        spec = PseudoOrbitSpec(ExplicitRule(rng.uniform(-5.0, 5.0, (count, dim)), start), window, m)
+    margin = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    return spec, draw(st.sampled_from(_TOLERANCES)), window_limit, margin
+
+
+def _depth(outcome) -> int:
+    """The window depth at which a walk that stopped early decided."""
+    if isinstance(outcome[2], DegenerateMarginError):
+        return abs(outcome[2].n)
+    return outcome[2].emptiness_window
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_certificate_case())
+def test_block_walk_matches_the_reference_loop(case):
+    spec, epsilon, window_limit, margin = case
+    with np.errstate(all="ignore"):
+        ref = _outcome(reference_box_feasibility, spec, epsilon, window_limit, margin)
+        new = _outcome(box_feasibility, spec, epsilon, window_limit, margin)
+        # The reference realizes and evaluates the whole window before its
+        # first constraint, so iterates past double range refuse it up
+        # front; the walk may decide before it reaches them.
+        up_front = (IterationRangeError, PositivityError)
+        if ref[0] in up_front and new[:2] != ref[:2]:
+            if new[0] in up_front:
+                if new[0] is ref[0] is IterationRangeError:
+                    assert abs(new[2].n) <= abs(ref[2].n)
+                return
+            depth = _depth(new)
+            if ref[0] is IterationRangeError:
+                assert depth < abs(ref[2].n)
+            # The reference cut to that depth decides alike, unless the cut
+            # still reaches an iterate past double range.
+            ref = _outcome(reference_box_feasibility, spec, epsilon, depth, margin)
+            if ref[0] in up_front:
+                return
+            if new[0] is not DegenerateMarginError:
+                new = (new[0].replace(f'"window_limit": {window_limit}', f'"window_limit": {depth}'),
+                       *new[1:])
+    assert new[:2] == ref[:2]
+
+
+@pytest.mark.parametrize("first_block", [1, 7, 64])
+def test_certificate_is_independent_of_the_first_block(first_block, monkeypatch):
+    cases = [
+        (saddle_splice(0.1, (-200, 200)), saddle_adversarial_epsilon(), 200, 0.0),
+        (PseudoOrbitSpec(SplicedRule(np.zeros(2), np.array([0.0, 0.5]), 0), (-300, 300), translation_map(2)),
+         decaying_epsilon(1.0), 300, 1e-12),
+        (true_orbit_spec(saddle(), [0.5, 0.25], (-100, 100)), Const(0.75), 100, 1e-9),
+        (PseudoOrbitSpec(ExplicitRule(np.random.default_rng(3).uniform(-1, 1, (90, 2)), -40), (-40, 49),
+                         translation_map(2)), Const(5.0), 64, 0.0),
+        (true_orbit_spec(saddle(), [1.0, 0.0], (-32, 32)), saddle_adversarial_epsilon(), 32, 1e-6),
+    ]
+    expected = [_outcome(box_feasibility, *case)[:2] for case in cases]
+    monkeypatch.setattr(shadowing, "_FIRST_BLOCK", first_block)
+    assert [_outcome(box_feasibility, *case)[:2] for case in cases] == expected
+    assert expected == [_outcome(reference_box_feasibility, *case)[:2] for case in cases]
+
+
+def test_saddle_certificate_decides_without_realizing_the_far_window():
+    spec = saddle_splice(0.05, (-2000, 2000))
+    eps = saddle_adversarial_epsilon()
+    with pytest.raises(IterationRangeError):
+        reference_box_feasibility(spec, eps, 2000)
+    deep = box_feasibility(spec, eps, 2000).to_obj()
+    shallow = box_feasibility(spec, eps, 32).to_obj()
+    assert deep.pop("window_limit") == 2000 and shallow.pop("window_limit") == 32
+    assert deep == shallow and deep["outcome"] == "empty"
 
 
 def test_certificate_json_schema():
