@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (REQUIRED, ContractViolation, DimensionMismatch, PositivityError, check, number,
                      numbers, one_of, read_fields, rows, within)
-from .geometry import MetricKind, metric_norm, sample_directions
+from .geometry import MetricKind, distance, metric_norm, sample_directions
 
 __all__ = [
     "CPlusFn",
@@ -331,11 +331,7 @@ class Envelope(CPlusFn):
         # Chunk the query axis; each chunk forms a (chunk, M) distance block.
         chunk = max(1, int(4_000_000 // max(1, self.points.shape[0])))
         for lo in range(0, pts.shape[0], chunk):
-            block = pts[lo : lo + chunk]
-            if self.metric is MetricKind.SUP:
-                dist = np.max(np.abs(block[:, None, :] - self.points[None, :, :]), axis=-1)
-            else:
-                dist = np.linalg.norm(block[:, None, :] - self.points[None, :, :], axis=-1)
+            dist = distance(self.metric, pts[lo : lo + chunk, None, :], self.points[None, :, :])
             out[lo : lo + chunk] = np.min(self.values[None, :] + dist, axis=1)
         return out
 

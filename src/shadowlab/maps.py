@@ -22,6 +22,14 @@ changes, radial rescalings r -> a*r + b*r^2, and compositions), and
 are evaluated exactly but are tagged non-diagonal: boxes are not preserved,
 so only the sampled search oracle decides feasibility for them.
 
+Every map has the closed-form ``iterate(p, n)`` and ``orbit(p, ns)``; a
+conjugated map iterates through its inner map's closed form,
+``change(inner^n(change^{-1}(p)))``, and never steps.  Only the oracle's scan
+of a conjugated map still marches outward one ``apply`` at a time, because
+it prunes candidates after every index, most of them at n = 0, before it
+pays for any further map call.  Changes of coordinates compute each point
+alone, so a point's image has the same bits in a call of any size.
+
 ``power_map`` normalizes eagerly: powers of diagonal-affine maps are again
 diagonal-affine (exactness is preserved), and powers commute with conjugacy.
 """
@@ -102,12 +110,25 @@ class AffineChange(Diffeo):
         self.dimension = self.matrix.shape[0]
 
     def apply(self, p):
-        p = np.asarray(p, dtype=float)
-        return p @ self.matrix.T + self.offset
+        return _linear(np.asarray(p, dtype=float), self.matrix) + self.offset
 
     def apply_inverse(self, p):
-        p = np.asarray(p, dtype=float)
-        return (p - self.offset) @ self._inverse.T
+        return _linear(np.asarray(p, dtype=float) - self.offset, self._inverse)
+
+
+def _linear(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``p @ matrix.T`` by elementwise products and sums, so each point's image has
+    the same bits in a call of any size; a BLAS product rounds a point
+    differently depending on how many points share the call."""
+    if p.shape[-1] != matrix.shape[1]:
+        raise DimensionMismatch(f"change of dimension {matrix.shape[1]}, point of dimension {p.shape[-1]}")
+    out = np.empty(p.shape)
+    for i, row in enumerate(matrix):
+        acc = p[..., 0] * row[0]
+        for j in range(1, len(row)):
+            acc += p[..., j] * row[j]
+        out[..., i] = acc
+    return out
 
 
 class RadialRescale(Diffeo):
@@ -131,13 +152,9 @@ class RadialRescale(Diffeo):
     def apply_inverse(self, p):
         p = np.asarray(p, dtype=float)
         r = np.linalg.norm(p, axis=-1)
-        if self.b == 0.0:
-            s = r / self.a
-        else:
-            s = (-self.a + np.sqrt(self.a * self.a + 4.0 * self.b * r)) / (2.0 * self.b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            factor = np.where(r > 0.0, s / np.where(r > 0.0, r, 1.0), 0.0)
-        return p * factor[..., None]
+        # s/r = 2/(a + sqrt(a^2 + 4br)): the root without the cancellation of
+        # (sqrt(a^2 + 4br) - a)/(2b) when 4br is small next to a^2.
+        return p * (2.0 / (self.a + np.sqrt(self.a * self.a + 4.0 * self.b * r)))[..., None]
 
 
 class ComposedChange(Diffeo):
@@ -175,12 +192,13 @@ class MapSpec:
         raise NotImplementedError
 
     def iterate(self, p, n: int) -> np.ndarray:
-        """f^n(p) with f^0 = id; negative n goes through the inverse."""
-        p = np.asarray(p, dtype=float)
-        step = self.apply if n >= 0 else self.apply_inverse
-        for _ in range(abs(int(n))):
-            p = step(p)
-        return p
+        """f^n(p) in closed form, f^0 = id; negative n goes through the inverse."""
+        raise NotImplementedError
+
+    def orbit(self, p, ns) -> np.ndarray:
+        """f^n(p) for every n in the integer array ``ns``, shape (len(ns), d);
+        row i has the bits of ``iterate(p, ns[i])``."""
+        raise NotImplementedError
 
     def _check_dim(self, p: np.ndarray) -> None:
         if p.shape[-1] != self.dimension:
@@ -242,7 +260,6 @@ class DiagonalAffine(MapSpec):
         return p * pow_ + drift
 
     def orbit(self, p, ns) -> np.ndarray:
-        """f^n(p) for every n in the integer array ``ns``, shape (len(ns), d)."""
         p = as_point(p)
         self._check_dim(p)
         pow_, drift = self.power_coefficients(np.asarray(ns))
@@ -277,6 +294,11 @@ class Conjugated(MapSpec):
         self._check_dim(p)
         inside = self.change.apply_inverse(p)
         return self.change.apply(self.inner.iterate(inside, n))
+
+    def orbit(self, p, ns):
+        p = as_point(p)
+        self._check_dim(p)
+        return self.change.apply(self.inner.orbit(self.change.apply_inverse(p), ns))
 
 
 # ---------------------------------------------------------------------------

@@ -120,17 +120,12 @@ class OrbitWindow:
 
 def _spliced_points(rule: SplicedRule, m: MapSpec, ns: np.ndarray) -> np.ndarray:
     fwd_mask = ns >= rule.splice
-    if isinstance(m, DiagonalAffine):
-        out = np.empty((len(ns), m.dimension))
-        if np.any(fwd_mask):
-            out[fwd_mask] = m.orbit(rule.forward_seed, ns[fwd_mask])
-        if np.any(~fwd_mask):
-            out[~fwd_mask] = m.orbit(rule.backward_seed, ns[~fwd_mask])
-        return out
-    return np.stack([
-        m.iterate(rule.forward_seed if n >= rule.splice else rule.backward_seed, int(n))
-        for n in ns
-    ])
+    out = np.empty((len(ns), m.dimension))
+    if np.any(fwd_mask):
+        out[fwd_mask] = m.orbit(rule.forward_seed, ns[fwd_mask])
+    if np.any(~fwd_mask):
+        out[~fwd_mask] = m.orbit(rule.backward_seed, ns[~fwd_mask])
+    return out
 
 
 def realize(spec: PseudoOrbitSpec, window: tuple[int, int] | None = None) -> OrbitWindow:
@@ -216,12 +211,11 @@ def max_splice_jump(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = 
     else:
         scale = float(metric_norm(metric, direction))
     u = direction / scale
+    # Step splice-1 -> splice: compare f^s(backward seed) to f^s(forward seed).
+    right = spec.map.iterate(rule.forward_seed, rule.splice)
 
     def admissible(q: float) -> bool:
-        bwd = rule.forward_seed + q * u
-        # Step splice-1 -> splice: compare f^s(backward seed) to f^s(forward seed).
-        left = spec.map.iterate(bwd, rule.splice)
-        right = spec.map.iterate(rule.forward_seed, rule.splice)
+        left = spec.map.iterate(rule.forward_seed + q * u, rule.splice)
         gap = float(distance(metric, left, right))
         bound = float(delta.eval(left))
         return gap < bound

@@ -139,12 +139,15 @@ def _json_text(obj) -> str:
 
 
 class _ArtifactSink:
+    """Writes a scenario's artifacts; the directory appears with the first one, so a
+    run refused inside its handler leaves nothing behind."""
+
     def __init__(self, root: Path):
         self.root = root
-        self.root.mkdir(parents=True, exist_ok=True)
         self.paths: list[str] = []
 
     def write(self, name: str, text: str) -> Path:
+        self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / name
         path.write_text(text, encoding="utf-8")
         self.paths.append(str(path))

@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedMapError,
 )
 from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions
-from .maps import DiagonalAffine, MapSpec, is_diagonal_affine
+from .maps import MapSpec, is_diagonal_affine
 from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, realize
 
 __all__ = [
@@ -128,28 +128,6 @@ class ShadowReport:
         return buf.getvalue()
 
 
-def _orbit_of(m: MapSpec, y: np.ndarray, start: int, count: int) -> np.ndarray:
-    """f^n(y) for n = start..start+count-1, exact closed form when available."""
-    ns = np.arange(start, start + count)
-    if isinstance(m, DiagonalAffine):
-        return m.orbit(y, ns)
-    points = np.empty((count, y.size))
-    # March outward from index 0 so inverses are only composed with inverses.
-    if start <= 0 <= start + count - 1:
-        points[-start] = y
-    p = y
-    for n in range(1, start + count):
-        p = m.apply(p)
-        if n >= start:
-            points[n - start] = p
-    p = y
-    for n in range(-1, start - 1, -1):
-        p = m.apply_inverse(p)
-        if n <= start + count - 1:
-            points[n - start] = p
-    return points
-
-
 def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon,
                    metric: MetricKind = MetricKind.SUP) -> ShadowReport:
     """Compare the orbit of ``y`` to the window under the tolerance.
@@ -157,7 +135,7 @@ def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon,
     ``epsilon`` may be a function or a precomputed per-index array (used for
     transported tolerances).
     """
-    orbit = _orbit_of(m, as_point(y), window.start, len(window))
+    orbit = m.orbit(y, window.indices)
     return ShadowReport(window.start, distance(metric, orbit, window.points), _tolerances(window, epsilon))
 
 
@@ -347,6 +325,26 @@ def linear_scales(factor, dim: int) -> np.ndarray:
     return scales
 
 
+def _series(window: OrbitWindow, scales: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """(residuals r_i, series point w) of the window, accumulated in ``dtype``."""
+    if len(window) < 2:
+        raise ContractViolation("window too short: need at least one step")
+    x = window.points.astype(dtype)
+    residuals = x[1:] - x[:-1] * scales[None, :].astype(dtype)
+    L = residuals.shape[0]
+    inv_powers = np.cumprod(np.tile(1.0 / scales.astype(dtype), (L, 1)), axis=0)
+    return residuals, x[0] + np.sum(residuals * inv_powers, axis=0)
+
+
+def _tail_sums(terms: np.ndarray, scales) -> np.ndarray:
+    """T_l = sum_{i > l} terms_i * scales^(l-i) for l = 0..L, by the backward
+    recurrence T_{l-1} = (terms_l + T_l) / scales."""
+    tails = np.zeros((len(terms) + 1,) + np.shape(scales))
+    for i in range(len(terms), 0, -1):
+        tails[i - 1] = (terms[i - 1] + tails[i]) / scales
+    return tails
+
+
 def homothety_shadow_point(window: OrbitWindow, factor=2.0, dtype=None) -> tuple[int, np.ndarray]:
     """Shadow-point series for an expanding linear diagonal map.
 
@@ -361,16 +359,8 @@ def homothety_shadow_point(window: OrbitWindow, factor=2.0, dtype=None) -> tuple
     the point will be iterated far forward, since k^n magnifies the storage
     rounding of w.
     """
-    if len(window) < 2:
-        raise ContractViolation("window too short: need at least one step")
     scales = linear_scales(factor, window.dimension)
-    if dtype is None:
-        dtype = np.float64
-    x = window.points.astype(dtype)
-    residuals = x[1:] - x[:-1] * scales[None, :].astype(dtype)
-    L = residuals.shape[0]
-    inv_powers = np.cumprod(np.tile(1.0 / scales.astype(dtype), (L, 1)), axis=0)
-    w = x[0] + np.sum(residuals * inv_powers, axis=0)
+    _, w = _series(window, scales, np.float64 if dtype is None else dtype)
     return window.start, w
 
 
@@ -389,13 +379,8 @@ def homothety_shadow_report(window: OrbitWindow, epsilon, factor=2.0,
     window's far end exceeds about 2^50 times its start.
     """
     scales = linear_scales(factor, window.dimension)
-    start, w = homothety_shadow_point(window, factor)
-    x = window.points
-    residuals = x[1:] - x[:-1] * scales[None, :]
-    L = residuals.shape[0]
-    tails = np.zeros((L + 1, window.dimension))
-    for i in range(L, 0, -1):
-        tails[i - 1] = (residuals[i - 1] + tails[i]) / scales
+    residuals, w = _series(window, scales)
+    tails = _tail_sums(residuals, scales)
     return w, ShadowReport(window.start, metric_norm(metric, tails), _tolerances(window, epsilon))
 
 
@@ -407,15 +392,8 @@ def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn, factor=2.
     shadow-point orbit never exceeds it when every perturbation respects the
     strict slack condition.
     """
-    scales = linear_scales(factor, window.dimension)
-    k = float(np.abs(scales[0]))
-    images = m.apply(window.points[:-1])
-    d_vals = np.atleast_1d(delta.eval(images))
-    L = len(d_vals)
-    bounds = np.zeros(L + 1)
-    for i in range(L, 0, -1):
-        bounds[i - 1] = (bounds[i] + d_vals[i - 1]) / k
-    return bounds
+    k = float(np.abs(linear_scales(factor, window.dimension)[0]))
+    return _tail_sums(np.atleast_1d(delta.eval(m.apply(window.points[:-1]))), k)
 
 
 def forward_to_full_shadow(spec: PseudoOrbitSpec, epsilon: CPlusFn, forward_shadower,
@@ -453,9 +431,9 @@ def forward_to_full_shadow(spec: PseudoOrbitSpec, epsilon: CPlusFn, forward_shad
     tail_len = max(2, (depth + 1) // 4)
     tail = pts[-tail_len:]
     diffs = distance(metric, tail[:, None, :], tail[None, :, :])
-    diameters = [float(np.max(distance(metric, pts[j:][:, None, :], pts[j:][None, :, :])))
-                 for j in range(len(pts) - 1)]
     if float(np.max(diffs)) > tol:
+        diameters = [float(np.max(distance(metric, pts[j:][:, None, :], pts[j:][None, :, :])))
+                     for j in range(len(pts) - 1)]
         raise NonConvergenceError(
             f"iterates not Cauchy within {tol!r} over the last {tail_len} shifts",
             diameters,

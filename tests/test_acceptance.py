@@ -4,7 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred to calibration.
 """
 
+import hashlib
+import json
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -45,8 +49,19 @@ from shadowlab.shadowing import (
 SUP = MetricKind.SUP
 
 
+# sha256 of every built-in scenario's artifacts, keyed "scenario/file".  A
+# change that alters artifact bytes on purpose regenerates it by running this
+# module as a script: PYTHONPATH=src python tests/test_acceptance.py
+DIGESTS = Path(__file__).with_name("artifact_digests.json")
+
+
 def _line(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
+
+
+def _artifact_digests(root: Path) -> dict:
+    return {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.glob("*/*"))}
 
 
 def test_criterion_1_saddle_counterexample():
@@ -277,5 +292,18 @@ def test_criterion_8_determinism(tmp_path):
             if (dir_a / fname).read_bytes() != (dir_b / fname).read_bytes():
                 mismatches.append(f"{name}/{fname}")
     assert not mismatches, mismatches
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    digests = _artifact_digests(tmp_path / "a")
+    changed = sorted(k for k in pinned.keys() | digests.keys() if pinned.get(k) != digests.get(k))
+    assert not changed, f"artifacts differ from {DIGESTS.name}: {changed}"
     assert not slow, f"over the 10s budget: {slow}"
-    _line(8, True, f"{len(SCENARIO_NAMES)} scenarios byte-identical across reruns")
+    _line(8, True, f"{len(SCENARIO_NAMES)} scenarios byte-identical across reruns "
+                   f"and to the {len(pinned)} pinned digests")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        for name in SCENARIO_NAMES:
+            run_scenario(builtin_config(name), out)
+        DIGESTS.write_text(json.dumps(_artifact_digests(Path(out)), indent=2, sort_keys=True) + "\n",
+                           encoding="utf-8")

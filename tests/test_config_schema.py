@@ -122,6 +122,7 @@ def test_refused_values_exit_64_naming_the_field(tmp_path, name, path, value, fi
     assert "config error" in err and field in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("report.json"))
+    assert not (tmp_path / "out" / name).exists()
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -137,6 +138,7 @@ def test_library_config_errors_exit_64(tmp_path, edit, field):
     assert "config error" in err and field in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("report.json"))
+    assert not (tmp_path / "out" / "saddle-not-tsp").exists()
 
 
 @pytest.mark.parametrize("flags, field", [(["--window", "0"], "window_limit"),

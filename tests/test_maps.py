@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shadowlab.errors import ContractViolation, IterationRangeError
 from shadowlab.maps import (
     AffineChange,
     ComposedChange,
+    Conjugated,
     DiagonalAffine,
     IdentityChange,
     RadialRescale,
@@ -23,6 +24,7 @@ from shadowlab.maps import (
     saddle,
     translation_map,
 )
+from shadowlab.pseudo_orbit import PseudoOrbitSpec, SplicedRule, realize
 
 coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -157,6 +159,78 @@ def test_powers_do_not_depend_on_how_many_indices_are_asked_for():
         p, d = m.power_coefficients(int(n))
         assert np.array_equal(pow_[i], p) and np.array_equal(drift[i], d)
     assert np.array_equal(m.orbit([0.3, -0.2, 1.1], ns)[40:43], m.orbit([0.3, -0.2, 1.1], [0, 1, 2]))
+
+
+def _marched_orbit(m, y: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Reference: f^n(y) for n = start..start+count-1 by repeated ``apply`` and
+    ``apply_inverse``, marching outward from index 0 so inverses are only
+    composed with inverses."""
+    points = np.empty((count, y.size))
+    if start <= 0 <= start + count - 1:
+        points[-start] = y
+    p = y
+    for n in range(1, start + count):
+        p = m.apply(p)
+        if n >= start:
+            points[n - start] = p
+    p = y
+    for n in range(-1, start - 1, -1):
+        p = m.apply_inverse(p)
+        if n <= start + count - 1:
+            points[n - start] = p
+    return points
+
+
+@st.composite
+def _changes(draw):
+    if draw(st.booleans()):
+        return RadialRescale(draw(st.floats(0.25, 3.0)), draw(st.floats(0.0, 2.0)))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    matrix = np.array([[draw(entries), draw(entries)], [draw(entries), draw(entries)]])
+    assume(abs(np.linalg.det(matrix)) >= 0.25)
+    return AffineChange(matrix, [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+
+
+_INNER = st.sampled_from([saddle(), homothety(2.0), translation_map(2)])
+_POINT = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(np.array)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(inner=_INNER, change=_changes(), p=_POINT, start=st.integers(-12, 12), count=st.integers(1, 13))
+def test_conjugated_orbit_matches_the_outward_march(inner, change, p, start, count):
+    g = Conjugated(inner, change)
+    closed = g.orbit(p, np.arange(start, start + count))
+    marched = _marched_orbit(g, p, start, count)
+    scale = max(1.0, float(np.max(np.abs(marched))), float(np.max(np.abs(p))))
+    assert np.allclose(closed, marched, rtol=1e-9, atol=1e-9 * scale)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(inner=_INNER, change=st.none() | _changes(), p=_POINT,
+       ns=st.lists(st.integers(-40, 40), min_size=1, max_size=20))
+def test_orbit_rows_are_single_iterates(inner, change, p, ns):
+    m = inner if change is None else Conjugated(inner, change)
+    orbit = m.orbit(p, np.array(ns))
+    for i, n in enumerate(ns):
+        assert np.array_equal(orbit[i], m.iterate(p, n))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(inner=_INNER, change=_changes(), fwd=_POINT, bwd=_POINT, splice=st.integers(-5, 5),
+       n_min=st.integers(-15, 0), n_max=st.integers(1, 15))
+def test_conjugated_spliced_realize_matches_the_per_index_construction(inner, change, fwd, bwd, splice,
+                                                                      n_min, n_max):
+    m = Conjugated(inner, change)
+    spec = PseudoOrbitSpec(SplicedRule(fwd, bwd, splice), (n_min, n_max), m)
+    per_index = np.stack([m.iterate(fwd if n >= splice else bwd, n) for n in range(n_min, n_max + 1)])
+    assert np.array_equal(realize(spec).points, per_index)
+
+
+@pytest.mark.parametrize("b", [0.0, 5e-324, 1e-300, 1e-10, 1e-3, 1.0])
+def test_radial_inverse_round_trips_at_small_b_and_tiny_radii(b):
+    change = RadialRescale(1.0, b)
+    p = np.array([[0.0, 1.0], [3.0, -4.0], [1e-200, 0.0]])
+    assert np.allclose(change.apply(change.apply_inverse(p)), p, rtol=1e-15, atol=0.0)
 
 
 def test_power_zero_rejected():
