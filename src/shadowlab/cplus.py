@@ -299,6 +299,15 @@ class RadialTable(CPlusFn):
         }
 
 
+# Nodes per cell of the pruned envelope minimum: about sqrt(M) for M nodes, which
+# balances the per-cell bounds every query computes against the terms of the cells
+# it cannot prune, and never fewer than this.
+_CELL_NODES = 64
+# Elements of the largest temporary one block of queries or of (query, cell) pairs
+# forms, so no temporary grows with (queries x nodes).
+_BLOCK = 1 << 20
+
+
 class Envelope(CPlusFn):
     """Sampled infimal convolution: x -> min_i (values_i + d(x, points_i)).
 
@@ -306,6 +315,20 @@ class Envelope(CPlusFn):
     strictly positive whenever the tabulated values are.  On its own nodes it
     equals the tabulated infimal convolution exactly (the i-th term at the
     i-th node contributes values_i + 0).
+
+    The minimum is an exact branch and bound over cells of nodes.  On first
+    use the nodes are packed into cells by per-axis rank, each cell keeping
+    its node-coordinate box [lo, hi] and its least value vmin (a short cell
+    repeats its own nodes).  For a query x,
+    ``vmin + norm(max(lo - x, x - hi, 0))`` bounds the cell's terms from
+    below, and it does so for the computed doubles too: rounded subtraction,
+    abs, max, add, squaring of nonnegatives and sqrt are monotone, and the
+    gap goes through the same ``geometry`` norm as the distance.  A query takes every term of its
+    lowest-bound cell, then the terms of only those cells whose bound is below
+    that running value, so the result is the minimum of the same doubles as
+    the full scan, bit for bit.  The bounds are per cell: a single global
+    bound prunes nothing where the terms tie over a wide region, as
+    ``1 + |x|`` does under the sup metric.
     """
 
     op = "envelope"
@@ -313,26 +336,61 @@ class Envelope(CPlusFn):
     def __init__(self, points, values, metric: MetricKind = MetricKind.SUP):
         self.points = np.asarray(points, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] == 0:
+        if self.points.ndim != 2 or 0 in self.points.shape:
             raise ContractViolation("envelope needs a nonempty (M, d) sample set")
         if self.values.shape != (self.points.shape[0],):
             raise ContractViolation("one value per sample point required")
+        if not np.all(np.isfinite(self.points)):
+            raise ContractViolation("envelope sample points must be finite")
+        if np.any(np.isnan(self.values)):
+            raise ContractViolation("envelope values must not be NaN")
         if np.any(self.values <= 0.0):
             raise PositivityError("envelope", float(np.min(self.values)))
         if metric not in (MetricKind.SUP, MetricKind.EUCLIDEAN):
             raise ContractViolation("envelope supports sup and Euclidean metrics")
         self.metric = metric
         self._node_values: np.ndarray | None = None
+        self._cells: tuple | None = None
+
+    def _cell_table(self) -> tuple:
+        """(points (C, B, d), values (C, B), lo (C, d), hi (C, d), vmin (C,)) of the cells."""
+        if self._cells is None:
+            m, dim = self.points.shape
+            per_axis = math.ceil((m / max(_CELL_NODES, math.isqrt(m))) ** (1.0 / dim))
+            groups = [np.arange(m)]
+            for axis in range(dim):  # sort-tile-recursive: slabs by rank along each axis in turn
+                groups = [part for g in groups
+                          for part in np.array_split(g[np.argsort(self.points[g, axis], kind="stable")],
+                                                     min(per_axis, len(g)))]
+            width = max(len(g) for g in groups)
+            nodes = np.stack([np.resize(g, width) for g in groups])
+            pts, vals = self.points[nodes], self.values[nodes]
+            self._cells = (pts, vals, pts.min(axis=1), pts.max(axis=1), vals.min(axis=1))
+        return self._cells
 
     def _eval(self, pts):
         if pts.shape[1] != self.points.shape[1]:
             raise DimensionMismatch(f"{pts.shape[1]}-D query of {self.points.shape[1]}-D envelope samples")
+        cell_pts, cell_vals, lo, hi, vmin = self._cell_table()
+        n_cells, width, dim = cell_pts.shape
+
+        def least_terms(x, cells):  # row i: min over cell cells[i] of values + d(x[i], nodes)
+            return np.min(cell_vals[cells] + distance(self.metric, x[:, None, :], cell_pts[cells]), axis=1)
+
         out = np.empty(pts.shape[0])
-        # Chunk the query axis; each chunk forms a (chunk, M) distance block.
-        chunk = max(1, int(4_000_000 // max(1, self.points.shape[0])))
-        for lo in range(0, pts.shape[0], chunk):
-            dist = distance(self.metric, pts[lo : lo + chunk, None, :], self.points[None, :, :])
-            out[lo : lo + chunk] = np.min(self.values[None, :] + dist, axis=1)
+        queries = max(1, _BLOCK // (max(n_cells, width) * dim))
+        pairs = max(1, _BLOCK // (width * dim))
+        for start in range(0, pts.shape[0], queries):
+            x = pts[start : start + queries]
+            gap = np.maximum(np.maximum(lo - x[:, None, :], x[:, None, :] - hi), 0.0)
+            bound = vmin + metric_norm(self.metric, gap)
+            seed = np.argmin(bound, axis=1)
+            best = least_terms(x, seed)
+            bound[np.arange(x.shape[0]), seed] = np.inf
+            qi, ci = np.nonzero(bound < best[:, None])
+            for k in range(0, qi.size, pairs):
+                np.minimum.at(best, qi[k : k + pairs], least_terms(x[qi[k : k + pairs]], ci[k : k + pairs]))
+            out[start : start + x.shape[0]] = best
         return out
 
     def values_at_nodes(self) -> np.ndarray:

@@ -202,6 +202,7 @@ def test_criterion_5_neighborhood_equivalence():
     # the full table and through the defining minimum at sampled nodes.
     assert results["constant"]["envelope_min"] == 0.7
     assert results["constant"]["envelope_max"] == 0.7
+    assert results["constant"]["constant_exact"]
     axis = np.linspace(-10.0, 10.0, 201)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xx.ravel(), yy.ravel()], axis=-1)
