@@ -95,8 +95,8 @@ class CPlusFn:
     def to_obj(self) -> dict:
         raise NotImplementedError
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.to_json()}>"
@@ -529,8 +529,10 @@ def _metric_directions(metric: MetricKind, dim: int, count: int) -> np.ndarray:
     return u / norms[:, None]
 
 
-def _reference_levels(epsilon: CPlusFn, metric: MetricKind, sphere_samples: int, dim: int):
-    """(r0, m): the tolerance at the origin and 0.9 times the sampled ball minimum."""
+def delta_reference_levels(epsilon: CPlusFn, metric: MetricKind = MetricKind.SUP,
+                           sphere_samples: int = 64, dim: int = 2):
+    """(r0, m): the tolerance at the origin and 0.9 times the sampled ball minimum,
+    the levels the synthesizer derives."""
     if sphere_samples < 4:
         raise ContractViolation("need at least 4 sphere samples")
     origin = np.zeros(dim)
@@ -542,15 +544,13 @@ def _reference_levels(epsilon: CPlusFn, metric: MetricKind, sphere_samples: int,
     return r0, m
 
 
-def delta_reference_levels(epsilon: CPlusFn, metric: MetricKind = MetricKind.SUP,
-                           sphere_samples: int = 64, dim: int = 2):
-    """Expose (r0, m) exactly as the synthesizer derives them."""
-    return _reference_levels(epsilon, metric, sphere_samples, dim)
+# The radial table's last geometric knot, and the number of geometric knots.
+_RHO_MAX = float(2 ** 16)
+_RADIAL_POINTS = 512
 
 
 def synthesize_delta_homothety(epsilon: CPlusFn, metric: MetricKind = MetricKind.SUP,
                                sphere_samples: int = 64, factor: float = 2.0,
-                               rho_max: float = float(2 ** 16), radial_points: int = 512,
                                dim: int = 2) -> RadialTable:
     """Build a pseudo-orbit slack delta for the homothety x -> factor*x.
 
@@ -568,23 +568,23 @@ def synthesize_delta_homothety(epsilon: CPlusFn, metric: MetricKind = MetricKind
         ball,   and delta is strictly decreasing in the norm.
 
     The 0.9 and 0.5 safety factors absorb the sampling of true minima; callers
-    re-verify a posteriori with ``verify_delta_conditions``.  Beyond rho_max
+    re-verify a posteriori with ``verify_delta_conditions``.  Beyond ``_RHO_MAX``
     the table continues by the harmonic tail rule, which preserves positivity
     and strict decrease at arbitrarily large radii.
     """
     k = abs(float(factor))
     if k <= 1.0:
         raise ContractViolation("synthesis needs an expanding factor, |factor| > 1")
-    r0, m = _reference_levels(epsilon, metric, sphere_samples, dim)
+    r0, m = delta_reference_levels(epsilon, metric, sphere_samples, dim)
 
-    near = min(4.0 * r0, rho_max)
+    near = min(4.0 * r0, _RHO_MAX)
     # Geometric knots resolve small radii; the absolute-step band keeps the
     # linear interpolant below exponentially decaying tolerances out to the
     # radius where any such tolerance leaves double range (around 1e3).
     s_grid = np.unique(np.concatenate([
         np.linspace(0.0, near, 65),
-        np.geomspace(max(near, 1e-12), rho_max, radial_points),
-        np.arange(near, min(rho_max, 2200.0), 4.0),
+        np.geomspace(max(near, 1e-12), _RHO_MAX, _RADIAL_POINTS),
+        np.arange(near, min(_RHO_MAX, 2200.0), 4.0),
     ]))
     dirs = _metric_directions(metric, dim, sphere_samples)
     pts = (s_grid[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
@@ -598,7 +598,7 @@ def synthesize_delta_homothety(epsilon: CPlusFn, metric: MetricKind = MetricKind
         values = 0.5 * G / (1.0 + s_grid)
 
     # A tolerance that decays exponentially drives the profile below double
-    # range long before rho_max.  Truncate at the last comfortably
+    # range long before _RHO_MAX.  Truncate at the last comfortably
     # representable knot and drop the continuation to the smallest subnormal
     # with a constant tail: admissible perturbations out there round to
     # exactly zero, which is also what the true (unrepresentably small)
@@ -637,7 +637,7 @@ class DeltaConditionReport:
 
 def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, metric: MetricKind = MetricKind.SUP,
                             factor: float = 2.0, n_points: int = 100_000, rng=None,
-                            dim: int = 2, r_hi: float | None = None) -> DeltaConditionReport:
+                            dim: int = 2) -> DeltaConditionReport:
     """Check the four synthesis conditions at independent random points.
 
     All comparisons are strict with zero tolerance; the safety factors baked
@@ -650,12 +650,8 @@ def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, metric: MetricKind
     if rng is None:
         rng = np.random.default_rng(0)
     k = abs(float(factor))
-    r0, m = _reference_levels(epsilon, metric, sphere_samples=256, dim=dim)
-    if r_hi is None:
-        if isinstance(delta, RadialTable):
-            r_hi = 0.999 * float(delta.radii[-1])
-        else:
-            r_hi = float(2 ** 18)
+    r0, m = delta_reference_levels(epsilon, metric, 256, dim)
+    r_hi = 0.999 * float(delta.radii[-1]) if isinstance(delta, RadialTable) else float(2 ** 18)
 
     n_inside = n_points // 2
     n_outside = n_points - n_inside

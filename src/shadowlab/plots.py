@@ -1,7 +1,13 @@
-"""Static SVG renderings of run artifacts.
+"""The trace CSV format, and static SVG renderings of it.
 
-Three plot kinds, all reading the package's CSV traces ('#' metadata lines
-are skipped):
+A trace is the one CSV text format of the package's artifacts, written by
+``trace_csv`` and read back by ``read_trace_csv``: optional leading
+``# key=json`` metadata lines (keys sorted, values as sorted-key JSON), a
+header row, then one row per record; rows end in CRLF, integer columns are
+written as integers and float columns by ``repr``, so every double reads
+back with its bits.
+
+Three plot kinds, all reading traces ('#' metadata lines are skipped):
 
 * ``orbit2d``: the window's points in the plane, joined in index order;
 * ``slack``: per-index shadowing slack, with a bound overlay when the trace
@@ -18,17 +24,36 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ContractViolation
 
-__all__ = ["read_trace_csv", "render_plot", "emit_plot"]
+__all__ = ["trace_csv", "read_trace_csv", "render_plot", "emit_plot"]
 
 _WIDTH = 640.0
 _HEIGHT = 480.0
 _MARGIN = 56.0
 _COLORS = ["#1f6fb2", "#c23b22", "#3a8f3a", "#8254a0", "#b28a1f", "#2aa0a0"]
+
+
+def trace_csv(columns: dict, meta: dict | None = None) -> str:
+    """The trace text of equal-length named columns, in the dict's order; integer
+    arrays are written as integers, everything else as floats."""
+    buf = io.StringIO()
+    for key in sorted(meta or {}):
+        buf.write(f"# {key}={json.dumps(meta[key], sort_keys=True)}\r\n")
+    cells = [v.tolist() if v.dtype.kind in "iu" else [repr(x) for x in v.astype(float).tolist()]
+             for v in map(np.asarray, columns.values())]
+    if len({len(c) for c in cells}) > 1:
+        raise ContractViolation("trace columns differ in length")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    return buf.getvalue()
 
 
 def read_trace_csv(path) -> tuple[list[str], dict[str, list[float]]]:

@@ -25,9 +25,6 @@ violates the synthesis conditions, not an error.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +33,7 @@ from .cplus import CPlusFn
 from .errors import ContractViolation, IterationRangeError
 from .geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
 from .maps import DiagonalAffine, MapSpec, map_to_dict
+from .plots import trace_csv
 
 __all__ = [
     "ExplicitRule",
@@ -162,18 +160,6 @@ class ValidationReport:
 
     def failing_steps(self) -> list[int]:
         return [int(self.start + i) for i in np.flatnonzero(~self.step_ok)]
-
-    def to_obj(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "steps": [
-                {"n": int(self.start + i), "gap": float(g), "bound": float(b), "ok": bool(g < b)}
-                for i, (g, b) in enumerate(zip(self.gaps, self.bounds))
-            ],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, **kwargs)
 
 
 def validate(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = MetricKind.SUP,
@@ -491,16 +477,10 @@ def transport_pseudo_orbit(window: OrbitWindow, change) -> OrbitWindow:
 
 
 def orbit_to_csv(window: OrbitWindow, meta: dict | None = None) -> str:
-    """CSV with columns n, x1..xd; metadata rides in leading '#' lines."""
-    buf = io.StringIO()
-    if meta:
-        for key in sorted(meta):
-            buf.write(f"# {key}={json.dumps(meta[key], sort_keys=True)}\r\n")
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["n"] + [f"x{j + 1}" for j in range(window.dimension)])
-    for n, p in zip(window.indices, window.points):
-        writer.writerow([int(n)] + [repr(float(v)) for v in p])
-    return buf.getvalue()
+    """Trace with columns n, x1..xd; metadata rides in leading '#' lines."""
+    columns = {"n": window.indices}
+    columns.update((f"x{j + 1}", window.points[:, j]) for j in range(window.dimension))
+    return trace_csv(columns, meta)
 
 
 def spec_meta(spec: PseudoOrbitSpec) -> dict:

@@ -134,10 +134,6 @@ def parse_fn(spec) -> CPlusFn:
         return fn_from_obj(spec)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 class _ArtifactSink:
     """Writes a scenario's artifacts; the directory appears with the first one, so a
     run refused inside its handler leaves nothing behind."""
@@ -146,16 +142,18 @@ class _ArtifactSink:
         self.root = root
         self.paths: list[str] = []
 
-    def write(self, name: str, text: str) -> Path:
+    def write(self, name: str, text: str, plot: str | None = None) -> None:
+        """Write ``text`` to ``name``; with ``plot``, also render that trace as an SVG of that kind."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / name
         path.write_text(text, encoding="utf-8")
         self.paths.append(str(path))
-        return path
+        if plot is not None:
+            self.paths.append(str(plots.emit_plot(path, plot)))
 
-    def plot(self, csv_name: str, kind: str) -> None:
-        out = plots.emit_plot(self.root / csv_name, kind)
-        self.paths.append(str(out))
+    def json(self, name: str, obj) -> None:
+        """Write ``obj`` as sorted, 2-space-indented JSON with a final newline."""
+        self.write(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +199,10 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
         all_empty = all_empty and result.absent
 
     spec0, cert0, _ = runs[0]
-    sink.write("certificate.json", cert0.to_json(indent=2) + "\n")
-    sink.write("boxwidth.csv", cert0.trace_to_csv())
-    sink.plot("boxwidth.csv", "boxwidth")
+    sink.json("certificate.json", cert0.to_obj())
+    sink.write("boxwidth.csv", cert0.trace_to_csv(), plot="boxwidth")
     shown = realize(spec0, (-min(8, config.window_limit), min(8, config.window_limit)))
-    sink.write("orbit.csv", orbit_to_csv(shown, spec_meta(spec0)))
-    sink.plot("orbit.csv", "orbit2d")
+    sink.write("orbit.csv", orbit_to_csv(shown, spec_meta(spec0)), plot="orbit2d")
 
     details = {"runs": [e for _, _, e in runs], "oracle": oracle_entry}
     return ("matches-paper" if all_empty else "contradicts-paper"), details
@@ -275,11 +271,9 @@ def _run_homothety_pipeline(config: ScenarioConfig, p: dict, sink: _ArtifactSink
 
     if example is not None:
         window_pts, report, bounds = example
-        sink.write("slack.csv", report.to_csv(extra={"bound": bounds}))
-        sink.plot("slack.csv", "slack")
-        sink.write("orbit.csv", orbit_to_csv(window_pts, {"window": list(window)}))
-        sink.plot("orbit.csv", "orbit2d")
-    sink.write("delta.json", delta.to_json(indent=2) + "\n")
+        sink.write("slack.csv", report.to_csv(extra={"bound": bounds}), plot="slack")
+        sink.write("orbit.csv", orbit_to_csv(window_pts, {"window": list(window)}), plot="orbit2d")
+    sink.json("delta.json", delta.to_obj())
 
     ok = (conditions.ok and all_valid and all_shadowed and bound_respected
           and tallies["unclassified"] == 0)
@@ -313,14 +307,13 @@ def _run_metric_warp(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tu
     sup_result = sampled_search(spec, epsilon, MetricKind.SUP, box, step)
 
     shown = realize(spec, (max(window[0], -12), min(window[1], 12)))
-    sink.write("orbit.csv", orbit_to_csv(shown, spec_meta(spec)))
-    sink.plot("orbit.csv", "orbit2d")
-    sink.write("search.json", _json_text({
+    sink.write("orbit.csv", orbit_to_csv(shown, spec_meta(spec)), plot="orbit2d")
+    sink.json("search.json", {
         "polar_warp": warp_result.to_obj(),
         "sup": sup_result.to_obj(),
         "jump": q,
         "window": list(window),
-    }))
+    })
 
     ok = valid_warp and valid_sup and warp_result.absent and not sup_result.absent
     details = {
@@ -341,31 +334,29 @@ def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tupl
     m, changes, epsilon = p["map"], p["changes"], p["epsilon"]
     *_, specs = _homothety_ensemble(m, epsilon, config, p["window"], p["count"], 0.0)
 
+    shadowed = []  # (window, series point at index 0, tolerances) of each orbit it shadows
+    for spec in specs:
+        window_pts = realize(spec)
+        w, base_report = homothety_shadow_report(window_pts, epsilon, m.scales, metric)
+        if base_report.passed:
+            # The series point is anchored at the window start; the report
+            # compares orbits anchored at index 0.
+            shadowed.append((window_pts, m.iterate(w, -window_pts.start), base_report.tolerances))
+
     results = {}
-    all_pass = True
+    all_pass = len(shadowed) == len(specs)
     for name, change in changes.items():
         g = conjugate_map(m, change)
         passed = 0
-        for spec in specs:
-            window_pts = realize(spec)
-            w, base_report = homothety_shadow_report(window_pts, epsilon, m.scales, metric)
-            if not base_report.passed:
-                all_pass = False
-                continue
-            transported = transport_pseudo_orbit(window_pts, change)
-            eps_values = np.atleast_1d(epsilon.eval(window_pts.points))
+        for window_pts, w_at_zero, eps_values in shadowed:
             eps_prime = transported_epsilon_values(window_pts, eps_values, change, metric)
-            # The series point is anchored at the window start; the report
-            # compares orbits anchored at index 0.
-            w_at_zero = m.iterate(w, -window_pts.start)
-            report = is_shadowed_by(transported, change.apply(w_at_zero), g, eps_prime, metric)
-            if report.passed:
-                passed += 1
-            else:
-                all_pass = False
+            report = is_shadowed_by(transport_pseudo_orbit(window_pts, change), change.apply(w_at_zero),
+                                    g, eps_prime, metric)
+            passed += report.passed
+            all_pass = all_pass and report.passed
         results[name] = {"passed": passed, "total": len(specs)}
 
-    sink.write("transport.json", _json_text(results))
+    sink.json("transport.json", results)
     return ("matches-paper" if all_pass else "contradicts-paper"), {"transports": results}
 
 
@@ -406,11 +397,11 @@ def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
         else:
             failures.append({"orbit": i, "gap": gap})
 
-    sink.write("limits.json", _json_text({
+    sink.json("limits.json", {
         "depth": depth, "tol": tol, "match_tol": match_tol,
         "converged": converged, "matched": matched, "total": len(specs),
         "failures": failures,
-    }))
+    })
     details = {"converged": converged, "matched": matched,
                "non_converged": inconclusive, "total": len(specs)}
     if matched == len(specs):
@@ -458,9 +449,12 @@ def _chessboard_infconv_table(values: np.ndarray, step: float) -> np.ndarray:
     return e
 
 
+# Random grid nodes at which the sweep table is checked against the defining minimum.
+_CROSS_CHECK_SAMPLES = 1500
+
+
 def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, points_per_axis: int,
-                                    metric: MetricKind = MetricKind.SUP,
-                                    cross_check_samples: int = 1500) -> dict:
+                                    metric: MetricKind = MetricKind.SUP) -> dict:
     """All-pairs audit of the infimal-convolution tolerance on a square grid.
 
     Checks, exactly: the envelope never exceeds the radius function on the
@@ -493,7 +487,7 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
     eps_hat = table.ravel()
 
     rng = np.random.default_rng(12021)
-    subset = rng.integers(0, grid.shape[0], size=min(cross_check_samples, grid.shape[0]))
+    subset = rng.integers(0, grid.shape[0], size=min(_CROSS_CHECK_SAMPLES, grid.shape[0]))
     direct = envelope.eval(grid[subset])
     if not np.allclose(eps_hat[subset], direct, rtol=1e-12, atol=1e-12):
         raise ContractViolation("sweep table disagrees with the envelope's defining minimum")
@@ -541,7 +535,7 @@ def _run_neighborhood(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> t
         results[name] = checks
         ok = ok and all(v for k, v in checks.items() if isinstance(v, bool))
 
-    sink.write("envelopes.json", _json_text(results))
+    sink.json("envelopes.json", results)
     return ("matches-paper" if ok else "contradicts-paper"), {"checks": results}
 
 
@@ -590,7 +584,7 @@ def _run_fixed_point_scan(config: ScenarioConfig, p: dict, sink: _ArtifactSink) 
             "contradiction": flag,
         }
 
-    sink.write("scan.json", _json_text(entries))
+    sink.json("scan.json", entries)
     verdict = "contradicts-paper" if contradiction else "matches-paper"
     return verdict, {"maps": entries}
 
@@ -830,5 +824,5 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunRepor
         "details": details,
         "artifacts": sorted(str(Path(p).relative_to(root)) for p in sink.paths),
     }
-    sink.write("report.json", _json_text(report_obj))
+    sink.json("report.json", report_obj)
     return RunReport(config.name, verdict, sink.paths, wall, details, cpu)

@@ -37,8 +37,6 @@ including warped metrics whose balls are not boxes.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,6 +54,7 @@ from .errors import (
 )
 from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions
 from .maps import MapSpec, is_diagonal_affine
+from .plots import trace_csv
 from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, realize
 
 __all__ = [
@@ -97,35 +96,12 @@ class ShadowReport:
     def worst_index(self) -> int:
         return int(self.start + np.argmin(self.slacks))
 
-    def to_obj(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_index": self.worst_index,
-            "indices": [int(self.start + i) for i in range(len(self.distances))],
-            "distances": [float(v) for v in self.distances],
-            "tolerances": [float(v) for v in self.tolerances],
-        }
-
     def to_csv(self, extra: dict[str, np.ndarray] | None = None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        header = ["n", "distance", "tolerance", "slack"]
-        columns = []
-        if extra:
-            for name in sorted(extra):
-                header.append(name)
-                columns.append(np.asarray(extra[name]))
-        writer.writerow(header)
-        for i in range(len(self.distances)):
-            row = [
-                int(self.start + i),
-                repr(float(self.distances[i])),
-                repr(float(self.tolerances[i])),
-                repr(float(self.slacks[i])),
-            ]
-            row += [repr(float(c[i])) for c in columns]
-            writer.writerow(row)
-        return buf.getvalue()
+        """Trace with columns n, distance, tolerance, slack, then ``extra``'s in name order."""
+        columns = {"n": self.start + np.arange(len(self.distances)), "distance": self.distances,
+                   "tolerance": self.tolerances, "slack": self.slacks}
+        columns.update((name, np.asarray(extra[name], dtype=float)) for name in sorted(extra or {}))
+        return trace_csv(columns)
 
 
 def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon,
@@ -201,19 +177,17 @@ class FeasibilityCertificate:
             obj["emptiness_window"] = int(self.emptiness_window)
         return obj
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True)
 
     def trace_to_csv(self) -> str:
         """Interval widths per processed constraint, one column per coordinate."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        dim = len(self.lo)
-        writer.writerow(["order", "n"] + [f"width{j + 1}" for j in range(dim)])
-        for i, (n, lo, hi) in enumerate(self.trace):
-            widths = [repr(max(float(b - a), 0.0)) for a, b in zip(lo, hi)]
-            writer.writerow([i, int(n)] + widths)
-        return buf.getvalue()
+        ns = [n for n, _, _ in self.trace]
+        widths = np.array([hi - lo for _, lo, hi in self.trace]).reshape(len(ns), len(self.lo))
+        widths = np.where(widths < 0.0, 0.0, widths)  # an emptied interval has width 0
+        columns = {"order": np.arange(len(ns)), "n": np.array(ns, dtype=int)}
+        columns.update((f"width{j + 1}", widths[:, j]) for j in range(len(self.lo)))
+        return trace_csv(columns)
 
 
 # Constraints in the first block of the walk; each later block doubles.
@@ -599,30 +573,34 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
 # ---------------------------------------------------------------------------
 
 
+# Directions sampled on each sphere around a window point, and the factor by
+# which the transported tolerance exceeds the largest sampled displacement.
+_BOUNDARY_SAMPLES = 64
+_TRANSPORT_SAFETY = 1.05
+
+
 def transported_epsilon_values(window: OrbitWindow, eps_values, change,
-                               metric: MetricKind = MetricKind.SUP,
-                               boundary_samples: int = 64,
-                               safety: float = 1.05) -> np.ndarray:
+                               metric: MetricKind = MetricKind.SUP) -> np.ndarray:
     """Tolerances for a transported window that cover the transported balls.
 
     For each window point x with tolerance e, samples the image under the
     change of coordinates of the sphere of radius e (plus a half-radius
-    shell) around x and returns ``safety`` times the largest displacement
-    from change(x).  By construction the ball around change(x) with the
-    returned radius contains the sampled image of the ball around x, so a
-    passing report transports to a passing report.
+    shell) around x and returns ``_TRANSPORT_SAFETY`` times the largest
+    displacement from change(x).  By construction the ball around change(x)
+    with the returned radius contains the sampled image of the ball around
+    x, so a passing report transports to a passing report.
+
+    All points go through one ``change.apply``; a change maps each point
+    alone, so every value has the bits of a per-point evaluation.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.shape != (len(window),):
         raise ContractViolation("need one tolerance per window index")
-    dirs = sample_directions(metric if metric is not MetricKind.POLAR_WARP else MetricKind.EUCLIDEAN,
-                             window.dimension, boundary_samples)
-    centers = window.points
-    images = change.apply(centers)
-    out = np.empty(len(window))
+    L, d = window.points.shape
+    dirs = sample_directions(metric, d, _BOUNDARY_SAMPLES)
     shells = np.array([0.5, 1.0])
-    for i in range(len(window)):
-        offsets = (shells[:, None, None] * eps_values[i] * dirs[None, :, :]).reshape(-1, window.dimension)
-        sampled = change.apply(centers[i] + offsets)
-        out[i] = safety * float(np.max(distance(metric, sampled, images[i])))
-    return out
+    # (L, 2, samples, d), multiplied in the per-point order shells * e * dirs.
+    offsets = shells[None, :, None, None] * eps_values[:, None, None, None] * dirs[None, None]
+    sampled = change.apply((window.points[:, None, None, :] + offsets).reshape(-1, d)).reshape(L, -1, d)
+    displacement = distance(metric, sampled, change.apply(window.points)[:, None, :])
+    return _TRANSPORT_SAFETY * np.max(displacement, axis=1)

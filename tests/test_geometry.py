@@ -30,6 +30,22 @@ def test_sup_norm_examples():
     assert sup_norm(np.array([1.0, 1.0, -7.0])) == 7.0
 
 
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e300, -1.0])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=3), st.integers(1, 4), st.data())
+def test_sup_norm_fold_equals_the_axis_reduction(leading, d, data):
+    shape = (*leading, d)
+    cells = data.draw(st.lists(_EDGE_FLOATS | st.floats(), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+    p = np.array(cells, dtype=float).reshape(shape)
+    got = sup_norm(p)
+    expected = np.max(np.abs(p), axis=-1)
+    assert type(got) is type(expected) and np.shape(got) == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
 def test_distance_examples():
     assert distance(MetricKind.SUP, planar(3, -1), planar(0, 0)) == 3.0
     # Warp value h(1) = 1 + 1^2 = 2 at unit radius.

@@ -1,10 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab.cplus import Const
 from shadowlab.errors import ContractViolation
 from shadowlab.maps import saddle
-from shadowlab.plots import emit_plot, read_trace_csv, render_plot
+from shadowlab.plots import emit_plot, read_trace_csv, render_plot, trace_csv
 from shadowlab.pseudo_orbit import PseudoOrbitSpec, SplicedRule, orbit_to_csv, realize, spec_meta
 from shadowlab.shadowing import box_feasibility, is_shadowed_by
 
@@ -73,3 +78,38 @@ def test_malformed_inputs_rejected(tmp_path):
         emit_plot(empty, "slack")
     with pytest.raises(ContractViolation):
         render_plot({"n": [1.0]}, "spiral")
+
+
+_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
+_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]) | st.floats(allow_nan=False)
+_META = st.dictionaries(_NAMES, st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+                        | st.text(max_size=8) | st.lists(st.integers(), max_size=3), max_size=3)
+
+
+@st.composite
+def _trace(draw):
+    rows = draw(st.integers(0, 12))
+    columns = {}
+    for name in draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True)):
+        if draw(st.booleans()):
+            columns[name] = np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=rows, max_size=rows)),
+                                     dtype=np.int64)
+        else:
+            columns[name] = np.array(draw(st.lists(_FLOATS, min_size=rows, max_size=rows)), dtype=float)
+    return columns, draw(st.none() | _META)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_trace())
+def test_trace_round_trips_through_the_reader(trace):
+    columns, meta = trace
+    text = trace_csv(columns, meta)
+    assert sum(line.startswith("#") for line in text.split("\r\n")) == len(meta or {})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(text, encoding="utf-8")
+        header, read = read_trace_csv(path)
+    assert header == list(columns)
+    for name, values in columns.items():
+        # Bit for bit, so -0.0 and subnormals keep their sign and value.
+        assert np.array(read[name], dtype=float).tobytes() == values.astype(float).tobytes()

@@ -213,17 +213,6 @@ def test_window_must_contain_zero():
         PseudoOrbitSpec(SplicedRule(np.zeros(2), np.ones(2), 0), (1, 5), saddle())
 
 
-def test_validation_report_serializes_to_json():
-    import json
-
-    report = validate(saddle_splice(0.4), Const(0.2), SUP, window=(-3, 3))
-    payload = json.loads(report.to_json())
-    assert payload["passed"] is False
-    steps = {entry["n"]: entry for entry in payload["steps"]}
-    assert steps[-1]["ok"] is False and steps[-1]["gap"] == pytest.approx(0.4)
-    assert steps[0]["ok"] is True
-
-
 # ---------------------------------------------------------------------------
 # The one-orbit, one-draw loop the lockstep generator must reproduce
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shadowlab.cplus import (Const, decaying_epsilon, delta_reference_levels, saddle_adversarial_epsilon,
@@ -14,10 +14,10 @@ from shadowlab.errors import (
     SearchSpaceError,
     UnsupportedMapError,
 )
-from shadowlab.geometry import MetricKind
+from shadowlab.geometry import MetricKind, distance, sample_directions
 from shadowlab import shadowing
-from shadowlab.maps import (AffineChange, DiagonalAffine, RadialRescale, conjugate_map, homothety, saddle,
-                            translation_map)
+from shadowlab.maps import (AffineChange, ComposedChange, DiagonalAffine, RadialRescale, conjugate_map, homothety,
+                            saddle, translation_map)
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
@@ -36,6 +36,7 @@ from shadowlab.shadowing import (
     is_shadowed_by,
     sampled_search,
     shadow_tail_bound,
+    transported_epsilon_values,
 )
 
 SUP = MetricKind.SUP
@@ -546,3 +547,47 @@ def test_exact_and_oracle_agree_on_nonempty_case():
     result = sampled_search(spec, Const(1.0), SUP, [(-2.0, 2.0), (-2.0, 2.0)], 0.25)
     assert not cert.empty and result.found is not None
     assert np.all(result.found >= cert.lo - 1e-12) and np.all(result.found <= cert.hi + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The per-point transport loop the batched transport must reproduce
+# ---------------------------------------------------------------------------
+
+
+def reference_transported_epsilon_values(window, eps_values, change, metric):
+    """One change.apply per window point: 64 directions on the spheres of radius e/2 and
+    e, polar-warp directions normalized in the Euclidean norm, times 1.05."""
+    dirs = sample_directions(metric if metric is not MetricKind.POLAR_WARP else MetricKind.EUCLIDEAN,
+                             window.dimension, 64)
+    images = change.apply(window.points)
+    out = np.empty(len(window))
+    shells = np.array([0.5, 1.0])
+    for i in range(len(window)):
+        offsets = (shells[:, None, None] * eps_values[i] * dirs[None, :, :]).reshape(-1, window.dimension)
+        sampled = change.apply(window.points[i] + offsets)
+        out[i] = 1.05 * float(np.max(distance(metric, sampled, images[i])))
+    return out
+
+
+@st.composite
+def _planar_change(draw, depth=0):
+    kind = draw(st.sampled_from(["affine", "radial", "composed"] if depth == 0 else ["affine", "radial"]))
+    if kind == "radial":
+        return RadialRescale(draw(st.floats(0.25, 3.0)), draw(st.floats(0.0, 2.0)))
+    if kind == "composed":
+        return ComposedChange(draw(_planar_change(1)), draw(_planar_change(1)))
+    coords = st.floats(-2.0, 2.0)
+    matrix = np.array([[draw(coords), draw(coords)], [draw(coords), draw(coords)]])
+    assume(abs(np.linalg.det(matrix)) >= 0.25)
+    return AffineChange(matrix, [draw(coords), draw(coords)])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), _planar_change(), st.sampled_from(list(MetricKind)))
+def test_batched_transport_is_bit_identical_to_the_per_point_loop(seed, length, change, metric):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 2.0)
+    window = OrbitWindow(int(rng.integers(-20, 1)), scale * rng.uniform(-10.0, 10.0, (length, 2)))
+    eps_values = 10.0 ** rng.uniform(-4.0, 1.0, length)
+    expected = reference_transported_epsilon_values(window, eps_values, change, metric)
+    assert np.array_equal(transported_epsilon_values(window, eps_values, change, metric), expected)
