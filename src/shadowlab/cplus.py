@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (REQUIRED, ContractViolation, DimensionMismatch, PositivityError, check, number,
                      numbers, one_of, read_fields, rows, within)
 from .geometry import MetricKind, distance, metric_norm, sample_directions
+from .maps import MapSpec, linear_scales
 
 __all__ = [
     "CPlusFn",
@@ -523,25 +524,24 @@ def epsilon_from_neighborhood(nbhd: NeighborhoodSpec, grid, metric: MetricKind =
 # ---------------------------------------------------------------------------
 
 
-def _metric_directions(metric: MetricKind, dim: int, count: int) -> np.ndarray:
-    u = sample_directions(MetricKind.EUCLIDEAN, dim, count)
-    norms = metric_norm(metric, u)
-    return u / norms[:, None]
+def delta_reference_levels(epsilon: CPlusFn, m: MapSpec, metric: MetricKind = MetricKind.SUP,
+                           sphere_samples: int = 64):
+    """(r0, ball_min): the tolerance at the origin and 0.9 times the sampled minimum over
+    the ball of radius r0, the levels the synthesizer derives for the expanding homothety ``m``.
 
-
-def delta_reference_levels(epsilon: CPlusFn, metric: MetricKind = MetricKind.SUP,
-                           sphere_samples: int = 64, dim: int = 2):
-    """(r0, m): the tolerance at the origin and 0.9 times the sampled ball minimum,
-    the levels the synthesizer derives."""
+    The ball is sampled on rays s*u through the metric's unit directions, which trace its
+    spheres only for a norm that scales; the polar-warped metric is refused."""
+    dim = linear_scales(m).size
     if sphere_samples < 4:
         raise ContractViolation("need at least 4 sphere samples")
+    if metric is MetricKind.POLAR_WARP:
+        raise ContractViolation("slack synthesis needs a norm that scales, not the polar-warped metric")
     origin = np.zeros(dim)
     r0 = float(epsilon.eval(origin))
-    dirs = _metric_directions(metric, dim, sphere_samples)
+    dirs = sample_directions(metric, dim, sphere_samples)
     radii = np.linspace(0.0, r0, 33)
     ball = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
-    m = 0.9 * float(np.min(epsilon.eval(ball)))
-    return r0, m
+    return r0, 0.9 * float(np.min(epsilon.eval(ball)))
 
 
 # The radial table's last geometric knot, and the number of geometric knots.
@@ -549,22 +549,22 @@ _RHO_MAX = float(2 ** 16)
 _RADIAL_POINTS = 512
 
 
-def synthesize_delta_homothety(epsilon: CPlusFn, metric: MetricKind = MetricKind.SUP,
-                               sphere_samples: int = 64, factor: float = 2.0,
-                               dim: int = 2) -> RadialTable:
-    """Build a pseudo-orbit slack delta for the homothety x -> factor*x.
+def synthesize_delta_homothety(epsilon: CPlusFn, m: MapSpec, metric: MetricKind = MetricKind.SUP,
+                               sphere_samples: int = 64) -> RadialTable:
+    """Build a pseudo-orbit slack delta for the expanding homothety ``m``.
 
-    With r0 = epsilon(0) and m = 0.9 * (sampled min of epsilon over the closed
-    ball of radius r0), the returned radial table is
+    With k the modulus of ``m``'s scales (read by ``maps.linear_scales``), r0 =
+    epsilon(0) and b = 0.9 * (sampled min of epsilon over the closed ball of
+    radius r0), the returned radial table is
 
         delta(x) = 0.5 * G(|x|) / (1 + |x|)
 
-    where g(s) is the sampled-direction minimum at radius s of epsilon, m and,
-    for s > r0, the escape bound s*(k-1)/(2k) (k = |factor|; equal to s/4 at
-    k = 2), and G is the running minimum of g along the radial grid.  By
-    construction delta is strictly positive and, at every verified point,
+    where g(s) is the sampled-direction minimum at radius s of epsilon, b and,
+    for s > r0, the escape bound s*(k-1)/(2k) (equal to s/4 at k = 2), and G
+    is the running minimum of g along the radial grid.  By construction delta
+    is strictly positive and, at every verified point,
 
-        delta < epsilon,   delta < m,   delta < |x|*(k-1)/(2k) outside the
+        delta < epsilon,   delta < b,   delta < |x|*(k-1)/(2k) outside the
         ball,   and delta is strictly decreasing in the norm.
 
     The 0.9 and 0.5 safety factors absorb the sampling of true minima; callers
@@ -572,10 +572,8 @@ def synthesize_delta_homothety(epsilon: CPlusFn, metric: MetricKind = MetricKind
     the table continues by the harmonic tail rule, which preserves positivity
     and strict decrease at arbitrarily large radii.
     """
-    k = abs(float(factor))
-    if k <= 1.0:
-        raise ContractViolation("synthesis needs an expanding factor, |factor| > 1")
-    r0, m = delta_reference_levels(epsilon, metric, sphere_samples, dim)
+    k = abs(float(linear_scales(m)[0]))
+    r0, ball_min = delta_reference_levels(epsilon, m, metric, sphere_samples)
 
     near = min(4.0 * r0, _RHO_MAX)
     # Geometric knots resolve small radii; the absolute-step band keeps the
@@ -586,10 +584,10 @@ def synthesize_delta_homothety(epsilon: CPlusFn, metric: MetricKind = MetricKind
         np.geomspace(max(near, 1e-12), _RHO_MAX, _RADIAL_POINTS),
         np.arange(near, min(_RHO_MAX, 2200.0), 4.0),
     ]))
-    dirs = _metric_directions(metric, dim, sphere_samples)
-    pts = (s_grid[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+    dirs = sample_directions(metric, m.dimension, sphere_samples)
+    pts = (s_grid[:, None, None] * dirs[None, :, :]).reshape(-1, m.dimension)
     eps_on_rays = epsilon.eval(pts).reshape(len(s_grid), sphere_samples)
-    g = np.minimum(np.min(eps_on_rays, axis=1), m)
+    g = np.minimum(np.min(eps_on_rays, axis=1), ball_min)
     outside = s_grid > r0
     escape_bound = s_grid * (k - 1.0) / (2.0 * k)
     g = np.where(outside, np.minimum(g, escape_bound), g)
@@ -635,10 +633,11 @@ class DeltaConditionReport:
         return f"<DeltaConditionReport checked={self.checked} failures={self.failures}>"
 
 
-def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, metric: MetricKind = MetricKind.SUP,
-                            factor: float = 2.0, n_points: int = 100_000, rng=None,
-                            dim: int = 2) -> DeltaConditionReport:
-    """Check the four synthesis conditions at independent random points.
+def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, m: MapSpec,
+                            metric: MetricKind = MetricKind.SUP, n_points: int = 100_000,
+                            rng=None) -> DeltaConditionReport:
+    """Check the four synthesis conditions for the expanding homothety ``m`` at
+    independent random points.
 
     All comparisons are strict with zero tolerance; the safety factors baked
     into the synthesis provide the slack.  Points mix uniform radii inside
@@ -649,8 +648,8 @@ def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, metric: MetricKind
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    k = abs(float(factor))
-    r0, m = delta_reference_levels(epsilon, metric, 256, dim)
+    k = abs(float(linear_scales(m)[0]))
+    r0, ball_min = delta_reference_levels(epsilon, m, metric, 256)
     r_hi = 0.999 * float(delta.radii[-1]) if isinstance(delta, RadialTable) else float(2 ** 18)
 
     n_inside = n_points // 2
@@ -658,7 +657,7 @@ def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, metric: MetricKind
     radii_in = rng.uniform(0.0, r0, size=n_inside)
     radii_out = np.exp(rng.uniform(np.log(max(r0 * 1e-3, 1e-9)), np.log(r_hi), size=n_outside))
     radii = np.concatenate([radii_in, radii_out])
-    u = rng.standard_normal((n_points, dim))
+    u = rng.standard_normal((n_points, m.dimension))
     u /= np.maximum(metric_norm(metric, u), 1e-300)[:, None]
     pts = u * radii[:, None]
 
@@ -669,7 +668,7 @@ def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, metric: MetricKind
 
     failures = {
         "below_epsilon": int(np.sum(~(d_vals < e_vals))),
-        "below_ball_min": int(np.sum(~(d_vals < m))),
+        "below_ball_min": int(np.sum(~(d_vals < ball_min))),
         "escape_bound": int(np.sum(~(d_vals[outside] < norms[outside] * (k - 1.0) / (2.0 * k)))),
     }
 
@@ -680,7 +679,7 @@ def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, metric: MetricKind
     distinct = np.diff(sorted_norms) > 0.0
     failures["strictly_decreasing"] = int(np.sum(~(np.diff(sorted_vals)[distinct] < 0.0)))
 
-    return DeltaConditionReport(r0, m, factor, n_points, failures)
+    return DeltaConditionReport(r0, ball_min, k, n_points, failures)
 
 
 def random_positive_fn(rng) -> CPlusFn:

@@ -127,11 +127,13 @@ def distance(metric: MetricKind, p, q) -> np.ndarray:
 
 
 def sample_directions(metric: MetricKind, dim: int, count: int) -> np.ndarray:
-    """Unit vectors of the metric's sphere, shape ``(count, dim)``.
+    """Unit vectors of the metric's norm, shape ``(count, dim)``.
 
     In the plane the directions are evenly spaced angles, which makes radial
     constructions deterministic.  Otherwise Gaussian directions are drawn
-    from a fixed seed and normalized.
+    from a fixed seed and normalized.  The polar-warped metric is no norm: for
+    it the directions are the Euclidean unit vectors (warped length 2), which
+    do not lie on its unit sphere.
     """
     if count < 1:
         raise ContractViolation("need at least one direction")

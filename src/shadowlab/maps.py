@@ -58,6 +58,7 @@ __all__ = [
     "conjugate_map",
     "power_map",
     "is_diagonal_affine",
+    "linear_scales",
     "affine_fixed_point",
     "map_to_dict",
     "map_from_dict",
@@ -362,6 +363,22 @@ def power_map(inner: MapSpec, k: int) -> MapSpec:
 
 def is_diagonal_affine(m: MapSpec) -> bool:
     return isinstance(m, DiagonalAffine)
+
+
+def linear_scales(m: MapSpec) -> np.ndarray:
+    """The scales of an expanding homothety x -> diag(scales) x, whose scales share one
+    modulus k = |scales_j| > 1 (so diag(k, -k) qualifies).  The one source of k and d
+    for the slack synthesis, the shadow series and the classifier; any other map
+    raises ContractViolation."""
+    if not isinstance(m, DiagonalAffine) or np.any(m.translation):
+        raise ContractViolation(f"a homothety must be a diagonal linear map, got {m!r}")
+    moduli = np.abs(m.scales)
+    # np.allclose(moduli, moduli[0]) for finite scales, without its overhead on every orbit.
+    if not np.all(np.abs(moduli - moduli[0]) <= 1e-8 + 1e-5 * moduli[0]):
+        raise ContractViolation(f"a homothety's scales must share one modulus, got {m.scales.tolist()}")
+    if moduli[0] <= 1.0:
+        raise ContractViolation(f"a homothety must expand, |k| > 1, got k = {float(moduli[0])!r}")
+    return m.scales
 
 
 def affine_fixed_point(m: DiagonalAffine) -> np.ndarray | None:

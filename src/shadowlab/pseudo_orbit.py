@@ -32,7 +32,7 @@ import numpy as np
 from .cplus import CPlusFn
 from .errors import ContractViolation, IterationRangeError
 from .geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
-from .maps import DiagonalAffine, MapSpec, map_to_dict
+from .maps import DiagonalAffine, MapSpec, linear_scales, map_to_dict
 from .plots import trace_csv
 
 __all__ = [
@@ -235,8 +235,8 @@ def max_splice_jump(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = 
 class OrbitClass:
     kind: str                       # "bounded" | "escaping" | "unclassified"
     radius: float                   # the reference radius r0
+    growth_ratio: float             # (1 + k)/2 for the homothety's modulus k
     escape_index: int | None = None
-    growth_ratio: float = 1.5
 
     @property
     def bounded(self) -> bool:
@@ -247,26 +247,26 @@ class OrbitClass:
         return self.kind == "escaping"
 
 
-def classify_pseudo_orbit(window: OrbitWindow, r0: float,
-                          metric: MetricKind = MetricKind.SUP,
-                          growth_ratio: float = 1.5) -> OrbitClass:
-    """Sort a realized window into the bounded/escaping dichotomy.
+def classify_pseudo_orbit(window: OrbitWindow, r0: float, m: MapSpec,
+                          metric: MetricKind = MetricKind.SUP) -> OrbitClass:
+    """Sort a realized window of the expanding homothety ``m`` (modulus k, read by
+    ``maps.linear_scales``) into the bounded/escaping dichotomy.
 
     ``bounded``: every point lies in the closed ball of radius r0.
     ``escaping``: past the first index i0 with |x_{i0}| > r0, norms grow by
-    strictly more than ``growth_ratio`` at every step to the window's end.
+    strictly more than (1 + k)/2 at every step to the window's end.
     Anything else is ``unclassified``, which flags a slack function whose
     admissible perturbations are too large for the dichotomy.
     """
+    growth = (abs(float(linear_scales(m)[0])) + 1.0) / 2.0
     norms = metric_norm(metric, window.points)
     outside = norms > r0
     if not np.any(outside):
-        return OrbitClass("bounded", r0, None, growth_ratio)
+        return OrbitClass("bounded", r0, growth)
     i0 = int(np.argmax(outside))
     tail = norms[i0:]
-    if np.all(tail[1:] > growth_ratio * tail[:-1]):
-        return OrbitClass("escaping", r0, int(window.start + i0), growth_ratio)
-    return OrbitClass("unclassified", r0, int(window.start + i0), growth_ratio)
+    kind = "escaping" if np.all(tail[1:] > growth * tail[:-1]) else "unclassified"
+    return OrbitClass(kind, r0, growth, int(window.start + i0))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,7 @@ def generate_orbit_ensemble(m: MapSpec, delta: CPlusFn, metric: MetricKind,
         raise ContractViolation(f"an ensemble needs at least one orbit, got count={count}")
     if start_range is None:
         start_range = (1e-2 * r0, 4.0 * r0)
-    dim = getattr(m, "dimension", 2)
+    dim = m.dimension
     delta0 = float(delta.eval(np.zeros(dim)))
     # Anchored orbits stay inside radius `keep`; that is only sustainable if
     # an admissible inward draw exists from everywhere inside, which needs

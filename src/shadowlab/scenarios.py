@@ -55,6 +55,7 @@ from .maps import (
     conjugate_map,
     diffeo_from_dict,
     homothety,
+    linear_scales,
     map_from_dict,
     power_map,
     reverse_homothety,
@@ -80,7 +81,6 @@ from .shadowing import (
     homothety_shadow_point,
     homothety_shadow_report,
     is_shadowed_by,
-    linear_scales,
     sampled_search,
     shadow_tail_bound,
     transported_epsilon_values,
@@ -126,12 +126,6 @@ class RunReport:
     @property
     def exit_code(self) -> int:
         return {"matches-paper": 0, "contradicts-paper": 2}.get(self.verdict, 1)
-
-
-def parse_fn(spec) -> CPlusFn:
-    """A tolerance or slack descriptor: an expression object or a shorthand string."""
-    with config_path("function descriptor"):
-        return fn_from_obj(spec)
 
 
 class _ArtifactSink:
@@ -217,35 +211,33 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
 def _homothety_ensemble(m: MapSpec, epsilon: CPlusFn, config: ScenarioConfig,
                         window: tuple[int, int], count: int, anchored_fraction: float,
                         sphere_samples: int = 64):
-    """(k, delta, r0, ball_min, specs): the slack of the expanding homothety ``m`` for
+    """(delta, r0, ball_min, specs): the slack of the expanding homothety ``m`` for
     ``epsilon`` and its pseudo-orbits."""
-    k = float(np.abs(m.scales[0]))
     metric = MetricKind(config.metric)
     with config_path("params.epsilon"):
-        delta = synthesize_delta_homothety(epsilon, metric, sphere_samples=sphere_samples, factor=k)
-        r0, ball_min = cplus.delta_reference_levels(epsilon, metric, sphere_samples)
+        delta = synthesize_delta_homothety(epsilon, m, metric, sphere_samples)
+        r0, ball_min = cplus.delta_reference_levels(epsilon, m, metric, sphere_samples)
     with config_path("params.map"):
         specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
                                         anchored_fraction=anchored_fraction,
                                         start_range=(1.05 * r0, 4.0 * r0))
-    return k, delta, r0, ball_min, specs
+    return delta, r0, ball_min, specs
 
 
 def _classify_and_shadow(m, epsilon, metric, delta, r0, specs):
     """(tallies, all_shadowed, bound_respected, example): bounded pseudo-orbits shadowed by the
     origin, escaping ones by the series point; the example is the first escaping one."""
-    growth = (float(np.abs(m.scales[0])) + 1.0) / 2.0
     tallies = {"bounded": 0, "escaping": 0, "unclassified": 0}
     all_shadowed, bound_respected, example = True, True, None
     for spec in specs:
         window_pts = realize(spec)
-        cls = classify_pseudo_orbit(window_pts, r0, metric, growth)
+        cls = classify_pseudo_orbit(window_pts, r0, m, metric)
         tallies[cls.kind] += 1
         if cls.bounded:
             report = is_shadowed_by(window_pts, np.zeros(m.dimension), m, epsilon, metric)
         elif cls.escaping:
-            _, report = homothety_shadow_report(window_pts, epsilon, m.scales, metric)
-            bounds = shadow_tail_bound(window_pts, m, delta, m.scales)
+            _, report = homothety_shadow_report(window_pts, epsilon, m, metric)
+            bounds = shadow_tail_bound(window_pts, m, delta)
             bound_respected = bound_respected and bool(np.all(report.distances <= bounds))
             if example is None:
                 example = (window_pts, report, bounds)
@@ -259,11 +251,10 @@ def _classify_and_shadow(m, epsilon, metric, delta, r0, specs):
 def _run_homothety_pipeline(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
     metric = MetricKind(config.metric)
     m, window, epsilon = p["map"], p["window"], p["epsilon"]
-    k, delta, r0, m_level, specs = _homothety_ensemble(
+    delta, r0, m_level, specs = _homothety_ensemble(
         m, epsilon, config, window, p["count"], p["anchored_fraction"], p["sphere_samples"])
     conditions = verify_delta_conditions(
-        delta, epsilon, metric, factor=k,
-        n_points=p["verify_points"],
+        delta, epsilon, m, metric, n_points=p["verify_points"],
         rng=np.random.default_rng(config.seed + 1_000_003))
     all_valid = all(validate(spec, delta, metric).passed for spec in specs)
     tallies, all_shadowed, bound_respected, example = _classify_and_shadow(
@@ -278,7 +269,7 @@ def _run_homothety_pipeline(config: ScenarioConfig, p: dict, sink: _ArtifactSink
     ok = (conditions.ok and all_valid and all_shadowed and bound_respected
           and tallies["unclassified"] == 0)
     details = {
-        "factor": k,
+        "factor": conditions.factor,
         "r0": r0,
         "ball_min": m_level,
         "classes": tallies,
@@ -337,7 +328,7 @@ def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tupl
     shadowed = []  # (window, series point at index 0, tolerances) of each orbit it shadows
     for spec in specs:
         window_pts = realize(spec)
-        w, base_report = homothety_shadow_report(window_pts, epsilon, m.scales, metric)
+        w, base_report = homothety_shadow_report(window_pts, epsilon, m, metric)
         if base_report.passed:
             # The series point is anchored at the window start; the report
             # compares orbits anchored at index 0.
@@ -372,8 +363,7 @@ def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     *_, specs = _homothety_ensemble(m, epsilon, config, window, p["count"], 0.0)
 
     def forward_shadower(z_window: OrbitWindow) -> np.ndarray:
-        _, w = homothety_shadow_point(z_window, m.scales, dtype=np.longdouble)
-        return w
+        return homothety_shadow_point(z_window, m)
 
     converged = 0
     matched = 0
@@ -570,9 +560,10 @@ def _run_fixed_point_scan(config: ScenarioConfig, p: dict, sink: _ArtifactSink) 
             cert = box_feasibility(spec, epsilon, abs(spec.window[0]), config.margin)
             evidence = "not-shadowing" if cert.empty else "shadowing"
         else:
-            work = m if abs(m.scales[0]) > 1.0 else power_map(m, -1)
+            # The series shadows the expanding direction of each homothety.
+            work = power_map(m, -1) if name == "reverse-homothety" else m
             epsilon = Const(1.0)
-            _, delta, r0, _, specs = _homothety_ensemble(work, epsilon, config, (-8, 16), 30, 0.2)
+            delta, r0, _, specs = _homothety_ensemble(work, epsilon, config, (-8, 16), 30, 0.2)
             _, all_shadowed, _, _ = _classify_and_shadow(
                 work, epsilon, MetricKind(config.metric), delta, r0, specs)
             evidence = "shadowing" if all_shadowed else "not-shadowing"
@@ -642,9 +633,8 @@ def _homothety_map(value, fields):
     m = map_from_dict(value)
     if fields.get("invert_first"):
         m = power_map(m, -1)
-    check(isinstance(m, DiagonalAffine) and not np.any(m.translation) and m.dimension == 2,
-          "a planar diagonal linear map", value)
-    linear_scales(m.scales, m.dimension)
+    check(m.dimension == 2, "a planar map", value)
+    linear_scales(m)
     return m
 
 

@@ -47,13 +47,14 @@ from .cplus import CPlusFn
 from .errors import (
     ContractViolation,
     DegenerateMarginError,
+    DimensionMismatch,
     IterationRangeError,
     NonConvergenceError,
     SearchSpaceError,
     UnsupportedMapError,
 )
 from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions
-from .maps import MapSpec, is_diagonal_affine
+from .maps import MapSpec, is_diagonal_affine, linear_scales
 from .plots import trace_csv
 from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, realize
 
@@ -284,25 +285,12 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
 # ---------------------------------------------------------------------------
 
 
-def linear_scales(factor, dim: int) -> np.ndarray:
-    """Per-coordinate scales of an expanding linear map with one modulus |k| > 1."""
-    scales = np.atleast_1d(np.asarray(factor, dtype=float))
-    if scales.size == 1:
-        scales = np.full(dim, scales[0])
-    if scales.shape != (dim,):
-        raise ContractViolation("factor must be a scalar or one scale per coordinate")
-    moduli = np.abs(scales)
-    if not np.allclose(moduli, moduli[0]):
-        raise ContractViolation("shadow series needs a single expansion modulus")
-    if moduli[0] <= 1.0:
-        raise ContractViolation("shadow series needs an expanding factor, |k| > 1")
-    return scales
-
-
 def _series(window: OrbitWindow, scales: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """(residuals r_i, series point w) of the window, accumulated in ``dtype``."""
     if len(window) < 2:
         raise ContractViolation("window too short: need at least one step")
+    if window.dimension != scales.size:
+        raise DimensionMismatch(f"map of dimension {scales.size}, window of dimension {window.dimension}")
     x = window.points.astype(dtype)
     residuals = x[1:] - x[:-1] * scales[None, :].astype(dtype)
     L = residuals.shape[0]
@@ -319,26 +307,23 @@ def _tail_sums(terms: np.ndarray, scales) -> np.ndarray:
     return tails
 
 
-def homothety_shadow_point(window: OrbitWindow, factor=2.0, dtype=None) -> tuple[int, np.ndarray]:
-    """Shadow-point series for an expanding linear diagonal map.
+def homothety_shadow_point(window: OrbitWindow, m: MapSpec) -> np.ndarray:
+    """Shadow-point series for the expanding homothety ``m`` = diag(A).
 
     With per-step perturbations r_i = x_{start+i} - A x_{start+i-1} the
     returned point is w = x_start + sum_{i=1..L} A^(-i) r_i, anchored at the
     window's start index: the orbit n -> f^(n-start)(w) is the shadowing
-    candidate.  ``factor`` may be a scalar k or per-coordinate scales with a
-    common modulus (which admits the orientation-reversing variant
-    diag(k, -k)).
+    candidate.  The scales may differ in sign (``maps.linear_scales``), which
+    admits the orientation-reversing variant diag(k, -k).
 
-    ``dtype`` selects the accumulation precision; pass ``np.longdouble`` when
-    the point will be iterated far forward, since k^n magnifies the storage
-    rounding of w.
+    The series accumulates in ``np.longdouble``, since iterating w far forward
+    multiplies its storage rounding by k^n.
     """
-    scales = linear_scales(factor, window.dimension)
-    _, w = _series(window, scales, np.float64 if dtype is None else dtype)
-    return window.start, w
+    _, w = _series(window, linear_scales(m), np.longdouble)
+    return w
 
 
-def homothety_shadow_report(window: OrbitWindow, epsilon, factor=2.0,
+def homothety_shadow_report(window: OrbitWindow, epsilon, m: MapSpec,
                             metric: MetricKind = MetricKind.SUP) -> tuple[np.ndarray, ShadowReport]:
     """Shadow point plus its report, with distances evaluated stably.
 
@@ -352,21 +337,21 @@ def homothety_shadow_report(window: OrbitWindow, epsilon, factor=2.0,
     subtracting two nearly equal k^l-sized points, which matters once the
     window's far end exceeds about 2^50 times its start.
     """
-    scales = linear_scales(factor, window.dimension)
+    scales = linear_scales(m)
     residuals, w = _series(window, scales)
     tails = _tail_sums(residuals, scales)
     return w, ShadowReport(window.start, metric_norm(metric, tails), _tolerances(window, epsilon))
 
 
-def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn, factor=2.0) -> np.ndarray:
+def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn) -> np.ndarray:
     """Geometric tail bound on the shadow-point distances, per window index.
 
-    bound_l = sum_{i > l} delta(f(x_{i-1})) * k^(l-i), computed with the
-    actual slack values along the window; the measured distance of the
-    shadow-point orbit never exceeds it when every perturbation respects the
-    strict slack condition.
+    bound_l = sum_{i > l} delta(f(x_{i-1})) * k^(l-i) for the expanding homothety
+    ``m`` of modulus k, computed with the actual slack values along the window;
+    the measured distance of the shadow-point orbit never exceeds it when every
+    perturbation respects the strict slack condition.
     """
-    k = float(np.abs(linear_scales(factor, window.dimension)[0]))
+    k = abs(float(linear_scales(m)[0]))
     return _tail_sums(np.atleast_1d(delta.eval(m.apply(window.points[:-1]))), k)
 
 

@@ -51,7 +51,8 @@ SUP = MetricKind.SUP
 
 # sha256 of every built-in scenario's artifacts, keyed "scenario/file".  A
 # change that alters artifact bytes on purpose regenerates it by running this
-# module as a script: PYTHONPATH=src python tests/test_acceptance.py
+# module as a script: PYTHONPATH=src python tests/test_acceptance.py, which
+# prints the keys whose digest changed (or that none did) before it rewrites.
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 
 
@@ -62,6 +63,11 @@ def _line(number: int, ok: bool, detail: str) -> None:
 def _artifact_digests(root: Path) -> dict:
     return {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.glob("*/*"))}
+
+
+def _changed_digests(pinned: dict, digests: dict) -> list[str]:
+    """Keys whose digest differs between the two tables, or that only one of them has."""
+    return sorted(k for k in pinned.keys() | digests.keys() if pinned.get(k) != digests.get(k))
 
 
 def test_criterion_1_saddle_counterexample():
@@ -116,7 +122,7 @@ def _tolerance_choices():
     ]
 
 
-def _shadow_ensemble(m, scales, eps, delta, r0, window, count, seed, growth):
+def _shadow_ensemble(m, eps, delta, r0, window, count, seed):
     specs = generate_orbit_ensemble(m, delta, SUP, window, count, seed, r0,
                                     anchored_fraction=0.2,
                                     start_range=(1.05 * r0, 4.0 * r0))
@@ -124,13 +130,13 @@ def _shadow_ensemble(m, scales, eps, delta, r0, window, count, seed, growth):
     for spec in specs:
         assert validate(spec, delta, SUP).passed
         window_pts = realize(spec)
-        cls = classify_pseudo_orbit(window_pts, r0, SUP, growth)
+        cls = classify_pseudo_orbit(window_pts, r0, m, SUP)
         tallies[cls.kind] += 1
         if cls.bounded:
             report = is_shadowed_by(window_pts, np.zeros(2), m, eps, SUP)
         elif cls.escaping:
-            _, report = homothety_shadow_report(window_pts, eps, scales, SUP)
-            bounds = shadow_tail_bound(window_pts, m, delta, scales)
+            _, report = homothety_shadow_report(window_pts, eps, m, SUP)
+            bounds = shadow_tail_bound(window_pts, m, delta)
             assert np.all(report.distances <= bounds), "tail bound exceeded"
         else:
             raise AssertionError("unclassified pseudo-orbit")
@@ -143,14 +149,12 @@ def test_criterion_3_homothety_shadowing():
     started = time.perf_counter()
     summary = []
     for i, (name, eps) in enumerate(_tolerance_choices()):
-        delta = synthesize_delta_homothety(eps, SUP, factor=2.0)
-        conditions = verify_delta_conditions(delta, eps, SUP, factor=2.0,
-                                             n_points=100_000,
+        delta = synthesize_delta_homothety(eps, m, SUP)
+        conditions = verify_delta_conditions(delta, eps, m, SUP, n_points=100_000,
                                              rng=np.random.default_rng(500 + i))
         assert conditions.ok, conditions.failures
-        r0, _ = delta_reference_levels(eps, SUP)
-        tallies = _shadow_ensemble(m, 2.0, eps, delta, r0, (-20, 40), 1000,
-                                   seed=7000 + 1000 * i, growth=1.5)
+        r0, _ = delta_reference_levels(eps, m, SUP)
+        tallies = _shadow_ensemble(m, eps, delta, r0, (-20, 40), 1000, seed=7000 + 1000 * i)
         assert tallies["unclassified"] == 0
         assert tallies["bounded"] > 0 and tallies["escaping"] > 0
         summary.append(f"{name}:{tallies['bounded']}b/{tallies['escaping']}e")
@@ -161,22 +165,21 @@ def test_criterion_3_homothety_shadowing():
 
 def test_criterion_4_forward_to_full():
     eps = saddle_adversarial_epsilon()
-    delta = synthesize_delta_homothety(eps, SUP)
-    r0, _ = delta_reference_levels(eps, SUP)
     m = homothety(2.0)
+    delta = synthesize_delta_homothety(eps, m, SUP)
+    r0, _ = delta_reference_levels(eps, m, SUP)
     specs = generate_orbit_ensemble(m, delta, SUP, (-30, 40), 100, 331, r0,
                                     anchored_fraction=0.0,
                                     start_range=(1.05 * r0, 4.0 * r0))
 
     def forward_shadower(z_window):
-        return homothety_shadow_point(z_window, 2.0, dtype=np.longdouble)[1]
+        return homothety_shadow_point(z_window, m)
 
     worst = 0.0
     for spec in specs:
         limit = forward_to_full_shadow(spec, eps, forward_shadower, 30, 1e-9, SUP)
         window = realize(spec)
-        _, w = homothety_shadow_point(window, 2.0, dtype=np.longdouble)
-        direct = m.iterate(w, -window.start)
+        direct = m.iterate(homothety_shadow_point(window, m), -window.start)
         gap = float(np.max(np.abs(np.asarray(limit - direct, dtype=float))))
         worst = max(worst, gap)
         assert gap <= 1e-8
@@ -216,8 +219,8 @@ def test_criterion_6_conjugacy_and_power_invariance():
     # Conjugacy transport: affine and radial changes of coordinates.
     m = homothety(2.0)
     eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps, SUP)
-    r0, _ = delta_reference_levels(eps, SUP)
+    delta = synthesize_delta_homothety(eps, m, SUP)
+    r0, _ = delta_reference_levels(eps, m, SUP)
     specs = generate_orbit_ensemble(m, delta, SUP, (-10, 20), 50, 404, r0,
                                     anchored_fraction=0.0,
                                     start_range=(1.05 * r0, 4.0 * r0))
@@ -229,7 +232,7 @@ def test_criterion_6_conjugacy_and_power_invariance():
         g = conjugate_map(m, change)
         for spec in specs:
             window = realize(spec)
-            w, base = homothety_shadow_report(window, eps, 2.0, SUP)
+            w, base = homothety_shadow_report(window, eps, m, SUP)
             assert base.passed
             transported = transport_pseudo_orbit(window, change)
             eps_values = np.atleast_1d(eps.eval(window.points))
@@ -243,13 +246,12 @@ def test_criterion_6_conjugacy_and_power_invariance():
     squared = power_map(homothety(2.0), 2)
     assert np.allclose(squared.scales, [4.0, 4.0])
     eps4 = saddle_adversarial_epsilon()
-    delta4 = synthesize_delta_homothety(eps4, SUP, factor=4.0)
-    conditions = verify_delta_conditions(delta4, eps4, SUP, factor=4.0,
+    delta4 = synthesize_delta_homothety(eps4, squared, SUP)
+    conditions = verify_delta_conditions(delta4, eps4, squared, SUP,
                                          n_points=50_000, rng=np.random.default_rng(44))
     assert conditions.ok, conditions.failures
-    r04, _ = delta_reference_levels(eps4, SUP)
-    tallies = _shadow_ensemble(squared, 4.0, eps4, delta4, r04, (-20, 40), 300,
-                               seed=9090, growth=2.5)
+    r04, _ = delta_reference_levels(eps4, squared, SUP)
+    tallies = _shadow_ensemble(squared, eps4, delta4, r04, (-20, 40), 300, seed=9090)
     assert tallies["unclassified"] == 0
     _line(6, True, f"2 transports x 50 orbits pass; factor-4 pipeline {tallies}")
 
@@ -295,7 +297,7 @@ def test_criterion_8_determinism(tmp_path):
     assert not mismatches, mismatches
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     digests = _artifact_digests(tmp_path / "a")
-    changed = sorted(k for k in pinned.keys() | digests.keys() if pinned.get(k) != digests.get(k))
+    changed = _changed_digests(pinned, digests)
     assert not changed, f"artifacts differ from {DIGESTS.name}: {changed}"
     assert not slow, f"over the 10s budget: {slow}"
     _line(8, True, f"{len(SCENARIO_NAMES)} scenarios byte-identical across reruns "
@@ -306,5 +308,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as out:
         for name in SCENARIO_NAMES:
             run_scenario(builtin_config(name), out)
-        DIGESTS.write_text(json.dumps(_artifact_digests(Path(out)), indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+        digests = _artifact_digests(Path(out))
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+    changed = _changed_digests(pinned, digests)
+    print("\n".join(f"changed: {key}" for key in changed) if changed
+          else f"no digest changed ({len(digests)} artifacts)")
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -112,6 +112,8 @@ REFUSED = [
     ("saddle-not-tsp", ["params", "epsilon"], {"op": "coord", "args": [0]}, "params.epsilon"),
     ("saddle-not-tsp", ["params", "epsilon"], {"op": "envelope", "args": ["sup", [[0.0, 0.0, 0.0]], [1.0]]},
      "params.epsilon"),
+    # An unknown shorthand string.
+    ("homothety-tsp", ["params", "epsilon"], "mystery:1", "params.epsilon.op"),
 ]
 
 

@@ -28,7 +28,8 @@ from shadowlab.cplus import (
     verify_delta_conditions,
 )
 from shadowlab.errors import ContractViolation, DimensionMismatch, PositivityError
-from shadowlab.geometry import MetricKind, distance
+from shadowlab.geometry import MetricKind, distance, sample_directions
+from shadowlab.maps import homothety
 
 
 def pt(x, y):
@@ -263,17 +264,45 @@ def test_chessboard_sweep_agrees_with_the_pruned_envelope(n, half, scale, seed):
 def test_synthesis_worked_example_constant_tolerance():
     # For a constant tolerance of 1: reference radius 1, ball minimum 0.9,
     # slack 0.45 at the origin and 0.225 at unit radius, strictly decreasing.
-    delta = synthesize_delta_homothety(Const(1.0))
-    r0, m = delta_reference_levels(Const(1.0))
+    delta = synthesize_delta_homothety(Const(1.0), homothety(2.0))
+    r0, m = delta_reference_levels(Const(1.0), homothety(2.0))
     assert (r0, m) == (1.0, 0.9)
     assert delta.eval(np.zeros(2)) == pytest.approx(0.45, abs=1e-12)
     assert delta.eval(pt(1, 0)) == pytest.approx(0.225, abs=1e-12)
     assert delta.eval(pt(1, 0)) > delta.eval(pt(2, 0))
 
 
+def _well(center):
+    """min(1, 0.01 + 100 * |x - center|_1): not radial, least at ``center``, 1 at the origin."""
+    gaps = [Max(Add(Coord(j), Const(-c)), Add(Mul(Const(-1.0), Coord(j)), Const(c))) for j, c in enumerate(center)]
+    return Min(Const(1.0), Add(Const(0.01), Mul(Const(100.0), Add(*gaps))))
+
+
+@pytest.mark.parametrize("metric", [MetricKind.SUP, MetricKind.EUCLIDEAN])
+@pytest.mark.parametrize("count", [7, 64])
+def test_reference_ball_minimum_is_taken_on_sample_directions_rays(metric, count):
+    # A well centred on each ray point in turn: the minimum has the bits of the
+    # rays s*u through geometry.sample_directions, the one unit-sphere sampler.
+    dirs = sample_directions(metric, 2, count)
+    radii = np.linspace(0.0, 1.0, 33)
+    rays = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
+    for u in dirs:
+        eps = _well(0.5 * u)
+        r0, ball_min = delta_reference_levels(eps, homothety(2.0), metric, count)
+        assert r0 == 1.0
+        assert ball_min == 0.9 * float(np.min(eps.eval(rays)))
+
+
+def test_synthesis_refuses_the_polar_warped_metric():
+    # Rays s*u trace the spheres of a norm only; the warped length is not one.
+    for build in (delta_reference_levels, synthesize_delta_homothety):
+        with pytest.raises(ContractViolation):
+            build(Const(1.0), homothety(2.0), MetricKind.POLAR_WARP)
+
+
 def test_synthesis_dominated_by_half_scaled_tolerance_at_knots():
     eps = saddle_adversarial_epsilon()
-    delta = synthesize_delta_homothety(eps)
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
     radii = delta.radii[1:-1]  # skip the origin knot and the subnormal edge
     pts = np.stack([radii, np.zeros_like(radii)], axis=-1)
     d_vals = delta.eval(pts)
@@ -292,14 +321,14 @@ def test_synthesis_dominated_by_half_scaled_tolerance_at_knots():
 ])
 def test_delta_conditions_strict_at_random_points(eps_builder):
     eps = eps_builder()
-    delta = synthesize_delta_homothety(eps)
-    report = verify_delta_conditions(delta, eps, n_points=20_000, rng=np.random.default_rng(3))
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
+    report = verify_delta_conditions(delta, eps, homothety(2.0), n_points=20_000, rng=np.random.default_rng(3))
     assert report.ok, report.failures
 
 
 def test_synthesis_rejects_too_few_directions():
     with pytest.raises(ContractViolation):
-        synthesize_delta_homothety(Const(1.0), sphere_samples=3)
+        synthesize_delta_homothety(Const(1.0), homothety(2.0), sphere_samples=3)
 
 
 def test_all_tolerances_strictly_positive_at_a_million_points(rng):
@@ -307,8 +336,8 @@ def test_all_tolerances_strictly_positive_at_a_million_points(rng):
     theta = rng.uniform(0, 2 * np.pi, size=radii.size)
     pts = np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=-1)
     for fn in (saddle_adversarial_epsilon(), decaying_epsilon(1.0),
-               synthesize_delta_homothety(Const(1.0)),
-               synthesize_delta_homothety(saddle_adversarial_epsilon())):
+               synthesize_delta_homothety(Const(1.0), homothety(2.0)),
+               synthesize_delta_homothety(saddle_adversarial_epsilon(), homothety(2.0))):
         values = fn.eval(pts)
         assert np.all(values > 0.0)
 

@@ -97,8 +97,8 @@ def test_max_splice_jump_constant_slack():
 
 def test_max_splice_jump_with_synthesized_slack():
     eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    _, m_level = delta_reference_levels(eps)
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
+    _, m_level = delta_reference_levels(eps, homothety(2.0))
     q = max_splice_jump(saddle_splice(1.0), delta, SUP)
     assert 0.0 < q < m_level / 2
     report = validate(PseudoOrbitSpec(
@@ -115,15 +115,15 @@ def test_max_splice_jump_requires_spliced_rule():
 
 def test_classify_bounded_escaping_unclassified():
     at_origin = OrbitWindow(-2, np.zeros((5, 2)))
-    assert classify_pseudo_orbit(at_origin, 1.0, SUP).bounded
+    assert classify_pseudo_orbit(at_origin, 1.0, homothety(2.0), SUP).bounded
 
     eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
+    r0, _ = delta_reference_levels(eps, homothety(2.0))
     rng = np.random.default_rng(8)
     spec = random_pseudo_orbit(homothety(2.0), delta, SUP, (-5, 20), np.array([2 * r0, 0.0]), rng)
     window = realize(spec)
-    cls = classify_pseudo_orbit(window, r0, SUP)
+    cls = classify_pseudo_orbit(window, r0, homothety(2.0), SUP)
     assert cls.escaping
     norms = np.max(np.abs(window.points), axis=-1)
     tail = norms[cls.escape_index - window.start:]
@@ -132,18 +132,18 @@ def test_classify_bounded_escaping_unclassified():
     # A sequence that leaves the ball and then jumps back in fits neither
     # class: the classifier must refuse it rather than force a label.
     zigzag = OrbitWindow(0, np.array([[0.5, 0], [3.0, 0], [0.2, 0], [4.0, 0]]))
-    assert classify_pseudo_orbit(zigzag, 1.0, SUP).kind == "unclassified"
+    assert classify_pseudo_orbit(zigzag, 1.0, homothety(2.0), SUP).kind == "unclassified"
 
 
 def test_escaping_growth_compounds():
     eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
+    r0, _ = delta_reference_levels(eps, homothety(2.0))
     specs = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-10, 30), 50, 4242, r0,
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
     for spec in specs:
         window = realize(spec)
-        cls = classify_pseudo_orbit(window, r0, SUP)
+        cls = classify_pseudo_orbit(window, r0, homothety(2.0), SUP)
         assert cls.escaping
         norms = np.max(np.abs(window.points), axis=-1)
         i0 = cls.escape_index - window.start
@@ -155,21 +155,21 @@ def test_dichotomy_over_fully_random_ensemble():
     # Unrestricted random starts, including deep inside the ball: under a
     # synthesized slack the classifier must never need the third label.
     eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
+    r0, _ = delta_reference_levels(eps, homothety(2.0))
     specs = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-20, 40), 1000, 97, r0,
                                     anchored_fraction=0.2, start_range=(1e-2 * r0, 4 * r0))
     kinds = {"bounded": 0, "escaping": 0, "unclassified": 0}
     for spec in specs:
-        kinds[classify_pseudo_orbit(realize(spec), r0, SUP).kind] += 1
+        kinds[classify_pseudo_orbit(realize(spec), r0, homothety(2.0), SUP).kind] += 1
     assert kinds["unclassified"] == 0
     assert kinds["escaping"] > 0 and kinds["bounded"] > 0
 
 
 def test_random_orbits_always_validate():
     eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
+    r0, _ = delta_reference_levels(eps, homothety(2.0))
     specs = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-15, 25), 60, 31337, r0)
     for spec in specs:
         assert validate(spec, delta, SUP).passed
@@ -177,8 +177,8 @@ def test_random_orbits_always_validate():
 
 def test_ensemble_deterministic_per_seed():
     eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
+    r0, _ = delta_reference_levels(eps, homothety(2.0))
     a = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-5, 10), 7, 123, r0)
     b = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-5, 10), 7, 123, r0)
     for sa, sb in zip(a, b):
@@ -307,9 +307,8 @@ def test_lockstep_ensemble_matches_scalar_reference(name, anchored_fraction):
     m = _SHADOWED_MAPS[name]
     assert isinstance(m, DiagonalAffine)
     eps = saddle_adversarial_epsilon()
-    k = float(np.max(np.abs(m.scales)))
-    delta = synthesize_delta_homothety(eps, SUP, factor=k)
-    r0, _ = delta_reference_levels(eps, SUP)
+    delta = synthesize_delta_homothety(eps, m, SUP)
+    r0, _ = delta_reference_levels(eps, m, SUP)
     for seed in (1, 17, 23):
         args = (m, delta, SUP, (-12, 24), 25, seed, r0)
         kwargs = dict(anchored_fraction=anchored_fraction, start_range=(0.3 * r0, 4.0 * r0))
@@ -325,7 +324,7 @@ def test_lockstep_ensemble_matches_scalar_reference(name, anchored_fraction):
     (4, [0.0, 0.0], None), (8, [2.5, 0.0], None), (4, [0.0, 0.0], 0.2), (9, [0.05, -0.1], 0.2),
 ])
 def test_single_orbit_matches_scalar_reference(seed, x0, keep_within):
-    delta = synthesize_delta_homothety(Const(1.0))
+    delta = synthesize_delta_homothety(Const(1.0), homothety(2.0))
     args = (homothety(2.0), delta, SUP, (-10, 10), np.array(x0))
     got = random_pseudo_orbit(*args, np.random.default_rng(seed), keep_within=keep_within)
     want = reference_random_pseudo_orbit(*args, np.random.default_rng(seed), keep_within=keep_within)
@@ -334,22 +333,21 @@ def test_single_orbit_matches_scalar_reference(seed, x0, keep_within):
 
 
 def test_ensemble_prefix_is_order_independent():
-    eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
-    seven = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-6, 12), 7, 55, r0,
-                                    anchored_fraction=0.0)
-    three = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-6, 12), 3, 55, r0,
-                                    anchored_fraction=0.0)
-    for a, b in zip(seven[:3], three):
-        assert np.array_equal(a.rule.points, b.rule.points)
+    eps, m = Const(1.0), homothety(2.0)
+    for metric in (SUP, MetricKind.EUCLIDEAN):
+        delta = synthesize_delta_homothety(eps, m, metric)
+        r0, _ = delta_reference_levels(eps, m, metric)
+        seven = generate_orbit_ensemble(m, delta, metric, (-6, 12), 7, 55, r0, anchored_fraction=0.0)
+        three = generate_orbit_ensemble(m, delta, metric, (-6, 12), 3, 55, r0, anchored_fraction=0.0)
+        for a, b in zip(seven[:3], three):
+            assert np.array_equal(a.rule.points, b.rule.points), metric
 
 
 def test_euclidean_ensemble_validates_and_repeats():
     eps = Const(1.0)
     metric = MetricKind.EUCLIDEAN
-    delta = synthesize_delta_homothety(eps, metric)
-    r0, _ = delta_reference_levels(eps, metric)
+    delta = synthesize_delta_homothety(eps, homothety(2.0), metric)
+    r0, _ = delta_reference_levels(eps, homothety(2.0), metric)
     a = generate_orbit_ensemble(homothety(2.0), delta, metric, (-8, 16), 12, 5, r0)
     b = generate_orbit_ensemble(homothety(2.0), delta, metric, (-8, 16), 12, 5, r0)
     for sa, sb in zip(a, b):
@@ -359,7 +357,7 @@ def test_euclidean_ensemble_validates_and_repeats():
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_empty_ensemble_is_refused(count):
-    delta = synthesize_delta_homothety(Const(1.0))
+    delta = synthesize_delta_homothety(Const(1.0), homothety(2.0))
     with pytest.raises(ContractViolation):
         generate_orbit_ensemble(homothety(2.0), delta, SUP, (-4, 8), count, 1, 1.0)
 
@@ -373,7 +371,7 @@ def test_ensemble_leaving_double_range_is_refused(factor, n):
 
 
 def test_random_orbit_window_must_contain_zero():
-    delta = synthesize_delta_homothety(Const(1.0))
+    delta = synthesize_delta_homothety(Const(1.0), homothety(2.0))
     for window in ((1, 5), (0, 0)):
         with pytest.raises(ContractViolation):
             random_pseudo_orbit(homothety(2.0), delta, SUP, window, np.zeros(2),

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from shadowlab.errors import ConfigError
+from shadowlab.cplus import fn_from_obj
+from shadowlab.errors import ConfigError, ContractViolation
 from shadowlab.scenarios import (
     SCENARIO_NAMES,
     RunReport,
@@ -10,7 +11,6 @@ from shadowlab.scenarios import (
     builtin_config,
     list_scenarios,
     load_config,
-    parse_fn,
     run_scenario,
 )
 
@@ -28,13 +28,13 @@ def test_catalog_is_complete():
 
 
 def test_parse_fn_shorthands():
-    assert parse_fn("const:2.0").eval([0.0, 0.0]) == 2.0
-    assert parse_fn("decaying:1.0").eval([9.0, 0.0]) == pytest.approx(0.1)
-    assert parse_fn("saddle_adversarial").eval([1.0, 0.0]) == 0.5
-    assert parse_fn("table:[[0.0, 1.0], [2.0, 0.5]]").eval([1.0, 0.0]) == pytest.approx(0.75)
-    assert parse_fn({"op": "const", "args": [3.0]}).eval([0.0, 0.0]) == 3.0
-    with pytest.raises(ConfigError):
-        parse_fn("mystery:1")
+    assert fn_from_obj("const:2.0").eval([0.0, 0.0]) == 2.0
+    assert fn_from_obj("decaying:1.0").eval([9.0, 0.0]) == pytest.approx(0.1)
+    assert fn_from_obj("saddle_adversarial").eval([1.0, 0.0]) == 0.5
+    assert fn_from_obj("table:[[0.0, 1.0], [2.0, 0.5]]").eval([1.0, 0.0]) == pytest.approx(0.75)
+    assert fn_from_obj({"op": "const", "args": [3.0]}).eval([0.0, 0.0]) == 3.0
+    with pytest.raises(ContractViolation):
+        fn_from_obj("mystery:1")
 
 
 def test_config_validation_errors():
@@ -57,15 +57,16 @@ def test_run_report_exit_codes():
 def test_ball_min_is_the_level_the_synthesis_used(tmp_path):
     from shadowlab.cplus import delta_reference_levels
     from shadowlab.geometry import MetricKind
+    from shadowlab.maps import homothety
 
     eps = {"op": "exp2neg", "args": [{"op": "norm", "args": ["euclidean"]}]}
     config = ScenarioConfig(name="ball-min", kind="homothety_shadow", seed=5, params={
         "map": {"kind": "homothety", "factor": 2.0}, "epsilon": eps, "sphere_samples": 7,
         "count": 4, "window": [-4, 8], "verify_points": 200})
     report = run_scenario(config, str(tmp_path))
-    levels_7 = delta_reference_levels(parse_fn(eps), MetricKind.SUP, 7)
+    levels_7 = delta_reference_levels(fn_from_obj(eps), homothety(2.0), MetricKind.SUP, 7)
     assert report.details["ball_min"] == levels_7[1]
-    assert levels_7[1] != delta_reference_levels(parse_fn(eps), MetricKind.SUP)[1]
+    assert levels_7[1] != delta_reference_levels(fn_from_obj(eps), homothety(2.0), MetricKind.SUP)[1]
 
 
 def test_metric_warp_scenario_verdict(tmp_path):

@@ -17,12 +17,13 @@ from shadowlab.errors import (
 from shadowlab.geometry import MetricKind, distance, sample_directions
 from shadowlab import shadowing
 from shadowlab.maps import (AffineChange, ComposedChange, DiagonalAffine, RadialRescale, conjugate_map, homothety,
-                            saddle, translation_map)
+                            linear_scales, saddle, translation_map)
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
     PseudoOrbitSpec,
     SplicedRule,
+    classify_pseudo_orbit,
     generate_orbit_ensemble,
     realize,
     transport_pseudo_orbit,
@@ -156,8 +157,7 @@ def test_non_diagonal_map_directed_to_oracle():
 def test_shadow_point_of_true_orbit_is_the_start():
     spec = true_orbit_spec(homothety(2.0), [0.7, -0.4], (-5, 10))
     window = realize(spec)
-    start, w = homothety_shadow_point(window, 2.0)
-    assert start == -5
+    w = homothety_shadow_point(window, spec.map)
     assert np.allclose(w, window.points[0], atol=0)
 
 
@@ -169,7 +169,7 @@ def test_shadow_point_single_perturbation_geometric_sum():
     for _ in range(6):
         pts.append(m.apply(pts[-1]))
     window = OrbitWindow(0, np.stack(pts))
-    start, w = homothety_shadow_point(window, 2.0)
+    w = homothety_shadow_point(window, m)
     assert np.allclose(w, [1.05, 0.0], atol=0)
     orbit = np.stack([m.iterate(w, n) for n in range(len(pts))])
     assert np.allclose(orbit[1:], window.points[1:], atol=1e-14)
@@ -177,46 +177,50 @@ def test_shadow_point_single_perturbation_geometric_sum():
 
 
 def test_residual_report_agrees_with_direct_evaluation_on_short_windows():
-    eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
-    specs = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-6, 8), 20, 5150, r0,
+    eps, m = Const(1.0), homothety(2.0)
+    delta = synthesize_delta_homothety(eps, m)
+    r0, _ = delta_reference_levels(eps, m)
+    specs = generate_orbit_ensemble(m, delta, SUP, (-6, 8), 20, 5150, r0,
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
     for spec in specs:
         window = realize(spec)
-        w, stable = homothety_shadow_report(window, eps, 2.0, SUP)
+        w, stable = homothety_shadow_report(window, eps, m, SUP)
         w0 = spec.map.iterate(w, -window.start)
         direct = is_shadowed_by(window, w0, spec.map, eps, SUP)
         assert np.allclose(stable.distances, direct.distances, atol=1e-9)
 
 
 def test_measured_distance_within_tail_bound():
-    eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
-    specs = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-10, 30), 50, 777, r0,
+    eps, m = Const(1.0), homothety(2.0)
+    delta = synthesize_delta_homothety(eps, m)
+    r0, _ = delta_reference_levels(eps, m)
+    specs = generate_orbit_ensemble(m, delta, SUP, (-10, 30), 50, 777, r0,
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
     for spec in specs:
         window = realize(spec)
-        w, report = homothety_shadow_report(window, eps, 2.0, SUP)
-        bounds = shadow_tail_bound(window, spec.map, delta, 2.0)
+        w, report = homothety_shadow_report(window, eps, m, SUP)
+        bounds = shadow_tail_bound(window, m, delta)
         assert report.passed
         assert np.all(report.distances <= bounds)
 
 
 def test_shadow_series_supports_sign_flipped_scales():
-    m = np.array([2.0, -2.0])
-    from shadowlab.maps import DiagonalAffine
-
-    flip = DiagonalAffine(m)
-    spec = true_orbit_spec(flip, [0.4, 0.3], (-4, 8))
-    window = realize(spec)
-    start, w = homothety_shadow_point(window, m)
-    assert np.allclose(w, window.points[0])
-    with pytest.raises(ContractViolation):
-        homothety_shadow_point(window, np.array([2.0, -3.0]))
-    with pytest.raises(ContractViolation):
-        homothety_shadow_point(window, 0.5)
+    window = realize(true_orbit_spec(homothety(2.0), [0.4, 0.3], (-4, 8)))
+    expected_bounds = shadow_tail_bound(window, homothety(2.0), Const(0.1))
+    for flip in (DiagonalAffine([2.0, -2.0]), DiagonalAffine([-2.0, 2.0])):
+        flipped = realize(true_orbit_spec(flip, [0.4, 0.3], (-4, 8)))
+        assert np.allclose(homothety_shadow_point(flipped, flip), flipped.points[0])
+        # k = 2 whatever the signs: the tail bound's ratio and the classifier's (1 + k)/2.
+        assert np.array_equal(shadow_tail_bound(window, flip, Const(0.1)), expected_bounds)
+        cls = classify_pseudo_orbit(flipped, 0.5, flip, SUP)
+        assert cls.escaping and cls.growth_ratio == 1.5
+    # The gate admits only diagonal linear maps whose scales share one modulus |k| > 1.
+    for refused in (DiagonalAffine([2.0, 2.0], [1.0, 0.0]), DiagonalAffine([2.0, -3.0]), homothety(0.5),
+                    conjugate_map(homothety(2.0), RadialRescale(1.0, 0.5))):
+        with pytest.raises(ContractViolation):
+            linear_scales(refused)
+        with pytest.raises(ContractViolation):
+            homothety_shadow_point(window, refused)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,7 @@ def test_shadow_series_supports_sign_flipped_scales():
 
 
 def _series_shadower(z_window):
-    return homothety_shadow_point(z_window, 2.0, dtype=np.longdouble)[1]
+    return homothety_shadow_point(z_window, homothety(2.0))
 
 
 def test_forward_to_full_true_orbit_returns_anchor():
@@ -236,7 +240,7 @@ def test_forward_to_full_true_orbit_returns_anchor():
 
 def test_forward_to_full_constant_origin_shadower():
     eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps)
+    delta = synthesize_delta_homothety(eps, homothety(2.0))
     rng = np.random.default_rng(4)
     from shadowlab.pseudo_orbit import random_pseudo_orbit
 
@@ -247,16 +251,15 @@ def test_forward_to_full_constant_origin_shadower():
 
 
 def test_forward_to_full_matches_direct_series():
-    eps = saddle_adversarial_epsilon()
-    delta = synthesize_delta_homothety(eps)
-    r0, _ = delta_reference_levels(eps)
-    specs = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-20, 30), 10, 2024, r0,
+    eps, m = saddle_adversarial_epsilon(), homothety(2.0)
+    delta = synthesize_delta_homothety(eps, m)
+    r0, _ = delta_reference_levels(eps, m)
+    specs = generate_orbit_ensemble(m, delta, SUP, (-20, 30), 10, 2024, r0,
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
     for spec in specs:
         limit = forward_to_full_shadow(spec, eps, _series_shadower, 20, 1e-9, SUP)
         window = realize(spec)
-        _, w = homothety_shadow_point(window, 2.0, dtype=np.longdouble)
-        direct = spec.map.iterate(w, -window.start)
+        direct = m.iterate(homothety_shadow_point(window, m), -window.start)
         assert float(np.max(np.abs(np.asarray(limit - direct, dtype=float)))) <= 1e-8
 
 
@@ -308,8 +311,7 @@ def test_search_on_conjugated_map_finds_transported_shadow():
     g = conjugate_map(homothety(2.0), change)
     base = true_orbit_spec(homothety(2.0), [0.75, 0.5], (-6, 10))
     window = realize(base)
-    _, w = homothety_shadow_point(window, 2.0)
-    w0 = homothety(2.0).iterate(w, -window.start)
+    w0 = homothety(2.0).iterate(homothety_shadow_point(window, base.map), -window.start)
     target = change.apply(w0)
     moved = transport_pseudo_orbit(window, change)
     spec = PseudoOrbitSpec(ExplicitRule(moved.points, moved.start), base.window, g)
