@@ -13,7 +13,6 @@ from .cplus import (
     CPlusFn,
     Const,
     Envelope,
-    NeighborhoodSpec,
     RadialTable,
     decaying_epsilon,
     epsilon_from_neighborhood,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +55,6 @@ __all__ = [
     "Envelope",
     "fn_from_json",
     "fn_from_obj",
-    "NeighborhoodSpec",
     "epsilon_from_neighborhood",
     "saddle_adversarial_epsilon",
     "decaying_epsilon",
@@ -493,15 +493,9 @@ _SHORTHANDS = {
 # ---------------------------------------------------------------------------
 
 
-class NeighborhoodSpec:
-    """A diagonal neighborhood of ball type: E[x] = open ball of radius rho(x)."""
-
-    def __init__(self, radius: CPlusFn):
-        self.radius = radius
-
-
-def epsilon_from_neighborhood(nbhd: NeighborhoodSpec, grid, metric: MetricKind = MetricKind.SUP) -> Envelope:
-    """Turn a ball-type diagonal neighborhood into a tolerance function.
+def epsilon_from_neighborhood(rho: CPlusFn, grid, metric: MetricKind = MetricKind.SUP) -> Envelope:
+    """Turn the ball-type diagonal neighborhood E[x] = open ball of radius
+    rho(x) into a tolerance function.
 
     Returns the sampled infimal convolution
     ``eps(x) = min over grid points y of (rho(y) + d(x, y))``, the largest
@@ -516,7 +510,7 @@ def epsilon_from_neighborhood(nbhd: NeighborhoodSpec, grid, metric: MetricKind =
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ContractViolation("grid must be a nonempty (M, d) array")
-    return Envelope(pts, np.atleast_1d(nbhd.radius.eval(pts)), metric)
+    return Envelope(pts, np.atleast_1d(rho.eval(pts)), metric)
 
 
 # ---------------------------------------------------------------------------
@@ -615,22 +609,19 @@ def synthesize_delta_homothety(epsilon: CPlusFn, m: MapSpec, metric: MetricKind 
     return RadialTable(np.column_stack([s_grid, values]), metric, tail="harmonic")
 
 
+@dataclass
 class DeltaConditionReport:
     """Outcome of re-verifying a synthesized delta at random points."""
 
-    def __init__(self, r0, m, factor, checked, failures):
-        self.r0 = r0
-        self.m = m
-        self.factor = factor
-        self.checked = checked
-        self.failures = dict(failures)
+    r0: float
+    ball_min: float
+    factor: float
+    checked: int
+    failures: dict[str, int]
 
     @property
     def ok(self) -> bool:
         return all(v == 0 for v in self.failures.values())
-
-    def __repr__(self):
-        return f"<DeltaConditionReport checked={self.checked} failures={self.failures}>"
 
 
 def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, m: MapSpec,

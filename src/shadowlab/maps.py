@@ -24,11 +24,10 @@ so only the sampled search oracle decides feasibility for them.
 
 Every map has the closed-form ``iterate(p, n)`` and ``orbit(p, ns)``; a
 conjugated map iterates through its inner map's closed form,
-``change(inner^n(change^{-1}(p)))``, and never steps.  Only the oracle's scan
-of a conjugated map still marches outward one ``apply`` at a time, because
-it prunes candidates after every index, most of them at n = 0, before it
-pays for any further map call.  Changes of coordinates compute each point
-alone, so a point's image has the same bits in a call of any size.
+``change(inner^n(change^{-1}(p)))``, and never steps, in the grid oracle
+too, which chooses only the order of its indices by map (README,
+"Numerical policy").  Changes of coordinates compute each point alone, so a
+point's image has the same bits in a call of any size.
 
 ``power_map`` normalizes eagerly: powers of diagonal-affine maps are again
 diagonal-affine (exactness is preserved), and powers commute with conjugacy.

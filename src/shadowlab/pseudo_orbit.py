@@ -31,8 +31,8 @@ import numpy as np
 
 from .cplus import CPlusFn
 from .errors import ContractViolation, IterationRangeError
-from .geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
-from .maps import DiagonalAffine, MapSpec, linear_scales, map_to_dict
+from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions, uniform_ball
+from .maps import MapSpec, linear_scales, map_to_dict
 from .plots import trace_csv
 
 __all__ = [
@@ -445,8 +445,11 @@ def generate_orbit_ensemble(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     delta0 = float(delta.eval(np.zeros(dim)))
     # Anchored orbits stay inside radius `keep`; that is only sustainable if
     # an admissible inward draw exists from everywhere inside, which needs
-    # keep * (k - 1) comfortably below the slack near the origin.
-    k = float(np.max(np.abs(m.scales))) if isinstance(m, DiagonalAffine) else 2.0
+    # keep * (k - 1) comfortably below the slack near the origin.  k is the
+    # map's sup-norm expansion on the unit directions: max|a_j| exactly for a
+    # diagonal linear map, whose axis directions are sampled exactly.
+    dirs = sample_directions(MetricKind.SUP, dim, 64)
+    k = float(np.max(metric_norm(MetricKind.SUP, m.apply(dirs))))
     keep = 0.45 * min(delta0, r0) / max(1.0, k - 1.0)
     n_anchored = int(round(anchored_fraction * count))
     lo, hi = start_range

@@ -36,7 +36,6 @@ from . import cplus, plots
 from .cplus import (
     Const,
     CPlusFn,
-    NeighborhoodSpec,
     decaying_epsilon,
     epsilon_from_neighborhood,
     fn_from_obj,
@@ -467,8 +466,7 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
     axis = np.linspace(-half_extent, half_extent, points_per_axis)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    nbhd = NeighborhoodSpec(radius_fn)
-    envelope = epsilon_from_neighborhood(nbhd, grid, metric)
+    envelope = epsilon_from_neighborhood(radius_fn, grid, metric)
     rho = np.atleast_1d(radius_fn.eval(grid))
 
     n = points_per_axis

@@ -352,7 +352,7 @@ def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn) -> np.nda
     perturbation respects the strict slack condition.
     """
     k = abs(float(linear_scales(m)[0]))
-    return _tail_sums(np.atleast_1d(delta.eval(m.apply(window.points[:-1]))), k)
+    return _tail_sums(np.atleast_1d(delta.eval(m.iterate(window.points[:-1], 1))), k)
 
 
 def forward_to_full_shadow(spec: PseudoOrbitSpec, epsilon: CPlusFn, forward_shadower,
@@ -451,56 +451,25 @@ def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
 
 
 def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
-          points: np.ndarray, jumps: list | None) -> tuple[np.ndarray, float | None]:
-    """Scan one block of candidates against every window constraint.
+          points: np.ndarray, order: list[int]) -> tuple[np.ndarray, float | None]:
+    """Scan one block of candidates against the window constraints in ``order``.
 
     Returns ``(first passing point, None)``, or ``(near miss, gap)`` for the
-    candidate closest to the constraint that emptied the block.  The
-    surviving set is an intersection, so constraints may be processed in any
-    order.  ``jumps`` holds (n, a^n, drift(n)) of a diagonal-affine map,
-    tightest tolerance first, so each image is one closed-form jump and the
-    live set collapses early; without it the map is marched outward from
-    index 0, so inverses are only composed with inverses.  Boolean pruning
-    keeps row-major order, so the first survivor is the block's first
-    passing point.
+    candidate closest to the constraint that emptied the block.  Each image
+    is one closed-form ``m.iterate``.  The surviving set is an intersection,
+    so any order decides the same; boolean pruning keeps row-major order, so
+    the first survivor is the block's first passing point.
     """
     live = points
-    miss = None
-
-    def check(img, n):
-        """Mask of the images inside constraint n, or None (recording the miss)."""
-        nonlocal miss
-        e_n = float(eps_vals[n - window.start])
-        dist = distance(metric, img, window.point_at(n))
-        ok = dist < e_n
-        if np.any(ok):
-            return ok
-        j = int(np.argmin(dist - e_n))
-        miss = (live[j].copy(), float(dist[j] - e_n))
-        return None
-
-    if jumps is not None:
-        for n, pow_, drift in jumps:
-            ok = check(live if n == 0 else live * pow_ + drift, n)
-            if ok is None:
-                return miss
-            if not np.all(ok):
-                live = live[ok]
-    else:
-        ok = check(live, 0)
-        if ok is None:
-            return miss
+    for n in order:
+        img = live if n == 0 else m.iterate(live, n)
+        dist = distance(metric, img, window.point_at(n)) - float(eps_vals[n - window.start])
+        ok = dist < 0.0
+        if not np.any(ok):
+            j = int(np.argmin(dist))
+            return live[j].copy(), float(dist[j])
         if not np.all(ok):
             live = live[ok]
-        for step, end, advance in ((1, window.stop, m.apply), (-1, window.start, m.apply_inverse)):
-            img = live
-            for n in range(step, end + step, step):
-                img = advance(img)
-                ok = check(img, n)
-                if ok is None:
-                    return miss
-                if not np.all(ok):
-                    live, img = live[ok], img[ok]
     return live[0].copy(), None
 
 
@@ -526,19 +495,22 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
 
     window = realize(spec)
     eps_vals = np.atleast_1d(epsilon.eval(window.points))
-    jumps = None
     if is_diagonal_affine(m):
         # Tightest tolerance first; deep indices break ties.
         order = sorted(range(window.start, window.stop + 1),
                        key=lambda n: (eps_vals[n - window.start], -abs(n)))
-        jumps = [(n, *m.power_coefficients(n)) for n in order]
+    else:
+        # Index 0 needs no map call and drops most candidates; every other
+        # index costs one closed-form iterate, so tightest-first gains nothing
+        # here and measured slower (README, "Numerical policy").
+        order = [0, *range(1, window.stop + 1), *range(-1, window.start - 1, -1)]
 
     row_size = int(np.prod([len(a) for a in axes[1:]]))
     rows_per_block = max(1, _BLOCK_POINTS // row_size)
     best_gap, near = np.inf, None
     for row in range(0, len(axes[0]), rows_per_block):
         block = _grid_points([axes[0][row:row + rows_per_block]] + axes[1:])
-        point, gap = _scan(m, window, eps_vals, metric, block, jumps)
+        point, gap = _scan(m, window, eps_vals, metric, block, order)
         if gap is None:
             return SearchResult(point, total, grid_step)
         if gap < best_gap:
@@ -546,7 +518,7 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
 
     if refine and near is not None:
         sub = _grid_points([near[j] + (grid_step / 2.0) * np.arange(-2, 3) for j in range(len(axes))])
-        point, gap = _scan(m, window, eps_vals, metric, sub, jumps)
+        point, gap = _scan(m, window, eps_vals, metric, sub, order)
         if gap is None:
             return SearchResult(point, total + sub.shape[0], grid_step, refined=True)
         return SearchResult(None, total + sub.shape[0], grid_step, near_miss=near, refined=True)

@@ -187,7 +187,7 @@ def test_criterion_4_forward_to_full():
 
 
 def test_criterion_5_neighborhood_equivalence():
-    from shadowlab.cplus import Add, NeighborhoodSpec, Norm, epsilon_from_neighborhood
+    from shadowlab.cplus import Add, Norm, epsilon_from_neighborhood
 
     radius_fns = {
         "constant": Const(0.7),
@@ -209,7 +209,7 @@ def test_criterion_5_neighborhood_equivalence():
     axis = np.linspace(-10.0, 10.0, 201)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    env = epsilon_from_neighborhood(NeighborhoodSpec(Const(0.7)), grid, SUP)
+    env = epsilon_from_neighborhood(Const(0.7), grid, SUP)
     sampled = np.random.default_rng(5).integers(0, grid.shape[0], size=2000)
     assert np.all(env.eval(grid[sampled]) == 0.7)
     _line(5, True, "3 radius functions on the 201x201 grid: Lipschitz, dominated, contained")

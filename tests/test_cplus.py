@@ -12,7 +12,6 @@ from shadowlab.cplus import (
     Max,
     Min,
     Mul,
-    NeighborhoodSpec,
     Norm,
     RadialTable,
     Recip,
@@ -126,7 +125,7 @@ def test_envelope_refuses_a_query_of_another_dimension():
 
 def test_envelope_constant_radius_is_exact():
     grid = _dense_grid(5.0, 41)
-    env = epsilon_from_neighborhood(NeighborhoodSpec(Const(0.7)), grid)
+    env = epsilon_from_neighborhood(Const(0.7), grid)
     assert np.all(env.values_at_nodes() == 0.7)
 
 
@@ -135,7 +134,7 @@ def test_envelope_well_matches_brute_force_and_closed_form():
     # the brute-force minimum over the grid and with min(1, 0.1 + |x|).
     grid = _dense_grid(4.0, 81)
     rho = RadialTable([[0.0, 0.1], [0.5, 1.0]])
-    env = epsilon_from_neighborhood(NeighborhoodSpec(rho), grid)
+    env = epsilon_from_neighborhood(rho, grid)
     values = env.values_at_nodes()
 
     rho_vals = rho.eval(grid)
@@ -151,7 +150,7 @@ def test_envelope_well_matches_brute_force_and_closed_form():
 def test_envelope_identity_when_radius_already_one_lipschitz(rng):
     grid = _dense_grid(6.0, 61)
     rho = Add(Const(1.0), Norm(MetricKind.SUP))
-    env = epsilon_from_neighborhood(NeighborhoodSpec(rho), grid)
+    env = epsilon_from_neighborhood(rho, grid)
     idx = rng.integers(0, grid.shape[0], size=200)
     assert np.allclose(env.values_at_nodes()[idx], rho.eval(grid[idx]), atol=1e-12)
 
@@ -159,7 +158,7 @@ def test_envelope_identity_when_radius_already_one_lipschitz(rng):
 def test_envelope_lipschitz_and_contained(rng):
     grid = _dense_grid(3.0, 41)
     rho = Max(Const(0.2), Mul(Const(1.5), Exp2Neg(Norm(MetricKind.SUP))))
-    env = epsilon_from_neighborhood(NeighborhoodSpec(rho), grid)
+    env = epsilon_from_neighborhood(rho, grid)
     values = env.values_at_nodes()
     rho_vals = rho.eval(grid)
     assert np.all(values <= rho_vals + 1e-12)
@@ -174,7 +173,7 @@ def test_envelope_lipschitz_and_contained(rng):
 
 def test_empty_grid_rejected():
     with pytest.raises(ContractViolation):
-        epsilon_from_neighborhood(NeighborhoodSpec(Const(1.0)), np.zeros((0, 2)))
+        epsilon_from_neighborhood(Const(1.0), np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize("points, values", [
@@ -324,6 +323,14 @@ def test_delta_conditions_strict_at_random_points(eps_builder):
     delta = synthesize_delta_homothety(eps, homothety(2.0))
     report = verify_delta_conditions(delta, eps, homothety(2.0), n_points=20_000, rng=np.random.default_rng(3))
     assert report.ok, report.failures
+
+
+def test_delta_condition_report_names_its_levels():
+    eps, m, metric = saddle_adversarial_epsilon(), homothety(2.0), MetricKind.SUP
+    delta = synthesize_delta_homothety(eps, m, metric)
+    report = verify_delta_conditions(delta, eps, m, metric, n_points=1_000)
+    r0, ball_min = delta_reference_levels(eps, m, metric, 256)
+    assert (report.r0, report.ball_min, report.factor, report.checked) == (r0, ball_min, 2.0, 1_000)
 
 
 def test_synthesis_rejects_too_few_directions():

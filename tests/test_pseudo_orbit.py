@@ -9,7 +9,16 @@ from shadowlab.cplus import (
 )
 from shadowlab.errors import ContractViolation, IterationRangeError
 from shadowlab.geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
-from shadowlab.maps import DiagonalAffine, homothety, power_map, reverse_homothety, saddle, translation_map
+from shadowlab.maps import (
+    AffineChange,
+    DiagonalAffine,
+    conjugate_map,
+    homothety,
+    power_map,
+    reverse_homothety,
+    saddle,
+    translation_map,
+)
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
@@ -353,6 +362,20 @@ def test_euclidean_ensemble_validates_and_repeats():
     for sa, sb in zip(a, b):
         assert validate(sa, delta, metric).passed
         assert np.array_equal(sa.rule.points, sb.rule.points)
+
+
+@pytest.mark.parametrize("anchored_fraction", [1.0, 0.5])
+def test_anchored_radius_comes_from_the_map_not_its_class(anchored_fraction):
+    # The anchored radius follows the map's expansion, whatever its class: an
+    # identity conjugate of homothety(4) draws homothety(4)'s ensemble.
+    h = homothety(4.0)
+    delta = synthesize_delta_homothety(Const(1.0), h)
+    r0, _ = delta_reference_levels(Const(1.0), h)
+    same = conjugate_map(h, AffineChange(np.eye(2), np.zeros(2)))
+    want = generate_orbit_ensemble(h, delta, SUP, (-4, 8), 4, 3, r0, anchored_fraction=anchored_fraction)
+    got = generate_orbit_ensemble(same, delta, SUP, (-4, 8), 4, 3, r0, anchored_fraction=anchored_fraction)
+    for a, b in zip(want, got):
+        assert np.array_equal(a.rule.points, b.rule.points)
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -349,14 +349,15 @@ def first_passing_grid_point(spec, epsilon, box, step):
 @pytest.mark.parametrize("name", sorted(SEARCH_MAPS))
 def test_search_first_point_is_independent_of_block_size(name, monkeypatch):
     # Blocks of 7 and 31 points cut the grids below into one or several
-    # rows per block; 10**6 scans each grid as a single block.
+    # rows per block; 10**6 scans each grid as a single block.  Five short
+    # windows come first, then three that reach up to 11 indices from 0.
     m = SEARCH_MAPS[name]
     rng = np.random.default_rng(sum(map(ord, name)))
     outcomes = set()
-    for _ in range(5):
+    for reach in [4] * 5 + [12] * 3:
         seed = rng.uniform(-0.8, 0.8, 2)
         jump = rng.uniform(-1.2, 1.2, 2)
-        back, ahead = (int(k) for k in rng.integers(0, 4, 2))
+        back, ahead = (int(k) for k in rng.integers(0, reach, 2))
         spec = PseudoOrbitSpec(SplicedRule(seed, seed + jump, 0), (-back, max(ahead, 1 - back)), m)
         epsilon = Const(float(rng.uniform(0.2, 0.6)))
         half = rng.uniform(0.3, 1.0, 2)
