@@ -9,14 +9,16 @@ inconclusive, 2 when some run contradicts it (the largest code wins), 64 for
 usage or configuration errors (unknown fields, ill-typed or out-of-range values,
 --window/--seed overrides included, refused maps such as an adversarial map
 that shadows or a non-planar ensemble map, tolerance trees not positive at the
-origin, margins that swallow the tolerance, maps the exact certificate does not
-support, oversized oracle grids, and iterates that leave double range before
-the run decides: the certificate stops at the depth that decides it, while the
-oracle and the ensembles realize their whole windows), 70 for internal
-contract violations, a tolerance tree tripping its own guard included.  ``run
-all`` runs the built-in catalog on up to four threads; the scenarios share no
-mutable state, and numpy releases the GIL in their array work.  Each scenario's
-line reports its own thread's CPU time, which pooled wall time would inflate.
+origin or where a slack is synthesized from them, margins that swallow the
+tolerance, maps the exact certificate does not support, oversized oracle grids,
+and iterates that leave double range before the run decides: the certificate
+stops at the depth that decides it, while the oracle and the ensembles realize
+their whole windows), 70 for internal contract violations.  --window sets
+params.window_limit, which only an adversarial_box config has; every config is
+checked before any run starts.  ``run all`` runs the built-in catalog on up to
+four threads; the scenarios share no mutable state, and numpy releases the GIL
+in their array work.  Each scenario's line reports its own thread's CPU time,
+which pooled wall time would inflate.
 The only environment override is OUTPUT_DIR for the default artifact directory.
 """
 
@@ -28,9 +30,9 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ConfigError, ContractViolation, IterationRangeError, PositivityError
+from .errors import ConfigError, ContractViolation, IterationRangeError
 from .plots import emit_plot
-from .scenarios import SCENARIO_NAMES, list_scenarios, load_config, run_scenario
+from .scenarios import SCENARIO_NAMES, check_config, list_scenarios, load_config, run_scenario
 
 USAGE_EXIT = 64
 INTERNAL_EXIT = 70
@@ -49,7 +51,7 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run a built-in scenario, 'all', or a config file")
     run.add_argument("scenario", help="built-in name, 'all', or path to a JSON config")
-    run.add_argument("--window", type=int, default=None, help="override the window limit")
+    run.add_argument("--window", type=int, default=None, help="set params.window_limit (adversarial_box)")
     run.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     run.add_argument("--out", default=None, help="output directory (default: out/)")
 
@@ -70,9 +72,10 @@ def _run_command(args) -> int:
     for name in names:
         config = load_config(name)
         if args.window is not None:
-            config.window_limit = args.window
+            config.params["window_limit"] = args.window
         if args.seed is not None:
             config.seed = args.seed
+        check_config(config)
         configs.append(config)
 
     with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
@@ -110,7 +113,7 @@ def main(argv=None) -> int:
     except (ConfigError, IterationRangeError) as exc:
         print(f"shadowlab: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ContractViolation, PositivityError) as exc:
+    except ContractViolation as exc:
         print(f"shadowlab: contract violation: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
     except FileNotFoundError as exc:

@@ -92,12 +92,9 @@ def within(step: str):
 @contextmanager
 def config_path(where: str):
     """Report a ContractViolation or IterationRangeError raised inside as a ConfigError at
-    ``where`` + its path.  A PositivityError, a tree tripping its own guard where it is
-    evaluated, stays an internal fault."""
+    ``where`` + its path."""
     try:
         yield
-    except PositivityError:
-        raise
     except (ContractViolation, IterationRangeError) as exc:
         path = (where + getattr(exc, "path", "")).lstrip(".")
         raise ConfigError(f"'{path}': {exc}" if path else f"config {exc}") from exc

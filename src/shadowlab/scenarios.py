@@ -85,7 +85,7 @@ from .shadowing import (
     transported_epsilon_values,
 )
 
-__all__ = ["ScenarioConfig", "RunReport", "SCENARIO_NAMES", "builtin_config",
+__all__ = ["ScenarioConfig", "RunReport", "SCENARIO_NAMES", "builtin_config", "check_config",
            "list_scenarios", "run_scenario", "load_config"]
 
 
@@ -97,9 +97,6 @@ class ScenarioConfig:
     kind: str
     metric: str = "sup"
     seed: int = 0
-    window_limit: int = 32
-    margin: float = 0.0
-    out_dir: str | None = None
     params: dict = field(default_factory=dict)
 
     def to_obj(self) -> dict:
@@ -108,7 +105,7 @@ class ScenarioConfig:
     @classmethod
     def from_obj(cls, obj: dict) -> "ScenarioConfig":
         """The config of a JSON object whose top-level fields pass ``_CONFIG_FIELDS``;
-        ``run_scenario`` checks the whole config again, ``params`` included."""
+        ``check_config`` checks the whole config again, ``params`` included."""
         with config_path(""):
             return cls(**read_fields(obj, _CONFIG_FIELDS))
 
@@ -159,17 +156,18 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     m, epsilon = p["map"], p["epsilon"]
     fwd, direction = p["forward_seed"], p["jump_direction"]
     rng = np.random.default_rng(config.seed)
-    window = (-config.window_limit, config.window_limit)
+    limit, margin = p["window_limit"], p["margin"]
+    window = (-limit, limit)
 
     # One run at the given jump, or one per drawn slack at its largest admissible jump.
     deltas = [None] if p["jump"] is not None else [random_positive_fn(rng) for _ in range(p["delta_count"])]
     runs = []
     for delta in deltas:
         q = p["jump"] if delta is None else max_splice_jump(
-            PseudoOrbitSpec(SplicedRule(fwd, fwd + direction, p["splice"]), window, m), delta, metric,
+            PseudoOrbitSpec(SplicedRule(fwd, fwd + direction), window, m), delta, metric,
             direction=direction)
-        spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction, p["splice"]), window, m)
-        cert = box_feasibility(spec, epsilon, config.window_limit, config.margin)
+        spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction), window, m)
+        cert = box_feasibility(spec, epsilon, limit, margin)
         entry = {"jump": q, "outcome": cert.outcome,
                  "emptiness_window": cert.emptiness_window,
                  "near_degenerate": cert.near_degenerate}
@@ -194,7 +192,7 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     spec0, cert0, _ = runs[0]
     sink.json("certificate.json", cert0.to_obj())
     sink.write("boxwidth.csv", cert0.trace_to_csv(), plot="boxwidth")
-    shown = realize(spec0, (-min(8, config.window_limit), min(8, config.window_limit)))
+    shown = realize(spec0, (-min(8, limit), min(8, limit)))
     sink.write("orbit.csv", orbit_to_csv(shown, spec_meta(spec0)), plot="orbit2d")
 
     details = {"runs": [e for _, _, e in runs], "oracle": oracle_entry}
@@ -555,7 +553,7 @@ def _run_fixed_point_scan(config: ScenarioConfig, p: dict, sink: _ArtifactSink) 
                 epsilon = decaying_epsilon(1.0)
                 spec = PseudoOrbitSpec(
                     SplicedRule(np.zeros(2), np.array([0.0, 0.5]), 0), (-32, 32), m)
-            cert = box_feasibility(spec, epsilon, abs(spec.window[0]), config.margin)
+            cert = box_feasibility(spec, epsilon, abs(spec.window[0]))
             evidence = "not-shadowing" if cert.empty else "shadowing"
         else:
             # The series shadows the expanding direction of each homothety.
@@ -626,11 +624,9 @@ def _adversarial_map(value, fields):
 
 
 def _homothety_map(value, fields):
-    """The ensemble kinds' map, inverted first when asked: the synthesis, its check and the
-    shadow series need a planar diagonal linear map whose scales share one modulus |k| > 1."""
+    """The ensemble kinds' map: the synthesis, its check and the shadow series need a planar
+    diagonal linear map whose scales share one modulus |k| > 1."""
     m = map_from_dict(value)
-    if fields.get("invert_first"):
-        m = power_map(m, -1)
     check(m.dimension == 2, "a planar map", value)
     linear_scales(m)
     return m
@@ -670,11 +666,9 @@ _SAMPLED = ["sup", "euclidean"]  # the metrics with uniform ball sampling
 _KINDS = {
     "adversarial_box": (_run_adversarial_box, _METRICS, {
         "map": (_adversarial_map, REQUIRED), "epsilon": _FN, "forward_seed": _POINT,
-        "jump_direction": _DIRECTION,
-        "jump": (_POSITIVE, None), "delta_count": (_COUNT, 5), "splice": (number(integer=True), 0),
-        "oracle": (_oracle, None)}),
+        "jump_direction": _DIRECTION, "window_limit": (_COUNT, 32), "margin": (number(0.0), 0.0),
+        "jump": (_POSITIVE, None), "delta_count": (_COUNT, 5), "oracle": (_oracle, None)}),
     "homothety_shadow": (_run_homothety_pipeline, _SAMPLED, {
-        "invert_first": (lambda v, f: check(isinstance(v, bool), "true or false", v), False),
         "map": _HOMOTHETY, "window": (_window, (-20, 40)), "epsilon": _FN, "count": (_COUNT, 200),
         "anchored_fraction": (number(0.0, 1.0), 0.2), "sphere_samples": (number(4, integer=True), 64),
         "verify_points": (_COUNT, 20_000)}),
@@ -700,17 +694,14 @@ _CONFIG_FIELDS = {
     "kind": (one_of(_KINDS), REQUIRED),
     "metric": (lambda v, f: one_of(_KINDS[f["kind"]][1])(v), ScenarioConfig.metric),
     "seed": (number(0, integer=True), ScenarioConfig.seed),
-    "window_limit": (_COUNT, ScenarioConfig.window_limit),
-    "margin": (number(0.0), ScenarioConfig.margin),
-    "out_dir": (lambda v, f: check(v is None or isinstance(v, str), "a path or null", v), None),
     "params": (lambda v, f: dict(check(isinstance(v, dict), "an object", v)), lambda f: {}),
 }
 
 
 _BUILTINS = {
     "saddle-not-tsp": ("adversarial splice against the saddle: emptiness certificate", dict(
-        kind="adversarial_box", seed=11, window_limit=32, margin=0.0, params={
-            "map": {"kind": "saddle"}, "epsilon": "saddle_adversarial",
+        kind="adversarial_box", seed=11, params={
+            "map": {"kind": "saddle"}, "epsilon": "saddle_adversarial", "window_limit": 32, "margin": 0.0,
             "forward_seed": [1.0, 0.0], "jump_direction": [0.0, 1.0], "delta_count": 5,
             "oracle": {"box": [[0.0, 2.0], [-1.0, 1.0]], "step": 1e-3}})),
     "homothety-tsp": ("synthesized slack shadows every random pseudo-orbit of x -> 2x", dict(
@@ -719,11 +710,11 @@ _BUILTINS = {
             "count": 200, "window": [-20, 40]})),
     "reverse-homothety-tsp": ("same pipeline through the inverse of z -> conj(z)/2", dict(
         kind="homothety_shadow", seed=19, params={
-            "map": {"kind": "reverse_homothety", "factor": 0.5}, "invert_first": True,
+            "map": {"kind": "power", "inner": {"kind": "reverse_homothety", "factor": 0.5}, "k": -1},
             "epsilon": "const:1.0", "count": 150, "window": [-20, 40]})),
     "translation-adversarial": ("decaying tolerance defeats the unit translation", dict(
-        kind="adversarial_box", seed=13, window_limit=64, margin=1e-12, params={
-            "map": {"kind": "translation"}, "epsilon": "decaying:1.0",
+        kind="adversarial_box", seed=13, params={
+            "map": {"kind": "translation"}, "epsilon": "decaying:1.0", "window_limit": 64, "margin": 1e-12,
             "forward_seed": [0.0, 0.0], "jump_direction": [0.0, 1.0], "jump": 0.5,
             "oracle": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "step": 1e-2}})),
     "metric-warp": ("radial warp removes the constant-tolerance shadowing point", dict(
@@ -785,19 +776,25 @@ def load_config(source: str) -> ScenarioConfig:
     return ScenarioConfig.from_obj(obj)
 
 
+def check_config(config: ScenarioConfig) -> dict:
+    """The decoded ``params`` of a config that passes the schema, or a ConfigError naming
+    the first field it refuses."""
+    with config_path(""):
+        read_fields(config.to_obj(), _CONFIG_FIELDS)
+    with config_path("params"):
+        return read_fields(config.params, _KINDS[config.kind][2])
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunReport:
-    """Execute one scenario and write its artifacts.
+    """Execute one scenario and write its artifacts under ``out_dir`` (default ``out``).
 
     The scenario's verdict states whether the run reproduced the expected
     result; the written files carry no timing or other nondeterminism, so a
     rerun with the same config and seed is byte-identical.
     """
-    with config_path(""):
-        read_fields(config.to_obj(), _CONFIG_FIELDS)
-    handler, _, table = _KINDS[config.kind]
-    with config_path("params"):
-        params = read_fields(config.params, table)
-    root = Path(out_dir or config.out_dir or "out") / config.name
+    params = check_config(config)
+    handler = _KINDS[config.kind][0]
+    root = Path(out_dir or "out") / config.name
     sink = _ArtifactSink(root)
     started = time.perf_counter()
     cpu_started = time.thread_time()

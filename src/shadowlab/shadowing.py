@@ -410,7 +410,7 @@ class SearchResult:
     """Outcome of the brute-force grid oracle."""
 
     found: np.ndarray | None
-    checked: int
+    checked: int  # grid points scanned, up to the deciding block, refinement included
     grid_step: float
     near_miss: np.ndarray | None = None
     refined: bool = False
@@ -491,7 +491,6 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     if len(search_box) != m.dimension:
         raise ContractViolation(f"search box has {len(search_box)} axes for a map of dimension {m.dimension}")
     axes = _grid_axes(search_box, grid_step)
-    total = int(np.prod([len(a) for a in axes]))
 
     window = realize(spec)
     eps_vals = np.atleast_1d(epsilon.eval(window.points))
@@ -507,22 +506,24 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
 
     row_size = int(np.prod([len(a) for a in axes[1:]]))
     rows_per_block = max(1, _BLOCK_POINTS // row_size)
-    best_gap, near = np.inf, None
+    best_gap, near, checked = np.inf, None, 0
     for row in range(0, len(axes[0]), rows_per_block):
         block = _grid_points([axes[0][row:row + rows_per_block]] + axes[1:])
+        checked += block.shape[0]
         point, gap = _scan(m, window, eps_vals, metric, block, order)
         if gap is None:
-            return SearchResult(point, total, grid_step)
+            return SearchResult(point, checked, grid_step)
         if gap < best_gap:
             best_gap, near = gap, point
 
     if refine and near is not None:
         sub = _grid_points([near[j] + (grid_step / 2.0) * np.arange(-2, 3) for j in range(len(axes))])
+        checked += sub.shape[0]
         point, gap = _scan(m, window, eps_vals, metric, sub, order)
         if gap is None:
-            return SearchResult(point, total + sub.shape[0], grid_step, refined=True)
-        return SearchResult(None, total + sub.shape[0], grid_step, near_miss=near, refined=True)
-    return SearchResult(None, total, grid_step, near_miss=near)
+            return SearchResult(point, checked, grid_step, refined=True)
+        return SearchResult(None, checked, grid_step, near_miss=near, refined=True)
+    return SearchResult(None, checked, grid_step, near_miss=near)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,9 @@ def test_run_config_file_with_overrides(tmp_path, capsys):
         "kind": "adversarial_box",
         "metric": "sup",
         "seed": 3,
-        "window_limit": 16,
-        "margin": 1e-12,
         "params": {
+            "window_limit": 64,
+            "margin": 1e-12,
             "map": {"kind": "translation"},
             "epsilon": "decaying:1.0",
             "forward_seed": [0.0, 0.0],
@@ -63,9 +63,12 @@ def test_run_config_file_with_overrides(tmp_path, capsys):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "9"]) == 0
-    report = json.loads((tmp_path / "out" / "small-translation" / "report.json").read_text())
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "9", "--window", "16"]) == 0
+    root = tmp_path / "out" / "small-translation"
+    report = json.loads((root / "report.json").read_text())
     assert report["seed"] == 9
+    assert report["config"]["params"]["window_limit"] == 16 and report["config"]["params"]["margin"] == 1e-12
+    assert json.loads((root / "certificate.json").read_text())["window_limit"] == 16
 
 
 def test_oversized_oracle_grid_is_config_error(tmp_path, capsys):
@@ -110,25 +113,18 @@ def test_plot_subcommand(tmp_path, capsys):
     assert str(out_path) in capsys.readouterr().out
 
 
-def test_internal_contract_violation_exits_70(tmp_path, capsys):
-    # A tolerance tree that evaluates non-positive trips the guarded node at
-    # runtime: an internal contract violation, not a usage error.
-    config = {
-        "name": "broken-pipeline",
-        "kind": "homothety_shadow",
-        "seed": 1,
-        "params": {
-            "map": {"kind": "homothety", "factor": 2.0},
-            "epsilon": {"op": "sub", "args": [{"op": "const", "args": [1.0]},
-                                              {"op": "const", "args": [2.0]}]},
-            "count": 5,
-            "window": [-4, 8],
-        },
-    }
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 70
-    assert "contract violation" in capsys.readouterr().err
+def test_internal_contract_violation_exits_70(tmp_path, capsys, monkeypatch):
+    # A broken invariant inside a handler, on a valid config, is an internal fault.
+    import shadowlab.scenarios as sc
+    from shadowlab.errors import ContractViolation
+
+    def broken(*args, **kwargs):
+        raise ContractViolation("box bounds out of order")
+
+    monkeypatch.setattr(sc, "box_feasibility", broken)
+    assert main(["run", "translation-adversarial", "--out", str(tmp_path)]) == 70
+    err = capsys.readouterr().err
+    assert "contract violation: box bounds out of order" in err and "config error" not in err
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
@@ -201,7 +197,8 @@ def test_scenario_name_cannot_leave_out_dir(tmp_path, capsys, name):
       "epsilon": "const:1.0"}, "params.map.change"),
     ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "sphere_samples": "7"},
      "params.sphere_samples"),
-    ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "invert_first": "yes"},
+    # Removed: the power map with k = -1 inverts the map.
+    ({"map": {"kind": "reverse_homothety", "factor": 0.5}, "epsilon": "const:1.0", "invert_first": True},
      "params.invert_first"),
     ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "count": True},
      "params.count"),

@@ -58,7 +58,7 @@ REFUSED = [
     # Each of these ended in a traceback.
     ("saddle-not-tsp", ["seed"], "abc", "'seed'"),
     ("saddle-not-tsp", ["seed"], -1, "'seed'"),
-    ("saddle-not-tsp", ["window_limit"], "abc", "'window_limit'"),
+    ("saddle-not-tsp", ["params", "window_limit"], "abc", "params.window_limit"),
     ("homothety-tsp", ["params", "map", "factor"], "abc", "params.map.factor"),
     ("conjugacy-invariance", ["params", "changes", "radial", "a"], "x", "params.changes.radial.a"),
     ("homothety-tsp", ["params", "epsilon"], {"op": "const", "args": []}, "params.epsilon"),
@@ -69,7 +69,7 @@ REFUSED = [
     ("saddle-not-tsp", ["params", "delta_count"], 0, "params.delta_count"),
     ("neighborhood-equivalence", ["params", "points_per_axis"], 1, "params.points_per_axis"),
     # Each of these exited 70, as an internal fault.
-    ("saddle-not-tsp", ["window_limit"], -3, "'window_limit'"),
+    ("saddle-not-tsp", ["params", "window_limit"], -3, "params.window_limit"),
     ("homothety-tsp", ["params", "sphere_samples"], 3, "params.sphere_samples"),
     ("saddle-not-tsp", ["params", "forward_seed"], [1.0], "params.forward_seed"),
     ("homothety-tsp", ["params", "epsilon"], {"op": "bogus"}, "params.epsilon.op"),
@@ -114,6 +114,19 @@ REFUSED = [
      "params.epsilon"),
     # An unknown shorthand string.
     ("homothety-tsp", ["params", "epsilon"], "mystery:1", "params.epsilon.op"),
+    # Trees that trip their own guard where the slack is synthesized (1 + x0)
+    # or where they are read (1 - 2): these exited 70, as an internal fault.
+    ("homothety-tsp", ["params", "epsilon"], {"op": "add", "args": [{"op": "const", "args": [1.0]},
+                                                                    {"op": "coord", "args": [0]}]},
+     "params.epsilon"),
+    ("homothety-tsp", ["params", "epsilon"], {"op": "sub", "args": [{"op": "const", "args": [1.0]},
+                                                                    {"op": "const", "args": [2.0]}]},
+     "params.epsilon"),
+    # Removed fields: no run read them, or the map's power form says the same.
+    ("homothety-tsp", ["window_limit"], 32, "'window_limit'"),
+    ("homothety-tsp", ["margin"], 0.0, "'margin'"),
+    ("homothety-tsp", ["out_dir"], None, "'out_dir'"),
+    ("saddle-not-tsp", ["params", "splice"], 0, "params.splice"),
 ]
 
 
@@ -129,7 +142,7 @@ def test_refused_values_exit_64_naming_the_field(tmp_path, name, path, value, fi
 
 @pytest.mark.parametrize("edit, field", [
     # DegenerateMarginError: the margin swallows the saddle tolerance.
-    ((["margin"], 10.0), "margin"),
+    ((["params", "margin"], 10.0), "margin"),
     # UnsupportedMapError: the exact certificate needs a diagonal-affine map.
     ((["params", "map"], {"kind": "conjugated", "inner": {"kind": "saddle"},
                           "change": {"kind": "radial", "a": 1.0, "b": 0.5}}), "diagonal-affine"),
@@ -152,15 +165,24 @@ def test_cli_overrides_pass_the_same_gate(tmp_path, capsys, flags, field):
     assert not (tmp_path / "translation-adversarial").exists()
 
 
+@pytest.mark.parametrize("scenario, window", [("homothety-tsp", "5"), ("all", "64")])
+def test_window_is_refused_where_no_kind_reads_it(tmp_path, capsys, scenario, window):
+    # Only adversarial_box reads a window limit; "all" is refused before any run starts.
+    assert main(["run", scenario, "--window", window, "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert "config error: 'params.window_limit'" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_defaults_and_normalisation_are_not_written_back(tmp_path):
-    config = {"name": "short", "kind": "forward_to_full", "seed": 3, "margin": 0,
+    config = {"name": "short", "kind": "forward_to_full", "seed": 3,
               "params": {"map": {"kind": "homothety"}, "epsilon": "const:1.0", "count": 2,
                          "depth": 4}}
     code, _ = _run(config, tmp_path)
     assert code == 0
     report = json.loads((tmp_path / "out" / "short" / "report.json").read_text())
     assert report["config"]["params"] == config["params"]
-    assert report["config"]["margin"] == 0.0 and isinstance(report["config"]["margin"], float)
+    assert sorted(report["config"]) == ["kind", "metric", "name", "params", "seed"]
     limits = json.loads((tmp_path / "out" / "short" / "limits.json").read_text())
     assert limits["depth"] == 4 and limits["tol"] == 1e-9
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,28 @@ def test_catalog_is_complete():
     summaries = list_scenarios()
     assert [s["name"] for s in summaries] == SCENARIO_NAMES
     assert all(s["summary"] for s in summaries)
+
+
+def test_readme_config_tables_match_the_schema():
+    from shadowlab.scenarios import _CONFIG_FIELDS, _KINDS
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tables, kind = {}, None
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or len(cells) < 2:
+            continue
+        if cells[0].startswith("`"):
+            kind = re.match(r"`(\w+)`", cells[0]).group(1)
+            tables[kind] = []
+        elif cells[0]:
+            continue  # the header and its rule
+        tables[kind] += re.findall(r"`(\w+)`", cells[1])
+    assert tables == {k: list(table) for k, (_, _, table) in _KINDS.items()}
+
+    paragraph = next(" ".join(p.split()) for p in readme.split("\n\n") if "Top-level" in p)
+    paragraph = paragraph.split("Top-level fields:", 1)[1]
+    assert re.findall(r"`(\w+)` \(", paragraph) == list(_CONFIG_FIELDS)
 
 
 def test_parse_fn_shorthands():

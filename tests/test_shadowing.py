@@ -263,6 +263,27 @@ def test_forward_to_full_matches_direct_series():
         assert float(np.max(np.abs(np.asarray(limit - direct, dtype=float)))) <= 1e-8
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([(2.0, 2.0), (2.0, -2.0), (-2.0, 2.0), (3.0, 3.0), (-3.0, -3.0)]),
+       st.sampled_from([SUP, MetricKind.EUCLIDEAN]),
+       st.sampled_from(["const", "saddle_adversarial", "decaying"]),
+       st.integers(4, 16), st.integers(0, 2**32 - 1))
+def test_forward_to_full_limit_matches_the_series_point(scales, metric, tolerance, depth, seed):
+    m = DiagonalAffine(scales)
+    eps = {"const": Const(1.0), "saddle_adversarial": saddle_adversarial_epsilon(),
+           "decaying": decaying_epsilon(1.0)}[tolerance]
+    delta = synthesize_delta_homothety(eps, m, metric)
+    r0, _ = delta_reference_levels(eps, m, metric)
+    specs = generate_orbit_ensemble(m, delta, metric, (-depth, 2 * depth), 2, seed, r0,
+                                    anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
+    for spec in specs:
+        limit = forward_to_full_shadow(spec, eps, lambda zw: homothety_shadow_point(zw, m), depth, 1e-9,
+                                       metric)
+        window = realize(spec)
+        direct = m.iterate(homothety_shadow_point(window, m), -window.start)
+        assert float(np.max(np.abs(np.asarray(limit - direct, dtype=float)))) <= 1e-8
+
+
 def test_forward_to_full_reports_contract_breach():
     spec = true_orbit_spec(homothety(2.0), [0.5, 0.5], (-8, 8))
     with pytest.raises(ContractViolation):
@@ -319,6 +340,20 @@ def test_search_on_conjugated_map_finds_transported_shadow():
     result = sampled_search(spec, Const(1.0), SUP, box, 0.125)
     assert result.found is not None
     assert np.allclose(result.found, target, atol=1e-12)
+
+
+def test_search_counts_the_grid_points_it_scanned(monkeypatch):
+    # Nine rows of nine points, one row per block.  Only the seed of the true
+    # orbit passes, in row 3, so the scan stops after four blocks.
+    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", 9)
+    spec = true_orbit_spec(homothety(2.0), [-0.5, 0.5], (-4, 4))
+    found = sampled_search(spec, Const(1.0), SUP, [(-2.0, 2.0), (-2.0, 2.0)], 0.5)
+    assert np.array_equal(found.found, [-0.5, 0.5]) and found.checked == 4 * 9
+    # An absent search scans every block, plus the 5 x 5 refinement grid.
+    far = [(1.0, 5.0), (1.0, 5.0)]
+    assert sampled_search(spec, Const(1.0), SUP, far, 0.5, refine=False).checked == 81
+    absent = sampled_search(spec, Const(1.0), SUP, far, 0.5)
+    assert absent.absent and absent.refined and absent.checked == 81 + 25
 
 
 def test_search_grid_size_limit():
