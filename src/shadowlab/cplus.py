@@ -76,6 +76,14 @@ def _as_batch(p) -> tuple[np.ndarray, bool]:
     raise ContractViolation(f"expected a point or a batch of points, got shape {arr.shape}")
 
 
+def _positive(node: str, values: np.ndarray) -> np.ndarray:
+    """``values``, or a PositivityError at the row of the least one when some value is <= 0."""
+    if not np.all(values > 0.0):
+        row = int(np.argmin(values))
+        raise PositivityError(node, float(values[row]), row)
+    return values
+
+
 class CPlusFn:
     """Base class for strictly positive scalar fields."""
 
@@ -84,10 +92,7 @@ class CPlusFn:
     def eval(self, p):
         """Evaluate at a point or batch; raises if any value is <= 0."""
         pts, single = _as_batch(p)
-        values = self._eval(pts)
-        if not np.all(values > 0.0):
-            worst = float(np.min(values))
-            raise PositivityError(self.op, worst)
+        values = _positive(self.op, self._eval(pts))
         return float(values[0]) if single else values
 
     def _eval(self, pts: np.ndarray) -> np.ndarray:
@@ -190,10 +195,7 @@ class Sub(CPlusFn):
         self.b = b
 
     def _eval(self, pts):
-        out = self.a._eval(pts) - self.b._eval(pts)
-        if not np.all(out > 0.0):
-            raise PositivityError("sub", float(np.min(out)))
-        return out
+        return _positive("sub", self.a._eval(pts) - self.b._eval(pts))
 
     def to_obj(self):
         return {"op": "sub", "args": [self.a.to_obj(), self.b.to_obj()]}
@@ -225,10 +227,7 @@ class Recip(_Unary):
     op = "recip"
 
     def _eval(self, pts):
-        u = self.child._eval(pts)
-        if not np.all(u > 0.0):
-            raise PositivityError("recip", float(np.min(u)))
-        return 1.0 / u
+        return 1.0 / _positive("recip", self.child._eval(pts))
 
 
 class Clamp(CPlusFn):
@@ -270,7 +269,7 @@ class RadialTable(CPlusFn):
         if radii[0] < 0.0 or np.any(np.diff(radii) <= 0.0):
             raise ContractViolation("radii must be nonnegative and strictly increasing")
         if np.any(values <= 0.0):
-            raise PositivityError("radial", float(np.min(values)))
+            raise PositivityError("radial", float(np.min(values)), int(np.argmin(values)))
         if tail not in ("clamp", "harmonic"):
             raise ContractViolation(f"unknown tail rule {tail!r}")
         self.radii = radii
@@ -345,8 +344,7 @@ class Envelope(CPlusFn):
             raise ContractViolation("envelope sample points must be finite")
         if np.any(np.isnan(self.values)):
             raise ContractViolation("envelope values must not be NaN")
-        if np.any(self.values <= 0.0):
-            raise PositivityError("envelope", float(np.min(self.values)))
+        _positive("envelope", self.values)
         if metric not in (MetricKind.SUP, MetricKind.EUCLIDEAN):
             raise ContractViolation("envelope supports sup and Euclidean metrics")
         self.metric = metric

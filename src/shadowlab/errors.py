@@ -18,11 +18,15 @@ class DimensionMismatch(ContractViolation):
 
 
 class PositivityError(ContractViolation):
-    """A strictly positive function evaluated to a value <= 0."""
+    """A strictly positive function evaluated to a value <= 0, first at row ``row`` of
+    its batch; an evaluation along a window sets ``n``, the window index of that row."""
 
-    def __init__(self, node: str, value: float):
+    n: int | None = None
+
+    def __init__(self, node: str, value: float, row: int):
         self.node = node
         self.value = value
+        self.row = row
         super().__init__(f"node '{node}' produced non-positive value {value!r}")
 
 
@@ -98,6 +102,15 @@ def config_path(where: str):
     except (ContractViolation, IterationRangeError) as exc:
         path = (where + getattr(exc, "path", "")).lstrip(".")
         raise ConfigError(f"'{path}': {exc}" if path else f"config {exc}") from exc
+
+
+@contextmanager
+def window_path(where: str):
+    """Report a PositivityError raised inside along a window as a ConfigError at ``where``."""
+    try:
+        yield
+    except PositivityError as exc:
+        raise ConfigError(f"'{where}': {exc} at window index {exc.n}") from exc
 
 
 def check(ok, wanted: str, value):

@@ -45,7 +45,7 @@ from .cplus import (
     verify_delta_conditions,
 )
 from .errors import (REQUIRED, ConfigError, ContractViolation, NonConvergenceError, check,
-                     config_path, number, numbers, one_of, read_fields, rows, within)
+                     config_path, number, numbers, one_of, read_fields, rows, window_path, within)
 from .geometry import MetricKind, metric_norm
 from .maps import (
     DiagonalAffine,
@@ -167,7 +167,8 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
             PseudoOrbitSpec(SplicedRule(fwd, fwd + direction), window, m), delta, metric,
             direction=direction)
         spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction), window, m)
-        cert = box_feasibility(spec, epsilon, limit, margin)
+        with window_path("params.epsilon"):
+            cert = box_feasibility(spec, epsilon, limit, margin)
         entry = {"jump": q, "outcome": cert.outcome,
                  "emptiness_window": cert.emptiness_window,
                  "near_degenerate": cert.near_degenerate}
@@ -185,7 +186,8 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
             raise ConfigError("'params.oracle': a near-degenerate certificate needs the oracle")
         chosen = max(range(len(runs)), key=lambda i: runs[i][2]["jump"])
         spec = runs[chosen][0]
-        result = sampled_search(spec, epsilon, metric, *oracle)
+        with window_path("params.epsilon"):
+            result = sampled_search(spec, epsilon, metric, *oracle)
         oracle_entry = {"run": chosen, **result.to_obj()}
         all_empty = all_empty and result.absent
 

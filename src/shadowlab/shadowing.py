@@ -50,6 +50,7 @@ from .errors import (
     DimensionMismatch,
     IterationRangeError,
     NonConvergenceError,
+    PositivityError,
     SearchSpaceError,
     UnsupportedMapError,
 )
@@ -119,11 +120,20 @@ def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon,
 def _tolerances(window: OrbitWindow, epsilon) -> np.ndarray:
     """``epsilon`` at every window point, or the precomputed per-index values it holds."""
     if isinstance(epsilon, CPlusFn):
-        return np.atleast_1d(epsilon.eval(window.points))
+        return _tolerances_at(epsilon, window.points, window.indices)
     tols = np.asarray(epsilon, dtype=float)
     if tols.shape != (len(window),):
         raise ContractViolation("need one tolerance per window index")
     return tols
+
+
+def _tolerances_at(epsilon: CPlusFn, points: np.ndarray, ns) -> np.ndarray:
+    """``epsilon`` at the window points of indices ``ns``; a value <= 0 names its index."""
+    try:
+        return np.atleast_1d(epsilon.eval(points))
+    except PositivityError as exc:
+        exc.n = int(ns[exc.row])
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +266,7 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
         if ns.size:
             window = realize(spec, (ns.min(), ns.max()))
             x_n = window.points[ns - window.start]
-            eps = np.atleast_1d(epsilon.eval(x_n))
+            eps = _tolerances_at(epsilon, x_n, ns)
             radius = (eps - margin)[:, None]
             ends = ((x_n - drift - radius) / pow_, (x_n - drift + radius) / pow_)
             los = np.maximum.accumulate(np.vstack([lo, np.minimum(*ends)]))[1:]
@@ -451,16 +461,24 @@ def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
 
 
 def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
-          points: np.ndarray, order: list[int]) -> tuple[np.ndarray, float | None]:
-    """Scan one block of candidates against the window constraints in ``order``.
+          axes: list[np.ndarray], order: list[int]) -> tuple[np.ndarray, float | None]:
+    """Scan the grid spanned by ``axes`` against the window constraints in ``order``.
 
     Returns ``(first passing point, None)``, or ``(near miss, gap)`` for the
-    candidate closest to the constraint that emptied the block.  Each image
-    is one closed-form ``m.iterate``.  The surviving set is an intersection,
-    so any order decides the same; boolean pruning keeps row-major order, so
-    the first survivor is the block's first passing point.
+    candidate closest to the constraint that emptied the grid.  A sup-metric
+    first constraint whose image is coordinatewise is decided on the axes, and
+    only the product of their survivors is built (README, "Numerical policy").
     """
-    live = points
+    n = order[0]
+    if metric is MetricKind.SUP and (n == 0 or is_diagonal_affine(m)):
+        x, eps, unit = window.point_at(n), float(eps_vals[n - window.start]), np.eye(len(axes))
+        dists = [np.abs((a if n == 0 else m.iterate(np.outer(a, unit[j]), n)[:, j]) - x[j]) - eps
+                 for j, a in enumerate(axes)]
+        if not all(np.any(d < 0.0) for d in dists):
+            gap = max(float(np.min(d)) for d in dists)
+            return np.array([a[np.argmax(d <= gap)] for a, d in zip(axes, dists)]), gap
+        axes, order = [a[d < 0.0] for a, d in zip(axes, dists)], order[1:]
+    live = _grid_points(axes)
     for n in order:
         img = live if n == 0 else m.iterate(live, n)
         dist = distance(metric, img, window.point_at(n)) - float(eps_vals[n - window.start])
@@ -493,33 +511,29 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     axes = _grid_axes(search_box, grid_step)
 
     window = realize(spec)
-    eps_vals = np.atleast_1d(epsilon.eval(window.points))
+    eps_vals = _tolerances_at(epsilon, window.points, window.indices)
     if is_diagonal_affine(m):
         # Tightest tolerance first; deep indices break ties.
         order = sorted(range(window.start, window.stop + 1),
                        key=lambda n: (eps_vals[n - window.start], -abs(n)))
-    else:
-        # Index 0 needs no map call and drops most candidates; every other
-        # index costs one closed-form iterate, so tightest-first gains nothing
-        # here and measured slower (README, "Numerical policy").
+    else:  # index 0 first: README, "Numerical policy"
         order = [0, *range(1, window.stop + 1), *range(-1, window.start - 1, -1)]
 
     row_size = int(np.prod([len(a) for a in axes[1:]]))
     rows_per_block = max(1, _BLOCK_POINTS // row_size)
     best_gap, near, checked = np.inf, None, 0
     for row in range(0, len(axes[0]), rows_per_block):
-        block = _grid_points([axes[0][row:row + rows_per_block]] + axes[1:])
-        checked += block.shape[0]
-        point, gap = _scan(m, window, eps_vals, metric, block, order)
+        rows = axes[0][row:row + rows_per_block]
+        checked += len(rows) * row_size
+        point, gap = _scan(m, window, eps_vals, metric, [rows] + axes[1:], order)
         if gap is None:
             return SearchResult(point, checked, grid_step)
         if gap < best_gap:
             best_gap, near = gap, point
 
     if refine and near is not None:
-        sub = _grid_points([near[j] + (grid_step / 2.0) * np.arange(-2, 3) for j in range(len(axes))])
-        checked += sub.shape[0]
-        point, gap = _scan(m, window, eps_vals, metric, sub, order)
+        checked += 5 ** len(axes)
+        point, gap = _scan(m, window, eps_vals, metric, list(near[:, None] + grid_step / 2.0 * np.arange(-2, 3)), order)
         if gap is None:
             return SearchResult(point, checked, grid_step, refined=True)
         return SearchResult(None, checked, grid_step, near_miss=near, refined=True)

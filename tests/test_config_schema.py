@@ -127,6 +127,11 @@ REFUSED = [
     ("homothety-tsp", ["margin"], 0.0, "'margin'"),
     ("homothety-tsp", ["out_dir"], None, "'out_dir'"),
     ("saddle-not-tsp", ["params", "splice"], 0, "params.splice"),
+    # A tree positive through the slack synthesis that first turns non-positive
+    # along the adversarial window: this exited 70, naming no field or index.
+    ("translation-adversarial", ["params", "epsilon"], {"op": "add", "args": [{"op": "const", "args": [1.0]},
+                                                                             {"op": "coord", "args": [0]}]},
+     "params.epsilon"),
 ]
 
 
@@ -138,6 +143,12 @@ def test_refused_values_exit_64_naming_the_field(tmp_path, name, path, value, fi
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("report.json"))
     assert not (tmp_path / "out" / name).exists()
+
+
+def test_tolerance_non_positive_along_the_window_names_the_index(tmp_path):
+    # The walk's first block holds n = -7..8, and 1 + x0 is least at x = (-7, 0.5).
+    code, err = _run(_edited(*REFUSED[-1][:3]), tmp_path)
+    assert code == 64 and "'params.epsilon': node 'add' produced non-positive value -6.0 at window index -7" in err
 
 
 @pytest.mark.parametrize("edit, field", [

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shadowlab.cplus import (Const, decaying_epsilon, delta_reference_levels, saddle_adversarial_epsilon,
+from shadowlab.cplus import (Add, Const, Coord, decaying_epsilon, delta_reference_levels, saddle_adversarial_epsilon,
                              synthesize_delta_homothety)
 from shadowlab.errors import (
     ContractViolation,
@@ -140,6 +142,18 @@ def test_degenerate_margin_raises_with_index():
     with pytest.raises(DegenerateMarginError) as err:
         box_feasibility(spec, eps, 32, 1e-6)
     assert abs(err.value.n) <= 32
+
+
+def test_non_positive_tolerance_names_its_window_index():
+    # 1 + x0 along the translation splice x_n = (n, .) is least at the left end, n = -5.
+    eps = Add(Const(1.0), Coord(0))
+    spec = PseudoOrbitSpec(SplicedRule(np.zeros(2), np.array([0.0, 0.5]), 0), (-5, 5), translation_map(2))
+    for decide in (lambda: box_feasibility(spec, eps, 5),
+                   lambda: sampled_search(spec, eps, SUP, [(-1.0, 1.0), (-1.0, 1.0)], 0.5),
+                   lambda: is_shadowed_by(realize(spec), np.zeros(2), spec.map, eps)):
+        with pytest.raises(PositivityError) as err:
+            decide()
+        assert (err.value.value, err.value.n) == (-4.0, -5)
 
 
 def test_non_diagonal_map_directed_to_oracle():
@@ -410,6 +424,93 @@ def test_search_first_point_is_independent_of_block_size(name, monkeypatch):
     assert outcomes == {True, False}  # both found and absent cases are exercised
 
 
+def reference_scan(m, window, eps_vals, metric, axes, order):
+    """The scan that builds the whole grid and runs every constraint on its points."""
+    live = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    for n in order:
+        img = live if n == 0 else m.iterate(live, n)
+        dist = distance(metric, img, window.point_at(n)) - float(eps_vals[n - window.start])
+        ok = dist < 0.0
+        if not np.any(ok):
+            j = int(np.argmin(dist))
+            return live[j].copy(), float(dist[j])
+        live = live[ok]
+    return live[0].copy(), None
+
+
+# Planar diagonal-affine maps with negative, unit and fractional scales and with translations.
+_PLANAR_SCALES = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]) | st.floats(-3.0, 3.0).filter(
+    lambda v: abs(v) >= 0.1)
+_PLANAR_DIAGONAL = st.builds(
+    DiagonalAffine, st.lists(_PLANAR_SCALES, min_size=2, max_size=2),
+    st.lists(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0), min_size=2, max_size=2))
+
+
+@st.composite
+def _search_case(draw):
+    m = draw(st.sampled_from([SEARCH_MAPS[name] for name in sorted(SEARCH_MAPS)]) | _PLANAR_DIAGONAL)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # Integer seeds, jumps, box ends and tolerance on a half or unit step:
+        # many grid points share the least gap, so near-miss ties occur.
+        seed, jump = rng.integers(-2, 3, (2, 2)).astype(float)
+        epsilon = Const(float(rng.integers(1, 3)))
+        box = [(float(c - h), float(c + h)) for c, h in zip(rng.integers(-2, 3, 2), rng.integers(1, 4, 2))]
+        step = float(rng.choice([0.5, 1.0]))
+    else:
+        seed, jump = rng.uniform(-0.8, 0.8, 2), rng.uniform(-1.2, 1.2, 2)
+        epsilon = Const(float(rng.uniform(0.2, 0.6)))
+        box = [(c - h, c + h) for c, h in zip(seed, rng.uniform(0.3, 1.0, 2))]
+        step = float(rng.choice([0.05, 0.1]))
+    back, ahead = (int(k) for k in rng.integers(0, 6, 2))
+    return PseudoOrbitSpec(SplicedRule(seed, seed + jump, 0), (-back, max(ahead, 1 - back)), m), epsilon, box, step
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_search_case(), st.sampled_from([SUP, MetricKind.EUCLIDEAN]), st.sampled_from([7, 31, 10**6]),
+       st.booleans())
+# Grid points exactly at the tolerance of index 0, which comes first for a conjugated map.
+@example((true_orbit_spec(SEARCH_MAPS["affine-saddle"], [0.0, 0.0], (0, 1)), Const(1.0),
+          [(-1.0, 1.0), (-1.0, 1.0)], 1.0), SUP, 7, False)
+def test_scan_is_bit_identical_to_the_reference_scan(case, metric, block, refine):
+    spec, epsilon, box, step = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shadowing, "_BLOCK_POINTS", block)
+        new = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
+        mp.setattr(shadowing, "_scan", reference_scan)
+        ref = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
+    assert json.dumps(new) == json.dumps(ref)
+
+
+def test_sup_scan_builds_only_the_points_its_first_constraint_keeps(monkeypatch):
+    built = []
+    grid_points = shadowing._grid_points
+
+    def counting(axes):
+        points = grid_points(axes)
+        built.append(len(points))
+        return points
+
+    monkeypatch.setattr(shadowing, "_grid_points", counting)
+    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", 5_000)  # 201 x 201 grids: nine blocks
+    saddle_case = (saddle_splice(0.1), saddle_adversarial_epsilon(), [(0.0, 2.0), (-1.0, 1.0)], 1e-2)
+    # Under SUP the saddle's first constraint empties every block and the refinement grid.
+    assert sampled_search(*saddle_case[:2], SUP, *saddle_case[2:]).absent and built == []
+    # Under EUCLIDEAN every block is built.
+    assert sampled_search(*saddle_case[:2], MetricKind.EUCLIDEAN, *saddle_case[2:], refine=False).absent
+    assert len(built) == 9 and sum(built) == 201 * 201
+    # A conjugated map builds exactly the grid points that pass its index 0.
+    m = SEARCH_MAPS["affine-saddle"]
+    spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
+                                       m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
+    box = [(-1.0, 3.0), (-1.0, 3.0)]
+    built.clear()
+    assert sampled_search(spec, Const(0.4), SUP, box, 2e-2, refine=False).absent
+    grid = grid_points(shadowing._grid_axes(box, 2e-2))
+    survivors = int(np.sum(distance(SUP, grid, realize(spec).point_at(0)) - 0.4 < 0.0))
+    assert sum(built) == survivors < len(grid) / 4
+
+
 # ---------------------------------------------------------------------------
 # The block walk against the per-constraint reference loop
 # ---------------------------------------------------------------------------
@@ -585,6 +686,36 @@ def test_exact_and_oracle_agree_on_nonempty_case():
     result = sampled_search(spec, Const(1.0), SUP, [(-2.0, 2.0), (-2.0, 2.0)], 0.25)
     assert not cert.empty and result.found is not None
     assert np.all(result.found >= cert.lo - 1e-12) and np.all(result.found <= cert.hi + 1e-12)
+
+
+@st.composite
+def _diagonal_splice(draw):
+    m = draw(_PLANAR_DIAGONAL)
+    limit = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    forward = rng.uniform(-1.0, 1.0, 2)
+    backward = forward + draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])) * rng.standard_normal(2)
+    spec = PseudoOrbitSpec(SplicedRule(forward, backward, 0), (-limit, limit), m)
+    epsilon = draw(st.sampled_from([Const(0.5), Const(0.2), decaying_epsilon(1.0), decaying_epsilon(0.4)]))
+    box = [(c - h, c + h) for c, h in zip(forward, rng.uniform(0.5, 1.5, 2))]
+    return spec, epsilon, limit, box, float(draw(st.sampled_from([0.02, 0.05, 0.1])))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_diagonal_splice())
+def test_exact_certificate_and_oracle_agree(case):
+    # One-sided: the oracle's grid may miss a thin box, but a point it finds
+    # lies in the certificate, and a box wider than two grid steps inside the
+    # search box holds a grid point the oracle finds.
+    spec, epsilon, limit, box, step = case
+    cert = box_feasibility(spec, epsilon, limit)
+    result = sampled_search(spec, epsilon, SUP, box, step)
+    if result.found is not None:
+        assert not cert.empty
+        assert np.all(cert.lo - 1e-9 <= result.found) and np.all(result.found <= cert.hi + 1e-9)
+    inside = all(lo <= a and b <= hi for (lo, hi), a, b in zip(box, cert.lo, cert.hi))
+    if not cert.empty and inside and np.all(cert.hi - cert.lo > 2 * step + 1e-9):
+        assert result.found is not None
 
 
 # ---------------------------------------------------------------------------
