@@ -5,7 +5,7 @@ live here.  A function is a tree over one point variable with node kinds
 
     const, norm (metric-selected), coord, add, sub (guarded), mul, min, max,
     exp2neg (u -> 2^-u), recip (guarded), radial (piecewise-linear table in
-    the norm), clamp, envelope (tabulated 1-Lipschitz minorant)
+    the norm), envelope (tabulated 1-Lipschitz minorant)
 
 all of which are continuous, so continuity is structural.  Strict positivity
 is checked at evaluation time: a root evaluation that is <= 0 raises
@@ -50,7 +50,6 @@ __all__ = [
     "Max",
     "Exp2Neg",
     "Recip",
-    "Clamp",
     "RadialTable",
     "Envelope",
     "fn_from_json",
@@ -228,23 +227,6 @@ class Recip(_Unary):
 
     def _eval(self, pts):
         return 1.0 / _positive("recip", self.child._eval(pts))
-
-
-class Clamp(CPlusFn):
-    op = "clamp"
-
-    def __init__(self, child: CPlusFn, lo: float, hi: float):
-        if not (0.0 < lo <= hi):
-            raise ContractViolation("clamp needs 0 < lo <= hi")
-        self.child = child
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    def _eval(self, pts):
-        return np.clip(self.child._eval(pts), self.lo, self.hi)
-
-    def to_obj(self):
-        return {"op": "clamp", "args": [self.child.to_obj(), self.lo, self.hi]}
 
 
 class RadialTable(CPlusFn):
@@ -446,7 +428,6 @@ _NODE_KINDS = {
     "norm": (Norm, (_METRIC,)),
     "coord": (Coord, (number(0, integer=True),)),
     **{cls.op: (cls, (_FN,)) for cls in (Add, Mul, Min, Max, Sub, Exp2Neg, Recip)},
-    "clamp": (Clamp, (_FN, number(), number())),
     "radial": (lambda metric, pairs, tail="clamp": RadialTable(pairs, metric, tail), (_METRIC, rows, _ANY)),
     "envelope": (lambda metric, points, values: Envelope(points, values, metric), (_METRIC, rows, numbers)),
 }

@@ -18,8 +18,8 @@ seed: no timestamps, sorted keys, fixed float formatting.  Wall and CPU
 time are reported on the in-memory run report only, never in the files.
 
 A scenario config is one JSON document; ``shadowlab run`` accepts a built-in
-name or a path to such a document.  The only environment override honored is
-``OUTPUT_DIR`` for the default output directory.
+name or a path to such a document.  Nothing here reads the environment:
+``run_scenario`` writes under ``out`` unless given a directory.
 """
 
 from __future__ import annotations
@@ -150,6 +150,9 @@ class _ArtifactSink:
 # Adversarial box scenarios (saddle, translation)
 # ---------------------------------------------------------------------------
 
+# Slacks drawn when no jump is given, one certificate each.
+_DELTA_COUNT = 5
+
 
 def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
     metric = MetricKind(config.metric)
@@ -160,7 +163,7 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     window = (-limit, limit)
 
     # One run at the given jump, or one per drawn slack at its largest admissible jump.
-    deltas = [None] if p["jump"] is not None else [random_positive_fn(rng) for _ in range(p["delta_count"])]
+    deltas = [None] if p["jump"] is not None else [random_positive_fn(rng) for _ in range(_DELTA_COUNT)]
     runs = []
     for delta in deltas:
         q = p["jump"] if delta is None else max_splice_jump(
@@ -206,16 +209,22 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
 # homothety maps of fixed_point_scan)
 # ---------------------------------------------------------------------------
 
+# Share of pseudo-orbits anchored near the origin (conjugacy and forward_to_full
+# anchor none), unit-sphere directions the slack synthesis samples, and random
+# points at which homothety_shadow verifies the slack's conditions.
+_ANCHORED_FRACTION = 0.2
+_SPHERE_SAMPLES = 64
+_VERIFY_POINTS = 20_000
+
 
 def _homothety_ensemble(m: MapSpec, epsilon: CPlusFn, config: ScenarioConfig,
-                        window: tuple[int, int], count: int, anchored_fraction: float,
-                        sphere_samples: int = 64):
+                        window: tuple[int, int], count: int, anchored_fraction: float):
     """(delta, r0, ball_min, specs): the slack of the expanding homothety ``m`` for
     ``epsilon`` and its pseudo-orbits."""
     metric = MetricKind(config.metric)
     with config_path("params.epsilon"):
-        delta = synthesize_delta_homothety(epsilon, m, metric, sphere_samples)
-        r0, ball_min = cplus.delta_reference_levels(epsilon, m, metric, sphere_samples)
+        delta = synthesize_delta_homothety(epsilon, m, metric, _SPHERE_SAMPLES)
+        r0, ball_min = cplus.delta_reference_levels(epsilon, m, metric, _SPHERE_SAMPLES)
     with config_path("params.map"):
         specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
                                         anchored_fraction=anchored_fraction,
@@ -251,9 +260,9 @@ def _run_homothety_pipeline(config: ScenarioConfig, p: dict, sink: _ArtifactSink
     metric = MetricKind(config.metric)
     m, window, epsilon = p["map"], p["window"], p["epsilon"]
     delta, r0, m_level, specs = _homothety_ensemble(
-        m, epsilon, config, window, p["count"], p["anchored_fraction"], p["sphere_samples"])
+        m, epsilon, config, window, p["count"], _ANCHORED_FRACTION)
     conditions = verify_delta_conditions(
-        delta, epsilon, m, metric, n_points=p["verify_points"],
+        delta, epsilon, m, metric, n_points=_VERIFY_POINTS,
         rng=np.random.default_rng(config.seed + 1_000_003))
     all_valid = all(validate(spec, delta, metric).passed for spec in specs)
     tallies, all_shadowed, bound_respected, example = _classify_and_shadow(
@@ -284,11 +293,15 @@ def _run_homothety_pipeline(config: ScenarioConfig, p: dict, sink: _ArtifactSink
 # Metric warp
 # ---------------------------------------------------------------------------
 
+# The constant tolerance both searches use and the slack both validations use.
+_EPSILON_LEVEL = 1.0
+_DELTA_LEVEL = 0.02
+
 
 def _run_metric_warp(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
     fwd, direction, q, window = p["forward_seed"], p["jump_direction"], p["jump"], p["window"]
     spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction, 0), window, p["map"])
-    epsilon, delta = Const(p["epsilon_level"]), Const(p["delta_level"])
+    epsilon, delta = Const(_EPSILON_LEVEL), Const(_DELTA_LEVEL)
     box, step = p["oracle"]
 
     valid_warp = validate(spec, delta, MetricKind.POLAR_WARP).passed
@@ -354,11 +367,15 @@ def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tupl
 # Forward-to-full
 # ---------------------------------------------------------------------------
 
+# Convergence tolerance of the limit, and the largest gap between the limit and
+# the direct construction that counts as a match.
+_TOL = 1e-9
+_MATCH_TOL = 1e-8
+
 
 def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
     metric = MetricKind(config.metric)
     m, epsilon, depth, window = p["map"], p["epsilon"], p["depth"], p["window"]
-    tol, match_tol = p["tol"], p["match_tol"]
     *_, specs = _homothety_ensemble(m, epsilon, config, window, p["count"], 0.0)
 
     def forward_shadower(z_window: OrbitWindow) -> np.ndarray:
@@ -370,7 +387,7 @@ def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     failures = []
     for i, spec in enumerate(specs):
         try:
-            limit = forward_to_full_shadow(spec, epsilon, forward_shadower, depth, tol, metric)
+            limit = forward_to_full_shadow(spec, epsilon, forward_shadower, depth, _TOL, metric)
         except NonConvergenceError as exc:
             inconclusive += 1
             failures.append({"orbit": i, "error": str(exc)})
@@ -381,13 +398,13 @@ def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
         converged += 1
         direct_at_zero = m.iterate(forward_shadower(realize(spec)), -window[0])
         gap = float(metric_norm(metric, np.asarray(limit - direct_at_zero, dtype=float)))
-        if gap <= match_tol:
+        if gap <= _MATCH_TOL:
             matched += 1
         else:
             failures.append({"orbit": i, "gap": gap})
 
     sink.json("limits.json", {
-        "depth": depth, "tol": tol, "match_tol": match_tol,
+        "depth": depth, "tol": _TOL, "match_tol": _MATCH_TOL,
         "converged": converged, "matched": matched, "total": len(specs),
         "failures": failures,
     })
@@ -440,11 +457,13 @@ def _chessboard_infconv_table(values: np.ndarray, step: float) -> np.ndarray:
 
 # Random grid nodes at which the sweep table is checked against the defining minimum.
 _CROSS_CHECK_SAMPLES = 1500
+# The scenario's grid: nodes per axis over [-half extent, half extent].
+_POINTS_PER_AXIS = 61
+_HALF_EXTENT = 10.0
 
 
-def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, points_per_axis: int,
-                                    metric: MetricKind = MetricKind.SUP) -> dict:
-    """All-pairs audit of the infimal-convolution tolerance on a square grid.
+def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, points_per_axis: int) -> dict:
+    """All-pairs audit of the sup-metric infimal-convolution tolerance on a square grid.
 
     Checks, exactly: the envelope never exceeds the radius function on the
     grid; it is 1-Lipschitz along grid edges; and for every ordered grid pair
@@ -461,12 +480,10 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
     radius also gets ``constant_exact``: the defining minimum equals the
     constant at every node.
     """
-    if metric is not MetricKind.SUP:
-        raise ContractViolation("the grid audit is defined for the sup metric")
     axis = np.linspace(-half_extent, half_extent, points_per_axis)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    envelope = epsilon_from_neighborhood(radius_fn, grid, metric)
+    envelope = epsilon_from_neighborhood(radius_fn, grid, MetricKind.SUP)
     rho = np.atleast_1d(radius_fn.eval(grid))
 
     n = points_per_axis
@@ -513,13 +530,10 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
 
 
 def _run_neighborhood(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
-    metric = MetricKind(config.metric)
-    n, half, radius_fns = p["points_per_axis"], p["half_extent"], p["radius_functions"]
-
     results = {}
     ok = True
-    for name, fn in radius_fns.items():
-        checks = neighborhood_equivalence_checks(fn, half, n, metric)
+    for name, fn in p["radius_functions"].items():
+        checks = neighborhood_equivalence_checks(fn, _HALF_EXTENT, _POINTS_PER_AXIS)
         results[name] = checks
         ok = ok and all(v for k, v in checks.items() if isinstance(v, bool))
 
@@ -561,7 +575,7 @@ def _run_fixed_point_scan(config: ScenarioConfig, p: dict, sink: _ArtifactSink) 
             # The series shadows the expanding direction of each homothety.
             work = power_map(m, -1) if name == "reverse-homothety" else m
             epsilon = Const(1.0)
-            delta, r0, _, specs = _homothety_ensemble(work, epsilon, config, (-8, 16), 30, 0.2)
+            delta, r0, _, specs = _homothety_ensemble(work, epsilon, config, (-8, 16), 30, _ANCHORED_FRACTION)
             _, all_shadowed, _, _ = _classify_and_shadow(
                 work, epsilon, MetricKind(config.metric), delta, r0, specs)
             evidence = "shadowing" if all_shadowed else "not-shadowing"
@@ -662,32 +676,25 @@ _HOMOTHETY = (_homothety_map, REQUIRED)
 _FN = (_fn, REQUIRED)
 _POINT = (_point, REQUIRED)
 _DIRECTION = (_direction, REQUIRED)
-_METRICS = [k.value for k in MetricKind]
 _SAMPLED = ["sup", "euclidean"]  # the metrics with uniform ball sampling
 # kind -> (handler, metrics, params table); the tables are documented in README.md.
 _KINDS = {
-    "adversarial_box": (_run_adversarial_box, _METRICS, {
+    "adversarial_box": (_run_adversarial_box, [k.value for k in MetricKind], {
         "map": (_adversarial_map, REQUIRED), "epsilon": _FN, "forward_seed": _POINT,
         "jump_direction": _DIRECTION, "window_limit": (_COUNT, 32), "margin": (number(0.0), 0.0),
-        "jump": (_POSITIVE, None), "delta_count": (_COUNT, 5), "oracle": (_oracle, None)}),
+        "jump": (_POSITIVE, None), "oracle": (_oracle, None)}),
     "homothety_shadow": (_run_homothety_pipeline, _SAMPLED, {
-        "map": _HOMOTHETY, "window": (_window, (-20, 40)), "epsilon": _FN, "count": (_COUNT, 200),
-        "anchored_fraction": (number(0.0, 1.0), 0.2), "sphere_samples": (number(4, integer=True), 64),
-        "verify_points": (_COUNT, 20_000)}),
-    "metric_warp": (_run_metric_warp, _METRICS, {
+        "map": _HOMOTHETY, "window": (_window, (-20, 40)), "epsilon": _FN, "count": (_COUNT, 200)}),
+    "metric_warp": (_run_metric_warp, ["polar_warp"], {
         "map": _MAP, "forward_seed": _POINT, "jump": (_POSITIVE, REQUIRED), "jump_direction": _DIRECTION,
-        "window": (_window, (-24, 24)), "epsilon_level": (_POSITIVE, 1.0),
-        "delta_level": (_POSITIVE, 0.02), "oracle": (_oracle, REQUIRED)}),
+        "window": (_window, (-24, 24)), "oracle": (_oracle, REQUIRED)}),
     "conjugacy": (_run_conjugacy, _SAMPLED, {
         "map": _HOMOTHETY, "changes": (_each(_change), REQUIRED), "epsilon": _FN,
         "window": (_window, (-10, 20)), "count": (_COUNT, 40)}),
     "forward_to_full": (_run_forward_to_full, _SAMPLED, {
         "map": _HOMOTHETY, "epsilon": _FN, "depth": (_COUNT, 16),
-        "window": (_window, lambda f: (-f["depth"], 2 * f["depth"])), "tol": (_POSITIVE, 1e-9),
-        "match_tol": (_POSITIVE, 1e-8), "count": (_COUNT, 20)}),
-    "neighborhood": (_run_neighborhood, ["sup"], {
-        "points_per_axis": (number(2, integer=True), 81), "half_extent": (_POSITIVE, 10.0),
-        "radius_functions": (_each(_fn), REQUIRED)}),
+        "window": (_window, lambda f: (-f["depth"], 2 * f["depth"])), "count": (_COUNT, 20)}),
+    "neighborhood": (_run_neighborhood, ["sup"], {"radius_functions": (_each(_fn), REQUIRED)}),
     "fixed_point_scan": (_run_fixed_point_scan, _SAMPLED, {}),
 }
 # The top-level fields; their defaults are ScenarioConfig's.
@@ -704,7 +711,7 @@ _BUILTINS = {
     "saddle-not-tsp": ("adversarial splice against the saddle: emptiness certificate", dict(
         kind="adversarial_box", seed=11, params={
             "map": {"kind": "saddle"}, "epsilon": "saddle_adversarial", "window_limit": 32, "margin": 0.0,
-            "forward_seed": [1.0, 0.0], "jump_direction": [0.0, 1.0], "delta_count": 5,
+            "forward_seed": [1.0, 0.0], "jump_direction": [0.0, 1.0],
             "oracle": {"box": [[0.0, 2.0], [-1.0, 1.0]], "step": 1e-3}})),
     "homothety-tsp": ("synthesized slack shadows every random pseudo-orbit of x -> 2x", dict(
         kind="homothety_shadow", seed=17, params={
@@ -722,7 +729,7 @@ _BUILTINS = {
     "metric-warp": ("radial warp removes the constant-tolerance shadowing point", dict(
         kind="metric_warp", seed=29, metric="polar_warp", params={
             "map": {"kind": "saddle"}, "forward_seed": [1.0, 0.0], "jump_direction": [0.0, 1.0],
-            "jump": 0.00500003, "window": [-24, 24], "epsilon_level": 1.0, "delta_level": 0.02,
+            "jump": 0.00500003, "window": [-24, 24],
             "oracle": {"box": [[0.0, 4.0], [-2.0, 2.0]], "step": 5e-3}})),
     "conjugacy-invariance": ("transported orbits are shadowed by transported points", dict(
         kind="conjugacy", seed=31, params={
@@ -739,10 +746,9 @@ _BUILTINS = {
     "forward-to-full": ("forward-only shadowing upgraded to the full window", dict(
         kind="forward_to_full", seed=37, params={
             "map": {"kind": "homothety", "factor": 2.0}, "epsilon": "saddle_adversarial",
-            "count": 20, "depth": 16, "window": [-16, 32], "tol": 1e-9, "match_tol": 1e-8})),
+            "count": 20, "depth": 16, "window": [-16, 32]})),
     "neighborhood-equivalence": ("ball neighborhoods become 1-Lipschitz tolerances", dict(
         kind="neighborhood", seed=41, params={
-            "points_per_axis": 61, "half_extent": 10.0,
             "radius_functions": {
                 "constant": "const:0.7",
                 "well": "table:[[0.0, 0.1], [0.5, 1.0]]",

@@ -238,7 +238,7 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
         raise ContractViolation("margin must be nonnegative")
     window_limit = int(window_limit)
     if window_limit < 0:
-        raise ContractViolation("window_limit must be positive")
+        raise ContractViolation("window_limit must be nonnegative")
 
     if isinstance(spec.rule, ExplicitRule):
         n_min = max(spec.window[0], spec.rule.start)

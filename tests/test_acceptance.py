@@ -196,7 +196,7 @@ def test_criterion_5_neighborhood_equivalence():
     }
     results = {}
     for name, fn in radius_fns.items():
-        checks = neighborhood_equivalence_checks(fn, 10.0, 201, SUP)
+        checks = neighborhood_equivalence_checks(fn, 10.0, 201)
         assert checks["one_lipschitz_on_edges"], name
         assert checks["dominated_by_radius"], name
         assert checks["tolerance_ball_inside_neighborhood"], name

@@ -195,9 +195,9 @@ def test_scenario_name_cannot_leave_out_dir(tmp_path, capsys, name):
     ({"map": {"kind": "conjugated", "inner": {"kind": "homothety", "factor": 2.0},
               "change": {"kind": "affine", "matrix": [[1.0, 2.0], [2.0, 4.0]], "offset": [0.0, 0.0]}},
       "epsilon": "const:1.0"}, "params.map.change"),
-    ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "sphere_samples": "7"},
+    # Removed: the synthesis samples 64 directions, and the power map with k = -1 inverts the map.
+    ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "sphere_samples": 64},
      "params.sphere_samples"),
-    # Removed: the power map with k = -1 inverts the map.
     ({"map": {"kind": "reverse_homothety", "factor": 0.5}, "epsilon": "const:1.0", "invert_first": True},
      "params.invert_first"),
     ({"map": {"kind": "homothety", "factor": 2.0}, "epsilon": "const:1.0", "count": True},

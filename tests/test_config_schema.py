@@ -132,7 +132,26 @@ REFUSED = [
     ("translation-adversarial", ["params", "epsilon"], {"op": "add", "args": [{"op": "const", "args": [1.0]},
                                                                              {"op": "coord", "args": [0]}]},
      "params.epsilon"),
+    # Removed fields, each at the one value every run gave it, now a constant
+    # beside the handler that reads it.
+    ("saddle-not-tsp", ["params", "delta_count"], 5, "params.delta_count"),
+    ("homothety-tsp", ["params", "anchored_fraction"], 0.2, "params.anchored_fraction"),
+    ("homothety-tsp", ["params", "sphere_samples"], 64, "params.sphere_samples"),
+    ("homothety-tsp", ["params", "verify_points"], 20_000, "params.verify_points"),
+    ("metric-warp", ["params", "epsilon_level"], 1.0, "params.epsilon_level"),
+    ("metric-warp", ["params", "delta_level"], 0.02, "params.delta_level"),
+    ("forward-to-full", ["params", "tol"], 1e-9, "params.tol"),
+    ("forward-to-full", ["params", "match_tol"], 1e-8, "params.match_tol"),
+    ("neighborhood-equivalence", ["params", "points_per_axis"], 61, "params.points_per_axis"),
+    ("neighborhood-equivalence", ["params", "half_extent"], 10.0, "params.half_extent"),
+    # metric_warp runs the polar-warped and the sup search whatever its metric says.
+    ("metric-warp", ["metric"], "sup", "'metric'"),
+    # Removed node: a min of a max with const bounds gives the same values.
+    ("homothety-tsp", ["params", "epsilon"], {"op": "clamp", "args": [{"op": "norm", "args": ["sup"]}, 0.5, 2.0]},
+     "params.epsilon.op"),
 ]
+# The translation-adversarial row whose tree first turns non-positive at window index -7.
+_WINDOW_INDEX_ROW = next(row for row in REFUSED if row[0] == "translation-adversarial")
 
 
 @pytest.mark.parametrize("name, path, value, field", REFUSED)
@@ -147,7 +166,7 @@ def test_refused_values_exit_64_naming_the_field(tmp_path, name, path, value, fi
 
 def test_tolerance_non_positive_along_the_window_names_the_index(tmp_path):
     # The walk's first block holds n = -7..8, and 1 + x0 is least at x = (-7, 0.5).
-    code, err = _run(_edited(*REFUSED[-1][:3]), tmp_path)
+    code, err = _run(_edited(*_WINDOW_INDEX_ROW[:3]), tmp_path)
     assert code == 64 and "'params.epsilon': node 'add' produced non-positive value -6.0 at window index -7" in err
 
 
@@ -216,8 +235,7 @@ def test_tiny_oracle_step_is_refused_before_the_grid_is_built():
 # ---------------------------------------------------------------------------
 
 # Fields that size the work; an edit may shrink them but never grows them.
-_SIZE_FIELDS = {"count", "points_per_axis", "verify_points", "sphere_samples", "delta_count",
-                "depth", "window", "window_limit", "dimension", "step", "box", "half_extent"}
+_SIZE_FIELDS = {"count", "depth", "window", "window_limit", "dimension", "step", "box"}
 
 
 def _junk(scalars):

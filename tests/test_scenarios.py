@@ -83,14 +83,17 @@ def test_ball_min_is_the_level_the_synthesis_used(tmp_path):
     from shadowlab.geometry import MetricKind
     from shadowlab.maps import homothety
 
-    eps = {"op": "exp2neg", "args": [{"op": "norm", "args": ["euclidean"]}]}
-    config = ScenarioConfig(name="ball-min", kind="homothety_shadow", seed=5, params={
-        "map": {"kind": "homothety", "factor": 2.0}, "epsilon": eps, "sphere_samples": 7,
-        "count": 4, "window": [-4, 8], "verify_points": 200})
+    # 2^-(x0 + 0.05 x1) is least on the unit circle between sampled directions, so
+    # the synthesis's 64 directions and the verification's 256 give different minima.
+    eps = {"op": "exp2neg", "args": [{"op": "add", "args": [
+        {"op": "coord", "args": [0]}, {"op": "mul", "args": [{"op": "const", "args": [0.05]},
+                                                             {"op": "coord", "args": [1]}]}]}]}
+    config = ScenarioConfig(name="ball-min", kind="homothety_shadow", metric="euclidean", seed=5, params={
+        "map": {"kind": "homothety", "factor": 2.0}, "epsilon": eps, "count": 4, "window": [-4, 8]})
     report = run_scenario(config, str(tmp_path))
-    levels_7 = delta_reference_levels(fn_from_obj(eps), homothety(2.0), MetricKind.SUP, 7)
-    assert report.details["ball_min"] == levels_7[1]
-    assert levels_7[1] != delta_reference_levels(fn_from_obj(eps), homothety(2.0), MetricKind.SUP)[1]
+    levels = {n: delta_reference_levels(fn_from_obj(eps), homothety(2.0), MetricKind.EUCLIDEAN, n)[1]
+              for n in (64, 256)}
+    assert report.details["ball_min"] == levels[64] != levels[256]
 
 
 def test_metric_warp_scenario_verdict(tmp_path):

@@ -128,6 +128,14 @@ def test_box_monotone_under_window_growth():
     assert np.all(large.hi <= small.hi + 1e-15)
 
 
+def test_window_limit_zero_decides_on_index_zero_alone():
+    eps = saddle_adversarial_epsilon()
+    cert = box_feasibility(saddle_splice(0.1), eps, 0)
+    assert [n for n, _, _ in cert.trace] == [0] and not cert.empty
+    with pytest.raises(ContractViolation, match="window_limit must be nonnegative"):
+        box_feasibility(saddle_splice(0.1), eps, -1)
+
+
 def test_nonempty_witness_passes_with_margin():
     spec = true_orbit_spec(saddle(), [0.5, 0.25], (-6, 6))
     cert = box_feasibility(spec, Const(0.75), 6, 1e-9)
