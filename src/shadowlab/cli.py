@@ -15,10 +15,8 @@ and iterates that leave double range before the run decides: the certificate
 stops at the depth that decides it, while the oracle and the ensembles realize
 their whole windows), 70 for internal contract violations.  --window sets
 params.window_limit, which only an adversarial_box config has; every config is
-checked before any run starts.  ``run all`` runs the built-in catalog on up to
-four threads; the scenarios share no mutable state, and numpy releases the GIL
-in their array work.  Each scenario's line reports its own thread's CPU time,
-which pooled wall time would inflate.
+checked before any run starts.  ``run all`` runs the built-in catalog one
+scenario after another and prints each scenario's wall time.
 The only environment override is OUTPUT_DIR for the default artifact directory.
 """
 
@@ -28,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigError, ContractViolation, IterationRangeError
 from .plots import emit_plot
@@ -78,12 +75,11 @@ def _run_command(args) -> int:
         check_config(config)
         configs.append(config)
 
-    with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-        reports = list(pool.map(lambda c: run_scenario(c, out_dir), configs))
+    reports = [run_scenario(c, out_dir) for c in configs]
 
     worst = 0
     for report in reports:
-        print(f"{report.name}: {report.verdict} ({report.cpu_time:.2f}s CPU, "
+        print(f"{report.name}: {report.verdict} ({report.wall_time:.2f}s, "
               f"{len(report.artifacts)} artifacts)")
         worst = max(worst, report.exit_code)
     return worst

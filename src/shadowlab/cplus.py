@@ -215,7 +215,7 @@ class Exp2Neg(_Unary):
 
     def _eval(self, pts):
         u = self.child._eval(pts)
-        with np.errstate(under="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             out = np.exp2(-u)
         return np.maximum(out, _TINY)
 

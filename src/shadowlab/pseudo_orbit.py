@@ -331,7 +331,8 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     everyone = np.arange(count)
     x = seeds
     for n in range(1, n_max + 1):
-        fx = m.apply(x)
+        with np.errstate(over="ignore"):
+            fx = m.apply(x)
         if not np.all(np.isfinite(fx)):
             raise IterationRangeError(n, "an exact image left double range")
         rad = 0.99 * delta.eval(fx)
@@ -365,7 +366,8 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     for n in range(-1, n_min - 1, -1):
         rad = 0.99 * delta.eval(x)
         r = streams.take(everyone) * rad[:, None]
-        prev = m.apply_inverse(x)  # the exact step, kept by orbits that exhaust their rounds
+        with np.errstate(over="ignore"):
+            prev = m.apply_inverse(x)  # the exact step, kept by orbits that exhaust their rounds
         if not np.all(np.isfinite(prev)):
             raise IterationRangeError(n, "an exact image left double range")
         pending = everyone

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -287,7 +288,7 @@ def test_unknown_change_of_coordinates_is_config_error(tmp_path, capsys):
     assert "params.changes.affine.kind" in err and "Traceback" not in err
 
 
-def test_run_prints_thread_cpu_time(tmp_path, capsys):
+def test_run_prints_wall_time(tmp_path, capsys):
     assert main(["run", "translation-adversarial", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "s CPU, " in out
+    assert re.fullmatch(r"translation-adversarial: matches-paper \(\d+\.\d\ds, \d+ artifacts\)\n", out)

@@ -23,7 +23,7 @@ from shadowlab.errors import ContractViolation, SearchSpaceError
 from shadowlab.geometry import MetricKind
 from shadowlab.maps import saddle
 from shadowlab.pseudo_orbit import PseudoOrbitSpec, SplicedRule
-from shadowlab.scenarios import SCENARIO_NAMES, builtin_config
+from shadowlab.scenarios import SCENARIO_NAMES, ScenarioConfig, builtin_config
 from shadowlab.shadowing import sampled_search
 
 
@@ -215,6 +215,18 @@ def test_defaults_and_normalisation_are_not_written_back(tmp_path):
     assert sorted(report["config"]) == ["kind", "metric", "name", "params", "seed"]
     limits = json.loads((tmp_path / "out" / "short" / "limits.json").read_text())
     assert limits["depth"] == 4 and limits["tol"] == 1e-9
+
+
+def test_a_missing_metric_is_the_kinds_first(tmp_path):
+    # metric_warp allows only polar_warp: a config without a metric runs it, where a
+    # default of sup for every kind refused a value the user never wrote.
+    code, err = _run(_edited("metric-warp", ["metric"], delete=True), tmp_path)
+    assert code == 0, err
+    report = json.loads((tmp_path / "out" / "metric-warp" / "report.json").read_text())
+    assert report["config"]["metric"] == "polar_warp"
+    assert ScenarioConfig(name="w", kind="metric_warp").metric == "polar_warp"
+    assert ScenarioConfig(name="h", kind="homothety_shadow").metric == "sup"
+    assert ScenarioConfig(name="h", kind="homothety_shadow", metric="euclidean").metric == "euclidean"
 
 
 @pytest.mark.parametrize("box", [[(0.0, 2.0)], [(0.0, 2.0), (-1.0, 1.0), (0.0, 1.0)]])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shadowlab.cplus import (
     Add,
@@ -243,6 +244,28 @@ def test_a_cell_bound_equal_to_its_least_term_is_not_pruned():
     values[_CELL_NODES] = 1.0
     env = Envelope(points, values)
     assert env.eval(np.zeros(1)) == 11.0 == reference_envelope(env, np.zeros((1, 1)))[0]
+
+
+_POSITIVE_FLOATS = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(table=st.integers(1, 12).flatmap(lambda n: arrays(np.float64, (n, n), elements=_POSITIVE_FLOATS)),
+       step=_POSITIVE_FLOATS)
+def test_chessboard_sweep_never_exceeds_its_table(table, step):
+    # The neighbourhood audit decides containment by this domination, with no slack.
+    from shadowlab.scenarios import _chessboard_infconv_table
+
+    assert np.all(_chessboard_infconv_table(table, step) <= table)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(points=st.integers(2, 21), half=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_audit_containment_is_its_domination(points, half, seed):
+    from shadowlab.scenarios import neighborhood_equivalence_checks
+
+    checks = neighborhood_equivalence_checks(random_positive_fn(np.random.default_rng(seed)), half, points)
+    assert checks["tolerance_ball_inside_neighborhood"] is checks["dominated_by_radius"] is True
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
