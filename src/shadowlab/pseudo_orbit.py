@@ -274,33 +274,51 @@ def classify_pseudo_orbit(window: OrbitWindow, r0: float, m: MapSpec,
 # ---------------------------------------------------------------------------
 
 
+# Draws each pending orbit tests in one rejection batch after a step's first,
+# which gives every orbit one draw (a free orbit always accepts it).
+_BATCH = 16
+
+
 class _BallStreams:
     """Unit-ball draws for a batch of orbits, each orbit from its own stream.
 
-    Orbit i takes its draws, in order, from ``rngs[i]`` in blocks of
-    ``uniform_ball(metric, dim, rngs[i], block)`` held in one fixed
-    ``(N, block, dim)`` buffer; when an orbit's cursor reaches the end of its
-    row, only that row is refilled.  Under the sup metric a ``(block, dim)``
-    uniform block is the same doubles as ``block`` single draws, so every
-    orbit sees exactly the sequence a one-draw-at-a-time sampler would.
+    Orbit i reads, in order, the concatenation of
+    ``uniform_ball(metric, dim, rngs[i], block)`` blocks.  :meth:`peek` shows
+    an orbit's next draws without using them and :meth:`advance` moves its
+    cursor past those a caller used, so a draw left unused is the first of
+    the next peek.  Each row of the ``(N, block + _BATCH, dim)`` buffer is
+    compacted before it is refilled, with as many whole blocks as the peek
+    needs (several when ``block`` is below the batch width): a block drawn
+    ahead is kept, never redrawn, so the stream an orbit reads does not
+    depend on how its draws are batched.
     """
 
     def __init__(self, metric: MetricKind, dim: int, rngs, block: int):
         self.metric = metric
         self.rngs = rngs
-        self.buf = np.empty((len(rngs), block, dim))
-        self.cursor = np.full(len(rngs), block)
+        self.block = block
+        self.buf = np.empty((len(rngs), block + _BATCH, dim))
+        self.cursor = np.zeros(len(rngs), dtype=np.intp)
+        self.fill = np.zeros(len(rngs), dtype=np.intp)
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """The next draw of each orbit in ``rows`` (distinct), shape ``(len(rows), dim)``."""
-        _, block, dim = self.buf.shape
-        cur = self.cursor[rows]
-        spent = cur == block
-        for i in rows[spent]:
-            self.buf[i] = uniform_ball(self.metric, dim, self.rngs[i], block)
-        cur[spent] = 0
-        self.cursor[rows] = cur + 1
-        return self.buf[rows, cur]
+    def peek(self, rows: np.ndarray, b: int) -> np.ndarray:
+        """The next ``b`` draws of each orbit in ``rows`` (distinct), shape ``(len(rows), b, dim)``."""
+        dim = self.buf.shape[2]
+        for i in rows[self.fill[rows] - self.cursor[rows] < b]:
+            row, c, f = self.buf[i], self.cursor[i], self.fill[i]
+            # A capped backward step uses the redraw it takes at its last
+            # failure, so the cursor may sit one draw past the fill.
+            lo = min(c, f)
+            row[:f - lo] = row[lo:f]
+            c, f = c - lo, f - lo
+            while f - c < b:
+                row[f:f + self.block] = uniform_ball(self.metric, dim, self.rngs[i], self.block)
+                f += self.block
+            self.cursor[i], self.fill[i] = c, f
+        return self.buf[rows[:, None], self.cursor[rows, None] + np.arange(b)]
+
+    def advance(self, rows: np.ndarray, used: np.ndarray) -> None:
+        self.cursor[rows] += used
 
 
 def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
@@ -312,9 +330,16 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     through :class:`_BallStreams` in blocks of one window's step count.
     ``keep_within[i]`` is orbit i's anchor radius, ``inf`` for a free orbit.
     Each step makes one map call and one ``delta.eval`` over the batch, then
-    runs rejection rounds over the orbits still pending; within a step an
-    orbit's rounds, draws and fallbacks are those of the one-orbit loop (see
-    :func:`random_pseudo_orbit`).
+    tests draws in batches: one draw per orbit first, then the next
+    ``_BATCH`` draws of each orbit still pending, all candidates of a batch
+    going through the halving and keep tests at once.  Every test is
+    elementwise, so a candidate has the bits it would have alone; an orbit
+    takes its first candidate that passes and its cursor moves past exactly
+    the draws :func:`random_pseudo_orbit`'s one-at-a-time loop uses.  The
+    10 000-round cap is counted in draws forward (one round each, and every
+    pending orbit of a step has used the same number) and in rounds backward,
+    where draw j costs its halvings plus one; a backward orbit that reaches
+    the cap at a keep failure has taken that failure's redraw too.
     """
     n_min, n_max = window
     if not (n_min <= 0 <= n_max) or n_min == n_max:
@@ -337,16 +362,17 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
             raise IterationRangeError(n, "an exact image left double range")
         rad = 0.99 * delta.eval(fx)
         nxt = fx.copy()  # the exact step, kept by orbits that exhaust their rounds
-        pending = everyone
-        for _ in range(10_000):
-            f, rp = fx[pending], rad[pending]
-            r = streams.take(pending) * rp[:, None]
+        pending, used, b = everyone, 0, 1
+        while pending.size and used < 10_000:
+            b = min(b, 10_000 - used)
+            f, rp = np.repeat(fx[pending], b, axis=0), np.repeat(rad[pending], b)
+            r = streams.peek(pending, b).reshape(-1, dim) * rp[:, None]
             cand = f + r
             # The stored step is what validation sees.  Once the slack drops
             # near the coordinate ulp (or to subnormal scales), fx + r can
             # round to an inadmissible point; halving the draw bottoms out at
             # the exact step, which is always admissible.
-            live = np.arange(len(pending))
+            live = np.arange(len(cand))
             for _ in range(200):
                 live = live[~(distance(metric, cand[live], f[live]) < rp[live])]
                 if not live.size:
@@ -355,40 +381,64 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
                 cand[live] = f[live] + r[live]
             else:
                 cand[live] = f[live]
-            ok = kept(pending, cand)
-            nxt[pending[ok]] = cand[ok]
-            pending = pending[~ok]
-            if not pending.size:
-                break
+            ok = kept(np.repeat(pending, b), cand).reshape(-1, b)
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)
+            nxt[pending[hit]] = cand.reshape(-1, b, dim)[hit, first[hit]]
+            streams.advance(pending, np.where(hit, first + 1, b))
+            pending = pending[~hit]
+            used += b
+            b = _BATCH
         points[:, n - n_min] = nxt
         x = nxt
     x = seeds
     for n in range(-1, n_min - 1, -1):
         rad = 0.99 * delta.eval(x)
-        r = streams.take(everyone) * rad[:, None]
         with np.errstate(over="ignore"):
             prev = m.apply_inverse(x)  # the exact step, kept by orbits that exhaust their rounds
         if not np.all(np.isfinite(prev)):
             raise IterationRangeError(n, "an exact image left double range")
-        pending = everyone
-        for _ in range(10_000):
-            rp = r[pending]
-            target = x[pending] - rp
+        spent = np.zeros(count, dtype=np.intp)
+        pending, b = everyone, 1
+        while pending.size:
+            left = 10_000 - spent[pending]
+            xs = np.repeat(x[pending], b, axis=0)
+            r = (streams.peek(pending, b) * rad[pending, None, None]).reshape(-1, dim)
+            target = xs - r
             # The perturbation is sized against delta at f(x_{n-1}) = target;
-            # a pending orbit halves r, accepts, or redraws.
-            fits = metric_norm(metric, rp) < 0.99 * delta.eval(target)
-            r[pending[~fits]] *= 0.5
-            rows = pending[fits]
-            cand = m.apply_inverse(target[fits])
-            ok = kept(rows, cand)
-            prev[rows[ok]] = cand[ok]
-            redraw = rows[~ok]
-            r[redraw] = streams.take(redraw) * rad[redraw, None]
-            stay = ~fits
-            stay[fits] = ~ok
-            pending = pending[stay]
-            if not pending.size:
-                break
+            # a draw is halved until it fits.  Draw j of a row may halve only
+            # while its keep test could still fall within the row's rounds
+            # (each earlier draw costs one at least), which also bounds the
+            # chain when the slack never fits.
+            room = np.repeat(left, b) - np.tile(np.arange(1, b + 1), len(pending))
+            halvings = np.zeros(len(r), dtype=np.intp)
+            live = np.arange(len(r))
+            while live.size:
+                fits = metric_norm(metric, r[live]) < 0.99 * delta.eval(target[live])
+                live = live[~fits]
+                halvings[live] += 1
+                live = live[halvings[live] <= room[live]]
+                r[live] *= 0.5
+                target[live] = xs[live] - r[live]
+            rounds = np.cumsum(halvings.reshape(-1, b) + 1, axis=1)
+            tested = rounds <= left[:, None]
+            cand = np.empty_like(target)
+            ok = np.zeros(len(r), dtype=bool)
+            at = np.flatnonzero(tested)
+            cand[at] = m.apply_inverse(target[at])
+            ok[at] = kept(np.repeat(pending, b)[at], cand[at])
+            ok = ok.reshape(-1, b)
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)
+            prev[pending[hit]] = cand.reshape(-1, b, dim)[hit, first[hit]]
+            # A keep failure redraws: the next batch starts at that redraw,
+            # and a row out of rounds has taken the one after its last test.
+            capped = ~hit & (rounds[:, -1] >= left)
+            fails = tested.sum(axis=1)
+            streams.advance(pending, np.where(hit, first + 1, np.where(capped, fails + 1, b)))
+            spent[pending] += rounds[:, -1]
+            pending = pending[~(hit | capped)]
+            b = _BATCH
         points[:, n - n_min] = prev
         x = prev
     return points
@@ -403,22 +453,27 @@ def random_pseudo_orbit(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     uniformly from the metric ball of radius 0.99 * delta(f(x_n)); a draw
     whose stored point rounds to an inadmissible step is halved (at most 200
     times, then the exact step is taken).  Backward steps start from one draw
-    r of radius 0.99 * delta(x_n); each round accepts x_{n-1} = f^{-1}(x_n - r)
+    r of radius 0.99 * delta(x_n); each round proposes x_{n-1} = f^{-1}(x_n - r)
     when |r| < 0.99 * delta(x_n - r), and otherwise halves r.
 
-    ``keep_within`` switches on anchored mode: a candidate outside the given
-    radius is rejected and redrawn, which manufactures members of the bounded
-    class.  After 10 000 rounds in one step the exact step is taken.  The
-    rejection changes the sampling law, never the pseudo-orbit property:
-    every accepted step still satisfies the strict slack condition.
+    ``keep_within`` (a positive radius; ``None`` for a free orbit) switches on
+    anchored mode: a candidate outside the given radius is rejected and
+    redrawn, forward and backward alike, which manufactures members of the
+    bounded class.  A forward round is one draw; a backward round is one
+    halving or one proposal.  After 10 000 rounds in one step the exact step
+    is taken.  The rejection changes the sampling law, never the pseudo-orbit
+    property: every accepted step still satisfies the strict slack condition.
 
     This is the one-orbit case of the lockstep generator behind
-    :func:`generate_orbit_ensemble`.  Draws come from ``rng`` in blocks of
-    one window's step count, so ``rng`` may advance past the draws used.
+    :func:`generate_orbit_ensemble`.  Draws come from ``rng`` in blocks of one
+    window's step count and are tested in batches, so ``rng`` may advance up
+    to one block plus one batch past the draws used.
     """
     n_min, n_max = window
     x0 = as_point(seed_point)
     keep = np.inf if keep_within is None else float(keep_within)
+    if not keep > 0.0:
+        raise ContractViolation(f"keep_within must be a positive radius or None, got {keep_within!r}")
     points = _lockstep_orbits(m, delta, metric, (n_min, n_max), x0[None, :], [rng],
                               np.array([keep]))
     return PseudoOrbitSpec(ExplicitRule(points[0], n_min), (n_min, n_max), m)
@@ -438,11 +493,21 @@ def generate_orbit_ensemble(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     first j orbits of a batch of count >= j are the batch of j.  A fixed
     fraction is generated in anchored mode near the origin (bounded class
     material); the rest start at log-uniform radii and escape on their own.
+    ``r0`` is positive and finite, ``anchored_fraction`` lies in [0, 1], and
+    the radii in ``start_range`` =
+    (lo, hi), 0 < lo <= hi < inf, (0.01 * r0, 4 * r0) by default.
     """
     if count < 1:
         raise ContractViolation(f"an ensemble needs at least one orbit, got count={count}")
+    if not 0.0 < r0 < np.inf:
+        raise ContractViolation(f"r0 must be a positive finite radius, got {r0!r}")
+    if not 0.0 <= anchored_fraction <= 1.0:
+        raise ContractViolation(f"anchored_fraction must lie in [0, 1], got {anchored_fraction!r}")
     if start_range is None:
         start_range = (1e-2 * r0, 4.0 * r0)
+    lo, hi = start_range
+    if not 0.0 < lo <= hi < np.inf:
+        raise ContractViolation(f"start_range must satisfy 0 < lo <= hi < inf, got {start_range!r}")
     dim = m.dimension
     delta0 = float(delta.eval(np.zeros(dim)))
     # Anchored orbits stay inside radius `keep`; that is only sustainable if
@@ -454,7 +519,6 @@ def generate_orbit_ensemble(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     k = float(np.max(metric_norm(MetricKind.SUP, m.apply(dirs))))
     keep = 0.45 * min(delta0, r0) / max(1.0, k - 1.0)
     n_anchored = int(round(anchored_fraction * count))
-    lo, hi = start_range
     rngs = [np.random.default_rng(seed + i) for i in range(count)]
     seeds = np.empty((count, dim))
     for i, rng in enumerate(rngs):

@@ -7,6 +7,7 @@ from shadowlab.cplus import (
     saddle_adversarial_epsilon,
     synthesize_delta_homothety,
 )
+from shadowlab import pseudo_orbit
 from shadowlab.errors import ContractViolation, IterationRangeError
 from shadowlab.geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
 from shadowlab.maps import (
@@ -231,18 +232,29 @@ def _draw_in_ball(metric, dim, radius, rng):
     return uniform_ball(metric, dim, rng, 1)[0] * radius
 
 
+def _ball_stream(metric, dim, rng, block):
+    """The unit-ball draws of one orbit: ``uniform_ball`` blocks, concatenated."""
+    while True:
+        yield from uniform_ball(metric, dim, rng, block)
+
+
 def reference_random_pseudo_orbit(m, delta, metric, window, seed_point, rng, keep_within=None):
-    """Scalar reference: one orbit, one point and one ball draw at a time."""
+    """Scalar reference: one orbit, one point and one ball draw at a time.
+
+    The draws are read one by one from the orbit's stream of blocks of one
+    window's step count; under SUP that is the sequence of single draws.
+    """
     n_min, n_max = window
     x0 = as_point(seed_point)
     dim = x0.size
+    draws = _ball_stream(metric, dim, rng, n_max - n_min)
     forward = [x0]
     x = x0
     for _ in range(n_max):
         fx = m.apply(x)
         rad = 0.99 * float(delta.eval(fx))
         for _ in range(10_000):
-            r = _draw_in_ball(metric, dim, rad, rng)
+            r = next(draws) * rad
             nxt = fx + r
             for _ in range(200):
                 if float(distance(metric, nxt, fx)) < rad:
@@ -261,7 +273,7 @@ def reference_random_pseudo_orbit(m, delta, metric, window, seed_point, rng, kee
     x = x0
     for _ in range(-n_min):
         rad = 0.99 * float(delta.eval(x))
-        r = _draw_in_ball(metric, dim, rad, rng)
+        r = next(draws) * rad
         prev = None
         for _ in range(10_000):
             target = x - r
@@ -270,7 +282,7 @@ def reference_random_pseudo_orbit(m, delta, metric, window, seed_point, rng, kee
                 if keep_within is None or float(metric_norm(metric, cand)) <= keep_within:
                     prev = cand
                     break
-                r = _draw_in_ball(metric, dim, rad, rng)
+                r = next(draws) * rad
             else:
                 r = r * 0.5
         if prev is None:
@@ -329,9 +341,12 @@ def test_lockstep_ensemble_matches_scalar_reference(name, anchored_fraction):
             assert np.array_equal(spec.rule.points, points)
 
 
-@pytest.mark.parametrize("seed, x0, keep_within", [
+_SINGLE_ORBIT_CASES = [
     (4, [0.0, 0.0], None), (8, [2.5, 0.0], None), (4, [0.0, 0.0], 0.2), (9, [0.05, -0.1], 0.2),
-])
+]
+
+
+@pytest.mark.parametrize("seed, x0, keep_within", _SINGLE_ORBIT_CASES)
 def test_single_orbit_matches_scalar_reference(seed, x0, keep_within):
     delta = synthesize_delta_homothety(Const(1.0), homothety(2.0))
     args = (homothety(2.0), delta, SUP, (-10, 10), np.array(x0))
@@ -339,6 +354,91 @@ def test_single_orbit_matches_scalar_reference(seed, x0, keep_within):
     want = reference_random_pseudo_orbit(*args, np.random.default_rng(seed), keep_within=keep_within)
     assert got.window == (-10, 10)
     assert np.array_equal(got.rule.points, want)
+
+
+@pytest.mark.parametrize("width", [1, 2, pseudo_orbit._BATCH])
+@pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN])
+def test_batched_rejection_matches_the_reference_at_any_width(monkeypatch, metric, width):
+    # Batches cross block boundaries at every width.  Window (-1, 2) has
+    # blocks of 3 draws, fewer than the default width, so one peek pulls several.
+    monkeypatch.setattr(pseudo_orbit, "_BATCH", width)
+    m = homothety(2.0)
+    delta = synthesize_delta_homothety(Const(1.0), m, metric)
+    for window in ((-10, 10), (-1, 2)):
+        for seed, x0, keep_within in _SINGLE_ORBIT_CASES:
+            args = (m, delta, metric, window, np.array(x0))
+            got = random_pseudo_orbit(*args, np.random.default_rng(seed), keep_within=keep_within)
+            want = reference_random_pseudo_orbit(*args, np.random.default_rng(seed),
+                                                 keep_within=keep_within)
+            assert np.array_equal(got.rule.points, want), (window, seed)
+    eps = saddle_adversarial_epsilon()
+    delta = synthesize_delta_homothety(eps, m, metric)
+    r0, _ = delta_reference_levels(eps, m, metric)
+    for window in ((-12, 24), (-1, 2)):
+        args = (m, delta, metric, window, 10, 17, r0)
+        kwargs = dict(anchored_fraction=0.5, start_range=(0.3 * r0, 4.0 * r0))
+        got = generate_orbit_ensemble(*args, **kwargs)
+        for spec, points in zip(got, reference_ensemble(*args, **kwargs)):
+            assert np.array_equal(spec.rule.points, points), window
+
+
+@pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN])
+def test_capped_steps_use_the_reference_draws(metric):
+    # From 1.6 the anchor ball of radius 0.6 is out of reach for the forward
+    # step and the first backward step (the slack there is about 0.05): each
+    # uses its 10 000 rounds and takes the exact step.  From 0.8 every draw is
+    # kept, so the second backward step takes the first draw past those the
+    # capped steps used, and a cursor one off shows.
+    m = homothety(2.0)
+    delta = synthesize_delta_homothety(Const(1.0), m, metric)
+    args = (m, delta, metric, (-2, 1), np.array([1.6, 0.0]))
+    got = random_pseudo_orbit(*args, np.random.default_rng(3), keep_within=0.6).rule.points
+    exact = [np.array_equal(got[i], m.apply_inverse(got[i + 1])) for i in range(2)]
+    exact.append(np.array_equal(got[3], m.apply(got[2])))
+    assert exact == [False, True, True]
+    want = reference_random_pseudo_orbit(*args, np.random.default_rng(3), keep_within=0.6)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN])
+def test_ball_streams_read_each_orbit_stream_in_order(metric):
+    # Peeks of any width, with advances short of, at and one past the peek
+    # (the redraw of a capped backward step), read the concatenated blocks.
+    # Row 0's second step and row 1's sixth leave the cursor past the fill.
+    block = 3
+    want = []
+    for s in (5, 6):
+        rng = np.random.default_rng(s)
+        want.append(np.concatenate([uniform_ball(metric, 2, rng, block) for _ in range(20)]))
+    streams = pseudo_orbit._BallStreams(metric, 2, [np.random.default_rng(s) for s in (5, 6)], block)
+    rows, pos = np.arange(2), np.zeros(2, dtype=int)
+    steps = [(1, [0, 1]), (3, [4, 2]), (16, [16, 3]), (2, [3, 2]), (5, [0, 6]), (16, [7, 17]), (1, [1, 1])]
+    for b, used in steps:
+        got = streams.peek(rows, b)
+        for i in rows:
+            assert np.array_equal(got[i], want[i][pos[i]:pos[i] + b])
+        streams.advance(rows, np.array(used))
+        pos += used
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(start_range=(0.0, 1.0)), dict(start_range=(-1.0, 1.0)), dict(start_range=(np.nan, 1.0)),
+    dict(anchored_fraction=1.5), dict(anchored_fraction=-0.5), dict(anchored_fraction=np.nan),
+    dict(r0=0.0), dict(r0=np.nan),
+])
+def test_ensemble_refuses_bad_arguments(kwargs):
+    delta = synthesize_delta_homothety(Const(1.0), homothety(2.0))
+    [name] = kwargs
+    with pytest.raises(ContractViolation, match=name):
+        generate_orbit_ensemble(homothety(2.0), delta, SUP, (-4, 8), 3, 1, **{"r0": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("keep_within", [0.0, -1.0, np.nan])
+def test_random_orbit_refuses_a_non_positive_anchor(keep_within):
+    delta = synthesize_delta_homothety(Const(1.0), homothety(2.0))
+    with pytest.raises(ContractViolation, match="keep_within"):
+        random_pseudo_orbit(homothety(2.0), delta, SUP, (-2, 2), np.zeros(2),
+                            np.random.default_rng(0), keep_within=keep_within)
 
 
 def test_ensemble_prefix_is_order_independent():
