@@ -534,8 +534,10 @@ def synthesize_delta_homothety(epsilon: CPlusFn, m: MapSpec, metric: MetricKind 
 
     where g(s) is the sampled-direction minimum at radius s of epsilon, b and,
     for s > r0, the escape bound s*(k-1)/(2k) (equal to s/4 at k = 2), and G
-    is the running minimum of g along the radial grid.  By construction delta
-    is strictly positive and, at every verified point,
+    is the running minimum of g along the radial grid, which has r0 as a knot.
+    From r0 on, each knot's value is at most the escape bound as well, since
+    the interpolant just outside r0 starts from the value at r0.  By
+    construction delta is strictly positive and, at every verified point,
 
         delta < epsilon,   delta < b,   delta < |x|*(k-1)/(2k) outside the
         ball,   and delta is strictly decreasing in the norm.
@@ -556,6 +558,7 @@ def synthesize_delta_homothety(epsilon: CPlusFn, m: MapSpec, metric: MetricKind 
         np.linspace(0.0, near, 65),
         np.geomspace(max(near, 1e-12), _RHO_MAX, _RADIAL_POINTS),
         np.arange(near, min(_RHO_MAX, 2200.0), 4.0),
+        [r0],
     ]))
     dirs = sample_directions(metric, m.dimension, sphere_samples)
     pts = (s_grid[:, None, None] * dirs[None, :, :]).reshape(-1, m.dimension)
@@ -567,6 +570,7 @@ def synthesize_delta_homothety(epsilon: CPlusFn, m: MapSpec, metric: MetricKind 
     G = np.minimum.accumulate(g)
     with np.errstate(under="ignore"):
         values = 0.5 * G / (1.0 + s_grid)
+    values = np.where(s_grid >= r0, np.minimum(values, escape_bound), values)
 
     # A tolerance that decays exponentially drives the profile below double
     # range long before _RHO_MAX.  Truncate at the last comfortably

@@ -285,12 +285,12 @@ class _BallStreams:
     Orbit i reads, in order, the concatenation of
     ``uniform_ball(metric, dim, rngs[i], block)`` blocks.  :meth:`peek` shows
     an orbit's next draws without using them and :meth:`advance` moves its
-    cursor past those a caller used, so a draw left unused is the first of
-    the next peek.  Each row of the ``(N, block + _BATCH, dim)`` buffer is
-    compacted before it is refilled, with as many whole blocks as the peek
-    needs (several when ``block`` is below the batch width): a block drawn
-    ahead is kept, never redrawn, so the stream an orbit reads does not
-    depend on how its draws are batched.
+    cursor past those a caller used, at most the ones it peeked, so a draw
+    left unused is the first of the next peek.  Each row of the
+    ``(N, block + _BATCH, dim)`` buffer is compacted before it is refilled,
+    with as many whole blocks as the peek needs (several when ``block`` is
+    below the batch width): a block drawn ahead is kept, never redrawn, so the
+    stream an orbit reads does not depend on how its draws are batched.
     """
 
     def __init__(self, metric: MetricKind, dim: int, rngs, block: int):
@@ -306,15 +306,12 @@ class _BallStreams:
         dim = self.buf.shape[2]
         for i in rows[self.fill[rows] - self.cursor[rows] < b]:
             row, c, f = self.buf[i], self.cursor[i], self.fill[i]
-            # A capped backward step uses the redraw it takes at its last
-            # failure, so the cursor may sit one draw past the fill.
-            lo = min(c, f)
-            row[:f - lo] = row[lo:f]
-            c, f = c - lo, f - lo
-            while f - c < b:
+            row[:f - c] = row[c:f]
+            f -= c
+            while f < b:
                 row[f:f + self.block] = uniform_ball(self.metric, dim, self.rngs[i], self.block)
                 f += self.block
-            self.cursor[i], self.fill[i] = c, f
+            self.cursor[i], self.fill[i] = 0, f
         return self.buf[rows[:, None], self.cursor[rows, None] + np.arange(b)]
 
     def advance(self, rows: np.ndarray, used: np.ndarray) -> None:
@@ -329,17 +326,10 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     ``seeds[i]`` sits at index 0 of orbit i, which draws from ``rngs[i]``
     through :class:`_BallStreams` in blocks of one window's step count.
     ``keep_within[i]`` is orbit i's anchor radius, ``inf`` for a free orbit.
-    Each step makes one map call and one ``delta.eval`` over the batch, then
-    tests draws in batches: one draw per orbit first, then the next
-    ``_BATCH`` draws of each orbit still pending, all candidates of a batch
-    going through the halving and keep tests at once.  Every test is
-    elementwise, so a candidate has the bits it would have alone; an orbit
-    takes its first candidate that passes and its cursor moves past exactly
-    the draws :func:`random_pseudo_orbit`'s one-at-a-time loop uses.  The
-    10 000-round cap is counted in draws forward (one round each, and every
-    pending orbit of a step has used the same number) and in rounds backward,
-    where draw j costs its halvings plus one; a backward orbit that reaches
-    the cap at a keep failure has taken that failure's redraw too.
+    Each step makes one map call and one ``delta.eval`` over the batch, and
+    both directions then take :func:`random_pseudo_orbit`'s law from one
+    batched rejection step.  README's "Numerical policy" says why its points
+    have the bits of the one-draw-at-a-time loop.
     """
     n_min, n_max = window
     if not (n_min <= 0 <= n_max) or n_min == n_max:
@@ -348,12 +338,42 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
     streams = _BallStreams(metric, dim, rngs, n_max - n_min)
     free = np.isposinf(keep_within)
 
-    def kept(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return free[rows] | (metric_norm(metric, pts) <= keep_within[rows])
+    def step(exact, rad, trial, fits, finish):
+        """Each orbit's first kept candidate among its next 10 000 draws, else ``exact``.
+
+        Draw r, scaled by its orbit's ``rad``, gives the point ``trial(rows, r)``,
+        and r is halved until ``fits(rows, r, point)``; ``finish`` maps a point
+        that fits to its candidate.  A draw that still does not fit after 200
+        halvings has the exact step as its candidate.
+        """
+        out = exact.copy()
+        pending, used, b = np.arange(count), 0, 1
+        while pending.size and used < 10_000:
+            b = min(b, 10_000 - used)
+            rows = np.repeat(pending, b)
+            r = streams.peek(pending, b).reshape(-1, dim) * rad[rows, None]
+            point = trial(rows, r)
+            live = np.arange(len(r))
+            for _ in range(200):
+                live = live[~fits(rows[live], r[live], point[live])]
+                if not live.size:
+                    break
+                r[live] *= 0.5
+                point[live] = trial(rows[live], r[live])
+            cand = finish(point)
+            cand[live] = exact[rows[live]]
+            ok = (free[rows] | (metric_norm(metric, cand) <= keep_within[rows])).reshape(-1, b)
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)
+            out[pending[hit]] = cand.reshape(-1, b, dim)[hit, first[hit]]
+            streams.advance(pending, np.where(hit, first + 1, b))
+            pending = pending[~hit]
+            used += b
+            b = _BATCH
+        return out
 
     points = np.empty((count, n_max - n_min + 1, dim))
     points[:, -n_min] = seeds
-    everyone = np.arange(count)
     x = seeds
     for n in range(1, n_max + 1):
         with np.errstate(over="ignore"):
@@ -361,86 +381,23 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
         if not np.all(np.isfinite(fx)):
             raise IterationRangeError(n, "an exact image left double range")
         rad = 0.99 * delta.eval(fx)
-        nxt = fx.copy()  # the exact step, kept by orbits that exhaust their rounds
-        pending, used, b = everyone, 0, 1
-        while pending.size and used < 10_000:
-            b = min(b, 10_000 - used)
-            f, rp = np.repeat(fx[pending], b, axis=0), np.repeat(rad[pending], b)
-            r = streams.peek(pending, b).reshape(-1, dim) * rp[:, None]
-            cand = f + r
-            # The stored step is what validation sees.  Once the slack drops
-            # near the coordinate ulp (or to subnormal scales), fx + r can
-            # round to an inadmissible point; halving the draw bottoms out at
-            # the exact step, which is always admissible.
-            live = np.arange(len(cand))
-            for _ in range(200):
-                live = live[~(distance(metric, cand[live], f[live]) < rp[live])]
-                if not live.size:
-                    break
-                r[live] *= 0.5
-                cand[live] = f[live] + r[live]
-            else:
-                cand[live] = f[live]
-            ok = kept(np.repeat(pending, b), cand).reshape(-1, b)
-            hit = ok.any(axis=1)
-            first = ok.argmax(axis=1)
-            nxt[pending[hit]] = cand.reshape(-1, b, dim)[hit, first[hit]]
-            streams.advance(pending, np.where(hit, first + 1, b))
-            pending = pending[~hit]
-            used += b
-            b = _BATCH
-        points[:, n - n_min] = nxt
-        x = nxt
+        # The stored point is what validation sees: once the slack drops near
+        # the coordinate ulp (or to subnormal scales), fx + r can round to an
+        # inadmissible step, so the fit test measures the stored point.
+        x = points[:, n - n_min] = step(
+            fx, rad, lambda rows, r: fx[rows] + r,
+            lambda rows, r, p: distance(metric, p, fx[rows]) < rad[rows], lambda p: p)
     x = seeds
     for n in range(-1, n_min - 1, -1):
         rad = 0.99 * delta.eval(x)
         with np.errstate(over="ignore"):
-            prev = m.apply_inverse(x)  # the exact step, kept by orbits that exhaust their rounds
+            prev = m.apply_inverse(x)
         if not np.all(np.isfinite(prev)):
             raise IterationRangeError(n, "an exact image left double range")
-        spent = np.zeros(count, dtype=np.intp)
-        pending, b = everyone, 1
-        while pending.size:
-            left = 10_000 - spent[pending]
-            xs = np.repeat(x[pending], b, axis=0)
-            r = (streams.peek(pending, b) * rad[pending, None, None]).reshape(-1, dim)
-            target = xs - r
-            # The perturbation is sized against delta at f(x_{n-1}) = target;
-            # a draw is halved until it fits.  Draw j of a row may halve only
-            # while its keep test could still fall within the row's rounds
-            # (each earlier draw costs one at least), which also bounds the
-            # chain when the slack never fits.
-            room = np.repeat(left, b) - np.tile(np.arange(1, b + 1), len(pending))
-            halvings = np.zeros(len(r), dtype=np.intp)
-            live = np.arange(len(r))
-            while live.size:
-                fits = metric_norm(metric, r[live]) < 0.99 * delta.eval(target[live])
-                live = live[~fits]
-                halvings[live] += 1
-                live = live[halvings[live] <= room[live]]
-                r[live] *= 0.5
-                target[live] = xs[live] - r[live]
-            rounds = np.cumsum(halvings.reshape(-1, b) + 1, axis=1)
-            tested = rounds <= left[:, None]
-            cand = np.empty_like(target)
-            ok = np.zeros(len(r), dtype=bool)
-            at = np.flatnonzero(tested)
-            cand[at] = m.apply_inverse(target[at])
-            ok[at] = kept(np.repeat(pending, b)[at], cand[at])
-            ok = ok.reshape(-1, b)
-            hit = ok.any(axis=1)
-            first = ok.argmax(axis=1)
-            prev[pending[hit]] = cand.reshape(-1, b, dim)[hit, first[hit]]
-            # A keep failure redraws: the next batch starts at that redraw,
-            # and a row out of rounds has taken the one after its last test.
-            capped = ~hit & (rounds[:, -1] >= left)
-            fails = tested.sum(axis=1)
-            streams.advance(pending, np.where(hit, first + 1, np.where(capped, fails + 1, b)))
-            spent[pending] += rounds[:, -1]
-            pending = pending[~(hit | capped)]
-            b = _BATCH
-        points[:, n - n_min] = prev
-        x = prev
+        # The perturbation is sized against delta at f(x_{n-1}) = x_n - r.
+        x = points[:, n - n_min] = step(
+            prev, rad, lambda rows, r: x[rows] - r,
+            lambda rows, r, p: metric_norm(metric, r) < 0.99 * delta.eval(p), m.apply_inverse)
     return points
 
 
@@ -449,20 +406,21 @@ def random_pseudo_orbit(m: MapSpec, delta: CPlusFn, metric: MetricKind,
                         keep_within: float | None = None) -> PseudoOrbitSpec:
     """Draw a random delta-pseudo-orbit around a seed at index 0.
 
-    Forward steps perturb the exact image: x_{n+1} = f(x_n) + r with r drawn
-    uniformly from the metric ball of radius 0.99 * delta(f(x_n)); a draw
-    whose stored point rounds to an inadmissible step is halved (at most 200
-    times, then the exact step is taken).  Backward steps start from one draw
-    r of radius 0.99 * delta(x_n); each round proposes x_{n-1} = f^{-1}(x_n - r)
-    when |r| < 0.99 * delta(x_n - r), and otherwise halves r.
+    Each step draws r uniformly from the metric ball of radius 0.99 times the
+    slack at its base point.  Forward, the base is the exact image f(x_n) and
+    the candidate x_{n+1} = f(x_n) + r; the draw fits when that stored point
+    is an admissible step.  Backward, the base is x_n and the candidate
+    x_{n-1} = f^{-1}(x_n - r); the draw fits when |r| < 0.99 * delta(x_n - r).
+    A draw that does not fit is halved, at most 200 times, after which the
+    exact step is its candidate.
 
     ``keep_within`` (a positive radius; ``None`` for a free orbit) switches on
-    anchored mode: a candidate outside the given radius is rejected and
-    redrawn, forward and backward alike, which manufactures members of the
-    bounded class.  A forward round is one draw; a backward round is one
-    halving or one proposal.  After 10 000 rounds in one step the exact step
-    is taken.  The rejection changes the sampling law, never the pseudo-orbit
-    property: every accepted step still satisfies the strict slack condition.
+    anchored mode: a candidate outside the given radius is rejected and the
+    next draw tested, forward and backward alike, which manufactures members
+    of the bounded class.  A step tests at most 10 000 draws and then takes
+    the exact step.  The rejection changes the sampling law, never the
+    pseudo-orbit property: every accepted step still satisfies the strict
+    slack condition.
 
     This is the one-orbit case of the lockstep generator behind
     :func:`generate_orbit_ensemble`.  Draws come from ``rng`` in blocks of one

@@ -344,11 +344,15 @@ def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tupl
     shadowed = []  # (window, series point at index 0, tolerances) of each orbit it shadows
     for spec in specs:
         window_pts = realize(spec)
-        w, base_report = homothety_shadow_report(window_pts, epsilon, m, metric)
+        _, base_report = homothety_shadow_report(window_pts, epsilon, m, metric)
         if base_report.passed:
-            # The series point is anchored at the window start; the report
-            # compares orbits anchored at index 0.
-            shadowed.append((window_pts, m.iterate(w, -window_pts.start), base_report.tolerances))
+            # The report compares orbits anchored at index 0.  By the tail
+            # identity the series point of the window's forward half is the
+            # orbit's point there; iterating the start's series point instead
+            # would multiply its rounding by k^-start.
+            forward = OrbitWindow(0, window_pts.points[-window_pts.start:])
+            w_at_zero = homothety_shadow_point(forward, m) if len(forward) > 1 else forward.points[0]
+            shadowed.append((window_pts, np.asarray(w_at_zero, dtype=float), base_report.tolerances))
 
     results = {}
     all_pass = len(shadowed) == len(specs)
@@ -611,6 +615,13 @@ def _window(value, fields):
     return tuple(check(ok, "integers [n_min, n_max] with n_min <= 0 <= n_max, n_min < n_max", value))
 
 
+def _shifted_window(value, fields):
+    """forward_to_full's window: each shift k <= depth realizes the window from index -k."""
+    window = _window(value, fields)
+    check(window[0] <= -fields["depth"], f"a window from index -depth = {-fields['depth']} or below", value)
+    return window
+
+
 def _oracle(value, fields):
     """(box, step): ``box`` holds one [lo, hi] pair with lo < hi per map dimension."""
     oracle = read_fields(value, {"box": (rows, REQUIRED), "step": (_POSITIVE, REQUIRED)})
@@ -685,7 +696,7 @@ _KINDS = {
         "window": (_window, (-10, 20)), "count": (_COUNT, 40)}),
     "forward_to_full": (_run_forward_to_full, _SAMPLED, {
         "map": _HOMOTHETY, "epsilon": _FN, "depth": (_COUNT, 16),
-        "window": (_window, lambda f: (-f["depth"], 2 * f["depth"])), "count": (_COUNT, 20)}),
+        "window": (_shifted_window, lambda f: (-f["depth"], 2 * f["depth"])), "count": (_COUNT, 20)}),
     "neighborhood": (_run_neighborhood, ["sup"], {"radius_functions": (_each(_fn), REQUIRED)}),
     "fixed_point_scan": (_run_fixed_point_scan, _SAMPLED, {}),
 }

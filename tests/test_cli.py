@@ -288,6 +288,25 @@ def test_unknown_change_of_coordinates_is_config_error(tmp_path, capsys):
     assert "params.changes.affine.kind" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, field, value", [
+    # The synthesized slack broke its escape bound just outside r0.
+    ("homothety-tsp", "epsilon", "const:0.5"),
+    # The point at index 0 came from iterating the start's point 400 times:
+    # no transport passed, and an overflow warning went to stderr.
+    ("conjugacy-invariance", "window", [-400, 20]),
+])
+def test_configs_that_gave_false_refutations_match_the_paper(tmp_path, capsys, name, field, value):
+    # Each exited 2 (contradicts-paper).  The third such config, forward-to-full
+    # at depth 200, is a REFUSED row of test_config_schema.
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config(name).to_obj()
+    config["params"][field] = value
+    path = _write_config(tmp_path / "edit.json", config)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_run_prints_wall_time(tmp_path, capsys):
     assert main(["run", "translation-adversarial", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -149,6 +149,9 @@ REFUSED = [
     # Removed node: a min of a max with const bounds gives the same values.
     ("homothety-tsp", ["params", "epsilon"], {"op": "clamp", "args": [{"op": "norm", "args": ["sup"]}, 0.5, 2.0]},
      "params.epsilon.op"),
+    # A depth past the window's start: every orbit failed to realize its
+    # deepest shift, which counted as a false contradicts-paper.
+    ("forward-to-full", ["params", "depth"], 200, "params.window"),
 ]
 # The translation-adversarial row whose tree first turns non-positive at window index -7.
 _WINDOW_INDEX_ROW = next(row for row in REFUSED if row[0] == "translation-adversarial")

@@ -28,7 +28,7 @@ from shadowlab.cplus import (
     verify_delta_conditions,
 )
 from shadowlab.errors import ContractViolation, DimensionMismatch, PositivityError
-from shadowlab.geometry import MetricKind, distance, sample_directions
+from shadowlab.geometry import MetricKind, distance, metric_norm, sample_directions
 from shadowlab.maps import homothety
 
 
@@ -345,6 +345,26 @@ def test_delta_conditions_strict_at_random_points(eps_builder):
     eps = eps_builder()
     delta = synthesize_delta_homothety(eps, homothety(2.0))
     report = verify_delta_conditions(delta, eps, homothety(2.0), n_points=20_000, rng=np.random.default_rng(3))
+    assert report.ok, report.failures
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(k=st.floats(1.05, 4.0), flip=st.booleans(), level=st.one_of(st.none(), st.floats(1e-3, 2.0)),
+       seed=st.integers(0, 2**32 - 1), metric=st.sampled_from([MetricKind.SUP, MetricKind.EUCLIDEAN]))
+def test_synthesized_slack_stays_below_the_escape_bound_outside_r0(k, flip, level, seed, metric):
+    # The interpolant just outside r0 starts at the knot at r0, so that knot
+    # must respect the escape bound too: a constant below 0.8 under x -> 2x
+    # broke it on (r0, r0 + r0/16) when only knots beyond r0 were capped.
+    eps = random_positive_fn(np.random.default_rng(seed)) if level is None else Const(level)
+    m = homothety(-k if flip else k)
+    delta = synthesize_delta_homothety(eps, m, metric)
+    r0, _ = delta_reference_levels(eps, m, metric)
+    radii = np.linspace(r0, 2.0 * r0, 1025)[1:]
+    pts = (radii[:, None, None] * sample_directions(metric, 2, 64)[None, :, :]).reshape(-1, 2)
+    norms = metric_norm(metric, pts)
+    outside = norms > r0
+    assert np.all(delta.eval(pts)[outside] < norms[outside] * (k - 1.0) / (2.0 * k))
+    report = verify_delta_conditions(delta, eps, m, metric, n_points=4_000, rng=np.random.default_rng(seed))
     assert report.ok, report.failures
 
 

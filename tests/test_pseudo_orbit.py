@@ -3,6 +3,9 @@ import pytest
 
 from shadowlab.cplus import (
     Const,
+    Exp2Neg,
+    Mul,
+    Norm,
     delta_reference_levels,
     saddle_adversarial_epsilon,
     synthesize_delta_homothety,
@@ -273,20 +276,22 @@ def reference_random_pseudo_orbit(m, delta, metric, window, seed_point, rng, kee
     x = x0
     for _ in range(-n_min):
         rad = 0.99 * float(delta.eval(x))
-        r = next(draws) * rad
-        prev = None
+        exact = m.apply_inverse(x)
         for _ in range(10_000):
+            r = next(draws) * rad
             target = x - r
-            if float(metric_norm(metric, r)) < 0.99 * float(delta.eval(target)):
-                cand = m.apply_inverse(target)
-                if keep_within is None or float(metric_norm(metric, cand)) <= keep_within:
-                    prev = cand
+            for _ in range(200):
+                if float(metric_norm(metric, r)) < 0.99 * float(delta.eval(target)):
+                    prev = m.apply_inverse(target)
                     break
-                r = next(draws) * rad
-            else:
                 r = r * 0.5
-        if prev is None:
-            prev = m.apply_inverse(x)
+                target = x - r
+            else:
+                prev = exact
+            if keep_within is None or float(metric_norm(metric, prev)) <= keep_within:
+                break
+        else:
+            prev = exact
         backward.append(prev)
         x = prev
     return np.stack(backward[::-1] + forward)
@@ -386,7 +391,7 @@ def test_batched_rejection_matches_the_reference_at_any_width(monkeypatch, metri
 def test_capped_steps_use_the_reference_draws(metric):
     # From 1.6 the anchor ball of radius 0.6 is out of reach for the forward
     # step and the first backward step (the slack there is about 0.05): each
-    # uses its 10 000 rounds and takes the exact step.  From 0.8 every draw is
+    # tests its 10 000 draws and takes the exact step.  From 0.8 every draw is
     # kept, so the second backward step takes the first draw past those the
     # capped steps used, and a cursor one off shows.
     m = homothety(2.0)
@@ -400,11 +405,21 @@ def test_capped_steps_use_the_reference_draws(metric):
     assert np.array_equal(got, want)
 
 
+def test_a_backward_draw_that_never_fits_gives_the_exact_step():
+    # Around the origin the slack 2^(-1e70 |x|) falls to the smallest
+    # subnormal past |x| ~ 1e-67, so a draw of radius 0.99 fits only after
+    # about 230 halvings: each draw stops at 200 and takes the exact step 0.
+    delta = Exp2Neg(Mul(Const(1e70), Norm(SUP)))
+    args = (homothety(2.0), delta, SUP, (-3, 0), np.zeros(2))
+    got = random_pseudo_orbit(*args, np.random.default_rng(0)).rule.points
+    assert np.array_equal(got, np.zeros((4, 2)))
+    assert np.array_equal(got, reference_random_pseudo_orbit(*args, np.random.default_rng(0)))
+
+
 @pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN])
 def test_ball_streams_read_each_orbit_stream_in_order(metric):
-    # Peeks of any width, with advances short of, at and one past the peek
-    # (the redraw of a capped backward step), read the concatenated blocks.
-    # Row 0's second step and row 1's sixth leave the cursor past the fill.
+    # Peeks of any width, with advances short of and up to the peek, read the
+    # concatenated blocks.
     block = 3
     want = []
     for s in (5, 6):
@@ -412,7 +427,7 @@ def test_ball_streams_read_each_orbit_stream_in_order(metric):
         want.append(np.concatenate([uniform_ball(metric, 2, rng, block) for _ in range(20)]))
     streams = pseudo_orbit._BallStreams(metric, 2, [np.random.default_rng(s) for s in (5, 6)], block)
     rows, pos = np.arange(2), np.zeros(2, dtype=int)
-    steps = [(1, [0, 1]), (3, [4, 2]), (16, [16, 3]), (2, [3, 2]), (5, [0, 6]), (16, [7, 17]), (1, [1, 1])]
+    steps = [(1, [0, 1]), (3, [3, 2]), (16, [16, 3]), (2, [2, 2]), (5, [0, 5]), (16, [7, 16]), (1, [1, 1])]
     for b, used in steps:
         got = streams.peek(rows, b)
         for i in rows:

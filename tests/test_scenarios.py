@@ -148,3 +148,21 @@ def test_saddle_scenario_artifacts(tmp_path):
         assert name in listed
     assert any(a.endswith(".svg") for a in listed)
     assert report.details["oracle"]["found"] is None
+
+
+_CHANGES = builtin_config("conjugacy-invariance").params["changes"]
+
+
+@pytest.mark.parametrize("kind", ["homothety_shadow", "conjugacy", "forward_to_full"])
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("factor", [1.05, 1.2, -1.1])
+@pytest.mark.parametrize("epsilon", ["const:0.1", "const:0.5"])
+def test_ensemble_kinds_make_no_false_refutation(tmp_path, kind, metric, factor, epsilon):
+    # Weak expansion and small constant tolerances: the synthesized slack
+    # broke its own escape bound just outside r0 here.
+    params = {"map": {"kind": "homothety", "factor": factor}, "epsilon": epsilon, "count": 6}
+    if kind == "conjugacy":
+        params["changes"] = _CHANGES
+    config = ScenarioConfig(name="sweep", kind=kind, metric=metric, seed=7, params=params)
+    report = run_scenario(config, str(tmp_path))
+    assert report.verdict != "contradicts-paper", report.details
