@@ -62,7 +62,6 @@ from .maps import (
     translation_map,
 )
 from .pseudo_orbit import (
-    OrbitWindow,
     PseudoOrbitSpec,
     SplicedRule,
     classify_pseudo_orbit,
@@ -248,7 +247,7 @@ def _classify_and_shadow(m, epsilon, metric, delta, r0, specs):
         if cls.bounded:
             report = is_shadowed_by(window_pts, np.zeros(m.dimension), m, epsilon, metric)
         elif cls.escaping:
-            _, report = homothety_shadow_report(window_pts, epsilon, m, metric)
+            report = homothety_shadow_report(window_pts, epsilon, m, metric)
             bounds = shadow_tail_bound(window_pts, m, delta)
             bound_respected = bound_respected and bool(np.all(report.distances <= bounds))
             if example is None:
@@ -344,15 +343,10 @@ def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tupl
     shadowed = []  # (window, series point at index 0, tolerances) of each orbit it shadows
     for spec in specs:
         window_pts = realize(spec)
-        _, base_report = homothety_shadow_report(window_pts, epsilon, m, metric)
+        base_report = homothety_shadow_report(window_pts, epsilon, m, metric)
         if base_report.passed:
-            # The report compares orbits anchored at index 0.  By the tail
-            # identity the series point of the window's forward half is the
-            # orbit's point there; iterating the start's series point instead
-            # would multiply its rounding by k^-start.
-            forward = OrbitWindow(0, window_pts.points[-window_pts.start:])
-            w_at_zero = homothety_shadow_point(forward, m) if len(forward) > 1 else forward.points[0]
-            shadowed.append((window_pts, np.asarray(w_at_zero, dtype=float), base_report.tolerances))
+            w_at_zero = np.asarray(homothety_shadow_point(window_pts, m), dtype=float)
+            shadowed.append((window_pts, w_at_zero, base_report.tolerances))
 
     results = {}
     all_pass = len(shadowed) == len(specs)
@@ -386,16 +380,14 @@ def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     m, epsilon, depth, window = p["map"], p["epsilon"], p["depth"], p["window"]
     *_, specs = _homothety_ensemble(m, epsilon, config, window, p["count"], 0.0)
 
-    def forward_shadower(z_window: OrbitWindow) -> np.ndarray:
-        return homothety_shadow_point(z_window, m)
-
     converged = 0
     matched = 0
     inconclusive = 0
     failures = []
     for i, spec in enumerate(specs):
         try:
-            limit = forward_to_full_shadow(spec, epsilon, forward_shadower, depth, _TOL, metric)
+            limit = forward_to_full_shadow(spec, epsilon, lambda zw: homothety_shadow_point(zw, m), depth,
+                                          _TOL, metric)
         except NonConvergenceError as exc:
             inconclusive += 1
             failures.append({"orbit": i, "error": str(exc)})
@@ -404,7 +396,7 @@ def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
             failures.append({"orbit": i, "error": str(exc)})
             continue
         converged += 1
-        direct_at_zero = m.iterate(forward_shadower(realize(spec)), -window[0])
+        direct_at_zero = homothety_shadow_point(realize(spec), m)
         gap = float(metric_norm(metric, np.asarray(limit - direct_at_zero, dtype=float)))
         if gap <= _MATCH_TOL:
             matched += 1

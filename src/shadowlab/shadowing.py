@@ -21,10 +21,11 @@ oracle.
 For expanding homotheties the module also builds the shadowing orbit itself:
 writing x_i = k*x_{i-1} + r_i for the realized perturbations r_i, the point
 
-    w = x_start + sum_i r_i * k^(-i)
+    w = x_0 + sum_{i=1..stop} r_i * k^(-i)
 
-starts an orbit whose distance to the pseudo-orbit at offset l is exactly
-the norm of the perturbation tail sum beyond l, hence bounded by the
+is the shadowing orbit's point at index 0, and f^n(w) - x_n =
+sum_{i>n} k^(n-i) r_i, so its distance to the pseudo-orbit at index n is
+the norm of the perturbation tail sum beyond n, hence bounded by the
 geometric tail of the slack values.  ``forward_to_full_shadow`` upgrades a
 forward-only shadower to the full window by shifting the sequence and
 following the iterates f^k(y_{-k}), reporting non-convergence rather than
@@ -161,7 +162,7 @@ class FeasibilityCertificate:
     witness: np.ndarray | None = None
     emptiness_window: int | None = None
     near_degenerate: bool = False
-    trace: list = field(default_factory=list)  # (n, lo copy, hi copy)
+    trace: list = field(default_factory=list)  # (n, lo row, hi row) of the block arrays
 
     @property
     def empty(self) -> bool:
@@ -295,17 +296,11 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
 # ---------------------------------------------------------------------------
 
 
-def _series(window: OrbitWindow, scales: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """(residuals r_i, series point w) of the window, accumulated in ``dtype``."""
-    if len(window) < 2:
-        raise ContractViolation("window too short: need at least one step")
-    if window.dimension != scales.size:
-        raise DimensionMismatch(f"map of dimension {scales.size}, window of dimension {window.dimension}")
-    x = window.points.astype(dtype)
-    residuals = x[1:] - x[:-1] * scales[None, :].astype(dtype)
-    L = residuals.shape[0]
-    inv_powers = np.cumprod(np.tile(1.0 / scales.astype(dtype), (L, 1)), axis=0)
-    return residuals, x[0] + np.sum(residuals * inv_powers, axis=0)
+def _residuals(points: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """r_i = x_i - A x_{i-1} of consecutive rows, in the points' dtype."""
+    if points.shape[-1] != scales.size:
+        raise DimensionMismatch(f"map of dimension {scales.size}, window of dimension {points.shape[-1]}")
+    return points[1:] - points[:-1] * scales[None, :].astype(points.dtype)
 
 
 def _tail_sums(terms: np.ndarray, scales) -> np.ndarray:
@@ -318,39 +313,42 @@ def _tail_sums(terms: np.ndarray, scales) -> np.ndarray:
 
 
 def homothety_shadow_point(window: OrbitWindow, m: MapSpec) -> np.ndarray:
-    """Shadow-point series for the expanding homothety ``m`` = diag(A).
+    """The shadowing orbit's point at index 0, for the expanding homothety ``m`` = diag(A).
 
-    With per-step perturbations r_i = x_{start+i} - A x_{start+i-1} the
-    returned point is w = x_start + sum_{i=1..L} A^(-i) r_i, anchored at the
-    window's start index: the orbit n -> f^(n-start)(w) is the shadowing
-    candidate.  The scales may differ in sign (``maps.linear_scales``), which
-    admits the orientation-reversing variant diag(k, -k).
-
-    The series accumulates in ``np.longdouble``, since iterating w far forward
-    multiplies its storage rounding by k^n.
+    With per-step perturbations r_i = x_i - A x_{i-1} the returned point is
+    w = x_0 + sum_{i=1..stop} A^(-i) r_i, the series of the window's forward
+    half; a window that ends at 0 gives x_0, and one without index 0 is
+    refused.  The scales may differ in sign (``maps.linear_scales``), which
+    admits the orientation-reversing variant diag(k, -k).  The series
+    accumulates in ``np.longdouble`` (README, "Numerical policy").
     """
-    _, w = _series(window, linear_scales(m), np.longdouble)
-    return w
+    if not window.start <= 0 <= window.stop:
+        raise ContractViolation(f"shadow point needs index 0, window is [{window.start}, {window.stop}]")
+    scales = linear_scales(m).astype(np.longdouble)
+    x = window.points[-window.start:].astype(np.longdouble)
+    residuals = _residuals(x, scales)
+    inv_powers = np.cumprod(np.tile(1.0 / scales, (len(residuals), 1)), axis=0)
+    return x[0] + np.sum(residuals * inv_powers, axis=0)
 
 
 def homothety_shadow_report(window: OrbitWindow, epsilon, m: MapSpec,
-                            metric: MetricKind = MetricKind.SUP) -> tuple[np.ndarray, ShadowReport]:
-    """Shadow point plus its report, with distances evaluated stably.
+                            metric: MetricKind = MetricKind.SUP) -> ShadowReport:
+    """Report of the orbit through the series point, with distances evaluated stably.
 
-    The orbit of the series point w satisfies, identically,
+    The orbit of the point w = ``homothety_shadow_point(window, m)``
+    satisfies, identically,
 
-        f^l(w) - x_{start+l} = sum_{i > l} A^(l-i) r_i
+        f^n(w) - x_n = sum_{i > n} A^(n-i) r_i
 
     so the per-index distance equals the norm of the perturbation tail sum.
     Evaluating the right-hand side (by the backward recurrence
-    D_l = (r_{l+1} + D_{l+1}) / A) avoids the catastrophic cancellation of
-    subtracting two nearly equal k^l-sized points, which matters once the
+    D_n = (r_{n+1} + D_{n+1}) / A) avoids the catastrophic cancellation of
+    subtracting two nearly equal k^n-sized points, which matters once the
     window's far end exceeds about 2^50 times its start.
     """
     scales = linear_scales(m)
-    residuals, w = _series(window, scales)
-    tails = _tail_sums(residuals, scales)
-    return w, ShadowReport(window.start, metric_norm(metric, tails), _tolerances(window, epsilon))
+    tails = _tail_sums(_residuals(window.points, scales), scales)
+    return ShadowReport(window.start, metric_norm(metric, tails), _tolerances(window, epsilon))
 
 
 def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn) -> np.ndarray:

@@ -135,7 +135,7 @@ def _shadow_ensemble(m, eps, delta, r0, window, count, seed):
         if cls.bounded:
             report = is_shadowed_by(window_pts, np.zeros(2), m, eps, SUP)
         elif cls.escaping:
-            _, report = homothety_shadow_report(window_pts, eps, m, SUP)
+            report = homothety_shadow_report(window_pts, eps, m, SUP)
             bounds = shadow_tail_bound(window_pts, m, delta)
             assert np.all(report.distances <= bounds), "tail bound exceeded"
         else:
@@ -178,8 +178,7 @@ def test_criterion_4_forward_to_full():
     worst = 0.0
     for spec in specs:
         limit = forward_to_full_shadow(spec, eps, forward_shadower, 30, 1e-9, SUP)
-        window = realize(spec)
-        direct = m.iterate(homothety_shadow_point(window, m), -window.start)
+        direct = homothety_shadow_point(realize(spec), m)
         gap = float(np.max(np.abs(np.asarray(limit - direct, dtype=float))))
         worst = max(worst, gap)
         assert gap <= 1e-8
@@ -232,12 +231,12 @@ def test_criterion_6_conjugacy_and_power_invariance():
         g = conjugate_map(m, change)
         for spec in specs:
             window = realize(spec)
-            w, base = homothety_shadow_report(window, eps, m, SUP)
+            base = homothety_shadow_report(window, eps, m, SUP)
             assert base.passed
             transported = transport_pseudo_orbit(window, change)
             eps_values = np.atleast_1d(eps.eval(window.points))
             eps_prime = transported_epsilon_values(window, eps_values, change, SUP)
-            w_zero = m.iterate(w, -window.start)
+            w_zero = homothety_shadow_point(window, m)
             report = is_shadowed_by(transported, change.apply(w_zero), g, eps_prime, SUP)
             assert report.passed, f"{name} transport failed at {report.worst_index}"
 

@@ -294,6 +294,10 @@ def test_unknown_change_of_coordinates_is_config_error(tmp_path, capsys):
     # The point at index 0 came from iterating the start's point 400 times:
     # no transport passed, and an overflow warning went to stderr.
     ("conjugacy-invariance", "window", [-400, 20]),
+    # The direct point came from iterating the start's point 400 times: gaps of 2.6e100.
+    ("forward-to-full", "window", [-400, 32]),
+    # The unshifted forward half is one point, and its series refused it as too short.
+    ("forward-to-full", "window", [-16, 0]),
 ])
 def test_configs_that_gave_false_refutations_match_the_paper(tmp_path, capsys, name, field, value):
     # Each exited 2 (contradicts-paper).  The third such config, forward-to-full

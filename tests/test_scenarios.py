@@ -166,3 +166,23 @@ def test_ensemble_kinds_make_no_false_refutation(tmp_path, kind, metric, factor,
     config = ScenarioConfig(name="sweep", kind=kind, metric=metric, seed=7, params=params)
     report = run_scenario(config, str(tmp_path))
     assert report.verdict != "contradicts-paper", report.details
+
+
+_WINDOW_SHAPES = ([("forward_to_full", metric, factor, window) for metric in ("sup", "euclidean")
+                   for factor in (2.0, 3.0, -1.1) for window in ([-16, 0], [-400, 32])]
+                  + [(kind, metric, 2.0, [-400, 32]) for kind in ("homothety_shadow", "conjugacy")
+                     for metric in ("sup", "euclidean")])
+
+
+@pytest.mark.parametrize("kind, metric, factor, window", _WINDOW_SHAPES)
+def test_window_shapes_make_no_false_refutation(tmp_path, kind, metric, factor, window):
+    # A window that ends at index 0, and one that reaches 400 steps back: the
+    # forward-to-full direct point came from iterating the start's point -start
+    # times, and a one-point forward half had no series.
+    params = {"map": {"kind": "homothety", "factor": factor}, "epsilon": "const:0.5", "count": 6,
+              "window": window}
+    if kind == "conjugacy":
+        params["changes"] = _CHANGES
+    config = ScenarioConfig(name="sweep", kind=kind, metric=metric, seed=7, params=params)
+    report = run_scenario(config, str(tmp_path))
+    assert report.verdict != "contradicts-paper", report.details

@@ -176,11 +176,21 @@ def test_non_diagonal_map_directed_to_oracle():
 # ---------------------------------------------------------------------------
 
 
-def test_shadow_point_of_true_orbit_is_the_start():
+def test_shadow_point_of_true_orbit_is_its_point_at_zero():
     spec = true_orbit_spec(homothety(2.0), [0.7, -0.4], (-5, 10))
     window = realize(spec)
     w = homothety_shadow_point(window, spec.map)
-    assert np.allclose(w, window.points[0], atol=0)
+    assert np.allclose(w, window.point_at(0), atol=0)
+
+
+def test_shadow_point_is_anchored_at_index_0():
+    m = homothety(2.0)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 2))
+    # A window that ends at 0: its forward half is the one point x_0.
+    assert np.array_equal(homothety_shadow_point(OrbitWindow(-5, points), m), points[-1])
+    for start in (1, -6):
+        with pytest.raises(ContractViolation):
+            homothety_shadow_point(OrbitWindow(start, points), m)
 
 
 def test_shadow_point_single_perturbation_geometric_sum():
@@ -206,9 +216,8 @@ def test_residual_report_agrees_with_direct_evaluation_on_short_windows():
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
     for spec in specs:
         window = realize(spec)
-        w, stable = homothety_shadow_report(window, eps, m, SUP)
-        w0 = spec.map.iterate(w, -window.start)
-        direct = is_shadowed_by(window, w0, spec.map, eps, SUP)
+        stable = homothety_shadow_report(window, eps, m, SUP)
+        direct = is_shadowed_by(window, homothety_shadow_point(window, m), spec.map, eps, SUP)
         assert np.allclose(stable.distances, direct.distances, atol=1e-9)
 
 
@@ -220,7 +229,7 @@ def test_measured_distance_within_tail_bound():
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
     for spec in specs:
         window = realize(spec)
-        w, report = homothety_shadow_report(window, eps, m, SUP)
+        report = homothety_shadow_report(window, eps, m, SUP)
         bounds = shadow_tail_bound(window, m, delta)
         assert report.passed
         assert np.all(report.distances <= bounds)
@@ -231,7 +240,7 @@ def test_shadow_series_supports_sign_flipped_scales():
     expected_bounds = shadow_tail_bound(window, homothety(2.0), Const(0.1))
     for flip in (DiagonalAffine([2.0, -2.0]), DiagonalAffine([-2.0, 2.0])):
         flipped = realize(true_orbit_spec(flip, [0.4, 0.3], (-4, 8)))
-        assert np.allclose(homothety_shadow_point(flipped, flip), flipped.points[0])
+        assert np.allclose(homothety_shadow_point(flipped, flip), flipped.point_at(0))
         # k = 2 whatever the signs: the tail bound's ratio and the classifier's (1 + k)/2.
         assert np.array_equal(shadow_tail_bound(window, flip, Const(0.1)), expected_bounds)
         cls = classify_pseudo_orbit(flipped, 0.5, flip, SUP)
@@ -280,29 +289,34 @@ def test_forward_to_full_matches_direct_series():
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
     for spec in specs:
         limit = forward_to_full_shadow(spec, eps, _series_shadower, 20, 1e-9, SUP)
-        window = realize(spec)
-        direct = m.iterate(homothety_shadow_point(window, m), -window.start)
+        direct = homothety_shadow_point(realize(spec), m)
         assert float(np.max(np.abs(np.asarray(limit - direct, dtype=float)))) <= 1e-8
 
 
+# (depth, n_min, n_max): the window reaches past the deepest shift, so the limit
+# and the series point of the whole window are different routes.
+_SHIFTED_WINDOWS = st.integers(4, 16).flatmap(
+    lambda depth: st.tuples(st.just(depth), st.integers(-depth - 200, -depth), st.integers(0, 2 * depth)))
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.sampled_from([(2.0, 2.0), (2.0, -2.0), (-2.0, 2.0), (3.0, 3.0), (-3.0, -3.0)]),
+@given(st.sampled_from([(2.0, 2.0), (2.0, -2.0), (-2.0, 2.0), (3.0, 3.0), (-3.0, -3.0), (1.2, 1.2)]),
        st.sampled_from([SUP, MetricKind.EUCLIDEAN]),
        st.sampled_from(["const", "saddle_adversarial", "decaying"]),
-       st.integers(4, 16), st.integers(0, 2**32 - 1))
-def test_forward_to_full_limit_matches_the_series_point(scales, metric, tolerance, depth, seed):
+       _SHIFTED_WINDOWS, st.integers(0, 2**32 - 1))
+def test_forward_to_full_limit_matches_the_series_point(scales, metric, tolerance, shifted, seed):
     m = DiagonalAffine(scales)
+    depth, n_min, n_max = shifted
     eps = {"const": Const(1.0), "saddle_adversarial": saddle_adversarial_epsilon(),
            "decaying": decaying_epsilon(1.0)}[tolerance]
     delta = synthesize_delta_homothety(eps, m, metric)
     r0, _ = delta_reference_levels(eps, m, metric)
-    specs = generate_orbit_ensemble(m, delta, metric, (-depth, 2 * depth), 2, seed, r0,
+    specs = generate_orbit_ensemble(m, delta, metric, (n_min, n_max), 2, seed, r0,
                                     anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
     for spec in specs:
         limit = forward_to_full_shadow(spec, eps, lambda zw: homothety_shadow_point(zw, m), depth, 1e-9,
                                        metric)
-        window = realize(spec)
-        direct = m.iterate(homothety_shadow_point(window, m), -window.start)
+        direct = homothety_shadow_point(realize(spec), m)
         assert float(np.max(np.abs(np.asarray(limit - direct, dtype=float)))) <= 1e-8
 
 
@@ -354,8 +368,7 @@ def test_search_on_conjugated_map_finds_transported_shadow():
     g = conjugate_map(homothety(2.0), change)
     base = true_orbit_spec(homothety(2.0), [0.75, 0.5], (-6, 10))
     window = realize(base)
-    w0 = homothety(2.0).iterate(homothety_shadow_point(window, base.map), -window.start)
-    target = change.apply(w0)
+    target = change.apply(homothety_shadow_point(window, base.map))
     moved = transport_pseudo_orbit(window, change)
     spec = PseudoOrbitSpec(ExplicitRule(moved.points, moved.start), base.window, g)
     box = [(target[0] - 0.5, target[0] + 0.5), (target[1] - 0.5, target[1] + 0.5)]
