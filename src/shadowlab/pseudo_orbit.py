@@ -15,6 +15,10 @@ Two rules generate windows:
   This is the universal adversarial pattern: glue the future of one orbit to
   the past of another with one small jump.
 
+An explicit rule may hold a stack of N windows over one index range, points
+``(N, L, d)``; realizing, validating and classifying it act on every orbit at
+once, and one orbit is the stack without its leading axis.
+
 Classification targets the homothety dichotomy: a window is ``bounded`` if
 all its points stay in the closed ball of a reference radius r0, and
 ``escaping`` when, past the first exit, norms grow by a fixed ratio every
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cplus import CPlusFn
-from .errors import ContractViolation, IterationRangeError
+from .errors import ContractViolation, IterationRangeError, PositivityError
 from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions, uniform_ball
 from .maps import MapSpec, linear_scales, map_to_dict
 from .plots import trace_csv
@@ -55,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExplicitRule:
-    points: np.ndarray  # (L, d)
+    points: np.ndarray  # (L, d), or a stack (N, L, d) of N orbits
     start: int = 0
 
     def __post_init__(self):
@@ -86,18 +90,19 @@ class PseudoOrbitSpec:
 
 
 class OrbitWindow:
-    """A realized window: points[i] sits at index start + i."""
+    """A realized window: points[..., i, :] sits at index start + i, in each orbit
+    of a stack ``(N, L, d)``; ``len`` is L."""
 
     def __init__(self, start: int, points: np.ndarray):
         self.start = int(start)
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
 
     def __len__(self):
-        return self.points.shape[0]
+        return self.points.shape[-2]
 
     @property
     def dimension(self) -> int:
-        return self.points.shape[1]
+        return self.points.shape[-1]
 
     @property
     def indices(self) -> np.ndarray:
@@ -110,7 +115,7 @@ class OrbitWindow:
     def point_at(self, n: int) -> np.ndarray:
         if not self.start <= n <= self.stop:
             raise ContractViolation(f"index {n} outside window [{self.start}, {self.stop}]")
-        return self.points[n - self.start]
+        return self.points[..., n - self.start, :]
 
     def __repr__(self):
         return f"<OrbitWindow [{self.start}, {self.stop}] d={self.dimension}>"
@@ -136,40 +141,61 @@ def realize(spec: PseudoOrbitSpec, window: tuple[int, int] | None = None) -> Orb
     ns = np.arange(n_min, n_max + 1)
     if isinstance(spec.rule, ExplicitRule):
         lo = spec.rule.start
-        hi = spec.rule.start + spec.rule.points.shape[0] - 1
+        hi = spec.rule.start + spec.rule.points.shape[-2] - 1
         if n_min < lo or n_max > hi:
             raise ContractViolation(
                 f"explicit rule covers [{lo}, {hi}], cannot realize [{n_min}, {n_max}]"
             )
-        return OrbitWindow(n_min, spec.rule.points[n_min - lo : n_max - lo + 1])
+        return OrbitWindow(n_min, spec.rule.points[..., n_min - lo : n_max - lo + 1, :])
     return OrbitWindow(n_min, _spliced_points(spec.rule, spec.map, ns))
+
+
+def _values_along(fn: CPlusFn, points: np.ndarray, ns) -> np.ndarray:
+    """``fn`` at window points ``(..., L, d)`` of indices ``ns``, shape ``(..., L)``.
+
+    One eval over every row of a stack; a value <= 0 names its window index
+    ``ns[row % L]``, whichever orbit of the stack holds it.
+    """
+    try:
+        return fn.eval(points.reshape(-1, points.shape[-1])).reshape(points.shape[:-1])
+    except PositivityError as exc:
+        exc.n = int(ns[exc.row % len(ns)])
+        raise
+
+
+def _per_orbit(values: np.ndarray):
+    """A Python scalar for one orbit, an array of one value per orbit for a stack."""
+    return values if values.ndim else values.item()
 
 
 @dataclass
 class ValidationReport:
-    """Per-step slack audit of the pseudo-orbit condition."""
+    """Per-step slack audit of the pseudo-orbit condition; rows of a stack are its orbits."""
 
     start: int                 # index n of the first step n -> n+1
-    gaps: np.ndarray           # d(f(x_n), x_{n+1})
+    gaps: np.ndarray           # d(f(x_n), x_{n+1}), shape (..., L - 1)
     bounds: np.ndarray         # delta(f(x_n))
-    passed: bool
 
     @property
     def step_ok(self) -> np.ndarray:
         return self.gaps < self.bounds
 
+    @property
+    def passed(self):
+        return _per_orbit(np.all(self.step_ok, axis=-1))
+
     def failing_steps(self) -> list[int]:
-        return [int(self.start + i) for i in np.flatnonzero(~self.step_ok)]
+        """Indices n of the failing steps n -> n+1, of every orbit of a stack."""
+        return [int(self.start + i) for i in np.nonzero(~self.step_ok)[-1]]
 
 
 def validate(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = MetricKind.SUP,
              window: tuple[int, int] | None = None) -> ValidationReport:
-    """Audit every step of the window; failures are data, not errors."""
+    """Audit every step of the window, or of each orbit of a stack; failures are data, not errors."""
     w = realize(spec, window)
-    images = spec.map.apply(w.points[:-1])
-    gaps = distance(metric, images, w.points[1:])
-    bounds = np.atleast_1d(delta.eval(images))
-    return ValidationReport(w.start, gaps, bounds, bool(np.all(gaps < bounds)))
+    images = spec.map.apply(w.points[..., :-1, :])
+    gaps = distance(metric, images, w.points[..., 1:, :])
+    return ValidationReport(w.start, gaps, _values_along(delta, images, w.indices[:-1]))
 
 
 def max_splice_jump(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = MetricKind.SUP,
@@ -233,10 +259,12 @@ def max_splice_jump(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = 
 
 @dataclass(frozen=True)
 class OrbitClass:
+    """The class of one orbit; for a stack, ``kind`` and ``escape_index`` hold one per orbit."""
+
     kind: str                       # "bounded" | "escaping" | "unclassified"
     radius: float                   # the reference radius r0
     growth_ratio: float             # (1 + k)/2 for the homothety's modulus k
-    escape_index: int | None = None
+    escape_index: int | None = None  # None for a bounded orbit
 
     @property
     def bounded(self) -> bool:
@@ -256,17 +284,18 @@ def classify_pseudo_orbit(window: OrbitWindow, r0: float, m: MapSpec,
     ``escaping``: past the first index i0 with |x_{i0}| > r0, norms grow by
     strictly more than (1 + k)/2 at every step to the window's end.
     Anything else is ``unclassified``, which flags a slack function whose
-    admissible perturbations are too large for the dichotomy.
+    admissible perturbations are too large for the dichotomy.  A stack is
+    classified orbit by orbit in one pass.
     """
     growth = (abs(float(linear_scales(m)[0])) + 1.0) / 2.0
     norms = metric_norm(metric, window.points)
     outside = norms > r0
-    if not np.any(outside):
-        return OrbitClass("bounded", r0, growth)
-    i0 = int(np.argmax(outside))
-    tail = norms[i0:]
-    kind = "escaping" if np.all(tail[1:] > growth * tail[:-1]) else "unclassified"
-    return OrbitClass(kind, r0, growth, int(window.start + i0))
+    exits = np.any(outside, axis=-1)
+    i0 = np.argmax(outside, axis=-1)
+    grows = norms[..., 1:] > growth * norms[..., :-1]  # step i -> i + 1
+    escapes = np.all(grows | (np.arange(len(window) - 1) < i0[..., None]), axis=-1)
+    kind = np.where(exits, np.where(escapes, "escaping", "unclassified"), "bounded")
+    return OrbitClass(_per_orbit(kind), r0, growth, _per_orbit(np.where(exits, window.start + i0, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,5 +549,5 @@ def spec_meta(spec: PseudoOrbitSpec) -> dict:
             "splice": spec.rule.splice,
         }
     else:
-        rule = {"kind": "explicit", "start": spec.rule.start, "count": int(spec.rule.points.shape[0])}
+        rule = {"kind": "explicit", "start": spec.rule.start, "count": int(spec.rule.points.shape[-2])}
     return {"map": map_to_dict(spec.map), "rule": rule, "window": list(spec.window)}

@@ -62,6 +62,8 @@ from .maps import (
     translation_map,
 )
 from .pseudo_orbit import (
+    ExplicitRule,
+    OrbitWindow,
     PseudoOrbitSpec,
     SplicedRule,
     classify_pseudo_orbit,
@@ -74,6 +76,7 @@ from .pseudo_orbit import (
     validate,
 )
 from .shadowing import (
+    ShadowReport,
     box_feasibility,
     forward_to_full_shadow,
     homothety_shadow_point,
@@ -222,8 +225,8 @@ _VERIFY_POINTS = 20_000
 
 def _homothety_ensemble(m: MapSpec, epsilon: CPlusFn, config: ScenarioConfig,
                         window: tuple[int, int], count: int, anchored_fraction: float):
-    """(delta, r0, ball_min, specs): the slack of the expanding homothety ``m`` for
-    ``epsilon`` and its pseudo-orbits."""
+    """(delta, r0, ball_min, ensemble): the slack of the expanding homothety ``m`` for
+    ``epsilon`` and one spec holding its pseudo-orbits as a stack ``(count, L, d)``."""
     metric = MetricKind(config.metric)
     with config_path("params.epsilon"):
         delta = synthesize_delta_homothety(epsilon, m, metric, _SPHERE_SAMPLES)
@@ -232,44 +235,41 @@ def _homothety_ensemble(m: MapSpec, epsilon: CPlusFn, config: ScenarioConfig,
         specs = generate_orbit_ensemble(m, delta, metric, window, count, config.seed, r0,
                                         anchored_fraction=anchored_fraction,
                                         start_range=(1.05 * r0, 4.0 * r0))
-    return delta, r0, ball_min, specs
+    stack = np.stack([spec.rule.points for spec in specs])
+    return delta, r0, ball_min, PseudoOrbitSpec(ExplicitRule(stack, window[0]), window, m)
 
 
-def _classify_and_shadow(m, epsilon, metric, delta, r0, specs):
+def _classify_and_shadow(m, epsilon, metric, delta, r0, ensemble):
     """(tallies, all_shadowed, bound_respected, example): bounded pseudo-orbits shadowed by the
-    origin, escaping ones by the series point; the example is the first escaping one."""
-    tallies = {"bounded": 0, "escaping": 0, "unclassified": 0}
-    all_shadowed, bound_respected, example = True, True, None
-    for spec in specs:
-        window_pts = realize(spec)
-        cls = classify_pseudo_orbit(window_pts, r0, m, metric)
-        tallies[cls.kind] += 1
-        if cls.bounded:
-            report = is_shadowed_by(window_pts, np.zeros(m.dimension), m, epsilon, metric)
-        elif cls.escaping:
-            report = homothety_shadow_report(window_pts, epsilon, m, metric)
-            bounds = shadow_tail_bound(window_pts, m, delta)
-            bound_respected = bound_respected and bool(np.all(report.distances <= bounds))
-            if example is None:
-                example = (window_pts, report, bounds)
-        else:
-            all_shadowed = False
-            continue
-        all_shadowed = all_shadowed and report.passed
-    return tallies, all_shadowed, bound_respected, example
+    origin, escaping ones by the series point; the example is the first escaping one.  Each
+    stage is one call over the stack, and reads only the orbits of its class."""
+    window = realize(ensemble)
+    cls = classify_pseudo_orbit(window, r0, m, metric)
+    tallies = {kind: int(np.count_nonzero(cls.kind == kind)) for kind in ("bounded", "escaping", "unclassified")}
+    bounded = OrbitWindow(window.start, window.points[cls.bounded])
+    escaping = OrbitWindow(window.start, window.points[cls.escaping])
+    origin = is_shadowed_by(bounded, np.zeros(m.dimension), m, epsilon, metric)
+    series = homothety_shadow_report(escaping, epsilon, m, metric)
+    bounds = shadow_tail_bound(escaping, m, delta)
+    all_shadowed = bool(tallies["unclassified"] == 0 and np.all(origin.passed) and np.all(series.passed))
+    example = None
+    if tallies["escaping"]:
+        example = (OrbitWindow(window.start, escaping.points[0]),
+                   ShadowReport(window.start, series.distances[0], series.tolerances[0]), bounds[0])
+    return tallies, all_shadowed, bool(np.all(series.distances <= bounds)), example
 
 
 def _run_homothety_pipeline(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
     metric = MetricKind(config.metric)
     m, window, epsilon = p["map"], p["window"], p["epsilon"]
-    delta, r0, m_level, specs = _homothety_ensemble(
+    delta, r0, m_level, ensemble = _homothety_ensemble(
         m, epsilon, config, window, p["count"], _ANCHORED_FRACTION)
     conditions = verify_delta_conditions(
         delta, epsilon, m, metric, n_points=_VERIFY_POINTS,
         rng=np.random.default_rng(config.seed + 1_000_003))
-    all_valid = all(validate(spec, delta, metric).passed for spec in specs)
+    all_valid = bool(np.all(validate(ensemble, delta, metric).passed))
     tallies, all_shadowed, bound_respected, example = _classify_and_shadow(
-        m, epsilon, metric, delta, r0, specs)
+        m, epsilon, metric, delta, r0, ensemble)
 
     if example is not None:
         window_pts, report, bounds = example
@@ -338,18 +338,20 @@ def _run_metric_warp(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tu
 def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
     metric = MetricKind(config.metric)
     m, changes, epsilon = p["map"], p["changes"], p["epsilon"]
-    *_, specs = _homothety_ensemble(m, epsilon, config, p["window"], p["count"], 0.0)
+    *_, ensemble = _homothety_ensemble(m, epsilon, config, p["window"], p["count"], 0.0)
 
+    # One base report over the stack; the series point and the transport stay per orbit.
+    windows = realize(ensemble)
+    base_report = homothety_shadow_report(windows, epsilon, m, metric)
     shadowed = []  # (window, series point at index 0, tolerances) of each orbit it shadows
-    for spec in specs:
-        window_pts = realize(spec)
-        base_report = homothety_shadow_report(window_pts, epsilon, m, metric)
-        if base_report.passed:
-            w_at_zero = np.asarray(homothety_shadow_point(window_pts, m), dtype=float)
-            shadowed.append((window_pts, w_at_zero, base_report.tolerances))
+    for i in np.flatnonzero(base_report.passed):
+        window_pts = OrbitWindow(windows.start, windows.points[i])
+        w_at_zero = np.asarray(homothety_shadow_point(window_pts, m), dtype=float)
+        shadowed.append((window_pts, w_at_zero, base_report.tolerances[i]))
 
     results = {}
-    all_pass = len(shadowed) == len(specs)
+    total = len(windows.points)
+    all_pass = len(shadowed) == total
     for name, change in changes.items():
         g = conjugate_map(m, change)
         passed = 0
@@ -359,7 +361,7 @@ def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tupl
                                     g, eps_prime, metric)
             passed += report.passed
             all_pass = all_pass and report.passed
-        results[name] = {"passed": passed, "total": len(specs)}
+        results[name] = {"passed": passed, "total": total}
 
     sink.json("transport.json", results)
     return ("matches-paper" if all_pass else "contradicts-paper"), {"transports": results}
@@ -378,7 +380,8 @@ _MATCH_TOL = 1e-8
 def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
     metric = MetricKind(config.metric)
     m, epsilon, depth, window = p["map"], p["epsilon"], p["depth"], p["window"]
-    *_, specs = _homothety_ensemble(m, epsilon, config, window, p["count"], 0.0)
+    *_, ensemble = _homothety_ensemble(m, epsilon, config, window, p["count"], 0.0)
+    specs = [PseudoOrbitSpec(ExplicitRule(points, window[0]), window, m) for points in ensemble.rule.points]
 
     converged = 0
     matched = 0
@@ -563,9 +566,9 @@ def _run_fixed_point_scan(config: ScenarioConfig, p: dict, sink: _ArtifactSink) 
             # The series shadows the expanding direction of each homothety.
             work = power_map(m, -1) if name == "reverse-homothety" else m
             epsilon = Const(1.0)
-            delta, r0, _, specs = _homothety_ensemble(work, epsilon, config, (-8, 16), 30, _ANCHORED_FRACTION)
+            delta, r0, _, ensemble = _homothety_ensemble(work, epsilon, config, (-8, 16), 30, _ANCHORED_FRACTION)
             _, all_shadowed, _, _ = _classify_and_shadow(
-                work, epsilon, MetricKind(config.metric), delta, r0, specs)
+                work, epsilon, MetricKind(config.metric), delta, r0, ensemble)
             evidence = "shadowing" if all_shadowed else "not-shadowing"
         flag = evidence == "shadowing" and not fixed
         contradiction = contradiction or flag

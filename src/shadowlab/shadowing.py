@@ -31,6 +31,9 @@ forward-only shadower to the full window by shifting the sequence and
 following the iterates f^k(y_{-k}), reporting non-convergence rather than
 guessing a limit.
 
+Shadow reports and tail bounds also take a stack of windows ``(N, L, d)``
+and give each orbit's row the bits of its own call.
+
 ``sampled_search`` is the independent oracle: a brute-force grid scan over a
 candidate box, streamed in row blocks, valid for any map and metric,
 including warped metrics whose balls are not boxes.
@@ -51,14 +54,13 @@ from .errors import (
     DimensionMismatch,
     IterationRangeError,
     NonConvergenceError,
-    PositivityError,
     SearchSpaceError,
     UnsupportedMapError,
 )
 from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions
 from .maps import MapSpec, is_diagonal_affine, linear_scales
 from .plots import trace_csv
-from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, realize
+from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, _per_orbit, _values_along, realize
 
 __all__ = [
     "ShadowReport",
@@ -81,10 +83,10 @@ __all__ = [
 
 @dataclass
 class ShadowReport:
-    """Per-index audit of d(f^n(y), x_n) against the tolerance."""
+    """Per-index audit of d(f^n(y), x_n) against the tolerance; rows of a stack are its orbits."""
 
     start: int
-    distances: np.ndarray
+    distances: np.ndarray  # shape (..., L)
     tolerances: np.ndarray
 
     @property
@@ -92,12 +94,12 @@ class ShadowReport:
         return self.tolerances - self.distances
 
     @property
-    def passed(self) -> bool:
-        return bool(np.all(self.slacks > 0.0))
+    def passed(self):
+        return _per_orbit(np.all(self.slacks > 0.0, axis=-1))
 
     @property
-    def worst_index(self) -> int:
-        return int(self.start + np.argmin(self.slacks))
+    def worst_index(self):
+        return _per_orbit(self.start + np.argmin(self.slacks, axis=-1))
 
     def to_csv(self, extra: dict[str, np.ndarray] | None = None) -> str:
         """Trace with columns n, distance, tolerance, slack, then ``extra``'s in name order."""
@@ -109,7 +111,7 @@ class ShadowReport:
 
 def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon,
                    metric: MetricKind = MetricKind.SUP) -> ShadowReport:
-    """Compare the orbit of ``y`` to the window under the tolerance.
+    """Compare the orbit of ``y`` to the window, or to each orbit of a stack, under the tolerance.
 
     ``epsilon`` may be a function or a precomputed per-index array (used for
     transported tolerances).
@@ -121,20 +123,11 @@ def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon,
 def _tolerances(window: OrbitWindow, epsilon) -> np.ndarray:
     """``epsilon`` at every window point, or the precomputed per-index values it holds."""
     if isinstance(epsilon, CPlusFn):
-        return _tolerances_at(epsilon, window.points, window.indices)
+        return _values_along(epsilon, window.points, window.indices)
     tols = np.asarray(epsilon, dtype=float)
-    if tols.shape != (len(window),):
+    if tols.shape != window.points.shape[:-1]:
         raise ContractViolation("need one tolerance per window index")
     return tols
-
-
-def _tolerances_at(epsilon: CPlusFn, points: np.ndarray, ns) -> np.ndarray:
-    """``epsilon`` at the window points of indices ``ns``; a value <= 0 names its index."""
-    try:
-        return np.atleast_1d(epsilon.eval(points))
-    except PositivityError as exc:
-        exc.n = int(ns[exc.row])
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +260,7 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
         if ns.size:
             window = realize(spec, (ns.min(), ns.max()))
             x_n = window.points[ns - window.start]
-            eps = _tolerances_at(epsilon, x_n, ns)
+            eps = _values_along(epsilon, x_n, ns)
             radius = (eps - margin)[:, None]
             ends = ((x_n - drift - radius) / pow_, (x_n - drift + radius) / pow_)
             los = np.maximum.accumulate(np.vstack([lo, np.minimum(*ends)]))[1:]
@@ -297,19 +290,25 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
 
 
 def _residuals(points: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """r_i = x_i - A x_{i-1} of consecutive rows, in the points' dtype."""
+    """r_i = x_i - A x_{i-1} of consecutive window points ``(..., L, d)``, in the points' dtype."""
     if points.shape[-1] != scales.size:
         raise DimensionMismatch(f"map of dimension {scales.size}, window of dimension {points.shape[-1]}")
-    return points[1:] - points[:-1] * scales[None, :].astype(points.dtype)
+    return points[..., 1:, :] - points[..., :-1, :] * scales.astype(points.dtype)
 
 
 def _tail_sums(terms: np.ndarray, scales) -> np.ndarray:
     """T_l = sum_{i > l} terms_i * scales^(l-i) for l = 0..L, by the backward
-    recurrence T_{l-1} = (terms_l + T_l) / scales."""
-    tails = np.zeros((len(terms) + 1,) + np.shape(scales))
+    recurrence T_{l-1} = (terms_l + T_l) / scales.
+
+    The index axis of ``terms`` is the one before the axes of ``scales``, and
+    the recurrence runs once along it for every leading (orbit) axis.
+    """
+    axis = -1 - np.ndim(scales)
+    terms = np.moveaxis(terms, axis, 0)
+    tails = np.zeros((len(terms) + 1,) + terms.shape[1:])
     for i in range(len(terms), 0, -1):
         tails[i - 1] = (terms[i - 1] + tails[i]) / scales
-    return tails
+    return np.moveaxis(tails, 0, axis)
 
 
 def homothety_shadow_point(window: OrbitWindow, m: MapSpec) -> np.ndarray:
@@ -320,8 +319,11 @@ def homothety_shadow_point(window: OrbitWindow, m: MapSpec) -> np.ndarray:
     half; a window that ends at 0 gives x_0, and one without index 0 is
     refused.  The scales may differ in sign (``maps.linear_scales``), which
     admits the orientation-reversing variant diag(k, -k).  The series
-    accumulates in ``np.longdouble`` (README, "Numerical policy").
+    accumulates in ``np.longdouble`` (README, "Numerical policy"), one orbit
+    at a time.
     """
+    if window.points.ndim != 2:
+        raise ContractViolation("the series point is taken one orbit at a time")
     if not window.start <= 0 <= window.stop:
         raise ContractViolation(f"shadow point needs index 0, window is [{window.start}, {window.stop}]")
     scales = linear_scales(m).astype(np.longdouble)
@@ -344,7 +346,8 @@ def homothety_shadow_report(window: OrbitWindow, epsilon, m: MapSpec,
     Evaluating the right-hand side (by the backward recurrence
     D_n = (r_{n+1} + D_{n+1}) / A) avoids the catastrophic cancellation of
     subtracting two nearly equal k^n-sized points, which matters once the
-    window's far end exceeds about 2^50 times its start.
+    window's far end exceeds about 2^50 times its start.  A stack of windows
+    gets one report whose rows are its orbits.
     """
     scales = linear_scales(m)
     tails = _tail_sums(_residuals(window.points, scales), scales)
@@ -357,10 +360,12 @@ def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn) -> np.nda
     bound_l = sum_{i > l} delta(f(x_{i-1})) * k^(l-i) for the expanding homothety
     ``m`` of modulus k, computed with the actual slack values along the window;
     the measured distance of the shadow-point orbit never exceeds it when every
-    perturbation respects the strict slack condition.
+    perturbation respects the strict slack condition.  A stack of windows gets
+    one row per orbit.
     """
     k = abs(float(linear_scales(m)[0]))
-    return _tail_sums(np.atleast_1d(delta.eval(m.iterate(window.points[:-1], 1))), k)
+    images = m.iterate(window.points[..., :-1, :], 1)
+    return _tail_sums(_values_along(delta, images, window.indices[:-1]), k)
 
 
 def forward_to_full_shadow(spec: PseudoOrbitSpec, epsilon: CPlusFn, forward_shadower,
@@ -509,7 +514,7 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     axes = _grid_axes(search_box, grid_step)
 
     window = realize(spec)
-    eps_vals = _tolerances_at(epsilon, window.points, window.indices)
+    eps_vals = _values_along(epsilon, window.points, window.indices)
     if is_diagonal_affine(m):
         # Tightest tolerance first; deep indices break ties.
         order = sorted(range(window.start, window.stop + 1),
