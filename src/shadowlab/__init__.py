@@ -57,7 +57,6 @@ from .pseudo_orbit import (
     max_splice_jump,
     random_pseudo_orbit,
     realize,
-    transport_pseudo_orbit,
     validate,
 )
 from .scenarios import RunReport, ScenarioConfig, builtin_config, list_scenarios, run_scenario
@@ -72,6 +71,7 @@ from .shadowing import (
     sampled_search,
     shadow_tail_bound,
     transported_epsilon_values,
+    transported_shadow_report,
 )
 
 __version__ = "0.1.0"

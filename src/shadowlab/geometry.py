@@ -72,7 +72,17 @@ def sup_norm(p) -> np.ndarray:
 
 
 def euclidean_norm(p) -> np.ndarray:
-    return np.linalg.norm(np.asarray(p, dtype=float), axis=-1)
+    """The 2-norm along the last axis: ``np.linalg.norm``'s value, except on rows whose
+    norm is below 1e-150, where its squares lose bits or underflow; those rows are first
+    divided by their largest |coordinate|, so the norm of (1e-200, 0) is 1e-200, not 0."""
+    p = np.asarray(p, dtype=float)
+    out = np.asarray(np.linalg.norm(p, axis=-1))
+    tiny = np.flatnonzero(out < 1e-150)  # flat indices: a boolean mask copies a 1M-row block slowly
+    if tiny.size:
+        rows = p.reshape(-1, p.shape[-1])[tiny]
+        scale = np.maximum(sup_norm(rows), np.finfo(float).smallest_subnormal)  # a zero row stays 0
+        out.reshape(-1)[tiny] = scale * np.linalg.norm(rows / scale[:, None], axis=-1)
+    return out[()]
 
 
 def radial_rescale(p, a: float = 1.0, b: float = 1.0) -> np.ndarray:

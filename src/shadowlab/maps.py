@@ -27,7 +27,8 @@ conjugated map iterates through its inner map's closed form,
 ``change(inner^n(change^{-1}(p)))``, and never steps, in the grid oracle
 too, which chooses only the order of its indices by map (README,
 "Numerical policy").  Changes of coordinates compute each point alone, so a
-point's image has the same bits in a call of any size.
+point's image has the same bits in a call of any size, and its
+``difference(p, t)`` is change(p + t) - change(p) without subtracting two images.
 
 ``power_map`` normalizes eagerly: powers of diagonal-affine maps are again
 diagonal-affine (exactness is preserved), and powers commute with conjugacy.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import (REQUIRED, ContractViolation, DimensionMismatch, IterationRangeError, number, numbers,
                      read_kind, rows)
-from .geometry import as_point, radial_rescale
+from .geometry import as_point, euclidean_norm, radial_rescale
 
 __all__ = [
     "MapSpec",
@@ -82,6 +83,10 @@ class Diffeo:
     def apply_inverse(self, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def difference(self, p: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """apply(p + t) - apply(p), computed without subtracting two images."""
+        raise NotImplementedError
+
 
 class IdentityChange(Diffeo):
     dimension = None
@@ -91,6 +96,9 @@ class IdentityChange(Diffeo):
 
     def apply_inverse(self, p):
         return np.asarray(p, dtype=float)
+
+    def difference(self, p, t):
+        return np.asarray(t, dtype=float)
 
 
 class AffineChange(Diffeo):
@@ -115,6 +123,9 @@ class AffineChange(Diffeo):
     def apply_inverse(self, p):
         return _linear(np.asarray(p, dtype=float) - self.offset, self._inverse)
 
+    def difference(self, p, t):
+        return _linear(np.asarray(t, dtype=float), self.matrix)
+
 
 def _linear(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """``p @ matrix.T`` by elementwise products and sums, so each point's image has
@@ -129,6 +140,11 @@ def _linear(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
             acc += p[..., j] * row[j]
         out[..., i] = acc
     return out
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j u_j v_j along the last axis, coordinate by coordinate as in ``_linear``."""
+    return sum(u[..., j] * v[..., j] for j in range(u.shape[-1]))
 
 
 class RadialRescale(Diffeo):
@@ -156,6 +172,14 @@ class RadialRescale(Diffeo):
         # (sqrt(a^2 + 4br) - a)/(2b) when 4br is small next to a^2.
         return p * (2.0 / (self.a + np.sqrt(self.a * self.a + 4.0 * self.b * r)))[..., None]
 
+    def difference(self, p, t):
+        # h(p+t) - h(p) = a t + b (|p+t| t + (|p+t| - |p|) p), with
+        # |p+t| - |p| = (2 p.t + |t|^2) / (|p+t| + |p|), which is 0 where both norms are.
+        p, t = np.asarray(p, dtype=float), np.asarray(t, dtype=float)
+        r, s = euclidean_norm(p), euclidean_norm(p + t)
+        growth = (2.0 * _dot(p, t) + _dot(t, t)) / np.where(s + r > 0.0, s + r, 1.0)
+        return self.a * t + self.b * (s[..., None] * t + growth[..., None] * p)
+
 
 class ComposedChange(Diffeo):
     """outer o inner."""
@@ -173,6 +197,9 @@ class ComposedChange(Diffeo):
 
     def apply_inverse(self, p):
         return self.inner.apply_inverse(self.outer.apply_inverse(p))
+
+    def difference(self, p, t):
+        return self.outer.difference(self.inner.apply(p), self.inner.difference(p, t))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "classify_pseudo_orbit",
     "random_pseudo_orbit",
     "generate_orbit_ensemble",
-    "transport_pseudo_orbit",
     "orbit_to_csv",
 ]
 
@@ -523,13 +522,8 @@ def generate_orbit_ensemble(m: MapSpec, delta: CPlusFn, metric: MetricKind,
 
 
 # ---------------------------------------------------------------------------
-# Transport and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-
-def transport_pseudo_orbit(window: OrbitWindow, change) -> OrbitWindow:
-    """Push a realized window through a change of coordinates."""
-    return OrbitWindow(window.start, change.apply(window.points))
 
 
 def orbit_to_csv(window: OrbitWindow, meta: dict | None = None) -> str:

@@ -51,7 +51,6 @@ from .maps import (
     DiagonalAffine,
     MapSpec,
     affine_fixed_point,
-    conjugate_map,
     diffeo_from_dict,
     homothety,
     linear_scales,
@@ -72,7 +71,6 @@ from .pseudo_orbit import (
     orbit_to_csv,
     realize,
     spec_meta,
-    transport_pseudo_orbit,
     validate,
 )
 from .shadowing import (
@@ -84,7 +82,7 @@ from .shadowing import (
     is_shadowed_by,
     sampled_search,
     shadow_tail_bound,
-    transported_epsilon_values,
+    transported_shadow_report,
 )
 
 __all__ = ["ScenarioConfig", "RunReport", "SCENARIO_NAMES", "builtin_config", "check_config",
@@ -340,30 +338,17 @@ def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tupl
     m, changes, epsilon = p["map"], p["changes"], p["epsilon"]
     *_, ensemble = _homothety_ensemble(m, epsilon, config, p["window"], p["count"], 0.0)
 
-    # One base report over the stack; the series point and the transport stay per orbit.
+    # One base report over the stack, then one transported report per change; an orbit
+    # passes a change when both report it shadowed.
     windows = realize(ensemble)
-    base_report = homothety_shadow_report(windows, epsilon, m, metric)
-    shadowed = []  # (window, series point at index 0, tolerances) of each orbit it shadows
-    for i in np.flatnonzero(base_report.passed):
-        window_pts = OrbitWindow(windows.start, windows.points[i])
-        w_at_zero = np.asarray(homothety_shadow_point(window_pts, m), dtype=float)
-        shadowed.append((window_pts, w_at_zero, base_report.tolerances[i]))
-
+    base = homothety_shadow_report(windows, epsilon, m, metric)
     results = {}
-    total = len(windows.points)
-    all_pass = len(shadowed) == total
     for name, change in changes.items():
-        g = conjugate_map(m, change)
-        passed = 0
-        for window_pts, w_at_zero, eps_values in shadowed:
-            eps_prime = transported_epsilon_values(window_pts, eps_values, change, metric)
-            report = is_shadowed_by(transport_pseudo_orbit(window_pts, change), change.apply(w_at_zero),
-                                    g, eps_prime, metric)
-            passed += report.passed
-            all_pass = all_pass and report.passed
-        results[name] = {"passed": passed, "total": total}
+        moved = transported_shadow_report(windows, base.tolerances, m, change, metric)
+        results[name] = {"passed": int(np.count_nonzero(base.passed & moved.passed)), "total": len(windows.points)}
 
     sink.json("transport.json", results)
+    all_pass = all(r["passed"] == r["total"] for r in results.values())
     return ("matches-paper" if all_pass else "contradicts-paper"), {"transports": results}
 
 

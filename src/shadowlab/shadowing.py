@@ -32,7 +32,8 @@ following the iterates f^k(y_{-k}), reporting non-convergence rather than
 guessing a limit.
 
 Shadow reports and tail bounds also take a stack of windows ``(N, L, d)``
-and give each orbit's row the bits of its own call.
+and give each orbit's row the bits of its own call; ``transported_shadow_report``
+carries such a report through a change of coordinates, in residual space too.
 
 ``sampled_search`` is the independent oracle: a brute-force grid scan over a
 candidate box, streamed in row blocks, valid for any map and metric,
@@ -72,6 +73,7 @@ __all__ = [
     "forward_to_full_shadow",
     "SearchResult",
     "sampled_search",
+    "transported_shadow_report",
     "transported_epsilon_values",
 ]
 
@@ -109,25 +111,12 @@ class ShadowReport:
         return trace_csv(columns)
 
 
-def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon,
+def is_shadowed_by(window: OrbitWindow, y, m: MapSpec, epsilon: CPlusFn,
                    metric: MetricKind = MetricKind.SUP) -> ShadowReport:
-    """Compare the orbit of ``y`` to the window, or to each orbit of a stack, under the tolerance.
-
-    ``epsilon`` may be a function or a precomputed per-index array (used for
-    transported tolerances).
-    """
+    """Compare the orbit of ``y`` to the window, or to each orbit of a stack, under ``epsilon``."""
     orbit = m.orbit(y, window.indices)
-    return ShadowReport(window.start, distance(metric, orbit, window.points), _tolerances(window, epsilon))
-
-
-def _tolerances(window: OrbitWindow, epsilon) -> np.ndarray:
-    """``epsilon`` at every window point, or the precomputed per-index values it holds."""
-    if isinstance(epsilon, CPlusFn):
-        return _values_along(epsilon, window.points, window.indices)
-    tols = np.asarray(epsilon, dtype=float)
-    if tols.shape != window.points.shape[:-1]:
-        raise ContractViolation("need one tolerance per window index")
-    return tols
+    return ShadowReport(window.start, distance(metric, orbit, window.points),
+                        _values_along(epsilon, window.points, window.indices))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +300,12 @@ def _tail_sums(terms: np.ndarray, scales) -> np.ndarray:
     return np.moveaxis(tails, 0, axis)
 
 
+def _series_tails(window: OrbitWindow, m: MapSpec) -> np.ndarray:
+    """f^n(w) - x_n at every window index, for the series point w of the homothety ``m``."""
+    scales = linear_scales(m)
+    return _tail_sums(_residuals(window.points, scales), scales)
+
+
 def homothety_shadow_point(window: OrbitWindow, m: MapSpec) -> np.ndarray:
     """The shadowing orbit's point at index 0, for the expanding homothety ``m`` = diag(A).
 
@@ -349,9 +344,18 @@ def homothety_shadow_report(window: OrbitWindow, epsilon, m: MapSpec,
     window's far end exceeds about 2^50 times its start.  A stack of windows
     gets one report whose rows are its orbits.
     """
-    scales = linear_scales(m)
-    tails = _tail_sums(_residuals(window.points, scales), scales)
-    return ShadowReport(window.start, metric_norm(metric, tails), _tolerances(window, epsilon))
+    return ShadowReport(window.start, metric_norm(metric, _series_tails(window, m)),
+                        _values_along(epsilon, window.points, window.indices))
+
+
+def transported_shadow_report(window: OrbitWindow, eps_values, m: MapSpec, change,
+                              metric: MetricKind = MetricKind.SUP) -> ShadowReport:
+    """The series point's report carried through the change of coordinates h = ``change``:
+    distances |h.difference(x_n, T_n)| for the tails T_n = f^n(w) - x_n, so no orbit of
+    h o m o h^-1 is iterated, against ``transported_epsilon_values`` of ``eps_values``.
+    A stack of windows gets one report (README, "Numerical policy")."""
+    distances = metric_norm(metric, change.difference(window.points, _series_tails(window, m)))
+    return ShadowReport(window.start, distances, transported_epsilon_values(window, eps_values, change, metric))
 
 
 def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn) -> np.ndarray:
@@ -556,26 +560,21 @@ _TRANSPORT_SAFETY = 1.05
 
 def transported_epsilon_values(window: OrbitWindow, eps_values, change,
                                metric: MetricKind = MetricKind.SUP) -> np.ndarray:
-    """Tolerances for a transported window that cover the transported balls.
+    """Tolerances for a transported window, or each orbit of a stack, that cover the transported balls.
 
-    For each window point x with tolerance e, samples the image under the
-    change of coordinates of the sphere of radius e (plus a half-radius
-    shell) around x and returns ``_TRANSPORT_SAFETY`` times the largest
-    displacement from change(x).  By construction the ball around change(x)
-    with the returned radius contains the sampled image of the ball around
-    x, so a passing report transports to a passing report.
-
-    All points go through one ``change.apply``; a change maps each point
-    alone, so every value has the bits of a per-point evaluation.
+    For each window point x with tolerance e, ``_TRANSPORT_SAFETY`` times the largest
+    displacement ``change.difference(x, o)`` over offsets o on the spheres of radius e
+    and e/2, taken one offset at a time over the whole stack with a running maximum
+    (README, "Numerical policy").  The polar-warped metric is refused.
     """
+    if metric is MetricKind.POLAR_WARP:
+        raise ContractViolation("transported tolerances need a norm, not the polar-warped metric")
     eps_values = np.asarray(eps_values, dtype=float)
-    if eps_values.shape != (len(window),):
+    if eps_values.shape != window.points.shape[:-1]:
         raise ContractViolation("need one tolerance per window index")
-    L, d = window.points.shape
-    dirs = sample_directions(metric, d, _BOUNDARY_SAMPLES)
-    shells = np.array([0.5, 1.0])
-    # (L, 2, samples, d), multiplied in the per-point order shells * e * dirs.
-    offsets = shells[None, :, None, None] * eps_values[:, None, None, None] * dirs[None, None]
-    sampled = change.apply((window.points[:, None, None, :] + offsets).reshape(-1, d)).reshape(L, -1, d)
-    displacement = distance(metric, sampled, change.apply(window.points)[:, None, :])
-    return _TRANSPORT_SAFETY * np.max(displacement, axis=1)
+    widest = np.zeros(eps_values.shape)
+    for shell in (0.5, 1.0):
+        for u in sample_directions(metric, window.dimension, _BOUNDARY_SAMPLES):
+            offset = (shell * eps_values)[..., None] * u
+            np.maximum(widest, metric_norm(metric, change.difference(window.points, offset)), out=widest)
+    return _TRANSPORT_SAFETY * widest

@@ -22,16 +22,16 @@ from shadowlab.cplus import (
     synthesize_delta_homothety,
     verify_delta_conditions,
 )
-from shadowlab.geometry import MetricKind
+from shadowlab.geometry import MetricKind, distance, sup_norm
 from shadowlab.maps import AffineChange, RadialRescale, conjugate_map, homothety, power_map, saddle, translation_map
 from shadowlab.pseudo_orbit import (
+    OrbitWindow,
     PseudoOrbitSpec,
     SplicedRule,
     classify_pseudo_orbit,
     generate_orbit_ensemble,
     max_splice_jump,
     realize,
-    transport_pseudo_orbit,
     validate,
 )
 from shadowlab.scenarios import SCENARIO_NAMES, builtin_config, neighborhood_equivalence_checks, run_scenario
@@ -43,7 +43,7 @@ from shadowlab.shadowing import (
     is_shadowed_by,
     sampled_search,
     shadow_tail_bound,
-    transported_epsilon_values,
+    transported_shadow_report,
 )
 
 SUP = MetricKind.SUP
@@ -227,18 +227,23 @@ def test_criterion_6_conjugacy_and_power_invariance():
         "affine": AffineChange([[0.96, -0.72], [0.72, 0.96]], [0.3, -0.2]),
         "radial": RadialRescale(1.0, 0.5),
     }
+    stack = OrbitWindow(-10, np.stack([spec.rule.points for spec in specs]))
+    base = homothety_shadow_report(stack, eps, m, SUP)
+    assert np.all(base.passed)
     for name, change in changes.items():
+        moved = transported_shadow_report(stack, base.tolerances, m, change, SUP)
+        assert np.all(moved.passed), f"{name} transport failed at {moved.worst_index}"
+        # The independent route: g = change o m o change^-1 iterated from the image of the
+        # series point, against the moved window.  Its gaps agree with the difference form
+        # within a few ulps of the moved points, and pass under the same tolerances.
         g = conjugate_map(m, change)
-        for spec in specs:
+        for i, spec in enumerate(specs):
             window = realize(spec)
-            base = homothety_shadow_report(window, eps, m, SUP)
-            assert base.passed
-            transported = transport_pseudo_orbit(window, change)
-            eps_values = np.atleast_1d(eps.eval(window.points))
-            eps_prime = transported_epsilon_values(window, eps_values, change, SUP)
-            w_zero = homothety_shadow_point(window, m)
-            report = is_shadowed_by(transported, change.apply(w_zero), g, eps_prime, SUP)
-            assert report.passed, f"{name} transport failed at {report.worst_index}"
+            moved_points = change.apply(window.points)
+            gaps = distance(SUP, g.orbit(change.apply(homothety_shadow_point(window, m)), window.indices),
+                            moved_points)
+            assert np.all(gaps < moved.tolerances[i]), f"{name} g-route failed on orbit {i}"
+            assert np.all(np.abs(gaps - moved.distances[i]) <= 64 * np.spacing(sup_norm(moved_points)))
 
     # Power invariance: the squared map is the factor-4 homothety and the
     # whole shadowing pipeline goes through with the scaled constants.

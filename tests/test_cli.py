@@ -294,6 +294,8 @@ def test_unknown_change_of_coordinates_is_config_error(tmp_path, capsys):
     # The point at index 0 came from iterating the start's point 400 times:
     # no transport passed, and an overflow warning went to stderr.
     ("conjugacy-invariance", "window", [-400, 20]),
+    # Tolerances below the ulp of the orbit's points: the transported tolerance was 0.
+    ("conjugacy-invariance", "epsilon", "saddle_adversarial"),
     # The direct point came from iterating the start's point 400 times: gaps of 2.6e100.
     ("forward-to-full", "window", [-400, 32]),
     # The unshifted forward half is one point, and its series refused it as too short.

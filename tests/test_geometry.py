@@ -10,6 +10,7 @@ from shadowlab.geometry import (
     MetricKind,
     as_point,
     distance,
+    euclidean_norm,
     metric_norm,
     radial_rescale,
     sample_directions,
@@ -50,6 +51,18 @@ def test_distance_examples():
     assert distance(MetricKind.SUP, planar(3, -1), planar(0, 0)) == 3.0
     # Warp value h(1) = 1 + 1^2 = 2 at unit radius.
     assert distance(MetricKind.POLAR_WARP, planar(1, 0), planar(0, 0)) == 2.0
+
+
+def test_euclidean_norm_keeps_tiny_vectors(rng):
+    # Squared, these coordinates underflow: np.linalg.norm gives 0.0 and 1.41420569e-160.
+    assert euclidean_norm(planar(1e-200, 0)) == 1e-200
+    tiny = np.array([[1e-160, 1e-160], [3e-200, -4e-200], [0.0, 0.0], [-1e-300, 0.0]])
+    expected = [math.hypot(*row) for row in tiny]
+    assert np.allclose(euclidean_norm(tiny), expected, rtol=4e-16, atol=0.0)
+    assert euclidean_norm(tiny)[2] == 0.0 and type(euclidean_norm(tiny[0])) is np.float64
+    # In the normal range it is np.linalg.norm bit for bit.
+    normal = rng.standard_normal((3, 500, 2)) * 10.0 ** rng.uniform(-140.0, 140.0, (3, 500, 1))
+    assert np.array_equal(euclidean_norm(normal), np.linalg.norm(normal, axis=-1))
 
 
 def test_polar_warp_against_direct_formula():

@@ -187,7 +187,7 @@ def _changes(draw):
         return RadialRescale(draw(st.floats(0.25, 3.0)), draw(st.floats(0.0, 2.0)))
     entries = st.floats(-2.0, 2.0, allow_nan=False)
     matrix = np.array([[draw(entries), draw(entries)], [draw(entries), draw(entries)]])
-    assume(abs(np.linalg.det(matrix)) >= 0.25)
+    assume(abs(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]) >= 0.25)
     return AffineChange(matrix, [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
 
 
@@ -224,6 +224,32 @@ def test_conjugated_spliced_realize_matches_the_per_index_construction(inner, ch
     spec = PseudoOrbitSpec(SplicedRule(fwd, bwd, splice), (n_min, n_max), m)
     per_index = np.stack([m.iterate(fwd if n >= splice else bwd, n) for n in range(n_min, n_max + 1)])
     assert np.array_equal(realize(spec).points, per_index)
+
+
+_DIFFERENCE_CHANGES = _changes() | st.tuples(_changes(), _changes()).map(lambda pair: ComposedChange(*pair))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(change=_DIFFERENCE_CHANGES, p=st.tuples(coords, coords).map(np.array),
+       t=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).map(np.array), seed=st.integers(0, 2**32 - 1))
+def test_difference_is_the_difference_of_images_without_their_rounding(change, p, t, seed):
+    # Where float64 resolves apply(p + t) - apply(p), the two agree.
+    assume(np.linalg.norm(t) >= 1e-6 * max(1.0, np.linalg.norm(p)))
+    images = np.stack([change.apply(p), change.apply(p + t)])
+    assert np.allclose(change.difference(p, t), images[1] - images[0], rtol=1e-9,
+                       atol=64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(images)))))
+    # Below the ulp of p the images are equal; the difference is not 0.
+    far, tiny = np.array([56.0, 0.0]), np.array([1e-17, 0.0])
+    assert np.array_equal(change.apply(far + tiny), change.apply(far))
+    assert np.any(change.difference(far, tiny) != 0.0)
+    # A row has the same bits in batches of any size.
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-100.0, 100.0, (9, 2))
+    steps = 10.0 ** rng.uniform(-20.0, 1.0, (9, 1)) * rng.normal(size=(9, 2))
+    whole = change.difference(points, steps)
+    for size in (1, 4):
+        assert np.array_equal(change.difference(points[:size], steps[:size]), whole[:size])
+    assert np.array_equal(change.difference(points[5], steps[5]), whole[5])
 
 
 @pytest.mark.parametrize("b", [0.0, 5e-324, 1e-300, 1e-10, 1e-3, 1.0])

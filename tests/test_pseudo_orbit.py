@@ -35,7 +35,6 @@ from shadowlab.pseudo_orbit import (
     random_pseudo_orbit,
     realize,
     spec_meta,
-    transport_pseudo_orbit,
     validate,
 )
 
@@ -196,16 +195,6 @@ def test_ensemble_deterministic_per_seed():
     b = generate_orbit_ensemble(homothety(2.0), delta, SUP, (-5, 10), 7, 123, r0)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.rule.points, sb.rule.points)
-
-
-def test_transport_applies_change_pointwise():
-    from shadowlab.maps import AffineChange
-
-    window = realize(saddle_splice(0.1), (-3, 3))
-    change = AffineChange([[2.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-    moved = transport_pseudo_orbit(window, change)
-    assert np.allclose(moved.points, window.points * [2.0, 1.0] + [1.0, 0.0])
-    assert moved.start == window.start
 
 
 def test_orbit_csv_format():

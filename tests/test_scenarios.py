@@ -186,3 +186,20 @@ def test_window_shapes_make_no_false_refutation(tmp_path, kind, metric, factor, 
     config = ScenarioConfig(name="sweep", kind=kind, metric=metric, seed=7, params=params)
     report = run_scenario(config, str(tmp_path))
     assert report.verdict != "contradicts-paper", report.details
+
+
+_CONJUGACY_CASES = ([("euclidean", -3.38, "const:0.068", [-11, 33])]
+                    + [(metric, 2.0, epsilon, [-50, 38]) for epsilon in ("saddle_adversarial", "decaying:1.0")
+                       for metric in ("sup", "euclidean")])
+
+
+@pytest.mark.parametrize("metric, factor, epsilon, window", _CONJUGACY_CASES)
+def test_conjugacy_transport_makes_no_false_refutation(tmp_path, metric, factor, epsilon, window):
+    # Transported from images of sampled points, the tolerance rounded to 0 once it fell
+    # below the ulp of the point, and the conjugate map's iterates gained |k|^n ulps:
+    # every case here passed no transported orbit.
+    params = {"map": {"kind": "homothety", "factor": factor}, "epsilon": epsilon, "count": 6,
+              "window": window, "changes": _CHANGES}
+    config = ScenarioConfig(name="sweep", kind="conjugacy", metric=metric, seed=7, params=params)
+    report = run_scenario(config, str(tmp_path))
+    assert report.verdict == "matches-paper", report.details
