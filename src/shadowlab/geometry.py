@@ -65,23 +65,42 @@ def sup_norm(p) -> np.ndarray:
     those of ``np.max(np.abs(p), axis=-1)``.
     """
     p = np.asarray(p, dtype=float)
-    out = np.abs(p[..., :1])
+    return _max_abs(lambda j: p[..., j], p.shape[-1])
+
+
+def _max_abs(column, d: int) -> np.ndarray:
+    """max_j |column(j)| over j < d, a running ``np.maximum`` over coordinate columns."""
+    out = np.asarray(np.abs(column(0)))  # a single point's column is a scalar: np.maximum needs an array out
+    for j in range(1, d):
+        np.maximum(out, np.abs(column(j)), out=out)
+    return out[()]
+
+
+def _squares_summed(p: np.ndarray) -> np.ndarray:
+    """sum_j p_j^2 along the last axis, added left to right one coordinate column at a time.
+
+    For d <= 7 this is also the order of NumPy's own 2-norm, whose pairwise sum is a
+    sequential loop below 8 terms, so the sum has its bits, without the cost of a
+    reduction over a short trailing axis."""
+    out = p[..., 0] * p[..., 0]
     for j in range(1, p.shape[-1]):
-        np.maximum(out, np.abs(p[..., j:j + 1]), out=out)
-    return out[..., 0][()]
+        out += p[..., j] * p[..., j]
+    return out
 
 
 def euclidean_norm(p) -> np.ndarray:
-    """The 2-norm along the last axis: ``np.linalg.norm``'s value, except on rows whose
-    norm is below 1e-150, where its squares lose bits or underflow; those rows are first
-    divided by their largest |coordinate|, so the norm of (1e-200, 0) is 1e-200, not 0."""
+    """The 2-norm along the last axis: the square root of the squares summed left to
+    right, except on rows whose norm is below 1e-150, where the squares lose bits or
+    underflow; those rows are first divided by their largest |coordinate|, so the norm
+    of (1e-200, 0) is 1e-200, not 0."""
     p = np.asarray(p, dtype=float)
-    out = np.asarray(np.linalg.norm(p, axis=-1))
+    out = np.asarray(_squares_summed(p))
+    np.sqrt(out, out=out)
     tiny = np.flatnonzero(out < 1e-150)  # flat indices: a boolean mask copies a 1M-row block slowly
     if tiny.size:
         rows = p.reshape(-1, p.shape[-1])[tiny]
         scale = np.maximum(sup_norm(rows), np.finfo(float).smallest_subnormal)  # a zero row stays 0
-        out.reshape(-1)[tiny] = scale * np.linalg.norm(rows / scale[:, None], axis=-1)
+        out.reshape(-1)[tiny] = scale * np.sqrt(_squares_summed(rows / scale[:, None]))
     return out[()]
 
 
@@ -92,10 +111,12 @@ def radial_rescale(p, a: float = 1.0, b: float = 1.0) -> np.ndarray:
     is a homeomorphism of the plane; b=0 reduces to scalar multiplication.
     """
     p = np.asarray(p, dtype=float)
-    r = euclidean_norm(p)
     # h(r)/r = a + b*r is finite at r=0, so no division is needed.
-    factor = a + b * r
-    return p * factor[..., None]
+    factor = a + b * euclidean_norm(p)
+    out = np.empty(p.shape)
+    for j in range(p.shape[-1]):  # p * factor[..., None], one coordinate column at a time
+        np.multiply(p[..., j], factor, out=out[..., j])
+    return out
 
 
 def _check_same_dimension(p: np.ndarray, q: np.ndarray) -> None:
@@ -126,8 +147,10 @@ def distance(metric: MetricKind, p, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     _check_same_dimension(p, q)
     if metric is MetricKind.SUP:
-        return sup_norm(p - q)
-    if metric is MetricKind.EUCLIDEAN:
+        # The fold of ``sup_norm`` on the columns p_j - q_j: no ``(..., d)`` difference
+        # is built, and the leading axes broadcast as in ``p - q``.
+        return _max_abs(lambda j: p[..., j] - q[..., j], p.shape[-1])
+    if metric is MetricKind.EUCLIDEAN:  # the tiny-row rescale must see the difference rows
         return euclidean_norm(p - q)
     if metric is MetricKind.POLAR_WARP:
         if p.shape[-1] != 2:
@@ -141,10 +164,11 @@ def sample_directions(metric: MetricKind, dim: int, count: int) -> np.ndarray:
 
     In the plane the directions are evenly spaced angles, which makes radial
     constructions deterministic.  Otherwise Gaussian directions are drawn
-    from a fixed seed and normalized.  The polar-warped metric is no norm: for
-    it the directions are the Euclidean unit vectors (warped length 2), which
-    do not lie on its unit sphere.
+    from a fixed seed and normalized.  The polar-warped metric is no norm and
+    is refused.
     """
+    if metric is MetricKind.POLAR_WARP:
+        raise ContractViolation("unit directions need a norm, not the polar-warped metric")
     if count < 1:
         raise ContractViolation("need at least one direction")
     if dim == 2:
@@ -154,8 +178,7 @@ def sample_directions(metric: MetricKind, dim: int, count: int) -> np.ndarray:
         u = np.random.default_rng(0).standard_normal((count, dim))
         bad = euclidean_norm(u) == 0.0
         u[bad] = 1.0
-    norms = metric_norm(metric, u) if metric is not MetricKind.POLAR_WARP else euclidean_norm(u)
-    return u / norms[:, None]
+    return u / metric_norm(metric, u)[:, None]
 
 
 def uniform_ball(metric: MetricKind, dim: int, rng, size: int) -> np.ndarray:

@@ -118,26 +118,31 @@ class AffineChange(Diffeo):
         self.dimension = self.matrix.shape[0]
 
     def apply(self, p):
-        return _linear(np.asarray(p, dtype=float), self.matrix) + self.offset
+        return _linear(np.asarray(p, dtype=float), self.matrix, after=self.offset)
 
     def apply_inverse(self, p):
-        return _linear(np.asarray(p, dtype=float) - self.offset, self._inverse)
+        return _linear(np.asarray(p, dtype=float), self._inverse, before=self.offset)
 
     def difference(self, p, t):
         return _linear(np.asarray(t, dtype=float), self.matrix)
 
 
-def _linear(p: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``p @ matrix.T`` by elementwise products and sums, so each point's image has
-    the same bits in a call of any size; a BLAS product rounds a point
-    differently depending on how many points share the call."""
+def _linear(p: np.ndarray, matrix: np.ndarray, before=None, after=None) -> np.ndarray:
+    """``(p - before) @ matrix.T + after`` by elementwise products and sums, so each
+    point's image has the same bits in a call of any size; a BLAS product rounds a
+    point differently depending on how many points share the call.  The offsets are
+    taken one coordinate column at a time, with the bits of the broadcast ``p - before``
+    and ``+ after``."""
     if p.shape[-1] != matrix.shape[1]:
         raise DimensionMismatch(f"change of dimension {matrix.shape[1]}, point of dimension {p.shape[-1]}")
+    cols = [p[..., j] if before is None else p[..., j] - before[j] for j in range(p.shape[-1])]
     out = np.empty(p.shape)
     for i, row in enumerate(matrix):
-        acc = p[..., 0] * row[0]
+        acc = cols[0] * row[0]
         for j in range(1, len(row)):
-            acc += p[..., j] * row[j]
+            acc += cols[j] * row[j]
+        if after is not None:
+            acc += after[i]
         out[..., i] = acc
     return out
 
@@ -167,7 +172,7 @@ class RadialRescale(Diffeo):
 
     def apply_inverse(self, p):
         p = np.asarray(p, dtype=float)
-        r = np.linalg.norm(p, axis=-1)
+        r = euclidean_norm(p)
         # s/r = 2/(a + sqrt(a^2 + 4br)): the root without the cancellation of
         # (sqrt(a^2 + 4br) - a)/(2b) when 4br is small next to a^2.
         return p * (2.0 / (self.a + np.sqrt(self.a * self.a + 4.0 * self.b * r)))[..., None]
@@ -252,12 +257,12 @@ class DiagonalAffine(MapSpec):
     def apply(self, p):
         p = np.asarray(p, dtype=float)
         self._check_dim(p)
-        return p * self.scales + self.translation
+        return _scale_shift(p, self.scales, self.translation)
 
     def apply_inverse(self, p):
         p = np.asarray(p, dtype=float)
         self._check_dim(p)
-        return (p - self.translation) / self.scales
+        return _scale_shift(p, self.scales, self.translation, inverse=True)
 
     def power_coefficients(self, n) -> tuple[np.ndarray, np.ndarray]:
         """(a^n, drift(n)) for one index or an integer array of indices.
@@ -284,13 +289,30 @@ class DiagonalAffine(MapSpec):
         p = np.asarray(p, dtype=float)
         self._check_dim(p)
         pow_, drift = self.power_coefficients(int(n))
-        return p * pow_ + drift
+        return _scale_shift(p, pow_, drift)
 
     def orbit(self, p, ns) -> np.ndarray:
         p = as_point(p)
         self._check_dim(p)
         pow_, drift = self.power_coefficients(np.asarray(ns))
-        return p[None, :] * pow_ + drift
+        return _scale_shift(p, pow_, drift)
+
+
+def _scale_shift(p: np.ndarray, scale: np.ndarray, shift: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``p * scale + shift``, or ``(p - shift) / scale`` when ``inverse``, with the
+    coefficients broadcast against ``p``, one coordinate column at a time.  Each element
+    gets the broadcast's two rounded operations, so the bits are its bits; the broadcast
+    over the short trailing axis is several times slower on large batches."""
+    out = np.empty(np.broadcast(p, scale).shape)
+    for j in range(out.shape[-1]):
+        col = out[..., j]
+        if inverse:
+            np.subtract(p[..., j], shift[..., j], out=col)
+            np.divide(col, scale[..., j], out=col)
+        else:
+            np.multiply(p[..., j], scale[..., j], out=col)
+            np.add(col, shift[..., j], out=col)
+    return out
 
 
 class Conjugated(MapSpec):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cplus import CPlusFn
 from .errors import ContractViolation, IterationRangeError, PositivityError
-from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions, uniform_ball
+from .geometry import MetricKind, as_point, distance, euclidean_norm, metric_norm, sample_directions, uniform_ball
 from .maps import MapSpec, linear_scales, map_to_dict
 from .plots import trace_csv
 
@@ -218,7 +218,7 @@ def max_splice_jump(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = 
             raise ContractViolation("seeds coincide; pass an explicit jump direction")
     direction = as_point(direction)
     if metric is MetricKind.POLAR_WARP:
-        scale = float(np.linalg.norm(direction))
+        scale = float(euclidean_norm(direction))
     else:
         scale = float(metric_norm(metric, direction))
     u = direction / scale

@@ -494,7 +494,7 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
             j = int(np.argmin(dist))
             return live[j].copy(), float(dist[j])
         if not np.all(ok):
-            live = live[ok]
+            live = np.compress(ok, live, axis=0)  # the rows of live[ok], several times faster
     return live[0].copy(), None
 
 

@@ -60,9 +60,10 @@ def test_euclidean_norm_keeps_tiny_vectors(rng):
     expected = [math.hypot(*row) for row in tiny]
     assert np.allclose(euclidean_norm(tiny), expected, rtol=4e-16, atol=0.0)
     assert euclidean_norm(tiny)[2] == 0.0 and type(euclidean_norm(tiny[0])) is np.float64
-    # In the normal range it is np.linalg.norm bit for bit.
-    normal = rng.standard_normal((3, 500, 2)) * 10.0 ** rng.uniform(-140.0, 140.0, (3, 500, 1))
-    assert np.array_equal(euclidean_norm(normal), np.linalg.norm(normal, axis=-1))
+    # In the normal range it is np.linalg.norm bit for bit, for every d up to 7.
+    for d in range(1, 8):
+        normal = rng.standard_normal((3, 500, d)) * 10.0 ** rng.uniform(-140.0, 140.0, (3, 500, 1))
+        assert np.array_equal(euclidean_norm(normal), np.linalg.norm(normal, axis=-1))
 
 
 def test_polar_warp_against_direct_formula():
@@ -133,6 +134,12 @@ def test_sample_directions_unit_norm():
     for metric in (MetricKind.SUP, MetricKind.EUCLIDEAN):
         u = sample_directions(metric, 2, 32)
         assert np.allclose(metric_norm(metric, u), 1.0, rtol=1e-12)
+
+
+def test_sample_directions_refuses_the_polar_warp():
+    # The warped metric has no unit sphere of directions: Euclidean unit vectors have warped length 2.
+    with pytest.raises(ContractViolation, match="polar-warped"):
+        sample_directions(MetricKind.POLAR_WARP, 2, 32)
 
 
 def test_uniform_ball_inside(rng):

@@ -487,8 +487,8 @@ def _search_case(draw):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(_search_case(), st.sampled_from([SUP, MetricKind.EUCLIDEAN]), st.sampled_from([7, 31, 10**6]),
-       st.booleans())
+@given(_search_case(), st.sampled_from([SUP, MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP]),
+       st.sampled_from([7, 31, 10**6]), st.booleans())
 # Grid points exactly at the tolerance of index 0, which comes first for a conjugated map.
 @example((true_orbit_spec(SEARCH_MAPS["affine-saddle"], [0.0, 0.0], (0, 1)), Const(1.0),
           [(-1.0, 1.0), (-1.0, 1.0)], 1.0), SUP, 7, False)
