@@ -9,14 +9,15 @@ inconclusive, 2 when some run contradicts it (the largest code wins), 64 for
 usage or configuration errors (unknown fields, ill-typed or out-of-range values,
 --window/--seed overrides included, refused maps such as an adversarial map
 that shadows or a non-planar ensemble map, tolerance trees not positive at the
-origin or where a slack is synthesized from them, margins that swallow the
-tolerance, maps the exact certificate does not support, oversized oracle grids,
-and iterates that leave double range before the run decides: the certificate
-stops at the depth that decides it, while the oracle and the ensembles realize
-their whole windows), 70 for internal contract violations.  --window sets
-params.window_limit, which only an adversarial_box config has; every config is
-checked before any run starts.  ``run all`` runs the built-in catalog one
-scenario after another and prints each scenario's wall time.
+origin, where a slack is synthesized from them or on the neighbourhood grid,
+margins that swallow the tolerance, maps the exact certificate does not support,
+oversized oracle grids, and iterates that leave double range before the run
+decides: the certificate stops at the depth that decides it, while the oracle
+and the ensembles realize their whole windows), 70 for internal contract
+violations.  --window sets params.window_limit, which only an adversarial_box
+config has; every config is checked before any run starts.  ``run all`` runs
+the built-in catalog one scenario after another and prints each scenario's wall
+time.
 The only environment override is OUTPUT_DIR for the default artifact directory.
 """
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (REQUIRED, ContractViolation, DimensionMismatch, PositivityError, check, number,
                      numbers, one_of, read_fields, rows, within)
-from .geometry import MetricKind, distance, metric_norm, sample_directions
+from .geometry import MetricKind, euclidean_norm_of_columns, metric_norm, sample_directions
 from .maps import MapSpec, linear_scales
 
 __all__ = [
@@ -285,8 +285,9 @@ class RadialTable(CPlusFn):
 # balances the per-cell bounds every query computes against the terms of the cells
 # it cannot prune, and never fewer than this.
 _CELL_NODES = 64
-# Elements of the largest temporary one block of queries or of (query, cell) pairs
-# forms, so no temporary grows with (queries x nodes).
+# Elements a block of queries or of (query, cell) pairs forms over all its coordinate
+# columns: the largest temporaries are (queries, cells) and (pairs, nodes per cell)
+# columns, so no temporary grows with (queries x nodes).
 _BLOCK = 1 << 20
 
 
@@ -301,16 +302,20 @@ class Envelope(CPlusFn):
     The minimum is an exact branch and bound over cells of nodes.  On first
     use the nodes are packed into cells by per-axis rank, each cell keeping
     its node-coordinate box [lo, hi] and its least value vmin (a short cell
-    repeats its own nodes).  For a query x,
+    repeats its own nodes).  The cells are stored coordinates-first: node
+    coordinates ``(d, C, B)``, box corners ``(d, C)``.  For a query x,
     ``vmin + norm(max(lo - x, x - hi, 0))`` bounds the cell's terms from
     below, and it does so for the computed doubles too: rounded subtraction,
     abs, max, add, squaring of nonnegatives and sqrt are monotone, and the
-    gap goes through the same ``geometry`` norm as the distance.  A query takes every term of its
-    lowest-bound cell, then the terms of only those cells whose bound is below
-    that running value, so the result is the minimum of the same doubles as
-    the full scan, bit for bit.  The bounds are per cell: a single global
-    bound prunes nothing where the terms tie over a wide region, as
-    ``1 + |x|`` does under the sup metric.
+    gap goes through the same ``geometry`` norm as the distance.  Bound and
+    terms are folds over coordinate columns, one ``(queries, cells)`` or
+    ``(pairs, nodes)`` array per axis, with the rounded operations of the
+    ``(..., d)`` broadcast they replace, so every double keeps its bits.  A
+    query takes every term of its lowest-bound cell, then the terms of only
+    those cells whose bound is below that running value, so the result is
+    the minimum of the same doubles as the full scan, bit for bit.  The
+    bounds are per cell: a single global bound prunes nothing where the
+    terms tie over a wide region, as ``1 + |x|`` does under the sup metric.
     """
 
     op = "envelope"
@@ -334,7 +339,7 @@ class Envelope(CPlusFn):
         self._cells: tuple | None = None
 
     def _cell_table(self) -> tuple:
-        """(points (C, B, d), values (C, B), lo (C, d), hi (C, d), vmin (C,)) of the cells."""
+        """(coordinates (d, C, B), values (C, B), lo (d, C), hi (d, C), vmin (C,)) of the cells."""
         if self._cells is None:
             m, dim = self.points.shape
             per_axis = math.ceil((m / max(_CELL_NODES, math.isqrt(m))) ** (1.0 / dim))
@@ -345,33 +350,64 @@ class Envelope(CPlusFn):
                                                      min(per_axis, len(g)))]
             width = max(len(g) for g in groups)
             nodes = np.stack([np.resize(g, width) for g in groups])
-            pts, vals = self.points[nodes], self.values[nodes]
-            self._cells = (pts, vals, pts.min(axis=1), pts.max(axis=1), vals.min(axis=1))
+            cols, vals = np.stack([self.points[:, j][nodes] for j in range(dim)]), self.values[nodes]
+            self._cells = (cols, vals, cols.min(axis=2), cols.max(axis=2), vals.min(axis=1))
         return self._cells
 
     def _eval(self, pts):
         if pts.shape[1] != self.points.shape[1]:
             raise DimensionMismatch(f"{pts.shape[1]}-D query of {self.points.shape[1]}-D envelope samples")
-        cell_pts, cell_vals, lo, hi, vmin = self._cell_table()
-        n_cells, width, dim = cell_pts.shape
+        cols, cell_vals, lo, hi, vmin = self._cell_table()
+        dim, n_cells, width = cols.shape
+        sup = self.metric is MetricKind.SUP
 
-        def least_terms(x, cells):  # row i: min over cell cells[i] of values + d(x[i], nodes)
-            return np.min(cell_vals[cells] + distance(self.metric, x[:, None, :], cell_pts[cells]), axis=1)
+        def norm(column, shape):
+            """The metric's norm of the vectors whose j-th coordinates ``column(j, out)`` writes
+            into ``out``: a running ``np.maximum`` of the columns, which are nonnegative under
+            SUP, or ``geometry``'s Euclidean fold."""
+            if not sup:
+                return euclidean_norm_of_columns([column(j, np.empty(shape)) for j in range(dim)])
+            out = column(0, np.empty(shape))
+            buf = np.empty(shape) if dim > 1 else None
+            for j in range(1, dim):
+                np.maximum(out, column(j, buf), out=out)
+            return out
+
+        def least_terms(xt, cells):  # row i: min over cell cells[i] of values + d(x[i], nodes)
+            def diff(j, out):  # x_j - node_j, |x_j - node_j| under SUP, (pairs, nodes), in the gathered copy
+                # The cells are valid indices, so "clip" clips nothing; it spares the copy "raise" makes of out.
+                np.take(cols[j], cells, axis=0, out=out, mode="clip")
+                np.subtract(xt[j][:, None], out, out=out)
+                return np.abs(out, out=out) if sup else out
+
+            terms = norm(diff, (cells.size, width))
+            terms += cell_vals[cells]
+            return np.min(terms, axis=1)
 
         out = np.empty(pts.shape[0])
         queries = max(1, _BLOCK // (max(n_cells, width) * dim))
         pairs = max(1, _BLOCK // (width * dim))
         for start in range(0, pts.shape[0], queries):
-            x = pts[start : start + queries]
-            gap = np.maximum(np.maximum(lo - x[:, None, :], x[:, None, :] - hi), 0.0)
-            bound = vmin + metric_norm(self.metric, gap)
+            xt = np.ascontiguousarray(pts[start : start + queries].T)
+            n_q = xt.shape[1]
+            spare = np.empty((n_q, n_cells))
+
+            # max(lo_j - x_j, x_j - hi_j, 0), (queries, cells); it takes no abs under SUP,
+            # since its one possible negative, -0.0, vanishes in vmin + gap.
+            def gap(j, out):
+                np.subtract(lo[j], xt[j][:, None], out=out)
+                np.maximum(out, np.subtract(xt[j][:, None], hi[j], out=spare), out=out)
+                return np.maximum(out, 0.0, out=out)
+
+            bound = norm(gap, (n_q, n_cells))
+            bound += vmin
             seed = np.argmin(bound, axis=1)
-            best = least_terms(x, seed)
-            bound[np.arange(x.shape[0]), seed] = np.inf
+            best = least_terms(xt, seed)
+            bound[np.arange(n_q), seed] = np.inf
             qi, ci = np.nonzero(bound < best[:, None])
             for k in range(0, qi.size, pairs):
-                np.minimum.at(best, qi[k : k + pairs], least_terms(x[qi[k : k + pairs]], ci[k : k + pairs]))
-            out[start : start + x.shape[0]] = best
+                np.minimum.at(best, qi[k : k + pairs], least_terms(xt[:, qi[k : k + pairs]], ci[k : k + pairs]))
+            out[start : start + n_q] = best
         return out
 
     def values_at_nodes(self) -> np.ndarray:

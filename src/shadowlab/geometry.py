@@ -30,6 +30,7 @@ __all__ = [
     "as_point",
     "sup_norm",
     "euclidean_norm",
+    "euclidean_norm_of_columns",
     "radial_rescale",
     "metric_norm",
     "distance",
@@ -76,31 +77,37 @@ def _max_abs(column, d: int) -> np.ndarray:
     return out[()]
 
 
-def _squares_summed(p: np.ndarray) -> np.ndarray:
-    """sum_j p_j^2 along the last axis, added left to right one coordinate column at a time.
+def _squares_summed(cols) -> np.ndarray:
+    """sum_j cols[j]^2, added left to right one coordinate column at a time.
 
     For d <= 7 this is also the order of NumPy's own 2-norm, whose pairwise sum is a
     sequential loop below 8 terms, so the sum has its bits, without the cost of a
     reduction over a short trailing axis."""
-    out = p[..., 0] * p[..., 0]
-    for j in range(1, p.shape[-1]):
-        out += p[..., j] * p[..., j]
+    out = cols[0] * cols[0]
+    for c in cols[1:]:
+        out += c * c
     return out
 
 
 def euclidean_norm(p) -> np.ndarray:
-    """The 2-norm along the last axis: the square root of the squares summed left to
-    right, except on rows whose norm is below 1e-150, where the squares lose bits or
-    underflow; those rows are first divided by their largest |coordinate|, so the norm
-    of (1e-200, 0) is 1e-200, not 0."""
+    """The 2-norm along the last axis: ``euclidean_norm_of_columns`` of p's coordinate columns."""
     p = np.asarray(p, dtype=float)
-    out = np.asarray(_squares_summed(p))
+    return euclidean_norm_of_columns([p[..., j] for j in range(p.shape[-1])])
+
+
+def euclidean_norm_of_columns(cols) -> np.ndarray:
+    """The 2-norm of the vectors whose j-th coordinates are ``cols[j]``, arrays of one shape:
+    the square root of the squares summed left to right, except on vectors whose norm is
+    below 1e-150, where the squares lose bits or underflow; those are first divided by
+    their largest |coordinate|, so the norm of (1e-200, 0) is 1e-200, not 0."""
+    out = np.asarray(_squares_summed(cols))
     np.sqrt(out, out=out)
     tiny = np.flatnonzero(out < 1e-150)  # flat indices: a boolean mask copies a 1M-row block slowly
     if tiny.size:
-        rows = p.reshape(-1, p.shape[-1])[tiny]
-        scale = np.maximum(sup_norm(rows), np.finfo(float).smallest_subnormal)  # a zero row stays 0
-        out.reshape(-1)[tiny] = scale * np.sqrt(_squares_summed(rows / scale[:, None]))
+        picked = [np.reshape(c, -1)[tiny] for c in cols]  # the columns of the tiny vectors
+        largest = _max_abs(picked.__getitem__, len(picked))
+        scale = np.maximum(largest, np.finfo(float).smallest_subnormal)  # a zero vector stays 0
+        out.reshape(-1)[tiny] = scale * np.sqrt(_squares_summed([c / scale for c in picked]))
     return out[()]
 
 

@@ -44,8 +44,8 @@ from .cplus import (
     synthesize_delta_homothety,
     verify_delta_conditions,
 )
-from .errors import (REQUIRED, ConfigError, ContractViolation, NonConvergenceError, check,
-                     config_path, number, numbers, one_of, read_fields, rows, window_path, within)
+from .errors import (REQUIRED, ConfigError, ContractViolation, NonConvergenceError, PositivityError,
+                     check, config_path, number, numbers, one_of, read_fields, rows, window_path, within)
 from .geometry import MetricKind, metric_norm
 from .maps import (
     DiagonalAffine,
@@ -450,7 +450,8 @@ _POINTS_PER_AXIS = 61
 _HALF_EXTENT = 10.0
 
 
-def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, points_per_axis: int) -> dict:
+def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, points_per_axis: int,
+                                    where: str = "radius") -> dict:
     """Audit of the sup-metric infimal-convolution tolerance on a square grid.
 
     Checks, exactly, that the envelope never exceeds the radius function on
@@ -467,11 +468,17 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
     and must agree to near machine precision, tying the routes.  A ``Const``
     radius also gets ``constant_exact``: the defining minimum equals the
     constant at every node.
+
+    A radius tree that is not positive at some grid node is a ConfigError at
+    ``where``; a fault of the audit itself stays a ContractViolation.
     """
     axis = np.linspace(-half_extent, half_extent, points_per_axis)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    envelope = epsilon_from_neighborhood(radius_fn, grid, MetricKind.SUP)
+    try:
+        envelope = epsilon_from_neighborhood(radius_fn, grid, MetricKind.SUP)
+    except PositivityError as exc:  # the radius on the grid, not the audit
+        raise ConfigError(f"'{where}': {exc} on the neighbourhood grid at {grid[exc.row].tolist()}") from exc
     rho = envelope.values
 
     n = points_per_axis
@@ -509,7 +516,8 @@ def _run_neighborhood(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> t
     results = {}
     ok = True
     for name, fn in p["radius_functions"].items():
-        checks = neighborhood_equivalence_checks(fn, _HALF_EXTENT, _POINTS_PER_AXIS)
+        where = f"params.radius_functions.{name}"
+        checks = neighborhood_equivalence_checks(fn, _HALF_EXTENT, _POINTS_PER_AXIS, where)
         results[name] = checks
         ok = ok and all(v for k, v in checks.items() if isinstance(v, bool))
 

@@ -217,6 +217,9 @@ def test_malformed_params_are_config_errors(tmp_path, capsys, params, field):
     ("metric-warp", {"jump": "abc"}, "params.jump"),
     ("conjugacy-invariance", {"changes": []}, "params.changes"),
     ("neighborhood-equivalence", {"radius_functions": []}, "params.radius_functions"),
+    # Positive at the origin, so the schema passes it, but -9.9 at a corner of the audit's grid.
+    ("neighborhood-equivalence", {"radius_functions": {"a": {"op": "sub", "args": [
+        {"op": "const", "args": [0.1]}, {"op": "norm", "args": ["sup"]}]}}}, "params.radius_functions.a"),
     ("saddle-not-tsp", {"forward_seed": ["a", 0.0]}, "params.forward_seed"),
     ("forward-to-full", {"depth": "16"}, "params.depth"),
     ("conjugacy-invariance", {"changes": {"affine": {"kind": "affine", "offset": [0.0, 0.0],
@@ -233,6 +236,7 @@ def test_ill_typed_or_refused_params_are_config_errors(tmp_path, capsys, name, e
     err = capsys.readouterr().err
     assert "config error" in err and field in err
     assert "Traceback" not in err
+    assert not any((tmp_path / "out").rglob("*"))
 
 
 @pytest.mark.parametrize("name", ["homothety-tsp", "conjugacy-invariance", "forward-to-full"])

@@ -278,9 +278,7 @@ def _paths(obj, path=()):
 
 @st.composite
 def _one_field_edit(draw):
-    # The neighborhood audit takes seconds per accepted run, so the fuzz
-    # draws from the fast scenarios; the refused-values table covers it.
-    name = draw(st.sampled_from([n for n in SCENARIO_NAMES if n != "neighborhood-equivalence"]))
+    name = draw(st.sampled_from(SCENARIO_NAMES))
     config = builtin_config(name).to_obj()
     *parent, key = draw(st.sampled_from(list(_paths(config))))
     target = config

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shadowlab import cplus
 from shadowlab.cplus import (
     Add,
     Const,
@@ -206,8 +209,13 @@ _NODE_COUNTS = st.just(1) | st.integers(2, 63) | st.integers(65, 700)
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(metric=st.sampled_from([MetricKind.SUP, MetricKind.EUCLIDEAN]), dim=st.integers(1, 3),
-       nodes=_NODE_COUNTS, rounded=st.booleans(), duplicated=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_pruned_envelope_is_bit_identical_to_the_full_scan(metric, dim, nodes, rounded, duplicated, seed):
+       nodes=_NODE_COUNTS, rounded=st.booleans(), duplicated=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-160, 1e-300]), block=st.sampled_from([cplus._BLOCK, 1 << 12, 1 << 9]))
+def test_pruned_envelope_is_bit_identical_to_the_full_scan(metric, dim, nodes, rounded, duplicated, seed,
+                                                           scale, block):
+    # A scale of 1e-160 or 1e-300 sends the Euclidean gaps and distances through the
+    # tiny-vector rescale; a small block splits one eval into several query blocks and
+    # several pair chunks.
     rng = np.random.default_rng(seed)
     points = rng.uniform(-4.0, 4.0, size=(nodes, dim))
     values = rng.uniform(0.1, 3.0, size=nodes)
@@ -217,17 +225,18 @@ def test_pruned_envelope_is_bit_identical_to_the_full_scan(metric, dim, nodes, r
         again = rng.integers(0, nodes, size=nodes // 2 + 1)
         points = np.concatenate([points, points[again]])
         values = np.concatenate([values, values[again[::-1]]])
-    env = Envelope(points, values, metric)
-    queries = np.concatenate([
+    env = Envelope(scale * points, scale * values, metric)
+    queries = scale * np.concatenate([
         points,
         rng.uniform(-6.0, 6.0, size=(60, dim)),
         np.round(rng.uniform(-6.0, 6.0, size=(20, dim))),
         rng.uniform(-1e6, 1e6, size=(10, dim)),
     ])
-    got = env.eval(queries)
+    with mock.patch.object(cplus, "_BLOCK", block):
+        got = env.eval(queries)
+        rows = rng.integers(0, queries.shape[0], size=8)
+        assert [env.eval(queries[i]) for i in rows] == got[rows].tolist()
     assert np.array_equal(got, reference_envelope(env, queries))
-    rows = rng.integers(0, queries.shape[0], size=8)
-    assert [env.eval(queries[i]) for i in rows] == got[rows].tolist()
 
 
 def test_a_cell_bound_equal_to_its_least_term_is_not_pruned():
