@@ -29,6 +29,7 @@ from .errors import (
     IterationRangeError,
     NonConvergenceError,
     PositivityError,
+    UnboundedSlackError,
     UnsupportedMapError,
 )
 from .geometry import MetricKind, distance, metric_norm, sup_norm

@@ -65,6 +65,18 @@ class DegenerateMarginError(ConfigError):
         )
 
 
+class UnboundedSlackError(ConfigError):
+    """No jump the doubling of ``max_splice_jump`` reached was inadmissible, up to ``jump``:
+    the slack grows as fast as the jump, or every jump rounds away at the seed."""
+
+    def __init__(self, jump: float):
+        self.jump = jump
+        super().__init__(
+            f"no inadmissible jump found up to {jump!r}; slack appears unbounded "
+            "or the jumps round away at the seed"
+        )
+
+
 class NonConvergenceError(RuntimeError):
     """An iterative limit procedure failed to settle within tolerance.
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cplus import CPlusFn
-from .errors import ContractViolation, IterationRangeError, PositivityError
+from .errors import ContractViolation, IterationRangeError, PositivityError, UnboundedSlackError
 from .geometry import MetricKind, as_point, distance, euclidean_norm, metric_norm, sample_directions, uniform_ball
 from .maps import MapSpec, linear_scales, map_to_dict
 from .plots import trace_csv
@@ -121,12 +121,18 @@ class OrbitWindow:
 
 
 def _spliced_points(rule: SplicedRule, m: MapSpec, ns: np.ndarray) -> np.ndarray:
+    """The points of the indices ``ns``; raises IterationRangeError at the first index of
+    ``ns`` whose point leaves double range."""
     fwd_mask = ns >= rule.splice
     out = np.empty((len(ns), m.dimension))
-    if np.any(fwd_mask):
-        out[fwd_mask] = m.orbit(rule.forward_seed, ns[fwd_mask])
-    if np.any(~fwd_mask):
-        out[~fwd_mask] = m.orbit(rule.backward_seed, ns[~fwd_mask])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(fwd_mask):
+            out[fwd_mask] = m.orbit(rule.forward_seed, ns[fwd_mask])
+        if np.any(~fwd_mask):
+            out[~fwd_mask] = m.orbit(rule.backward_seed, ns[~fwd_mask])
+    if not np.all(np.isfinite(out)):
+        bad = np.argmax(~np.all(np.isfinite(out), axis=1))
+        raise IterationRangeError(int(ns[bad]), "a spliced point left double range")
     return out
 
 
@@ -197,6 +203,11 @@ def validate(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = MetricK
     return ValidationReport(w.start, gaps, _values_along(delta, images, w.indices[:-1]))
 
 
+# Bisection levels of ``max_splice_jump``, and how many of them one batched call decides.
+_BISECT_LEVELS = 80
+_BISECT_DEPTH = 6
+
+
 def max_splice_jump(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = MetricKind.SUP,
                     direction: np.ndarray | None = None) -> float:
     """Largest admissible jump magnitude at the splice, times 0.99.
@@ -208,6 +219,12 @@ def max_splice_jump(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = 
     the spec's own seeds unless given), and q is located by doubling plus
     bisection against the strict step condition.  The returned value is
     multiplied by 0.99 so it stays strictly admissible under rounding.
+
+    The bisection is walked ``_BISECT_DEPTH`` levels at a time: one call of
+    the map, the distance and the slack tests every midpoint those levels can
+    reach, and the walk takes the same midpoints as a one-point bisection, so
+    q has its bits (README, "Numerical policy").  Raises
+    ``UnboundedSlackError`` when no jump the doubling reaches is inadmissible.
     """
     rule = spec.rule
     if not isinstance(rule, SplicedRule):
@@ -225,28 +242,38 @@ def max_splice_jump(spec: PseudoOrbitSpec, delta: CPlusFn, metric: MetricKind = 
     # Step splice-1 -> splice: compare f^s(backward seed) to f^s(forward seed).
     right = spec.map.iterate(rule.forward_seed, rule.splice)
 
-    def admissible(q: float) -> bool:
-        left = spec.map.iterate(rule.forward_seed + q * u, rule.splice)
-        gap = float(distance(metric, left, right))
-        bound = float(delta.eval(left))
-        return gap < bound
+    def admissible(qs: np.ndarray) -> np.ndarray:
+        """The strict step condition at each jump of ``qs``; every stage is elementwise."""
+        left = spec.map.iterate(rule.forward_seed + qs[:, None] * u, rule.splice)
+        return distance(metric, left, right) < delta.eval(left)
 
     hi = float(delta.eval(rule.forward_seed))
     for _ in range(200):
-        if not admissible(hi):
+        if not admissible(np.array([hi]))[0]:
             break
         hi *= 2.0
     else:
-        raise ContractViolation("no inadmissible jump found; slack appears unbounded")
+        raise UnboundedSlackError(hi)
     lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
+    for level in range(0, _BISECT_LEVELS, _BISECT_DEPTH):
+        # Every midpoint the next ``depth`` levels can reach, in increasing order:
+        # each level halves the brackets of the level before, 0.5 * (lo + hi) each.
+        depth = min(_BISECT_DEPTH, _BISECT_LEVELS - level)
+        size = 1 << depth
+        qs = np.empty(size + 1)
+        qs[0], qs[size] = lo, hi
+        for step in (size >> k for k in range(depth)):
+            qs[step // 2::step] = 0.5 * (qs[:-1:step] + qs[step::step])
+        ok = admissible(qs[1:-1])
+        # The bisection's walk through them is a binary search.
+        i = size // 2
+        for k in range(2, depth + 2):
+            if ok[i - 1]:
+                lo, i = float(qs[i]), i + (size >> k)
+            else:
+                hi, i = float(qs[i]), i - (size >> k)
     q = 0.99 * lo
-    while q > 0.0 and not admissible(q):
+    while q > 0.0 and not admissible(np.array([q]))[0]:
         q *= 0.5
     return q
 

@@ -45,7 +45,8 @@ from .cplus import (
     verify_delta_conditions,
 )
 from .errors import (REQUIRED, ConfigError, ContractViolation, NonConvergenceError, PositivityError,
-                     check, config_path, number, numbers, one_of, read_fields, rows, window_path, within)
+                     UnboundedSlackError, check, config_path, number, numbers, one_of, read_fields, rows,
+                     window_path, within)
 from .geometry import MetricKind, metric_norm
 from .maps import (
     DiagonalAffine,
@@ -170,9 +171,12 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     deltas = [None] if p["jump"] is not None else [random_positive_fn(rng) for _ in range(_DELTA_COUNT)]
     runs = []
     for delta in deltas:
-        q = p["jump"] if delta is None else max_splice_jump(
-            PseudoOrbitSpec(SplicedRule(fwd, fwd + direction), window, m), delta, metric,
-            direction=direction)
+        try:
+            q = p["jump"] if delta is None else max_splice_jump(
+                PseudoOrbitSpec(SplicedRule(fwd, fwd + direction), window, m), delta, metric,
+                direction=direction)
+        except UnboundedSlackError as exc:  # a seed so large that every jump rounds away
+            raise ConfigError(f"'params.forward_seed': {exc}") from exc
         spec = PseudoOrbitSpec(SplicedRule(fwd, fwd + q * direction), window, m)
         with window_path("params.epsilon"):
             cert = box_feasibility(spec, epsilon, limit, margin)
@@ -464,10 +468,10 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
     bit and is checked with no slack.
 
     The full node table comes from the exact sweep algorithm; the defining
-    minimum (the lazy envelope itself) is evaluated at a random node subset
-    and must agree to near machine precision, tying the routes.  A ``Const``
-    radius also gets ``constant_exact``: the defining minimum equals the
-    constant at every node.
+    minimum (the lazy envelope itself) is evaluated at a random subset of
+    distinct nodes and must agree to near machine precision, tying the
+    routes.  A ``Const`` radius also gets ``constant_exact``: the defining
+    minimum equals the constant at every node.
 
     A radius tree that is not positive at some grid node is a ConfigError at
     ``where``; a fault of the audit itself stays a ContractViolation.
@@ -487,7 +491,7 @@ def neighborhood_equivalence_checks(radius_fn: CPlusFn, half_extent: float, poin
     eps_hat = table.ravel()
 
     rng = np.random.default_rng(12021)
-    subset = rng.integers(0, grid.shape[0], size=min(_CROSS_CHECK_SAMPLES, grid.shape[0]))
+    subset = rng.choice(grid.shape[0], size=min(_CROSS_CHECK_SAMPLES, grid.shape[0]), replace=False)
     direct = envelope.eval(grid[subset])
     if not np.allclose(eps_hat[subset], direct, rtol=1e-12, atol=1e-12):
         raise ContractViolation("sweep table disagrees with the envelope's defining minimum")

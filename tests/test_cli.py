@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -221,6 +222,8 @@ def test_malformed_params_are_config_errors(tmp_path, capsys, params, field):
     ("neighborhood-equivalence", {"radius_functions": {"a": {"op": "sub", "args": [
         {"op": "const", "args": [0.1]}, {"op": "norm", "args": ["sup"]}]}}}, "params.radius_functions.a"),
     ("saddle-not-tsp", {"forward_seed": ["a", 0.0]}, "params.forward_seed"),
+    # Every jump rounds away below the seed's ulp, so no inadmissible jump exists.
+    ("saddle-not-tsp", {"forward_seed": [0.0, 1e300]}, "params.forward_seed"),
     ("forward-to-full", {"depth": "16"}, "params.depth"),
     ("conjugacy-invariance", {"changes": {"affine": {"kind": "affine", "offset": [0.0, 0.0],
                                                       "matrix": [[1.0, 2.0], [2.0, 4.0]]}}},
@@ -267,6 +270,23 @@ def test_window_past_double_range_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "n=1024" in err
     assert "Traceback" not in err
+
+
+def test_spliced_points_past_double_range_are_config_errors(tmp_path, capsys):
+    # The saddle doubles x = 1e300 out of double range at n = 28, inside the oracle's window.
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config("saddle-not-tsp").to_obj()
+    config["params"]["forward_seed"] = [1e300, 0.0]
+    path = _write_config(tmp_path / "huge.json", config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    assert not caught
+    err = capsys.readouterr().err
+    assert "config error" in err and "n=28" in err
+    assert "Traceback" not in err
+    assert not any((tmp_path / "out").rglob("*"))
 
 
 def test_certificate_past_double_range_decides_without_the_oracle(tmp_path, capsys):

@@ -277,6 +277,23 @@ def test_audit_containment_is_its_domination(points, half, seed):
     assert checks["tolerance_ball_inside_neighborhood"] is checks["dominated_by_radius"] is True
 
 
+def test_audit_cross_checks_distinct_nodes(monkeypatch):
+    # 1,500 nodes of the 61x61 grid, none checked twice.
+    from shadowlab.scenarios import neighborhood_equivalence_checks
+
+    queried = []
+    eval_ = Envelope.eval
+
+    def recording(self, p):
+        queried.append(np.array(p))
+        return eval_(self, p)
+
+    monkeypatch.setattr(Envelope, "eval", recording)
+    neighborhood_equivalence_checks(Const(0.7), 10.0, 61)
+    (nodes,) = queried
+    assert len(nodes) == 1500 and len(np.unique(nodes, axis=0)) == 1500
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(n=st.integers(2, 25), half=st.floats(0.01, 100.0), scale=st.floats(0.01, 100.0),
        seed=st.integers(0, 2**32 - 1))

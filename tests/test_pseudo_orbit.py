@@ -1,18 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab.cplus import (
+    CPlusFn,
     Const,
     Exp2Neg,
     Mul,
     Norm,
     delta_reference_levels,
+    random_positive_fn,
     saddle_adversarial_epsilon,
     synthesize_delta_homothety,
 )
 from shadowlab import pseudo_orbit
-from shadowlab.errors import ContractViolation, IterationRangeError
-from shadowlab.geometry import MetricKind, as_point, distance, metric_norm, uniform_ball
+from shadowlab.errors import ContractViolation, IterationRangeError, UnboundedSlackError
+from shadowlab.geometry import MetricKind, as_point, distance, euclidean_norm, metric_norm, uniform_ball
 from shadowlab.maps import (
     AffineChange,
     DiagonalAffine,
@@ -123,6 +129,108 @@ def test_max_splice_jump_requires_spliced_rule():
     spec = PseudoOrbitSpec(ExplicitRule(np.zeros((3, 2)), -1), (-1, 1), saddle())
     with pytest.raises(ContractViolation):
         max_splice_jump(spec, Const(1.0), SUP)
+
+
+def reference_max_splice_jump(spec, delta, metric=SUP, direction=None, levels=80):
+    """The one-point search: doubling, then ``levels`` bisection levels, one map and slack call each."""
+    rule = spec.rule
+    if direction is None:
+        direction = rule.backward_seed - rule.forward_seed
+    direction = as_point(direction)
+    if metric is MetricKind.POLAR_WARP:
+        scale = float(euclidean_norm(direction))
+    else:
+        scale = float(metric_norm(metric, direction))
+    u = direction / scale
+    right = spec.map.iterate(rule.forward_seed, rule.splice)
+
+    def admissible(q: float) -> bool:
+        left = spec.map.iterate(rule.forward_seed + q * u, rule.splice)
+        gap = float(distance(metric, left, right))
+        bound = float(delta.eval(left))
+        return gap < bound
+
+    hi = float(delta.eval(rule.forward_seed))
+    for _ in range(200):
+        if not admissible(hi):
+            break
+        hi *= 2.0
+    else:
+        raise UnboundedSlackError(hi)
+    lo = 0.0
+    for _ in range(levels):
+        mid = 0.5 * (lo + hi)
+        if admissible(mid):
+            lo = mid
+        else:
+            hi = mid
+    q = 0.99 * lo
+    while q > 0.0 and not admissible(q):
+        q *= 0.5
+    return q
+
+
+_SYNTHESIZED = synthesize_delta_homothety(Const(1.0), homothety(2.0))
+
+
+def _slacks():
+    return st.one_of(
+        st.floats(1e-3, 10.0).map(Const),
+        st.integers(0, 2**32 - 1).map(lambda seed: random_positive_fn(np.random.default_rng(seed))),
+        st.just(_SYNTHESIZED),
+    )
+
+
+def _maps():
+    scales = st.floats(0.25, 4.0).flatmap(lambda a: st.sampled_from([a, -a]))
+    return st.one_of(
+        st.just(saddle()), st.sampled_from([2.0, -3.0, 0.5]).map(homothety), st.just(translation_map(2)),
+        st.builds(lambda a, b, t, s: DiagonalAffine([a, b], [t, s]), scales, scales,
+                  st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    )
+
+
+def _points(lo=-4.0, hi=4.0):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(np.array)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(delta=_slacks(), metric=st.sampled_from(list(MetricKind)), m=_maps(), splice=st.integers(0, 3),
+       seed=_points(), direction=_points(-1.0, 1.0).filter(lambda u: np.any(u != 0.0)),
+       levels=st.sampled_from([80, 1, 5, 6, 7, 13, 20]))
+def test_blocked_splice_jump_matches_the_one_point_search(delta, metric, m, splice, seed, direction, levels):
+    # After 80 levels the bracket has shrunk to adjacent doubles, whatever midpoints led
+    # there; fewer levels stop on a midpoint, so they check each one's bits and the walk.
+    spec = PseudoOrbitSpec(SplicedRule(seed, seed, splice), (-4, 4), m)
+    with mock.patch.object(pseudo_orbit, "_BISECT_LEVELS", levels):
+        q = max_splice_jump(spec, delta, metric, direction)
+    assert q == reference_max_splice_jump(spec, delta, metric, direction, levels)
+
+
+class _CountingSlack(CPlusFn):
+    """A slack that counts its ``eval`` calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def eval(self, p):
+        self.calls += 1
+        return self.inner.eval(p)
+
+
+def test_splice_jump_search_makes_few_slack_calls():
+    # The five slacks saddle-not-tsp draws at its seed, 83 calls each one point at a time.
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        delta = _CountingSlack(random_positive_fn(rng))
+        q = max_splice_jump(saddle_splice(1.0), delta, SUP, direction=np.array([0.0, 1.0]))
+        assert q > 0.0 and delta.calls <= 20
+
+
+def test_splice_jump_refuses_a_seed_where_every_jump_rounds_away():
+    spec = PseudoOrbitSpec(SplicedRule(np.array([0.0, 1e300]), np.array([0.0, 1e300]), 0), (-4, 4), saddle())
+    with pytest.raises(UnboundedSlackError):
+        max_splice_jump(spec, Const(1.0), SUP, direction=np.array([0.0, 1.0]))
 
 
 def test_classify_bounded_escaping_unclassified():
