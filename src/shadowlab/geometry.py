@@ -98,16 +98,20 @@ def euclidean_norm(p) -> np.ndarray:
 def euclidean_norm_of_columns(cols) -> np.ndarray:
     """The 2-norm of the vectors whose j-th coordinates are ``cols[j]``, arrays of one shape:
     the square root of the squares summed left to right, except on vectors whose norm is
-    below 1e-150, where the squares lose bits or underflow; those are first divided by
-    their largest |coordinate|, so the norm of (1e-200, 0) is 1e-200, not 0."""
-    out = np.asarray(_squares_summed(cols))
-    np.sqrt(out, out=out)
-    tiny = np.flatnonzero(out < 1e-150)  # flat indices: a boolean mask copies a 1M-row block slowly
-    if tiny.size:
-        picked = [np.reshape(c, -1)[tiny] for c in cols]  # the columns of the tiny vectors
-        largest = _max_abs(picked.__getitem__, len(picked))
-        scale = np.maximum(largest, np.finfo(float).smallest_subnormal)  # a zero vector stays 0
-        out.reshape(-1)[tiny] = scale * np.sqrt(_squares_summed([c / scale for c in picked]))
+    below 1e-150, where the squares lose bits or underflow, or whose squares overflow; those
+    are first divided by their largest |coordinate|, so the norm of (1e-200, 0) is 1e-200,
+    not 0, and that of (1e200, 0) is 1e200, not inf."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(_squares_summed(cols))
+        np.sqrt(out, out=out)
+        # Flat indices: a boolean mask copies a 1M-row block slowly.
+        rescaled = np.flatnonzero((out < 1e-150) | (out == np.inf))
+        if rescaled.size:
+            picked = [np.reshape(c, -1)[rescaled] for c in cols]  # the columns of those vectors
+            largest = _max_abs(picked.__getitem__, len(picked))
+            # A zero vector stays 0, and one with an infinite coordinate stays inf.
+            scale = np.clip(largest, np.finfo(float).smallest_subnormal, np.finfo(float).max)
+            out.reshape(-1)[rescaled] = scale * np.sqrt(_squares_summed([c / scale for c in picked]))
     return out[()]
 
 
@@ -144,7 +148,8 @@ def metric_norm(metric: MetricKind, p) -> np.ndarray:
         if p.shape[-1] != 2:
             raise ContractViolation("the polar-warped metric is planar only (d=2)")
         r = euclidean_norm(p)
-        return r + r * r
+        with np.errstate(over="ignore"):  # a radius past about 1.3e154 has norm inf
+            return r + r * r
     raise ContractViolation(f"unknown metric {metric!r}")
 
 
@@ -162,7 +167,9 @@ def distance(metric: MetricKind, p, q) -> np.ndarray:
     if metric is MetricKind.POLAR_WARP:
         if p.shape[-1] != 2:
             raise ContractViolation("the polar-warped metric is planar only (d=2)")
-        return euclidean_norm(radial_rescale(p) - radial_rescale(q))
+        # Images past double range are inf, and their differences inf or NaN: the caller decides.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return euclidean_norm(radial_rescale(p) - radial_rescale(q))
     raise ContractViolation(f"unknown metric {metric!r}")
 
 

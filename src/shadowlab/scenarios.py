@@ -45,8 +45,8 @@ from .cplus import (
     verify_delta_conditions,
 )
 from .errors import (REQUIRED, ConfigError, ContractViolation, NonConvergenceError, PositivityError,
-                     UnboundedSlackError, check, config_path, number, numbers, one_of, read_fields, rows,
-                     window_path, within)
+                     UnboundedSlackError, UnsupportedMapError, check, config_path, number, numbers, one_of,
+                     read_fields, rows, window_path, within)
 from .geometry import MetricKind, metric_norm
 from .maps import (
     DiagonalAffine,
@@ -329,7 +329,26 @@ def _run_metric_warp(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tu
         "warped_point_found": not warp_result.absent,
         "unwarped_point_found": not sup_result.absent,
     }
+    if valid_warp and valid_sup and warp_result.absent and sup_result.absent:
+        # The sup grid can miss a shadowing point it cannot land close enough to; only
+        # the exact certificate over the whole window refutes its existence.
+        details["sup_certificate"] = _sup_certificate(spec, epsilon)
+        if details["sup_certificate"] != "empty":
+            details["inconclusive"] = ("the sup grid is too coarse: it found no point, and no exact "
+                                       "certificate shows that none exists")
+            return "inconclusive", details
     return ("matches-paper" if ok else "contradicts-paper"), details
+
+
+def _sup_certificate(spec: PseudoOrbitSpec, epsilon: CPlusFn) -> str:
+    """``box_feasibility``'s outcome over the spec's window with margin 0, or "unsupported"
+    for a map the certificate does not take."""
+    window = realize(spec)
+    explicit = PseudoOrbitSpec(ExplicitRule(window.points, window.start), spec.window, spec.map)
+    try:
+        return box_feasibility(explicit, epsilon, max(-window.start, window.stop)).outcome
+    except UnsupportedMapError:
+        return "unsupported"
 
 
 # ---------------------------------------------------------------------------

@@ -467,35 +467,98 @@ def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
+# Grid points per chunk of a block's product.  Each chunk runs the window on its
+# own, so the scan's temporaries stay this size however many points a tolerance keeps.
+_CHUNK_POINTS = 1 << 14
+
+
+def _chunks(axes: list[np.ndarray]):
+    """The product of ``axes`` as row-major grid points, a few first-axis values at a time."""
+    rows = max(1, _CHUNK_POINTS // max(1, math.prod(len(a) for a in axes[1:])))
+    for i in range(0, len(axes[0]), rows):
+        yield _grid_points([axes[0][i:i + rows], *axes[1:]])
+
+
+# Relative rounding allowance of the axis lower bound under EUCLIDEAN and POLAR_WARP
+# (README, "Numerical policy").
+_AXIS_ROUNDING = 2.0 ** -48
+
+
+def _excess(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
+            live: np.ndarray, n: int) -> np.ndarray:
+    """d(f^n(p), x_n) - eps(x_n) for the rows p of ``live``; a NaN distance is refused."""
+    img = live if n == 0 else m.iterate(live, n)
+    dist = distance(metric, img, window.point_at(n))
+    if np.isnan(dist).any():
+        raise IterationRangeError(n, "the grid oracle's distance to the window point is NaN")
+    return dist - float(eps_vals[n - window.start])
+
+
 def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
           axes: list[np.ndarray], order: list[int]) -> tuple[np.ndarray, float | None]:
     """Scan the grid spanned by ``axes`` against the window constraints in ``order``.
 
     Returns ``(first passing point, None)``, or ``(near miss, gap)`` for the
-    candidate closest to the constraint that emptied the grid.  A sup-metric
-    first constraint whose image is coordinatewise is decided on the axes, and
-    only the product of their survivors is built (README, "Numerical policy").
+    candidate closest to the constraint that emptied the grid.  A first
+    constraint whose image is coordinatewise starts on the axes' gaps
+    |img_j - x_j| (README, "Numerical policy"): SUP decides it there and builds
+    only the product of the survivors; EUCLIDEAN and POLAR_WARP bound a point's
+    distance below by each of its gaps, and build only the product of the axis
+    values whose bound can pass, or, when none passes, can tie the least distance.
+    The product runs the order in row-major chunks of whole first-axis values,
+    at most ``_CHUNK_POINTS`` points each unless one value alone spans more, so
+    the scan's memory does not grow with the number of points a tolerance keeps.
     """
-    n = order[0]
-    if metric is MetricKind.SUP and (n == 0 or is_diagonal_affine(m)):
+    n, lows = order[0], None
+    if n == 0 or is_diagonal_affine(m):
         x, eps, unit = window.point_at(n), float(eps_vals[n - window.start]), np.eye(len(axes))
-        dists = [np.abs((a if n == 0 else m.iterate(np.outer(a, unit[j]), n)[:, j]) - x[j]) - eps
-                 for j, a in enumerate(axes)]
-        if not all(np.any(d < 0.0) for d in dists):
-            gap = max(float(np.min(d)) for d in dists)
-            return np.array([a[np.argmax(d <= gap)] for a, d in zip(axes, dists)]), gap
-        axes, order = [a[d < 0.0] for a, d in zip(axes, dists)], order[1:]
-    live = _grid_points(axes)
-    for n in order:
-        img = live if n == 0 else m.iterate(live, n)
-        dist = distance(metric, img, window.point_at(n)) - float(eps_vals[n - window.start])
-        ok = dist < 0.0
-        if not np.any(ok):
-            j = int(np.argmin(dist))
-            return live[j].copy(), float(dist[j])
-        if not np.all(ok):
-            live = np.compress(ok, live, axis=0)  # the rows of live[ok], several times faster
-    return live[0].copy(), None
+        gaps = [np.abs((a if n == 0 else m.iterate(np.outer(a, unit[j]), n)[:, j]) - x[j])
+                for j, a in enumerate(axes)]
+        if any(np.isnan(g).any() for g in gaps):  # NaN at every grid point with that coordinate
+            raise IterationRangeError(n, "the grid oracle's distance to the window point is NaN")
+        if metric is MetricKind.SUP:
+            dists = [g - eps for g in gaps]
+            if not all(np.any(d < 0.0) for d in dists):
+                gap = max(float(np.min(d)) for d in dists)
+                return np.array([a[np.argmax(d <= gap)] for a, d in zip(axes, dists)]), gap
+            axes, order = [a[d < 0.0] for a, d in zip(axes, dists)], order[1:]
+        else:
+            # |H(p) - H(x)| >= |p - x| >= |p_j - x_j|, less the rounding allowance: 2^-48 of
+            # the gap, and under POLAR_WARP of |H(x)| too (README, "Numerical policy").
+            h = 0.0
+            if metric is MetricKind.POLAR_WARP:  # the smallest normal covers subnormal products
+                h = float(metric_norm(metric, x)) + np.finfo(float).tiny
+            # Lower bounds of d(img, x) - eps.  A NaN one (inf - inf, where image and H(x)
+            # overflow) bounds nothing, and ~(lo > t) keeps its value.
+            lows = [g * (1.0 - _AXIS_ROUNDING) - _AXIS_ROUNDING * h - eps for g in gaps]
+            full, reach = axes, max(0.0, max(float(np.min(lo)) for lo in lows))
+            axes = [a[~(lo > reach)] for a, lo in zip(axes, lows)]
+    # The block dies at the latest constraint a chunk reaches, and its near miss is the
+    # least excess there, the earliest chunk on ties: the whole product's first argmin.
+    dead, near, gap = -1, None, np.inf
+    for live in _chunks(axes):
+        for k, n in enumerate(order):
+            dist = _excess(m, window, eps_vals, metric, live, n)
+            ok = dist < 0.0
+            if not np.any(ok):
+                break
+            if not np.all(ok):
+                live = np.compress(ok, live, axis=0)  # the rows of live[ok], several times faster
+        else:
+            return live[0].copy(), None
+        j = int(np.argmin(dist))
+        if k > dead or (k == dead and dist[j] < gap):
+            dead, near, gap = k, live[j].copy(), float(dist[j])
+    if dead == 0 and lows is not None:  # the argmin and its ties lie where the bounds reach gap
+        wide = [a[~(lo > gap)] for a, lo in zip(full, lows)]
+        if any(len(w) > len(a) for w, a in zip(wide, axes)):
+            near = None
+            for live in _chunks(wide):
+                dist = _excess(m, window, eps_vals, metric, live, order[0])
+                j = int(np.argmin(dist))
+                if near is None or dist[j] < gap:
+                    near, gap = live[j].copy(), float(dist[j])
+    return near, gap
 
 
 def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
@@ -511,8 +574,8 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     in a one-cell neighborhood of it before giving up.
     """
     m = spec.map
-    if grid_step <= 0.0:
-        raise ContractViolation("grid_step must be positive")
+    if not 0.0 < grid_step < np.inf:
+        raise ContractViolation("grid_step must be positive and finite")
     if len(search_box) != m.dimension:
         raise ContractViolation(f"search box has {len(search_box)} axes for a map of dimension {m.dimension}")
     axes = _grid_axes(search_box, grid_step)

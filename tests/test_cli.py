@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 
@@ -341,3 +342,44 @@ def test_run_prints_wall_time(tmp_path, capsys):
     assert main(["run", "translation-adversarial", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert re.fullmatch(r"translation-adversarial: matches-paper \(\d+\.\d\ds, \d+ artifacts\)\n", out)
+
+
+@pytest.mark.parametrize("window, code", [(25, 1), (40, 1), (500, 1), (520, 64)])
+def test_metric_warp_past_its_default_window(tmp_path, capsys, window, code):
+    # Each exited 2 (contradicts-paper).  From +-25 on the sup grid cannot land within
+    # 2^-25 of the shadowing point (1, 0.00500003), which the exact certificate finds.  At
+    # +-500 the warped squares overflowed, so every warped distance was inf; at +-520 the
+    # warped images overflow, and inf - inf distances are NaN.
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config("metric-warp").to_obj()
+    config["params"]["window"] = [-window, window]
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path / "warp.json", config), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 64:
+        assert "config error" in err and f"n={-window}" in err and "NaN" in err
+        assert not any(out.rglob("*"))
+        return
+    report = json.loads((out / "metric-warp" / "report.json").read_text())
+    assert report["verdict"] == "inconclusive" and report["details"]["sup_certificate"] == "nonempty"
+    assert "too coarse" in report["details"]["inconclusive"]
+    near_miss = json.loads((out / "metric-warp" / "search.json").read_text())["polar_warp"]["near_miss"]
+    assert near_miss is not None and all(map(math.isfinite, near_miss))
+
+
+def test_metric_warp_on_a_map_without_a_certificate_is_inconclusive(tmp_path, capsys):
+    # Neither grid reaches the conjugated saddle's shadowing point, and the exact
+    # certificate takes no conjugated map, so nothing refutes the point.
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config("metric-warp").to_obj()
+    config["params"]["map"] = {"kind": "conjugated", "inner": {"kind": "saddle"},
+                               "change": {"kind": "affine", "matrix": [[1.0, 0.5], [0.0, 1.0]],
+                                          "offset": [0.0, 0.0]}}
+    config["params"]["oracle"] = {"box": [[10.0, 11.0], [10.0, 11.0]], "step": 0.05}
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path / "warp.json", config), "--out", str(out)]) == 1
+    report = json.loads((out / "metric-warp" / "report.json").read_text())
+    assert report["details"]["sup_certificate"] == "unsupported"

@@ -66,6 +66,27 @@ def test_euclidean_norm_keeps_tiny_vectors(rng):
         assert np.array_equal(euclidean_norm(normal), np.linalg.norm(normal, axis=-1))
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_euclidean_norm_keeps_its_bits_and_fits_huge_vectors(d, data):
+    # Squared, (1e200, 0) and (3e154, 4e154) overflow: np.linalg.norm gives inf for both.
+    assert euclidean_norm(planar(1e200, 0)) == 1e200 and euclidean_norm(planar(3e154, 4e154)) == 5e154
+    rows = np.array(data.draw(st.lists(st.lists(_EDGE_FLOATS | st.floats(), min_size=d, max_size=d),
+                                       min_size=1, max_size=6)), dtype=float)
+    got = euclidean_norm(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = np.linalg.norm(rows, axis=-1)
+    finite = np.all(np.isfinite(rows), axis=-1)
+    # Where the plain norm is finite and not tiny, and on rows with an infinite or NaN
+    # coordinate, the bits are np.linalg.norm's.
+    same = (np.isfinite(plain) & (plain >= 1e-150)) | ~finite
+    assert np.array_equal(got[same], plain[same], equal_nan=True)
+    # A finite row whose squares overflow gets its norm, or inf only when that norm overflows.
+    for row, norm in zip(rows[finite], got[finite]):
+        exact = math.hypot(*row)
+        assert norm == exact if math.isinf(exact) else abs(norm - exact) <= 4e-16 * d * exact
+
+
 def test_polar_warp_against_direct_formula():
     # Independent evaluation of the defining formula h(r) = r + r^2.
     p = planar(0, 2)

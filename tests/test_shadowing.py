@@ -394,6 +394,10 @@ def test_search_grid_size_limit():
     spec = true_orbit_spec(homothety(2.0), [0.0, 0.0], (-1, 1))
     with pytest.raises(SearchSpaceError):
         sampled_search(spec, Const(1.0), SUP, [(-1.0, 1.0), (-1.0, 1.0)], 1e-5)
+    # NaN escaped as "cannot convert float NaN to integer"; inf scanned one NaN grid point.
+    for step in (np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="grid_step"):
+            sampled_search(spec, Const(1.0), SUP, [(-1.0, 1.0), (-1.0, 1.0)], step)
 
 
 SEARCH_MAPS = {
@@ -492,6 +496,41 @@ def _search_case(draw):
 # Grid points exactly at the tolerance of index 0, which comes first for a conjugated map.
 @example((true_orbit_spec(SEARCH_MAPS["affine-saddle"], [0.0, 0.0], (0, 1)), Const(1.0),
           [(-1.0, 1.0), (-1.0, 1.0)], 1.0), SUP, 7, False)
+# Under EUCLIDEAN and POLAR_WARP: grid points whose gap along one axis is exactly the
+# tolerance, at both indices of the saddle's window.
+@example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(1.0),
+          [(-2.0, 2.0), (-2.0, 2.0)], 1.0), MetricKind.EUCLIDEAN, 7, False)
+@example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(1.0),
+          [(-2.0, 2.0), (-2.0, 2.0)], 1.0), MetricKind.POLAR_WARP, 7, False)
+# H rounds a one-ulp step of the small coordinate away: the first grid point is at
+# computed warped distance 0, below its axis gap of 4.2e-22 and the tolerance.
+@example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.611868474358969e-06, -5.328914708747884], (0, 1)),
+          Const(2e-22), [(2.6118684743589685e-06, 2.611868474358969e-06),
+                         (-5.328914708747884, -5.328914708747884)], 4.235164736271502e-22),
+         MetricKind.POLAR_WARP, 10**6, False)
+# metric-warp's search: first constraint at index -24, where |x_n| is about 2^24 * 0.005.
+@example((saddle_splice(0.00500003, (-24, 24)), Const(1.0), [(0.0, 4.0), (-2.0, 2.0)], 5e-3),
+         MetricKind.EUCLIDEAN, 10**6, True)
+@example((saddle_splice(0.00500003, (-24, 24)), Const(1.0), [(0.0, 4.0), (-2.0, 2.0)], 5e-3),
+         MetricKind.POLAR_WARP, 10**6, True)
+# Around x_0 = (2, 0) the warp stretches outward more than inward: the nearest axis
+# values (3, 0) give warped distance 6, while (0.8, 0), with an axis gap of 1.2, gives 4.56.
+@example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
+          [(0.8, 3.0), (-2.2, 2.2)], 2.2), MetricKind.POLAR_WARP, 10**6, False)
+# Around x_0 = (2, 0) the warped distance of (3, 0), whose axis gap is 1, is 12 - 6 and
+# ties with that of (0, 0), whose gap is 2: the second product holds the earlier tie.
+@example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
+          [(0.0, 3.0), (0.0, 0.0)], 3.0), MetricKind.POLAR_WARP, 10**6, False)
+# The near miss ties between (1, -1) and (1, 1).
+@example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
+          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.EUCLIDEAN, 10**6, False)
+@example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
+          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.POLAR_WARP, 10**6, False)
+# The first constraint empties each of the four one-row blocks.
+@example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
+          [(1.0, 4.0), (-3.0, 3.0)], 1.0), MetricKind.EUCLIDEAN, 7, False)
+@example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
+          [(1.0, 4.0), (-3.0, 3.0)], 1.0), MetricKind.POLAR_WARP, 7, False)
 def test_scan_is_bit_identical_to_the_reference_scan(case, metric, block, refine):
     spec, epsilon, box, step = case
     with pytest.MonkeyPatch.context() as mp:
@@ -500,6 +539,61 @@ def test_scan_is_bit_identical_to_the_reference_scan(case, metric, block, refine
         mp.setattr(shadowing, "_scan", reference_scan)
         ref = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
     assert json.dumps(new) == json.dumps(ref)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_search_case(), st.sampled_from([SUP, MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP]),
+       st.sampled_from([1, 5, 40]), st.booleans())
+# Chunks of one point die at different constraints; the near miss ties between
+# (1, -1) and (1, 1), which lie in different chunks.
+@example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
+          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.EUCLIDEAN, 1, False)
+@example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
+          [(1.0, 3.0), (-1.0, 1.0)], 2.0), SUP, 1, False)
+# The warp's second product, itself built one point at a time.
+@example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
+          [(0.8, 3.0), (-2.2, 2.2)], 2.2), MetricKind.POLAR_WARP, 1, False)
+# Around x_0 = (2, 0) the warped distance of (3, 0), whose axis gap is 1, is 12 - 6 and
+# ties with that of (0, 0), whose gap is 2: the second product holds the earlier tie.
+@example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
+          [(0.0, 3.0), (0.0, 0.0)], 3.0), MetricKind.POLAR_WARP, 1, False)
+# A conjugated splice, whose chunks die at several indices of its window.
+@example((PseudoOrbitSpec(SplicedRule(SEARCH_MAPS["affine-saddle"].change.apply(np.array([1.0, 0.0])),
+                                      SEARCH_MAPS["affine-saddle"].change.apply(np.array([1.0, 0.5])), 0),
+                          (-4, 4), SEARCH_MAPS["affine-saddle"]),
+          Const(0.4), [(-1.0, 3.0), (-1.0, 3.0)], 0.1), SUP, 5, True)
+def test_chunked_scan_is_bit_identical_to_the_reference_scan(case, metric, chunk, refine):
+    spec, epsilon, box, step = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shadowing, "_CHUNK_POINTS", chunk)
+        new = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
+        mp.setattr(shadowing, "_scan", reference_scan)
+        ref = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
+    assert json.dumps(new) == json.dumps(ref)
+
+
+def test_scan_builds_its_product_in_chunks(monkeypatch):
+    # The conjugated search of the test below keeps 1,640 points at index 0;
+    # chunks of at most 300 of them build the same points and find the same result.
+    m = SEARCH_MAPS["affine-saddle"]
+    spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
+                                       m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
+    box = [(-1.0, 3.0), (-1.0, 3.0)]
+    whole = sampled_search(spec, Const(0.4), SUP, box, 2e-2, refine=False).to_obj()
+    built = []
+    grid_points = shadowing._grid_points
+
+    def counting(axes):
+        points = grid_points(axes)
+        built.append(len(points))
+        return points
+
+    monkeypatch.setattr(shadowing, "_grid_points", counting)
+    monkeypatch.setattr(shadowing, "_CHUNK_POINTS", 300)
+    assert sampled_search(spec, Const(0.4), SUP, box, 2e-2, refine=False).to_obj() == whole
+    grid = grid_points(shadowing._grid_axes(box, 2e-2))
+    survivors = int(np.sum(distance(SUP, grid, realize(spec).point_at(0)) - 0.4 < 0.0))
+    assert len(built) > 2 and max(built) <= 300 and sum(built) == survivors == 1_640
 
 
 def test_sup_scan_builds_only_the_points_its_first_constraint_keeps(monkeypatch):
@@ -516,9 +610,12 @@ def test_sup_scan_builds_only_the_points_its_first_constraint_keeps(monkeypatch)
     saddle_case = (saddle_splice(0.1), saddle_adversarial_epsilon(), [(0.0, 2.0), (-1.0, 1.0)], 1e-2)
     # Under SUP the saddle's first constraint empties every block and the refinement grid.
     assert sampled_search(*saddle_case[:2], SUP, *saddle_case[2:]).absent and built == []
-    # Under EUCLIDEAN every block is built.
+    # Under EUCLIDEAN each gap |img_j - x_j| bounds the distance below.  The first
+    # constraint is index -32, where the image's second coordinate is 2^32 y: only the
+    # value of y nearest 0.1 reaches the least distance, while every first-axis value
+    # does, so each block builds its rows times that one value.
     assert sampled_search(*saddle_case[:2], MetricKind.EUCLIDEAN, *saddle_case[2:], refine=False).absent
-    assert len(built) == 9 and sum(built) == 201 * 201
+    assert len(built) == 9 and sum(built) == 201
     # A conjugated map builds exactly the grid points that pass its index 0.
     m = SEARCH_MAPS["affine-saddle"]
     spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
