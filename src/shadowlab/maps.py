@@ -20,7 +20,9 @@ Nonlinear changes of coordinates are modeled by ``Diffeo`` objects (affine
 changes, radial rescalings r -> a*r + b*r^2, and compositions), and
 ``conjugate_map`` produces ``change o inner o change^{-1}``.  Conjugated maps
 are evaluated exactly but are tagged non-diagonal: boxes are not preserved,
-so only the sampled search oracle decides feasibility for them.
+so only the sampled search oracle decides feasibility for them.  An affine
+conjugate of a diagonal-affine map gives the affine coefficients of its
+iterates (``affine_coefficients``), whose slabs bound that oracle's scan.
 
 Every map has the closed-form ``iterate(p, n)`` and ``orbit(p, ns)``; a
 conjugated map iterates through its inner map's closed form,
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (REQUIRED, ContractViolation, DimensionMismatch, IterationRangeError, number, numbers,
-                     read_kind, rows)
+from .errors import (REQUIRED, ContractViolation, DimensionMismatch, IterationRangeError, UnsupportedMapError,
+                     number, numbers, read_kind, rows)
 from .geometry import as_point, euclidean_norm, radial_rescale
 
 __all__ = [
@@ -348,6 +350,27 @@ class Conjugated(MapSpec):
         p = as_point(p)
         self._check_dim(p)
         return self.change.apply(self.inner.orbit(self.change.apply_inverse(p), ns))
+
+    def affine_coefficients(self, ns, reach) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, c, size) for an affine change p -> M p + b around a diagonal-affine inner.
+
+        For n = ns[i], g^n(p) = A[i] p + c[i] in exact arithmetic on the floats that
+        ``iterate`` rounds: A = M diag(a^n) N and c = M drift(n) + b - A b, with N the
+        inverse matrix the change applies.  ``size[i]`` is ``iterate``'s own evaluation on
+        absolute values at |p| = ``reach``, differences taken as sums; rounding is monotone,
+        so it bounds every intermediate |value| of ``iterate(p, n)`` at points with
+        |p_j| <= reach_j.  Raises IterationRangeError where ``power_coefficients`` does,
+        and UnsupportedMapError for any other conjugate.
+        """
+        if not (isinstance(self.inner, DiagonalAffine) and isinstance(self.change, AffineChange)):
+            raise UnsupportedMapError(f"{self!r} is not an affine conjugate of a diagonal-affine map")
+        pow_, drift = self.inner.power_coefficients(np.asarray(ns))
+        matrix, inverse, offset = self.change.matrix, self.change._inverse, self.change.offset
+        a = np.einsum("rj,kj,jl->krl", matrix, pow_, inverse)
+        c = drift @ matrix.T + offset - a @ offset
+        size = _linear(np.asarray(reach, dtype=float), np.abs(inverse), before=-np.abs(offset))
+        size = _linear(_scale_shift(size, np.abs(pow_), np.abs(drift)), np.abs(matrix), after=np.abs(offset))
+        return a, c, size
 
 
 # ---------------------------------------------------------------------------

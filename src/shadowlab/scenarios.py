@@ -209,6 +209,13 @@ def _run_adversarial_box(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -
     sink.write("orbit.csv", orbit_to_csv(shown, spec_meta(spec0)), plot="orbit2d")
 
     details = {"runs": [e for _, _, e in runs], "oracle": oracle_entry}
+    # The negative half is existential: some tolerance defeats every slack.  A box that
+    # stays nonempty shows only that this tolerance and splice are no witness.
+    open_runs = [i for i, (_, cert, _) in enumerate(runs) if not cert.empty]
+    if open_runs:
+        details["inconclusive"] = (f"runs {open_runs} keep a nonempty box: their tolerance and splice "
+                                   "are no witness against shadowing")
+        return "inconclusive", details
     return ("matches-paper" if all_empty else "contradicts-paper"), details
 
 

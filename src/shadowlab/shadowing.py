@@ -37,7 +37,8 @@ carries such a report through a change of coordinates, in residual space too.
 
 ``sampled_search`` is the independent oracle: a brute-force grid scan over a
 candidate box, streamed in row blocks, valid for any map and metric,
-including warped metrics whose balls are not boxes.
+including warped metrics whose balls are not boxes.  It builds only the grid
+points that bounds on the axes, or on slabs for affine conjugates, let pass.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .errors import (
     UnsupportedMapError,
 )
 from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions
-from .maps import MapSpec, is_diagonal_affine, linear_scales
+from .maps import Conjugated, MapSpec, is_diagonal_affine, linear_scales
 from .plots import trace_csv
 from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, _per_orbit, _values_along, realize
 
@@ -461,10 +462,17 @@ def _grid_axes(search_box, grid_step: float) -> list[np.ndarray]:
     return [lo + grid_step * np.arange(int(c)) for (lo, _), c in zip(search_box, counts)]
 
 
-def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
-    """The grid spanned by ``axes`` as row-major points (first axis slowest)."""
-    # Broadcast views: only the stacked points are allocated.
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+def _grid_points(axes: list[np.ndarray], spans=None) -> np.ndarray:
+    """The grid spanned by ``axes`` as row-major points (first axis slowest); with
+    ``spans`` = (lo, hi), lo <= hi, only the points (axes[0][i], axes[1][j]) with
+    lo[i] <= j < hi[i] of a planar grid."""
+    if spans is None:
+        # Broadcast views: only the stacked points are allocated.
+        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+    lo, hi = spans
+    counts = hi - lo
+    cols = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return np.stack([np.repeat(axes[0], counts), axes[1][cols]], axis=-1)
 
 
 # Grid points per chunk of a block's product.  Each chunk runs the window on its
@@ -472,16 +480,32 @@ def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
 _CHUNK_POINTS = 1 << 14
 
 
-def _chunks(axes: list[np.ndarray]):
-    """The product of ``axes`` as row-major grid points, a few first-axis values at a time."""
-    rows = max(1, _CHUNK_POINTS // max(1, math.prod(len(a) for a in axes[1:])))
-    for i in range(0, len(axes[0]), rows):
-        yield _grid_points([axes[0][i:i + rows], *axes[1:]])
+def _chunks(axes: list[np.ndarray], spans=None):
+    """The grid points of ``_grid_points(axes, spans)``, in row-major chunks of whole
+    first-axis values, at most ``_CHUNK_POINTS`` each unless one value alone has more."""
+    if spans is None:
+        rows = max(1, _CHUNK_POINTS // max(1, math.prod(len(a) for a in axes[1:])))
+        for i in range(0, len(axes[0]), rows):
+            yield _grid_points([axes[0][i:i + rows], *axes[1:]])
+        return
+    kept = spans[1] > spans[0]
+    first, lo, hi = axes[0][kept], spans[0][kept], spans[1][kept]
+    ends = np.cumsum(hi - lo)
+    i = 0
+    while i < len(first):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - (hi[i] - lo[i]) + _CHUNK_POINTS, "right")))
+        yield _grid_points([first[i:j], axes[1]], (lo[i:j], hi[i:j]))
+        i = j
 
 
 # Relative rounding allowance of the axis lower bound under EUCLIDEAN and POLAR_WARP
 # (README, "Numerical policy").
 _AXIS_ROUNDING = 2.0 ** -48
+# Allowance of the slab bound, relative to the magnitudes of a constraint's evaluation
+# (README, "Numerical policy"), and the magnitude from which a constraint's slabs bound
+# nothing: below it no image, warp or difference of the block can overflow.
+_SLAB_ROUNDING = 2.0 ** -40
+_SLAB_LIMIT = 2.0 ** 500
 
 
 def _excess(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
@@ -492,6 +516,70 @@ def _excess(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: Metri
     if np.isnan(dist).any():
         raise IterationRangeError(n, "the grid oracle's distance to the window point is NaN")
     return dist - float(eps_vals[n - window.start])
+
+
+def _slab_spans(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
+                axes: list[np.ndarray], order: list[int]):
+    """Ranges of ``axes[1]`` indices holding every grid point that can pass each prefix of
+    ``order``, for a planar affine conjugate g^n(p) = A p + c; None for any other map.
+
+    Returns ``(lo, hi)`` of shape ``(len(order) + 1, len(axes[0]))``: row k bounds the
+    points passing ``order[:k]`` by the slabs |(A p + c - x_n)_r| < half of its nonzero
+    indices, one second-axis range per first-axis value (README, "Numerical policy").
+    When a constraint's coefficients, magnitudes or tolerance are not below
+    ``_SLAB_LIMIT``, the full window bounds nothing and None is returned too, so the
+    block's scan raises exactly where the product's does.
+    """
+    if not isinstance(m, Conjugated) or len(axes) != 2:
+        return None
+    ns = np.asarray(order)
+    try:
+        a, c, size = m.affine_coefficients(ns, [float(np.max(np.abs(v))) for v in axes])
+    except (UnsupportedMapError, IterationRangeError):
+        return None
+    x, eps = window.points[ns - window.start], eps_vals[ns - window.start]
+    if metric is not MetricKind.SUP:  # d >= |img_r - x_r| less the axis allowance
+        h = 0.0 if metric is MetricKind.EUCLIDEAN else metric_norm(metric, x) + np.finfo(float).tiny
+        eps = (eps + _AXIS_ROUNDING * h) / (1.0 - _AXIS_ROUNDING)
+    bound = size + np.abs(x) + eps[:, None]
+    if not (np.all(bound < _SLAB_LIMIT) and np.all(np.abs(a) < _SLAB_LIMIT) and np.all(np.abs(c) < _SLAB_LIMIT)):
+        return None
+    half = eps[:, None] + _SLAB_ROUNDING * bound + np.finfo(float).tiny
+    # With s = sign(A_r1): s (A_r0 p_0 + c_r - x_r) + |A_r1| p_1 in (-half, half), and
+    # |A_r1| p_1 is sorted along axes[1].
+    sign = np.where(a[..., 1] < 0.0, -1.0, 1.0)
+    shift = sign[..., None] * (a[..., 0, None] * axes[0] + (c - x)[..., None])
+    lo = np.zeros((len(ns) + 1, len(axes[0])), dtype=np.intp)
+    hi = np.full_like(lo, len(axes[1]))
+    for k in np.flatnonzero(ns != 0):
+        for r in range(2):
+            scaled = abs(a[k, r, 1]) * axes[1]
+            np.maximum(lo[k + 1], np.searchsorted(scaled, -half[k, r] - shift[k, r], "left"), out=lo[k + 1])
+            np.minimum(hi[k + 1], np.searchsorted(scaled, half[k, r] - shift[k, r], "right"), out=hi[k + 1])
+    return np.maximum.accumulate(lo), np.minimum.accumulate(hi)
+
+
+def _run(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind, chunks,
+         order: list[int]) -> tuple[int, np.ndarray | None, float | None]:
+    """Run ``order`` on row-major ``chunks`` of grid points: ``(len(order), first passing
+    point, None)``, or ``(dead, near miss, gap)`` for the latest position ``dead`` any chunk
+    reaches (-1 without chunks), whose near miss is the least excess there, the earliest
+    chunk on ties: the first argmin over all chunks' points."""
+    dead, near, gap = -1, None, np.inf
+    for live in chunks:
+        for k, n in enumerate(order):
+            dist = _excess(m, window, eps_vals, metric, live, n)
+            ok = dist < 0.0
+            if not np.any(ok):
+                break
+            if not np.all(ok):
+                live = np.compress(ok, live, axis=0)  # the rows of live[ok], several times faster
+        else:
+            return len(order), live[0].copy(), None
+        j = int(np.argmin(dist))
+        if k > dead or (k == dead and dist[j] < gap):
+            dead, near, gap = k, live[j].copy(), float(dist[j])
+    return dead, near, gap
 
 
 def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
@@ -508,6 +596,14 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
     The product runs the order in row-major chunks of whole first-axis values,
     at most ``_CHUNK_POINTS`` points each unless one value alone spans more, so
     the scan's memory does not grow with the number of points a tolerance keeps.
+
+    A planar affine conjugate runs only the points within the slabs of every
+    constraint (``_slab_spans``).  When none of them passes, the block dies at
+    some position k* of the order, and every point that reaches k* lies within
+    the slabs of ``order[:k]`` for each k <= k*.  So the scan steps down to the
+    slabs of shorter prefixes until a run reaches the end of its prefix, which
+    puts k <= k*: that run holds every point the whole product's near miss is
+    taken from.
     """
     n, lows = order[0], None
     if n == 0 or is_diagonal_affine(m):
@@ -533,22 +629,20 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
             lows = [g * (1.0 - _AXIS_ROUNDING) - _AXIS_ROUNDING * h - eps for g in gaps]
             full, reach = axes, max(0.0, max(float(np.min(lo)) for lo in lows))
             axes = [a[~(lo > reach)] for a, lo in zip(axes, lows)]
-    # The block dies at the latest constraint a chunk reaches, and its near miss is the
-    # least excess there, the earliest chunk on ties: the whole product's first argmin.
-    dead, near, gap = -1, None, np.inf
-    for live in _chunks(axes):
-        for k, n in enumerate(order):
-            dist = _excess(m, window, eps_vals, metric, live, n)
-            ok = dist < 0.0
-            if not np.any(ok):
+    spans = _slab_spans(m, window, eps_vals, metric, axes, order)
+    if spans is None:
+        dead, near, gap = _run(m, window, eps_vals, metric, _chunks(axes), order)
+    else:
+        counts = np.sum(np.maximum(spans[1] - spans[0], 0), axis=1)  # nonincreasing in k
+        k = len(order)
+        while True:
+            dead, near, gap = _run(m, window, eps_vals, metric, _chunks(axes, (spans[0][k], spans[1][k])), order)
+            shortest = int(np.argmax(counts == counts[k]))  # the shortest prefix with these points
+            if dead >= shortest:
                 break
-            if not np.all(ok):
-                live = np.compress(ok, live, axis=0)  # the rows of live[ok], several times faster
-        else:
-            return live[0].copy(), None
-        j = int(np.argmin(dist))
-        if k > dead or (k == dead and dist[j] < gap):
-            dead, near, gap = k, live[j].copy(), float(dist[j])
+            k = shortest - 1
+    if gap is None:
+        return near, None
     if dead == 0 and lows is not None:  # the argmin and its ties lie where the bounds reach gap
         wide = [a[~(lo > gap)] for a, lo in zip(full, lows)]
         if any(len(w) > len(a) for w, a in zip(wide, axes)):

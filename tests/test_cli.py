@@ -369,6 +369,22 @@ def test_metric_warp_past_its_default_window(tmp_path, capsys, window, code):
     assert near_miss is not None and all(map(math.isfinite, near_miss))
 
 
+def test_saddle_with_a_constant_tolerance_is_inconclusive(tmp_path, capsys):
+    # It exited 2 (contradicts-paper).  A hyperbolic saddle shadows for constant
+    # tolerances, so the boxes that three of the five drawn slacks' splices keep refute
+    # nothing: the paper's negative half asks only that some tolerance defeats every slack.
+    from shadowlab.scenarios import builtin_config
+
+    config = builtin_config("saddle-not-tsp").to_obj()
+    config["params"]["epsilon"] = "const:0.5"
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path / "const.json", config), "--out", str(out)]) == 1
+    details = json.loads((out / "saddle-not-tsp" / "report.json").read_text())["details"]
+    open_runs = [i for i, run in enumerate(details["runs"]) if run["outcome"] == "nonempty"]
+    assert len(details["runs"]) == 5 and len(open_runs) == 3
+    assert details["inconclusive"].startswith(f"runs {open_runs} keep a nonempty box")
+
+
 def test_metric_warp_on_a_map_without_a_certificate_is_inconclusive(tmp_path, capsys):
     # Neither grid reaches the conjugated saddle's shadowing point, and the exact
     # certificate takes no conjugated map, so nothing refutes the point.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shadowlab.errors import ContractViolation, IterationRangeError
+from shadowlab.errors import ContractViolation, IterationRangeError, UnsupportedMapError
 from shadowlab.maps import (
     AffineChange,
     ComposedChange,
@@ -224,6 +224,21 @@ def test_conjugated_spliced_realize_matches_the_per_index_construction(inner, ch
     spec = PseudoOrbitSpec(SplicedRule(fwd, bwd, splice), (n_min, n_max), m)
     per_index = np.stack([m.iterate(fwd if n >= splice else bwd, n) for n in range(n_min, n_max + 1)])
     assert np.array_equal(realize(spec).points, per_index)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(inner=_INNER, change=_changes(), p=_POINT, ns=st.lists(st.integers(-12, 12), min_size=1, max_size=8))
+def test_affine_coefficients_give_the_iterates_and_bound_their_size(inner, change, p, ns):
+    g = Conjugated(inner, change)
+    if isinstance(change, RadialRescale):
+        with pytest.raises(UnsupportedMapError):
+            g.affine_coefficients(ns, np.abs(p))
+        return
+    a, c, size = g.affine_coefficients(np.array(ns), np.abs(p))
+    images = g.orbit(p, np.array(ns))
+    # Both sides round by a few ulps of the magnitudes that ``size`` bounds.
+    assert np.all(np.abs(images) <= size)
+    assert np.all(np.abs(a @ p + c - images) <= 2.0 ** -45 * size)
 
 
 _DIFFERENCE_CHANGES = _changes() | st.tuples(_changes(), _changes()).map(lambda pair: ComposedChange(*pair))

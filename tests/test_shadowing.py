@@ -20,7 +20,7 @@ from shadowlab.errors import (
 from shadowlab.geometry import MetricKind, distance, metric_norm, sample_directions
 from shadowlab import shadowing
 from shadowlab.maps import (AffineChange, ComposedChange, DiagonalAffine, RadialRescale, conjugate_map, homothety,
-                            linear_scales, saddle, translation_map)
+                            linear_scales, power_map, saddle, translation_map)
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
@@ -471,8 +471,28 @@ _PLANAR_DIAGONAL = st.builds(
 
 
 @st.composite
+def _affine_conjugate(draw):
+    """A planar diagonal-affine map conjugated by a random invertible affine change: a
+    general, an orientation-reversing or an ill-conditioned matrix, then maybe a power."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["general", "reflection", "ill-conditioned"]))
+    if kind == "general":
+        matrix = rng.uniform(-2.0, 2.0, (2, 2))
+        assume(abs(np.linalg.det(matrix)) > 0.05)
+    elif kind == "reflection":
+        turn = rng.uniform(0.0, 2.0 * np.pi)
+        matrix = rng.uniform(0.3, 2.0) * np.array([[np.cos(turn), np.sin(turn)], [np.sin(turn), -np.cos(turn)]])
+    else:  # condition number about 4 / 10^-k
+        matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 10.0 ** -rng.integers(3, 8)]]) * rng.choice([-1.0, 1.0], 2)
+    m = conjugate_map(draw(_PLANAR_DIAGONAL), AffineChange(matrix, rng.uniform(-1.0, 1.0, 2)))
+    power = draw(st.sampled_from([1, 1, -1, 2, 3]))
+    return m if power == 1 else power_map(m, power)
+
+
+@st.composite
 def _search_case(draw):
-    m = draw(st.sampled_from([SEARCH_MAPS[name] for name in sorted(SEARCH_MAPS)]) | _PLANAR_DIAGONAL)
+    m = draw(st.sampled_from([SEARCH_MAPS[name] for name in sorted(SEARCH_MAPS)]) | _PLANAR_DIAGONAL
+             | _affine_conjugate())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         # Integer seeds, jumps, box ends and tolerance on a half or unit step:
@@ -529,6 +549,17 @@ def _search_case(draw):
 # The first constraint empties each of the four one-row blocks.
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
           [(1.0, 4.0), (-3.0, 3.0)], 1.0), MetricKind.EUCLIDEAN, 7, False)
+# The first passing point lies on the edge of a slab, and its computed sup distance rounds
+# below the tolerance: slabs without the rounding allowance drop it.
+@example((PseudoOrbitSpec(SplicedRule(np.array([-2.0, 0.0]), np.array([-1.0, -1.0]), 0), (-3, 0),
+                          conjugate_map(DiagonalAffine([1.0, -2.0], [1.0, -0.5]),
+                                        AffineChange([[-0.6, 1.0], [-0.6, -2.0]], [0.5, 0.3]))),
+          Const(2.0), [(-5.0, 1.0), (-3.0, 3.0)], 0.5), SUP, 10**6, False)
+# The sup-norm slabs of the whole window keep two points whose Euclidean distance fails,
+# so the conjugated scan steps down to the slabs of a shorter prefix.
+@example((PseudoOrbitSpec(SplicedRule(np.array([-1.0, 2.0]), np.array([0.0, 1.0]), 0), (-1, 1),
+                          SEARCH_MAPS["affine-saddle"]), Const(1.0), [(-1.0, 3.0), (-4.0, 2.0)], 0.5),
+         MetricKind.EUCLIDEAN, 10**6, False)
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
           [(1.0, 4.0), (-3.0, 3.0)], 1.0), MetricKind.POLAR_WARP, 7, False)
 def test_scan_is_bit_identical_to_the_reference_scan(case, metric, block, refine):
@@ -557,6 +588,10 @@ def test_scan_is_bit_identical_to_the_reference_scan(case, metric, block, refine
 # ties with that of (0, 0), whose gap is 2: the second product holds the earlier tie.
 @example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
           [(0.0, 3.0), (0.0, 0.0)], 3.0), MetricKind.POLAR_WARP, 1, False)
+# The slab descent of the reference property, one point per chunk.
+@example((PseudoOrbitSpec(SplicedRule(np.array([-1.0, 2.0]), np.array([0.0, 1.0]), 0), (-1, 1),
+                          SEARCH_MAPS["affine-saddle"]), Const(1.0), [(-1.0, 3.0), (-4.0, 2.0)], 0.5),
+         MetricKind.EUCLIDEAN, 1, False)
 # A conjugated splice, whose chunks die at several indices of its window.
 @example((PseudoOrbitSpec(SplicedRule(SEARCH_MAPS["affine-saddle"].change.apply(np.array([1.0, 0.0])),
                                       SEARCH_MAPS["affine-saddle"].change.apply(np.array([1.0, 0.5])), 0),
@@ -572,9 +607,68 @@ def test_chunked_scan_is_bit_identical_to_the_reference_scan(case, metric, chunk
     assert json.dumps(new) == json.dumps(ref)
 
 
+@pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP])
+def test_conjugated_scan_overflows_where_the_product_scan_does(metric):
+    # The fixed point b of an affine conjugate of x -> 2x lies on the grid of the box
+    # from b - 0.5 and passes every index up to 1023; 2^1024 leaves double range.  The
+    # grid from b - 0.3 misses b by 0.05 or more, so each of its points dies by n = 5.
+    b = np.array([0.25, -0.5])
+    m = conjugate_map(homothety(2.0), AffineChange([[0.96, -0.72], [0.72, 0.96]], b))
+    slabbed, slab_spans = [], shadowing._slab_spans
+
+    def recorded(*args):
+        slabbed.append(slab_spans(*args))
+        return slabbed[-1]
+
+    def search(stop, corner, slabs):
+        spec = PseudoOrbitSpec(ExplicitRule(np.tile(b, (stop + 1, 1)), 0), (0, stop), m)
+        box = [(v, v + 1.0) for v in b + corner]
+        with pytest.MonkeyPatch.context() as mp:  # without slabs: the product scan
+            mp.setattr(shadowing, "_slab_spans", recorded if slabs else lambda *args: None)
+            try:
+                return sampled_search(spec, Const(0.5), metric, box, 0.125).to_obj()
+            except IterationRangeError as exc:
+                return exc.n, str(exc)
+
+    assert search(1030, -0.5, True) == search(1030, -0.5, False) == (
+        1024, "iterate overflow at n=1024: scale power left double range")
+    absent = search(1030, -0.3, True)
+    assert absent == search(1030, -0.3, False) and absent["found"] is None
+    assert slabbed and all(spans is None for spans in slabbed)  # no slab past double range
+    slabbed.clear()
+    found = search(400, -0.5, True)
+    assert found == search(400, -0.5, False) and found["found"] == b.tolist()
+    assert slabbed and all(spans is not None for spans in slabbed)
+
+
+def _slab_counts(spec, eps, box, step, rows):
+    """Brute force, per block of ``rows`` first-axis values: the grid points of a conjugated
+    SUP search within its widened slabs.  Those are the points that pass index 0 and whose
+    excess over each later constraint of the order 1..stop, -1..start is below 1e-9.  No
+    point's excess lies between 1e-12 and 1e-8, so the slabs, whose allowance here is below
+    1e-9, keep the same points.  Returns, per block, the count for each prefix of that order."""
+    m, window = spec.map, realize(spec)
+    axes = shadowing._grid_axes(box, step)
+    counts = []
+    for i in range(0, len(axes[0]), rows):
+        grid = np.stack(np.meshgrid(axes[0][i:i + rows], axes[1], indexing="ij"), axis=-1).reshape(-1, 2)
+        live = grid[distance(SUP, grid, window.point_at(0)) < eps]
+        excess = np.array([distance(SUP, m.iterate(live, n), window.point_at(n)) - eps
+                           for n in [*range(1, window.stop + 1), *range(-1, window.start - 1, -1)]])
+        assert not np.any((np.abs(excess) > 1e-12) & (np.abs(excess) < 1e-8))
+        counts.append(np.cumprod(excess < 1e-9, axis=0).sum(axis=1))
+    return counts
+
+
+def _longest_kept(counts) -> int:
+    """The count of the longest prefix whose slabs keep a point."""
+    return int(counts[counts > 0][-1])
+
+
 def test_scan_builds_its_product_in_chunks(monkeypatch):
-    # The conjugated search of the test below keeps 1,640 points at index 0;
-    # chunks of at most 300 of them build the same points and find the same result.
+    # The conjugated search of the test below keeps 1,640 points at index 0 and 31 within
+    # the slabs of the longest prefix of its order whose slabs keep any, n = 1..6; chunks
+    # of at most 8 of them build the same points and find the same result.
     m = SEARCH_MAPS["affine-saddle"]
     spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
                                        m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
@@ -583,25 +677,27 @@ def test_scan_builds_its_product_in_chunks(monkeypatch):
     built = []
     grid_points = shadowing._grid_points
 
-    def counting(axes):
-        points = grid_points(axes)
+    def counting(axes, spans=None):
+        points = grid_points(axes, spans)
         built.append(len(points))
         return points
 
     monkeypatch.setattr(shadowing, "_grid_points", counting)
-    monkeypatch.setattr(shadowing, "_CHUNK_POINTS", 300)
+    monkeypatch.setattr(shadowing, "_CHUNK_POINTS", 8)
     assert sampled_search(spec, Const(0.4), SUP, box, 2e-2, refine=False).to_obj() == whole
     grid = grid_points(shadowing._grid_axes(box, 2e-2))
     survivors = int(np.sum(distance(SUP, grid, realize(spec).point_at(0)) - 0.4 < 0.0))
-    assert len(built) > 2 and max(built) <= 300 and sum(built) == survivors == 1_640
+    [counts] = _slab_counts(spec, 0.4, box, 2e-2, len(grid))
+    assert survivors == 1_640 and counts[5] == 31 and counts[6] == 0
+    assert len(built) > 2 and max(built) <= 8 and sum(built) == _longest_kept(counts) == 31
 
 
 def test_sup_scan_builds_only_the_points_its_first_constraint_keeps(monkeypatch):
     built = []
     grid_points = shadowing._grid_points
 
-    def counting(axes):
-        points = grid_points(axes)
+    def counting(axes, spans=None):
+        points = grid_points(axes, spans)
         built.append(len(points))
         return points
 
@@ -616,7 +712,8 @@ def test_sup_scan_builds_only_the_points_its_first_constraint_keeps(monkeypatch)
     # does, so each block builds its rows times that one value.
     assert sampled_search(*saddle_case[:2], MetricKind.EUCLIDEAN, *saddle_case[2:], refine=False).absent
     assert len(built) == 9 and sum(built) == 201
-    # A conjugated map builds exactly the grid points that pass its index 0.
+    # A conjugated map builds, per block, only the points within the slabs of the longest
+    # prefix of its order whose slabs keep any: 32 of the 1,640 that pass its index 0.
     m = SEARCH_MAPS["affine-saddle"]
     spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
                                        m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
@@ -625,7 +722,8 @@ def test_sup_scan_builds_only_the_points_its_first_constraint_keeps(monkeypatch)
     assert sampled_search(spec, Const(0.4), SUP, box, 2e-2, refine=False).absent
     grid = grid_points(shadowing._grid_axes(box, 2e-2))
     survivors = int(np.sum(distance(SUP, grid, realize(spec).point_at(0)) - 0.4 < 0.0))
-    assert sum(built) == survivors < len(grid) / 4
+    kept = sum(_longest_kept(c) for c in _slab_counts(spec, 0.4, box, 2e-2, 5_000 // 201) if np.any(c > 0))
+    assert sum(built) == kept == 32 and survivors < len(grid) / 4
 
 
 # ---------------------------------------------------------------------------
