@@ -27,7 +27,6 @@ from .errors import (
     DegenerateMarginError,
     DimensionMismatch,
     IterationRangeError,
-    NonConvergenceError,
     PositivityError,
     UnboundedSlackError,
     UnsupportedMapError,

@@ -77,17 +77,6 @@ class UnboundedSlackError(ConfigError):
         )
 
 
-class NonConvergenceError(RuntimeError):
-    """An iterative limit procedure failed to settle within tolerance.
-
-    ``diameters`` traces the tail diameters that were measured.
-    """
-
-    def __init__(self, message: str, diameters):
-        self.diameters = list(diameters)
-        super().__init__(message)
-
-
 class SearchSpaceError(ConfigError):
     """A grid search request exceeded the hard size limit."""
 

@@ -26,14 +26,15 @@ writing x_i = k*x_{i-1} + r_i for the realized perturbations r_i, the point
 is the shadowing orbit's point at index 0, and f^n(w) - x_n =
 sum_{i>n} k^(n-i) r_i, so its distance to the pseudo-orbit at index n is
 the norm of the perturbation tail sum beyond n, hence bounded by the
-geometric tail of the slack values.  ``forward_to_full_shadow`` upgrades a
-forward-only shadower to the full window by shifting the sequence and
-following the iterates f^k(y_{-k}), reporting non-convergence rather than
-guessing a limit.
+geometric tail of the slack values.  ``forward_to_full_shadow`` upgrades
+that forward-only shadower to the full window by shifting the sequence and
+following the iterates f^k(y_{-k}); their containment gaps and the diameter
+of their tail are returned for the caller to judge, and no limit is guessed.
 
-Shadow reports and tail bounds also take a stack of windows ``(N, L, d)``
-and give each orbit's row the bits of its own call; ``transported_shadow_report``
-carries such a report through a change of coordinates, in residual space too.
+Shadow reports, tail bounds, series points and the shifted iterates also take
+a stack of windows ``(N, L, d)`` and give each orbit's row the bits of its own
+call; ``transported_shadow_report`` carries such a report through a change of
+coordinates, in residual space too.
 
 ``sampled_search`` is the independent oracle: a brute-force grid scan over a
 candidate box, streamed in row blocks, valid for any map and metric,
@@ -55,12 +56,11 @@ from .errors import (
     DegenerateMarginError,
     DimensionMismatch,
     IterationRangeError,
-    NonConvergenceError,
     SearchSpaceError,
     UnsupportedMapError,
 )
-from .geometry import MetricKind, as_point, distance, metric_norm, sample_directions
-from .maps import Conjugated, MapSpec, is_diagonal_affine, linear_scales
+from .geometry import MetricKind, distance, metric_norm, sample_directions
+from .maps import Conjugated, MapSpec, _scale_shift, is_diagonal_affine, linear_scales
 from .plots import trace_csv
 from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, _per_orbit, _values_along, realize
 
@@ -71,6 +71,7 @@ __all__ = [
     "box_feasibility",
     "homothety_shadow_point",
     "shadow_tail_bound",
+    "ForwardToFull",
     "forward_to_full_shadow",
     "SearchResult",
     "sampled_search",
@@ -315,18 +316,17 @@ def homothety_shadow_point(window: OrbitWindow, m: MapSpec) -> np.ndarray:
     half; a window that ends at 0 gives x_0, and one without index 0 is
     refused.  The scales may differ in sign (``maps.linear_scales``), which
     admits the orientation-reversing variant diag(k, -k).  The series
-    accumulates in ``np.longdouble`` (README, "Numerical policy"), one orbit
-    at a time.
+    accumulates in ``np.longdouble`` from 0, in index order, for each orbit of
+    a stack at once (README, "Numerical policy").
     """
-    if window.points.ndim != 2:
-        raise ContractViolation("the series point is taken one orbit at a time")
     if not window.start <= 0 <= window.stop:
         raise ContractViolation(f"shadow point needs index 0, window is [{window.start}, {window.stop}]")
     scales = linear_scales(m).astype(np.longdouble)
-    x = window.points[-window.start:].astype(np.longdouble)
-    residuals = _residuals(x, scales)
-    inv_powers = np.cumprod(np.tile(1.0 / scales, (len(residuals), 1)), axis=0)
-    return x[0] + np.sum(residuals * inv_powers, axis=0)
+    x = window.points[..., -window.start:, :].astype(np.longdouble)
+    terms = _residuals(x, scales) * np.cumprod(np.tile(1.0 / scales, (x.shape[-2] - 1, 1)), axis=0)
+    # A running sum along the index axis: its order does not depend on the stack's shape.
+    total = np.cumsum(np.concatenate([np.zeros_like(x[..., :1, :]), terms], axis=-2), axis=-2)
+    return x[..., 0, :] + total[..., -1, :]
 
 
 def homothety_shadow_report(window: OrbitWindow, epsilon, m: MapSpec,
@@ -373,49 +373,61 @@ def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn) -> np.nda
     return _tail_sums(_values_along(delta, images, window.indices[:-1]), k)
 
 
-def forward_to_full_shadow(spec: PseudoOrbitSpec, epsilon: CPlusFn, forward_shadower,
-                           depth: int, tol: float,
-                           metric: MetricKind = MetricKind.SUP) -> np.ndarray:
-    """Upgrade a forward-only shadower to the whole window by shifting.
+@dataclass
+class ForwardToFull:
+    """The shifted iterates of ``forward_to_full_shadow``; rows of a stack are its orbits."""
 
-    For k = 0..depth the sequence is reindexed as z_n = x_{n-k} and handed to
-    ``forward_shadower`` (a callable taking an OrbitWindow starting at 0 and
-    returning a point whose forward orbit shadows it).  The iterates
-    f^k(y_{-k}) must all fall in the closed ball around x_0 of radius
-    epsilon(x_0); a violation is a contract breach of the shadower.  If the
-    iterate sequence is Cauchy within ``tol`` over its last quarter the final
-    iterate is returned, otherwise ``NonConvergenceError`` carries the
-    trailing diameter trace; nothing is guessed.
+    iterates: np.ndarray  # f^k(y_{-k}) for the shifts k = 0, 1, ..., shape (..., K, d)
+    direct: np.ndarray    # the shift-0 series point y_0, in np.longdouble
+    gaps: np.ndarray      # d(f^k(y_{-k}), x_0), shape (..., K)
+    eps0: np.ndarray      # epsilon(x_0)
+    tail: int             # how many of the last iterates ``diameter`` spans
+    diameter: np.ndarray  # the largest distance between two of them
+
+    @property
+    def breach(self) -> np.ndarray:
+        """The first shift whose iterate leaves the closed epsilon(x_0)-ball around x_0, or -1."""
+        out = self.gaps > self.eps0[..., None]
+        return np.where(np.any(out, axis=-1), np.argmax(out, axis=-1), -1)
+
+
+def forward_to_full_shadow(window: OrbitWindow, epsilon: CPlusFn, m: MapSpec, depth: int,
+                           metric: MetricKind = MetricKind.SUP) -> ForwardToFull:
+    """Upgrade the forward-only series shadower to the whole window by shifting.
+
+    For k = 0..depth the window is reindexed as z_n = x_{n-k}, from index -k on,
+    and shadowed forward by y_{-k} = ``homothety_shadow_point`` of it, one call
+    per shift for every orbit of a stack.  The iterates f^k(y_{-k}) should all
+    fall in the closed ball around x_0 of radius epsilon(x_0) (``breach``) and
+    settle: the caller judges the diameter of the last max(2, (depth + 1) // 4)
+    of them against its tolerance, and nothing is guessed.  A power of the
+    homothety that leaves double range raises ``IterationRangeError`` only if
+    some orbit reaches that shift without an earlier breach.
     """
-    if depth < 1:
-        raise ContractViolation("depth must be positive")
-    x0 = realize(spec, (0, 0)).points[0]
-    eps0 = float(epsilon.eval(x0))
-    n_max = spec.window[1]
-    iterates = []
-    for k in range(depth + 1):
-        shifted = realize(spec, (-k, n_max))
-        z_window = OrbitWindow(0, shifted.points)
-        y = as_point(forward_shadower(z_window))
-        fk = spec.map.iterate(y, k)
-        gap = float(distance(metric, fk, x0))
-        if gap > eps0:
-            raise ContractViolation(
-                f"forward shadower broke containment at shift {k}: d={gap!r} > {eps0!r}"
-            )
-        iterates.append(fk)
-    pts = np.stack(iterates)
-    tail_len = max(2, (depth + 1) // 4)
-    tail = pts[-tail_len:]
-    diffs = distance(metric, tail[:, None, :], tail[None, :, :])
-    if float(np.max(diffs)) > tol:
-        diameters = [float(np.max(distance(metric, pts[j:][:, None, :], pts[j:][None, :, :])))
-                     for j in range(len(pts) - 1)]
-        raise NonConvergenceError(
-            f"iterates not Cauchy within {tol!r} over the last {tail_len} shifts",
-            diameters,
-        )
-    return pts[-1]
+    if not (depth >= 1 and window.start <= -depth and 0 <= window.stop):
+        raise ContractViolation(f"depth {depth} needs depth >= 1 and a window from -depth through 0, "
+                                f"window is [{window.start}, {window.stop}]")
+    zero = -window.start
+    x0 = window.points[..., zero, :]
+    series = [homothety_shadow_point(OrbitWindow(0, window.points[..., zero - k:, :]), m)
+              for k in range(depth + 1)]
+    shifts, overflow = np.arange(depth + 1), None
+    try:
+        scale, drift = m.power_coefficients(shifts)
+    except IterationRangeError as exc:
+        shifts, overflow = shifts[:exc.n], exc
+        scale, drift = m.power_coefficients(shifts)
+    # Past an orbit's breach its iterates may overflow; they are never read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        iterates = _scale_shift(np.stack(series[:len(shifts)], axis=-2).astype(float), scale, drift)
+        gaps = distance(metric, iterates, x0[..., None, :])
+        tail = iterates[..., -max(2, (depth + 1) // 4):, :]
+        diameter = np.max(distance(metric, tail[..., :, None, :], tail[..., None, :, :]), axis=(-2, -1))
+    result = ForwardToFull(iterates, series[0], gaps, _values_along(epsilon, x0[..., None, :], [0])[..., 0],
+                           tail.shape[-2], diameter)
+    if overflow is not None and np.any(result.breach < 0):
+        raise overflow
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +595,11 @@ def _run(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKi
 
 
 def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
-          axes: list[np.ndarray], order: list[int]) -> tuple[np.ndarray, float | None]:
+          axes: list[np.ndarray], order: list[int]) -> tuple[np.ndarray, float | None, int]:
     """Scan the grid spanned by ``axes`` against the window constraints in ``order``.
 
-    Returns ``(first passing point, None)``, or ``(near miss, gap)`` for the
-    candidate closest to the constraint that emptied the grid.  A first
+    Returns ``(first passing point, None, len(order))``, or ``(near miss, gap, k)`` for
+    the first candidate closest to ``order[k]``, the constraint that emptied the grid.  A first
     constraint whose image is coordinatewise starts on the axes' gaps
     |img_j - x_j| (README, "Numerical policy"): SUP decides it there and builds
     only the product of the survivors; EUCLIDEAN and POLAR_WARP bound a point's
@@ -605,7 +617,7 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
     puts k <= k*: that run holds every point the whole product's near miss is
     taken from.
     """
-    n, lows = order[0], None
+    n, lows, decided = order[0], None, 0
     if n == 0 or is_diagonal_affine(m):
         x, eps, unit = window.point_at(n), float(eps_vals[n - window.start]), np.eye(len(axes))
         gaps = [np.abs((a if n == 0 else m.iterate(np.outer(a, unit[j]), n)[:, j]) - x[j])
@@ -616,8 +628,8 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
             dists = [g - eps for g in gaps]
             if not all(np.any(d < 0.0) for d in dists):
                 gap = max(float(np.min(d)) for d in dists)
-                return np.array([a[np.argmax(d <= gap)] for a, d in zip(axes, dists)]), gap
-            axes, order = [a[d < 0.0] for a, d in zip(axes, dists)], order[1:]
+                return np.array([a[np.argmax(d <= gap)] for a, d in zip(axes, dists)]), gap, 0
+            axes, order, decided = [a[d < 0.0] for a, d in zip(axes, dists)], order[1:], 1
         else:
             # |H(p) - H(x)| >= |p - x| >= |p_j - x_j|, less the rounding allowance: 2^-48 of
             # the gap, and under POLAR_WARP of |H(x)| too (README, "Numerical policy").
@@ -642,7 +654,7 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
                 break
             k = shortest - 1
     if gap is None:
-        return near, None
+        return near, None, decided + dead
     if dead == 0 and lows is not None:  # the argmin and its ties lie where the bounds reach gap
         wide = [a[~(lo > gap)] for a, lo in zip(full, lows)]
         if any(len(w) > len(a) for w, a in zip(wide, axes)):
@@ -652,7 +664,7 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
                 j = int(np.argmin(dist))
                 if near is None or dist[j] < gap:
                     near, gap = live[j].copy(), float(dist[j])
-    return near, gap
+    return near, gap, decided + dead
 
 
 def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
@@ -663,9 +675,9 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     structure, and the independent oracle validating the exact one.  Streams
     the grid in row-major blocks of whole rows and returns the first passing
     grid point: the first block that keeps a survivor holds it.  On absence
-    the near miss is the closest point, over all blocks, to the constraint
-    that emptied its block, and one refinement pass scans the half-step grid
-    in a one-cell neighborhood of it before giving up.
+    the near miss is the closest point to the constraint that emptied the
+    blocks reaching furthest along the order, the first on ties, whatever the
+    block size; one refinement pass scans the half-step grid around it.
     """
     m = spec.map
     if not 0.0 < grid_step < np.inf:
@@ -685,19 +697,20 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
 
     row_size = int(np.prod([len(a) for a in axes[1:]]))
     rows_per_block = max(1, _BLOCK_POINTS // row_size)
-    best_gap, near, checked = np.inf, None, 0
+    reached, best_gap, near, checked = -1, np.inf, None, 0
     for row in range(0, len(axes[0]), rows_per_block):
         rows = axes[0][row:row + rows_per_block]
         checked += len(rows) * row_size
-        point, gap = _scan(m, window, eps_vals, metric, [rows] + axes[1:], order)
+        point, gap, dead = _scan(m, window, eps_vals, metric, [rows] + axes[1:], order)
         if gap is None:
             return SearchResult(point, checked, grid_step)
-        if gap < best_gap:
-            best_gap, near = gap, point
+        if dead > reached or (dead == reached and gap < best_gap):
+            reached, best_gap, near = dead, gap, point
 
     if refine and near is not None:
         checked += 5 ** len(axes)
-        point, gap = _scan(m, window, eps_vals, metric, list(near[:, None] + grid_step / 2.0 * np.arange(-2, 3)), order)
+        point, gap, _ = _scan(m, window, eps_vals, metric, list(near[:, None] + grid_step / 2.0 * np.arange(-2, 3)),
+                              order)
         if gap is None:
             return SearchResult(point, checked, grid_step, refined=True)
         return SearchResult(None, checked, grid_step, near_miss=near, refined=True)

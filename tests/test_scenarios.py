@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -186,6 +187,19 @@ def test_window_shapes_make_no_false_refutation(tmp_path, kind, metric, factor, 
     config = ScenarioConfig(name="sweep", kind=kind, metric=metric, seed=7, params=params)
     report = run_scenario(config, str(tmp_path))
     assert report.verdict != "contradicts-paper", report.details
+
+
+def test_forward_to_full_breaches_before_the_power_leaves_double_range(tmp_path):
+    # 1e6^52 leaves double range at shift 52, but every orbit breaks containment at shift 5
+    # first: the run refutes (falsely, as the iterated route does) instead of raising
+    # IterationRangeError, and limits.json has the bytes the per-orbit loop wrote.
+    params = {"map": {"kind": "homothety", "factor": 1e6}, "epsilon": "const:1.0", "depth": 60,
+              "window": [-60, 2]}
+    report = run_scenario(ScenarioConfig(name="overflow", kind="forward_to_full", seed=37, params=params),
+                          str(tmp_path))
+    assert report.exit_code == 2 and report.details["converged"] == 0
+    limits = (tmp_path / "overflow" / "limits.json").read_bytes()
+    assert hashlib.sha256(limits).hexdigest() == "a4b9c8c58d1de1a523e9af176904803d4eb9cf8ed29d16e0a73f597cdad501a2"
 
 
 _CONJUGACY_CASES = ([("euclidean", -3.38, "const:0.068", [-11, 33])]

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shadowlab.cplus import (Add, Const, Coord, decaying_epsilon, delta_reference_levels, saddle_adversarial_epsilon,
-                             synthesize_delta_homothety)
+from shadowlab.cplus import (Add, Const, Coord, Norm, Sub, decaying_epsilon, delta_reference_levels,
+                             saddle_adversarial_epsilon, synthesize_delta_homothety)
 from shadowlab.errors import (
     ContractViolation,
     DegenerateMarginError,
     IterationRangeError,
-    NonConvergenceError,
     PositivityError,
     SearchSpaceError,
     UnsupportedMapError,
@@ -20,7 +19,7 @@ from shadowlab.errors import (
 from shadowlab.geometry import MetricKind, distance, metric_norm, sample_directions
 from shadowlab import shadowing
 from shadowlab.maps import (AffineChange, ComposedChange, DiagonalAffine, RadialRescale, conjugate_map, homothety,
-                            linear_scales, power_map, saddle, translation_map)
+                            linear_scales, power_map, reverse_homothety, saddle, translation_map)
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
@@ -30,6 +29,7 @@ from shadowlab.pseudo_orbit import (
     generate_orbit_ensemble,
     realize,
 )
+from shadowlab.scenarios import _MATCH_TOL, _TOL, _judge_limits
 from shadowlab.shadowing import (
     FeasibilityCertificate,
     box_feasibility,
@@ -259,38 +259,165 @@ def test_shadow_series_supports_sign_flipped_scales():
 # ---------------------------------------------------------------------------
 
 
-def _series_shadower(z_window):
-    return homothety_shadow_point(z_window, homothety(2.0))
+def reference_series_point(window, m):
+    """The series point of one orbit, summed by ``np.sum`` over its index axis."""
+    scales = linear_scales(m).astype(np.longdouble)
+    x = window.points[-window.start:].astype(np.longdouble)
+    residuals = x[1:] - x[:-1] * scales
+    inv_powers = np.cumprod(np.tile(1.0 / scales, (len(residuals), 1)), axis=0)
+    return x[0] + np.sum(residuals * inv_powers, axis=0)
+
+
+class NotCauchy(Exception):
+    """The reference's iterates did not settle; ``diameters`` traces their tail diameters."""
+
+    def __init__(self, message, diameters):
+        super().__init__(message)
+        self.diameters = diameters
+
+
+def reference_forward_to_full(spec, epsilon, forward_shadower, depth, tol, metric=SUP):
+    """The limit of f^k(y_{-k}) one orbit and one shift at a time, for any ``forward_shadower``
+    (a callable from a window starting at 0 to a point whose forward orbit shadows it)."""
+    x0 = realize(spec, (0, 0)).points[0]
+    eps0 = float(epsilon.eval(x0))
+    iterates = []
+    for k in range(depth + 1):
+        y = np.asarray(forward_shadower(OrbitWindow(0, realize(spec, (-k, spec.window[1])).points)), dtype=float)
+        fk = spec.map.iterate(y, k)
+        gap = float(distance(metric, fk, x0))
+        if gap > eps0:
+            raise ContractViolation(f"forward shadower broke containment at shift {k}: d={gap!r} > {eps0!r}")
+        iterates.append(fk)
+    pts = np.stack(iterates)
+    tail_len = max(2, (depth + 1) // 4)
+    tail = pts[-tail_len:]
+    if float(np.max(distance(metric, tail[:, None, :], tail[None, :, :]))) > tol:
+        diameters = [float(np.max(distance(metric, pts[j:][:, None, :], pts[j:][None, :, :])))
+                     for j in range(len(pts) - 1)]
+        raise NotCauchy(f"iterates not Cauchy within {tol!r} over the last {tail_len} shifts", diameters)
+    return pts[-1]
+
+
+def reference_limits(window, epsilon, m, depth, metric):
+    """The forward-to-full scenario's (counts, failures, limits, direct points) of a stack,
+    judged one orbit at a time by ``reference_forward_to_full``."""
+    counts = {"converged": 0, "matched": 0, "non_converged": 0, "total": len(window.points)}
+    failures, limits, directs = [], {}, {}
+    for i, points in enumerate(window.points):
+        spec = PseudoOrbitSpec(ExplicitRule(points, window.start), (window.start, window.stop), m)
+        try:
+            limits[i] = reference_forward_to_full(spec, epsilon, lambda zw: reference_series_point(zw, m), depth,
+                                                  _TOL, metric)
+        except ContractViolation as exc:
+            failures.append({"orbit": i, "error": str(exc)})
+            continue
+        except NotCauchy as exc:
+            counts["non_converged"] += 1
+            failures.append({"orbit": i, "error": str(exc)})
+            continue
+        counts["converged"] += 1
+        directs[i] = reference_series_point(realize(spec), m)
+        gap = float(metric_norm(metric, np.asarray(limits[i] - directs[i], dtype=float)))
+        if gap <= _MATCH_TOL:
+            counts["matched"] += 1
+        else:
+            failures.append({"orbit": i, "gap": gap})
+    return counts, failures, limits, directs
+
+
+def _escaping_window(m, epsilon, metric, window, count, seed):
+    """A stack of ``count`` escaping pseudo-orbits of the slack synthesized for ``epsilon``."""
+    delta = synthesize_delta_homothety(epsilon, m, metric)
+    r0, _ = delta_reference_levels(epsilon, m, metric)
+    specs = generate_orbit_ensemble(m, delta, metric, window, count, seed, r0,
+                                    anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
+    return OrbitWindow(window[0], np.stack([realize(spec).points for spec in specs]))
+
+
+_FORWARD_MAPS = {"homothety": lambda k: homothety(k), "flip": lambda k: DiagonalAffine([k, -k]),
+                 "power": lambda k: power_map(reverse_homothety(1.0 / abs(k)), -1)}
+_FORWARD_TOLERANCES = {"const:0.01": Const(0.01), "const:1.0": Const(1.0),
+                       "saddle_adversarial": saddle_adversarial_epsilon(), "decaying": decaying_epsilon(1.0)}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_FORWARD_MAPS)), st.floats(1.1, 6.0), st.sampled_from([1.0, -1.0]),
+       st.sampled_from([SUP, MetricKind.EUCLIDEAN]), st.sampled_from(sorted(_FORWARD_TOLERANCES)),
+       st.integers(1, 44), st.integers(0, 40), st.sampled_from([0, 1, 7, 40]), st.integers(0, 2**20))
+# A false refutation of the iterated route: every orbit breaks containment at shift 27, 28 or 29.
+@example("homothety", 5.53, 1.0, SUP, "const:1.0", 31, 44, 7, 3)
+# Every orbit breaks containment before 1e6^52 leaves double range at shift 52.
+@example("homothety", 1e6, 1.0, SUP, "const:1.0", 60, 0, 2, 37)
+@example("flip", 3.0, 1.0, MetricKind.EUCLIDEAN, "decaying", 1, 0, 0, 5)
+def test_forward_to_full_matches_the_reference_loop(form, k, sign, metric, tolerance, depth, back, n_max, seed):
+    m, epsilon = _FORWARD_MAPS[form](sign * k), _FORWARD_TOLERANCES[tolerance]
+    window = _escaping_window(m, epsilon, metric, (-depth - back, n_max), 3, seed)
+    shifted = forward_to_full_shadow(window, epsilon, m, depth, metric)
+    counts, failures, limits, directs = reference_limits(window, epsilon, m, depth, metric)
+    assert _judge_limits(shifted, metric) == (counts, failures)
+    for i, limit in limits.items():
+        assert shifted.iterates[i, -1].dtype == limit.dtype and np.array_equal(shifted.iterates[i, -1], limit)
+        assert shifted.direct[i].dtype == directs[i].dtype and np.array_equal(shifted.direct[i], directs[i])
+
+
+def test_forward_to_full_raises_where_an_orbit_reaches_the_overflowing_shift():
+    # A zero orbit never breaks containment, so it reaches 1e6^52, past double range.
+    m, epsilon = homothety(1e6), Const(1.0)
+    window = _escaping_window(m, epsilon, SUP, (-60, 2), 3, 37)
+    window.points[1] = 0.0
+    spec = PseudoOrbitSpec(ExplicitRule(window.points[1], -60), (-60, 2), m)
+    with pytest.raises(IterationRangeError) as ref:
+        reference_forward_to_full(spec, epsilon, lambda zw: reference_series_point(zw, m), 60, _TOL)
+    with pytest.raises(IterationRangeError) as new:
+        forward_to_full_shadow(window, epsilon, m, 60)
+    assert new.value.n == ref.value.n == 52 and str(new.value) == str(ref.value)
 
 
 def test_forward_to_full_true_orbit_returns_anchor():
     spec = true_orbit_spec(homothety(2.0), [0.6, -0.2], (-12, 12))
-    out = forward_to_full_shadow(spec, Const(1.0), _series_shadower, 10, 1e-9, SUP)
-    assert np.allclose(np.asarray(out, dtype=float), [0.6, -0.2], atol=1e-12)
+    shifted = forward_to_full_shadow(realize(spec), Const(1.0), homothety(2.0), 10)
+    assert shifted.breach == -1 and shifted.diameter <= 1e-9 and shifted.tail == 2
+    assert np.allclose(shifted.iterates[-1], [0.6, -0.2], atol=1e-12)
+    assert shifted.direct.dtype == np.longdouble and np.allclose(np.asarray(shifted.direct, dtype=float),
+                                                                 [0.6, -0.2], atol=1e-12)
 
 
-def test_forward_to_full_constant_origin_shadower():
-    eps = Const(1.0)
-    delta = synthesize_delta_homothety(eps, homothety(2.0))
-    rng = np.random.default_rng(4)
-    from shadowlab.pseudo_orbit import random_pseudo_orbit
-
-    spec = random_pseudo_orbit(homothety(2.0), delta, SUP, (-10, 10), np.zeros(2), rng,
-                               keep_within=0.2)
-    out = forward_to_full_shadow(spec, eps, lambda zw: np.zeros(2), 8, 1e-9, SUP)
-    assert np.all(out == 0.0)
+def test_forward_to_full_reports_containment_breaches():
+    # At |k| = 5.53 rounding in y_{-k}, multiplied by 5.53^k, leaves the
+    # ball around x_0 from shift 27 on, for every orbit.
+    m = homothety(5.53)
+    shifted = forward_to_full_shadow(_escaping_window(m, Const(1.0), SUP, (-75, 7), 20, 3), Const(1.0), m, 31)
+    assert set(shifted.breach) <= {27, 28, 29}
+    assert np.all(shifted.gaps[np.arange(20), shifted.breach] > 1.0)
 
 
-def test_forward_to_full_matches_direct_series():
-    eps, m = saddle_adversarial_epsilon(), homothety(2.0)
-    delta = synthesize_delta_homothety(eps, m)
-    r0, _ = delta_reference_levels(eps, m)
-    specs = generate_orbit_ensemble(m, delta, SUP, (-20, 30), 10, 2024, r0,
-                                    anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
-    for spec in specs:
-        limit = forward_to_full_shadow(spec, eps, _series_shadower, 20, 1e-9, SUP)
-        direct = homothety_shadow_point(realize(spec), m)
-        assert float(np.max(np.abs(np.asarray(limit - direct, dtype=float)))) <= 1e-8
+def test_forward_to_full_reports_non_convergence():
+    # At k = 3.64 and depth 32 every orbit stays in the ball, and its last eight iterates
+    # spread wider than 1e-9.
+    m = homothety(3.64)
+    window = _escaping_window(m, Const(1.0), SUP, (-32, 64), 20, 3)
+    shifted = forward_to_full_shadow(window, Const(1.0), m, 32)
+    assert np.all(shifted.breach == -1) and shifted.tail == 8 and np.all(shifted.diameter > 1e-9)
+    counts, failures = _judge_limits(shifted, SUP)
+    assert counts == {"converged": 0, "matched": 0, "non_converged": 20, "total": 20}
+    assert failures[0] == {"orbit": 0, "error": "iterates not Cauchy within 1e-09 over the last 8 shifts"}
+    # The reference's diameter trace: that of the last j iterates, for j = depth + 1, ..., 2.
+    spec = PseudoOrbitSpec(ExplicitRule(window.points[0], -32), (-32, 64), m)
+    with pytest.raises(NotCauchy) as ref:
+        reference_forward_to_full(spec, Const(1.0), lambda zw: reference_series_point(zw, m), 32, _TOL)
+    assert len(ref.value.diameters) == 32 and ref.value.diameters[-7] == shifted.diameter[0]
+
+
+def test_forward_to_full_refuses_shifts_outside_the_window():
+    window = realize(true_orbit_spec(homothety(2.0), [0.5, 0.5], (-8, 8)))
+    for depth in (0, 9):
+        with pytest.raises(ContractViolation):
+            forward_to_full_shadow(window, Const(1.0), homothety(2.0), depth)
+    # A tolerance that is not positive at x_0 names index 0.
+    with pytest.raises(PositivityError) as err:
+        forward_to_full_shadow(window, Sub(Const(0.5), Norm()), homothety(2.0), 4)
+    assert err.value.n == 0
 
 
 # (depth, n_min, n_max): the window reaches past the deepest shift, so the limit
@@ -309,36 +436,11 @@ def test_forward_to_full_limit_matches_the_series_point(scales, metric, toleranc
     depth, n_min, n_max = shifted
     eps = {"const": Const(1.0), "saddle_adversarial": saddle_adversarial_epsilon(),
            "decaying": decaying_epsilon(1.0)}[tolerance]
-    delta = synthesize_delta_homothety(eps, m, metric)
-    r0, _ = delta_reference_levels(eps, m, metric)
-    specs = generate_orbit_ensemble(m, delta, metric, (n_min, n_max), 2, seed, r0,
-                                    anchored_fraction=0.0, start_range=(1.05 * r0, 4 * r0))
-    for spec in specs:
-        limit = forward_to_full_shadow(spec, eps, lambda zw: homothety_shadow_point(zw, m), depth, 1e-9,
-                                       metric)
-        direct = homothety_shadow_point(realize(spec), m)
-        assert float(np.max(np.abs(np.asarray(limit - direct, dtype=float)))) <= 1e-8
-
-
-def test_forward_to_full_reports_contract_breach():
-    spec = true_orbit_spec(homothety(2.0), [0.5, 0.5], (-8, 8))
-    with pytest.raises(ContractViolation):
-        forward_to_full_shadow(spec, Const(1.0), lambda zw: zw.points[0] + 50.0, 5, 1e-9, SUP)
-
-
-def test_forward_to_full_reports_non_convergence():
-    spec = true_orbit_spec(homothety(2.0), [0.5, 0.5], (-8, 8))
-
-    def wobbly(z_window):
-        # Stays inside the containment ball at every shift, but the iterates
-        # alternate by 0.6 and never settle.
-        x = z_window.points[0]
-        k = round(float(np.log2(0.5 / x[0])))
-        return x + (0.3 * (-1.0) ** k) * (2.0 ** -k)
-
-    with pytest.raises(NonConvergenceError) as err:
-        forward_to_full_shadow(spec, Const(1.0), wobbly, 8, 1e-9, SUP)
-    assert len(err.value.diameters) > 0
+    window = _escaping_window(m, eps, metric, (n_min, n_max), 2, seed)
+    shifted = forward_to_full_shadow(window, eps, m, depth, metric)
+    assert np.all(shifted.breach == -1) and np.all(shifted.diameter <= 1e-9)
+    whole = homothety_shadow_point(window, m)
+    assert float(np.max(np.abs(np.asarray(shifted.iterates[:, -1] - whole, dtype=float)))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +553,28 @@ def test_search_first_point_is_independent_of_block_size(name, monkeypatch):
 def reference_scan(m, window, eps_vals, metric, axes, order):
     """The scan that builds the whole grid and runs every constraint on its points."""
     live = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    for n in order:
+    for k, n in enumerate(order):
         img = live if n == 0 else m.iterate(live, n)
         dist = distance(metric, img, window.point_at(n)) - float(eps_vals[n - window.start])
         ok = dist < 0.0
         if not np.any(ok):
             j = int(np.argmin(dist))
-            return live[j].copy(), float(dist[j])
+            return live[j].copy(), float(dist[j]), k
         live = live[ok]
-    return live[0].copy(), None
+    return live[0].copy(), None, len(order)
+
+
+@pytest.mark.parametrize("block", [10**6, 5_000, 777])
+def test_near_miss_is_independent_of_block_size(block, monkeypatch):
+    # The blocks of this conjugated splice die at different indices of its order.  The
+    # near miss is taken at the latest of them, so blocks of any size give the one-block
+    # point; comparing gaps at different constraints gave [1.88, -0.08] in blocks of 5,000.
+    m = SEARCH_MAPS["affine-saddle"]
+    spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
+                                       m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
+    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", block)
+    result = sampled_search(spec, Const(0.4), SUP, [(-1.0, 3.0), (-1.0, 3.0)], 2e-2, refine=False)
+    assert result.absent and np.array_equal(result.near_miss, [-1.0 + 2e-2 * 98, -1.0 + 2e-2 * 96])  # (0.96, 0.92)
 
 
 # Planar diagonal-affine maps with negative, unit and fractional scales and with translations.

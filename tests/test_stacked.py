@@ -19,7 +19,8 @@ from shadowlab.pseudo_orbit import (
     validate,
 )
 from shadowlab.scenarios import _classify_and_shadow
-from shadowlab.shadowing import homothety_shadow_report, is_shadowed_by, shadow_tail_bound
+from shadowlab.shadowing import (forward_to_full_shadow, homothety_shadow_point, homothety_shadow_report,
+                                 is_shadowed_by, shadow_tail_bound)
 
 SUP, EUCLIDEAN = MetricKind.SUP, MetricKind.EUCLIDEAN
 WINDOWS = [(-1, 1), (-20, 0), (0, 40), (-20, 40)]
@@ -62,6 +63,9 @@ def test_stacked_rows_match_one_orbit_calls_bit_for_bit(metric, window, count, w
     origin = is_shadowed_by(windows, np.zeros(2), m, epsilon, metric)
     series = homothety_shadow_report(windows, epsilon, m, metric)
     bounds = shadow_tail_bound(windows, m, delta)
+    point = homothety_shadow_point(windows, m)
+    depth = min(-window[0], 7)
+    shifted = forward_to_full_shadow(windows, epsilon, m, depth, metric) if depth else None
     for i, spec in enumerate(specs):
         one = realize(spec)
         assert np.array_equal(windows.points[i], one.points)
@@ -77,6 +81,12 @@ def test_stacked_rows_match_one_orbit_calls_bit_for_bit(metric, window, count, w
             assert stacked_report.passed[i] == report.passed
             assert stacked_report.worst_index[i] == report.worst_index
         assert np.array_equal(bounds[i], shadow_tail_bound(one, m, delta))
+        one_point = homothety_shadow_point(one, m)
+        assert point[i].dtype == one_point.dtype == np.longdouble and np.array_equal(point[i], one_point)
+        if shifted is not None:
+            one_shifted = forward_to_full_shadow(one, epsilon, m, depth, metric)
+            for name in ("iterates", "direct", "gaps", "eps0", "diameter", "breach"):
+                assert np.array_equal(getattr(shifted, name)[i], getattr(one_shifted, name))
 
 
 def test_a_mixed_ensemble_tallies_every_class_in_one_pass():
