@@ -329,30 +329,25 @@ def classify_pseudo_orbit(window: OrbitWindow, r0: float, m: MapSpec,
 # ---------------------------------------------------------------------------
 
 
-# Draws each pending orbit tests in one rejection batch after a step's first,
-# which gives every orbit one draw (a free orbit always accepts it).
+# Draws each anchored orbit tests in a step's first rejection round; each later
+# round doubles the width, up to ``max(_BATCH, block)``.
 _BATCH = 16
 
 
 class _BallStreams:
     """Unit-ball draws for a batch of orbits, each orbit from its own stream.
 
-    Orbit i reads, in order, the concatenation of
-    ``uniform_ball(metric, dim, rngs[i], block)`` blocks.  :meth:`peek` shows
-    an orbit's next draws without using them and :meth:`advance` moves its
-    cursor past those a caller used, at most the ones it peeked, so a draw
-    left unused is the first of the next peek.  Each row of the
-    ``(N, block + _BATCH, dim)`` buffer is compacted before it is refilled,
-    with as many whole blocks as the peek needs (several when ``block`` is
-    below the batch width): a block drawn ahead is kept, never redrawn, so the
-    stream an orbit reads does not depend on how its draws are batched.
+    Orbit i reads, in order, the concatenation of ``uniform_ball(metric, dim, rngs[i],
+    block)`` blocks.  :meth:`peek` shows an orbit's next draws without using them, and a
+    caller moves its ``cursor`` past those it used.  README's "Numerical policy" bounds
+    a row's draws and says why batching leaves the stream unchanged.
     """
 
     def __init__(self, metric: MetricKind, dim: int, rngs, block: int):
         self.metric = metric
         self.rngs = rngs
         self.block = block
-        self.buf = np.empty((len(rngs), block + _BATCH, dim))
+        self.buf = np.empty((len(rngs), block + max(_BATCH, block), dim))
         self.cursor = np.zeros(len(rngs), dtype=np.intp)
         self.fill = np.zeros(len(rngs), dtype=np.intp)
 
@@ -369,65 +364,65 @@ class _BallStreams:
             self.cursor[i], self.fill[i] = 0, f
         return self.buf[rows[:, None], self.cursor[rows, None] + np.arange(b)]
 
-    def advance(self, rows: np.ndarray, used: np.ndarray) -> None:
-        self.cursor[rows] += used
-
 
 def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
                      window: tuple[int, int], seeds: np.ndarray, rngs,
                      keep_within: np.ndarray) -> np.ndarray:
     """Advance N random pseudo-orbits together; points of shape ``(N, L, d)``.
 
-    ``seeds[i]`` sits at index 0 of orbit i, which draws from ``rngs[i]``
-    through :class:`_BallStreams` in blocks of one window's step count.
-    ``keep_within[i]`` is orbit i's anchor radius, ``inf`` for a free orbit.
-    Each step makes one map call and one ``delta.eval`` over the batch, and
-    both directions then take :func:`random_pseudo_orbit`'s law from one
-    batched rejection step.  README's "Numerical policy" says why its points
-    have the bits of the one-draw-at-a-time loop.
+    ``seeds[i]`` sits at index 0 of orbit i, which draws from ``rngs[i]`` in blocks of
+    one window's step count; ``keep_within[i]`` is its anchor radius, ``inf`` for a free
+    orbit.  Each step makes one map call and one ``delta.eval`` over the batch.  README's
+    "Numerical policy" says how free and anchored orbits draw, and why the points have
+    the bits of the one-draw-at-a-time loop.
     """
     n_min, n_max = window
     if not (n_min <= 0 <= n_max) or n_min == n_max:
         raise ContractViolation("window must be a nonempty range containing 0")
     count, dim = seeds.shape
-    streams = _BallStreams(metric, dim, rngs, n_max - n_min)
-    free = np.isposinf(keep_within)
+    block = n_max - n_min
+    free, anchored = np.flatnonzero(np.isposinf(keep_within)), np.flatnonzero(np.isfinite(keep_within))
+    # Forward step n reads draw n - 1 of a free orbit's block, backward step n draw n_max - n - 1.
+    blocks = np.array([uniform_ball(metric, dim, rngs[i], block) for i in free]).reshape(-1, block, dim)
+    streams = _BallStreams(metric, dim, [rngs[i] for i in anchored], block)
 
-    def step(exact, rad, trial, fits, finish):
-        """Each orbit's first kept candidate among its next 10 000 draws, else ``exact``.
+    def settle(rows, r, exact, trial, fits, finish):
+        """Each draw r's candidate: r, scaled by its orbit's radius, gives ``trial(rows, r)``
+        and is halved until that point ``fits``, at most 200 times, after which the exact
+        step is the candidate; ``finish`` maps a point that fits to its candidate."""
+        point = trial(rows, r)
+        live = np.arange(len(r))
+        for _ in range(200):
+            live = live[~fits(rows[live], r[live], point[live])]
+            if not live.size:
+                break
+            r[live] *= 0.5
+            point[live] = trial(rows[live], r[live])
+        cand = finish(point)
+        cand[live] = exact[rows[live]]
+        return cand
 
-        Draw r, scaled by its orbit's ``rad``, gives the point ``trial(rows, r)``,
-        and r is halved until ``fits(rows, r, point)``; ``finish`` maps a point
-        that fits to its candidate.  A draw that still does not fit after 200
-        halvings has the exact step as its candidate.
-        """
+    def step(draw, exact, rad, *law):
+        """Each free orbit's candidate of its block's draw ``draw``, and each anchored
+        orbit's first candidate within its radius among its next 10 000 draws, else ``exact``."""
         out = exact.copy()
-        pending, used, b = np.arange(count), 0, 1
+        out[free] = settle(free, blocks[:, draw] * rad[free, None], exact, *law)
+        pending, used, b = np.arange(len(anchored)), 0, _BATCH
         while pending.size and used < 10_000:
             b = min(b, 10_000 - used)
-            rows = np.repeat(pending, b)
-            r = streams.peek(pending, b).reshape(-1, dim) * rad[rows, None]
-            point = trial(rows, r)
-            live = np.arange(len(r))
-            for _ in range(200):
-                live = live[~fits(rows[live], r[live], point[live])]
-                if not live.size:
-                    break
-                r[live] *= 0.5
-                point[live] = trial(rows[live], r[live])
-            cand = finish(point)
-            cand[live] = exact[rows[live]]
-            ok = (free[rows] | (metric_norm(metric, cand) <= keep_within[rows])).reshape(-1, b)
+            rows = anchored[np.repeat(pending, b)]
+            cand = settle(rows, streams.peek(pending, b).reshape(-1, dim) * rad[rows, None], exact, *law)
+            ok = (metric_norm(metric, cand) <= keep_within[rows]).reshape(-1, b)
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)
-            out[pending[hit]] = cand.reshape(-1, b, dim)[hit, first[hit]]
-            streams.advance(pending, np.where(hit, first + 1, b))
+            out[anchored[pending[hit]]] = cand.reshape(-1, b, dim)[hit, first[hit]]
+            streams.cursor[pending] += np.where(hit, first + 1, b)
             pending = pending[~hit]
             used += b
-            b = _BATCH
+            b = min(2 * b, max(_BATCH, block))
         return out
 
-    points = np.empty((count, n_max - n_min + 1, dim))
+    points = np.empty((count, block + 1, dim))
     points[:, -n_min] = seeds
     x = seeds
     for n in range(1, n_max + 1):
@@ -440,7 +435,7 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
         # the coordinate ulp (or to subnormal scales), fx + r can round to an
         # inadmissible step, so the fit test measures the stored point.
         x = points[:, n - n_min] = step(
-            fx, rad, lambda rows, r: fx[rows] + r,
+            n - 1, fx, rad, lambda rows, r: fx[rows] + r,
             lambda rows, r, p: distance(metric, p, fx[rows]) < rad[rows], lambda p: p)
     x = seeds
     for n in range(-1, n_min - 1, -1):
@@ -451,7 +446,7 @@ def _lockstep_orbits(m: MapSpec, delta: CPlusFn, metric: MetricKind,
             raise IterationRangeError(n, "an exact image left double range")
         # The perturbation is sized against delta at f(x_{n-1}) = x_n - r.
         x = points[:, n - n_min] = step(
-            prev, rad, lambda rows, r: x[rows] - r,
+            n_max - n - 1, prev, rad, lambda rows, r: x[rows] - r,
             lambda rows, r, p: metric_norm(metric, r) < 0.99 * delta.eval(p), m.apply_inverse)
     return points
 
@@ -479,8 +474,8 @@ def random_pseudo_orbit(m: MapSpec, delta: CPlusFn, metric: MetricKind,
 
     This is the one-orbit case of the lockstep generator behind
     :func:`generate_orbit_ensemble`.  Draws come from ``rng`` in blocks of one
-    window's step count and are tested in batches, so ``rng`` may advance up
-    to one block plus one batch past the draws used.
+    window's step count, so ``rng`` may advance past the draws used (README,
+    "Numerical policy").
     """
     n_min, n_max = window
     x0 = as_point(seed_point)

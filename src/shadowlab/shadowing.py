@@ -734,7 +734,7 @@ def transported_epsilon_values(window: OrbitWindow, eps_values, change,
 
     For each window point x with tolerance e, ``_TRANSPORT_SAFETY`` times the largest
     displacement ``change.difference(x, o)`` over offsets o on the spheres of radius e
-    and e/2, taken one offset at a time over the whole stack with a running maximum
+    and e/2, taken over the whole stack in blocks of offsets with a running maximum
     (README, "Numerical policy").  The polar-warped metric is refused.
     """
     if metric is MetricKind.POLAR_WARP:
@@ -742,9 +742,12 @@ def transported_epsilon_values(window: OrbitWindow, eps_values, change,
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.shape != window.points.shape[:-1]:
         raise ContractViolation("need one tolerance per window index")
-    widest = np.zeros(eps_values.shape)
-    for shell in (0.5, 1.0):
-        for u in sample_directions(metric, window.dimension, _BOUNDARY_SAMPLES):
-            offset = (shell * eps_values)[..., None] * u
-            np.maximum(widest, metric_norm(metric, change.difference(window.points, offset)), out=widest)
-    return _TRANSPORT_SAFETY * widest
+    points, eps = window.points.reshape(-1, window.dimension), eps_values.reshape(-1)
+    shells = np.repeat([0.5, 1.0], _BOUNDARY_SAMPLES)[:, None]
+    dirs = np.tile(sample_directions(metric, window.dimension, _BOUNDARY_SAMPLES), (2, 1))[:, None]
+    size = max(1, _CHUNK_POINTS // max(1, eps.size))
+    widest = np.zeros(eps.size)
+    for i in range(0, len(shells), size):
+        moved = change.difference(points, (shells[i:i + size] * eps)[..., None] * dirs[i:i + size])
+        np.maximum(widest, np.max(metric_norm(metric, moved), axis=0), out=widest)
+    return _TRANSPORT_SAFETY * widest.reshape(eps_values.shape)

@@ -484,13 +484,67 @@ def test_batched_rejection_matches_the_reference_at_any_width(monkeypatch, metri
             assert np.array_equal(spec.rule.points, points), window
 
 
+@st.composite
+def _expanding_maps(draw):
+    """|k| in [1.2, 8] with either sign: a homothety, diag(k, -k), or a power of reverse_homothety."""
+    k = draw(st.floats(1.2, 8.0)) * draw(st.sampled_from([1.0, -1.0]))
+    form = draw(st.sampled_from(["homothety", "diagonal", "power"]))
+    if form == "homothety":
+        return homothety(k)
+    if form == "diagonal":
+        return DiagonalAffine([k, -k])
+    p = draw(st.sampled_from([-2, -1, 2]))
+    return power_map(reverse_homothety(np.sign(k) * abs(k) ** (1.0 / p)), p)
+
+
+@st.composite
+def _windows(draw):
+    n_min = draw(st.integers(-6, 0))
+    return n_min, draw(st.integers(0 if n_min else 1, 8))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(m=_expanding_maps(), metric=st.sampled_from([SUP, MetricKind.EUCLIDEAN]),
+       eps=st.one_of(st.floats(0.05, 2.0).map(Const), st.just(saddle_adversarial_epsilon()),
+                     st.integers(0, 2**32 - 1).map(lambda s: random_positive_fn(np.random.default_rng(s)))),
+       window=st.one_of(_windows(), st.just((-1, 2))), count=st.integers(1, 4), seed=st.integers(0, 2**16),
+       anchored_fraction=st.sampled_from([0.0, 0.5, 1.0]), width=st.sampled_from([1, 2, 16]))
+def test_ensemble_matches_the_reference_over_maps_tolerances_and_widths(m, metric, eps, window, count, seed,
+                                                                         anchored_fraction, width):
+    # From k = 4 on, anchored steps reject most draws and their rounds reach the widest batch.
+    delta = synthesize_delta_homothety(eps, m, metric)
+    r0, _ = delta_reference_levels(eps, m, metric)
+    args = (m, delta, metric, window, count, seed, r0)
+    kwargs = dict(anchored_fraction=anchored_fraction, start_range=(1e-2 * r0, 4.0 * r0))
+    with mock.patch.object(pseudo_orbit, "_BATCH", width):
+        got = generate_orbit_ensemble(*args, **kwargs)
+    for spec, points in zip(got, reference_ensemble(*args, **kwargs), strict=True):
+        assert np.array_equal(spec.rule.points, points)
+
+
+def _spy_peeks(monkeypatch) -> list:
+    """Record, for every ``_BallStreams.peek``, its width, the largest row fill after it,
+    and the fill bound ``block + max(_BATCH, block)``."""
+    seen, peek = [], pseudo_orbit._BallStreams.peek
+
+    def spy(self, rows, b):
+        out = peek(self, rows, b)
+        seen.append((b, int(self.fill.max()), self.block + max(pseudo_orbit._BATCH, self.block)))
+        return out
+
+    monkeypatch.setattr(pseudo_orbit._BallStreams, "peek", spy)
+    return seen
+
+
 @pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN])
-def test_capped_steps_use_the_reference_draws(metric):
+def test_capped_steps_use_the_reference_draws(monkeypatch, metric):
     # From 1.6 the anchor ball of radius 0.6 is out of reach for the forward
     # step and the first backward step (the slack there is about 0.05): each
     # tests its 10 000 draws and takes the exact step.  From 0.8 every draw is
     # kept, so the second backward step takes the first draw past those the
-    # capped steps used, and a cursor one off shows.
+    # capped steps used, and a cursor one off shows.  Widths that kept
+    # doubling would fill a row with about 10 000 draws.
+    peeks = _spy_peeks(monkeypatch)
     m = homothety(2.0)
     delta = synthesize_delta_homothety(Const(1.0), m, metric)
     args = (m, delta, metric, (-2, 1), np.array([1.6, 0.0]))
@@ -500,6 +554,33 @@ def test_capped_steps_use_the_reference_draws(metric):
     assert exact == [False, True, True]
     want = reference_random_pseudo_orbit(*args, np.random.default_rng(3), keep_within=0.6)
     assert np.array_equal(got, want)
+    assert len(peeks) > 1000 and all(fill <= bound for _, fill, bound in peeks)
+
+
+def test_free_orbits_draw_one_block_each(monkeypatch):
+    sizes = []
+
+    def counting(metric, dim, rng, n):
+        sizes.append(n)
+        return uniform_ball(metric, dim, rng, n)
+
+    monkeypatch.setattr(pseudo_orbit, "uniform_ball", counting)
+    delta = synthesize_delta_homothety(Const(1.0), homothety(4.0))
+    generate_orbit_ensemble(homothety(4.0), delta, SUP, (-6, 12), 9, 2, 1.0, anchored_fraction=0.0)
+    assert sizes == [18] * 9
+
+
+@pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN])
+def test_anchored_rejection_makes_few_peeks(monkeypatch, metric):
+    # 36 steps of 20 anchored orbits at k = 4, where most draws are rejected.
+    # One draw, then batches of 16, made 254 peeks under SUP and 260 under EUCLIDEAN.
+    peeks = _spy_peeks(monkeypatch)
+    m = homothety(4.0)
+    eps = saddle_adversarial_epsilon()
+    delta = synthesize_delta_homothety(eps, m, metric)
+    r0, _ = delta_reference_levels(eps, m, metric)
+    generate_orbit_ensemble(m, delta, metric, (-12, 24), 20, 5, r0, anchored_fraction=1.0)
+    assert len(peeks) <= 150 and all(fill <= bound for _, fill, bound in peeks)
 
 
 def test_a_backward_draw_that_never_fits_gives_the_exact_step():
@@ -515,7 +596,7 @@ def test_a_backward_draw_that_never_fits_gives_the_exact_step():
 
 @pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN])
 def test_ball_streams_read_each_orbit_stream_in_order(metric):
-    # Peeks of any width, with advances short of and up to the peek, read the
+    # Peeks of any width, with cursor moves short of and up to the peek, read the
     # concatenated blocks.
     block = 3
     want = []
@@ -529,7 +610,7 @@ def test_ball_streams_read_each_orbit_stream_in_order(metric):
         got = streams.peek(rows, b)
         for i in rows:
             assert np.array_equal(got[i], want[i][pos[i]:pos[i] + b])
-        streams.advance(rows, np.array(used))
+        streams.cursor[rows] += used
         pos += used
 
 

@@ -3,9 +3,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shadowlab.cplus import fn_from_obj
+from shadowlab.cplus import fn_from_obj, random_positive_fn
 from shadowlab.errors import ConfigError, ContractViolation
 from shadowlab.scenarios import (
     SCENARIO_NAMES,
@@ -217,3 +220,57 @@ def test_conjugacy_transport_makes_no_false_refutation(tmp_path, metric, factor,
     config = ScenarioConfig(name="sweep", kind="conjugacy", metric=metric, seed=7, params=params)
     report = run_scenario(config, str(tmp_path))
     assert report.verdict == "matches-paper", report.details
+
+
+@st.composite
+def _homothety_maps(draw):
+    """A map config of modulus |k| in [1.5, 8], either sign: a homothety, or a power of a
+    homothety or reverse homothety."""
+    k = draw(st.floats(1.5, 8.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        return {"kind": "homothety", "factor": k}
+    p = draw(st.sampled_from([-2, -1, 2]))
+    inner = {"kind": draw(st.sampled_from(["homothety", "reverse_homothety"])),
+             "factor": float(np.sign(k) * abs(k) ** (1.0 / p))}
+    return {"kind": "power", "inner": inner, "k": p}
+
+
+_TOLERANCES = st.one_of(
+    st.floats(0.01, 2.0).map(lambda v: f"const:{v!r}"), st.floats(0.05, 4.0).map(lambda r: f"decaying:{r!r}"),
+    st.just("saddle_adversarial"),
+    st.integers(0, 2**32 - 1).map(lambda s: random_positive_fn(np.random.default_rng(s)).to_obj()))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["homothety_shadow", "conjugacy"]), m=_homothety_maps(), epsilon=_TOLERANCES,
+       metric=st.sampled_from(["sup", "euclidean"]), count=st.integers(20, 30),
+       window=st.tuples(st.integers(-20, 0), st.integers(1, 40)), seed=st.integers(0, 2**31 - 1))
+def test_positive_half_makes_no_false_refutation(tmp_path_factory, kind, m, epsilon, metric, count, window, seed):
+    """The paper's positive half over configs the schema accepts: an expanding homothety
+    shadows, so no verdict is ``contradicts-paper``.
+
+    The band |k| < 1.5 is left out because it fails today (ROADMAP item 3): there an
+    escaping orbit can sit inside the r0-ball at backward indices, where the synthesized
+    slack does not imply shadowing.  ``test_weak_expansion_refutes_falsely`` pins two such
+    failures, one of them at |k| = 1.2.
+    """
+    params = {"map": m, "epsilon": epsilon, "count": count, "window": list(window)}
+    if kind == "conjugacy":
+        params["changes"] = _CHANGES
+    config = ScenarioConfig(name="positive", kind=kind, metric=metric, seed=seed, params=params)
+    report = run_scenario(config, str(tmp_path_factory.mktemp("positive")))
+    assert report.verdict != "contradicts-paper", report.details
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the slack conditions do not imply shadowing near |k| = 1")
+@pytest.mark.parametrize("name, metric, factor, epsilon, seed", [
+    ("homothety-tsp", "sup", 1.05, "const:0.5", 17),
+    ("conjugacy-invariance", "euclidean", -1.2, "const:0.0625", 13),
+])
+def test_weak_expansion_refutes_falsely(tmp_path, name, metric, factor, epsilon, seed):
+    config = builtin_config(name)
+    config.metric, config.seed = metric, seed
+    config.params.update(map={"kind": "homothety", "factor": factor}, epsilon=epsilon)
+    report = run_scenario(config, str(tmp_path))
+    assert report.verdict != "contradicts-paper", report.details

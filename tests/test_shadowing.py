@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1080,8 +1081,10 @@ def _planar_change(draw, depth=0):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([1, 3]), _planar_change(),
-       st.sampled_from(list(MetricKind)))
-def test_batched_transport_is_bit_identical_to_the_per_point_loop(seed, length, count, change, metric):
+       st.sampled_from(list(MetricKind)), st.sampled_from([None, 1, 5, 128]))
+def test_batched_transport_is_bit_identical_to_the_per_point_loop(seed, length, count, change, metric, block):
+    # Blocks of 1 offset, of 5 (the last of the 128 holds 3), of all 128, or as many as
+    # _CHUNK_POINTS holds.
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3.0, 2.0)
     stack = OrbitWindow(int(rng.integers(-20, 1)), scale * rng.uniform(-10.0, 10.0, (count, length, 2)))
@@ -1090,7 +1093,9 @@ def test_batched_transport_is_bit_identical_to_the_per_point_loop(seed, length, 
         with pytest.raises(ContractViolation, match="polar-warped"):
             transported_epsilon_values(stack, eps_values, change, metric)
         return
-    got = transported_epsilon_values(stack, eps_values, change, metric)
+    chunk = shadowing._CHUNK_POINTS if block is None else block * count * length
+    with mock.patch.object(shadowing, "_CHUNK_POINTS", chunk):
+        got = transported_epsilon_values(stack, eps_values, change, metric)
     for i in range(count):
         expected = reference_transported_epsilon_values(OrbitWindow(stack.start, stack.points[i]), eps_values[i],
                                                         change, metric)
@@ -1098,8 +1103,9 @@ def test_batched_transport_is_bit_identical_to_the_per_point_loop(seed, length, 
 
 
 def test_transported_tolerances_keep_the_memory_of_one_stack():
-    # Sampling every offset of a 200 x 61 stack at once peaks at 131 MB; one offset at a
-    # time with a running maximum stays near the size of a few stacks (195 kB each).
+    # Sampling every offset of a 200 x 61 stack at once peaks at 131 MB; blocks of offsets
+    # hold at most _CHUNK_POINTS points (here one offset, as the stack has 12,200), so the
+    # running maximum stays near the size of a few stacks (195 kB each).
     rng = np.random.default_rng(3)
     stack = OrbitWindow(-20, rng.uniform(-10.0, 10.0, (200, 61, 2)))
     eps_values = rng.uniform(0.1, 1.0, (200, 61))
