@@ -9,18 +9,18 @@ inconclusive (a metric_warp window whose sup grid finds no point while the exact
 certificate does not show that none exists), 2 when some run contradicts it (the
 largest code wins), 64 for usage or configuration errors (unknown fields,
 ill-typed or out-of-range values, --window/--seed overrides included, refused
-maps such as an adversarial map
-that shadows or a non-planar ensemble map, tolerance trees not positive at the
-origin, where a slack is synthesized from them or on the neighbourhood grid,
-margins that swallow the tolerance, maps the exact certificate does not support,
-oversized oracle grids, and iterates that leave double range before the run
-decides: the certificate stops at the depth that decides it, while the oracle
-and the ensembles realize their whole windows; a NaN oracle distance, where
-warped images overflow, counts as such), 70 for internal contract
-violations.  --window sets params.window_limit, which only an adversarial_box
-config has; every config is checked before any run starts.  ``run all`` runs
-the built-in catalog one scenario after another and prints each scenario's wall
-time.
+maps such as an adversarial map that shadows or a non-planar ensemble map,
+tolerance trees not positive at the origin, where a slack is synthesized from
+them or on the neighbourhood grid, margins that swallow the tolerance, maps the
+exact certificate does not support, oversized oracle grids, and iterates that
+leave double range before the run decides: the certificate stops at the depth
+that decides it, while the oracle and the ensembles realize their whole windows;
+a NaN oracle distance, where warped images overflow, counts as such; files that
+cannot be read or written, an --out that is not a directory, and traces that
+``plot`` cannot read or draw count too), 70 for internal contract violations.
+--window sets params.window_limit, which only an adversarial_box config has;
+every config is checked before any run starts. ``run all`` runs the built-in
+catalog one scenario after another and prints each scenario's wall time.
 The only environment override is OUTPUT_DIR for the default artifact directory.
 """
 
@@ -68,6 +68,8 @@ def _build_parser() -> _Parser:
 
 def _run_command(args) -> int:
     out_dir = args.out or os.environ.get("OUTPUT_DIR") or "out"
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"output path {out_dir!r} is not a directory")
     names = SCENARIO_NAMES if args.scenario == "all" else [args.scenario]
     configs = []
     for name in names:
@@ -107,7 +109,10 @@ def main(argv=None) -> int:
                     print(f"{entry['name']:26s} {entry['summary']}")
             return 0
         if args.command == "plot":
-            out = emit_plot(args.csv, args.kind, args.out)
+            try:
+                out = emit_plot(args.csv, args.kind, args.out)
+            except ValueError as exc:  # the trace is user input: undecodable, malformed or not drawable
+                raise ConfigError(f"{args.csv}: {exc}") from exc
             print(out)
             return 0
     except (ConfigError, IterationRangeError) as exc:
@@ -116,7 +121,7 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"shadowlab: contract violation: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"shadowlab: {exc}", file=sys.stderr)
         return USAGE_EXIT
     return USAGE_EXIT

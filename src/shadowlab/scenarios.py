@@ -800,6 +800,8 @@ def load_config(source: str) -> ScenarioConfig:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source}: not UTF-8 text: {exc}") from exc
     return ScenarioConfig.from_obj(obj)
 
 

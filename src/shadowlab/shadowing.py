@@ -37,9 +37,10 @@ call; ``transported_shadow_report`` carries such a report through a change of
 coordinates, in residual space too.
 
 ``sampled_search`` is the independent oracle: a brute-force grid scan over a
-candidate box, streamed in row blocks, valid for any map and metric,
-including warped metrics whose balls are not boxes.  It builds only the grid
-points that bounds on the axes, or on slabs for affine conjugates, let pass.
+candidate box in one pass, valid for any map and metric, including warped
+metrics whose balls are not boxes.  It builds only the grid points that one
+lower bound on the axes, and slabs for affine conjugates, let pass, in
+chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -440,7 +441,7 @@ class SearchResult:
     """Outcome of the brute-force grid oracle."""
 
     found: np.ndarray | None
-    checked: int  # grid points scanned, up to the deciding block, refinement included
+    checked: int  # grid points up to the end of the found point's block, refinement included
     grid_step: float
     near_miss: np.ndarray | None = None
     refined: bool = False
@@ -460,7 +461,7 @@ class SearchResult:
 
 
 _MAX_GRID = 100_000_000
-# Grid points per scanned block; bounds the scan's memory at any grid size.
+# Grid points per block of whole rows in ``checked``, and entries per ``_slab_spans`` table.
 _BLOCK_POINTS = 1_000_000
 
 
@@ -510,12 +511,11 @@ def _chunks(axes: list[np.ndarray], spans=None):
         i = j
 
 
-# Relative rounding allowance of the axis lower bound under EUCLIDEAN and POLAR_WARP
-# (README, "Numerical policy").
+# Relative rounding allowance of the axis lower bound (README, "Numerical policy").
 _AXIS_ROUNDING = 2.0 ** -48
 # Allowance of the slab bound, relative to the magnitudes of a constraint's evaluation
 # (README, "Numerical policy"), and the magnitude from which a constraint's slabs bound
-# nothing: below it no image, warp or difference of the block can overflow.
+# nothing: below it no image, warp or difference of the grid can overflow.
 _SLAB_ROUNDING = 2.0 ** -40
 _SLAB_LIMIT = 2.0 ** 500
 
@@ -535,12 +535,13 @@ def _slab_spans(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: M
     """Ranges of ``axes[1]`` indices holding every grid point that can pass each prefix of
     ``order``, for a planar affine conjugate g^n(p) = A p + c; None for any other map.
 
-    Returns ``(lo, hi)`` of shape ``(len(order) + 1, len(axes[0]))``: row k bounds the
-    points passing ``order[:k]`` by the slabs |(A p + c - x_n)_r| < half of its nonzero
-    indices, one second-axis range per first-axis value (README, "Numerical policy").
-    When a constraint's coefficients, magnitudes or tolerance are not below
-    ``_SLAB_LIMIT``, the full window bounds nothing and None is returned too, so the
-    block's scan raises exactly where the product's does.
+    Returns ``(lo, hi)`` of shape ``(K + 1, len(axes[0]))``: row k <= K bounds the points
+    passing ``order[:k]`` by the slabs |(A p + c - x_n)_r| < half of its nonzero indices,
+    one second-axis range per first-axis value (README, "Numerical policy").  K is the
+    length of the order, or less, so that ``K * len(axes[0])`` stays within
+    ``_BLOCK_POINTS``; with K = 0 None is returned.  When a constraint anywhere in the order has coefficients,
+    magnitudes or a tolerance not below ``_SLAB_LIMIT``, the window bounds nothing and None
+    is returned too, so the scan raises exactly where the product's does.
     """
     if not isinstance(m, Conjugated) or len(axes) != 2:
         return None
@@ -550,25 +551,30 @@ def _slab_spans(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: M
     except (UnsupportedMapError, IterationRangeError):
         return None
     x, eps = window.points[ns - window.start], eps_vals[ns - window.start]
-    if metric is not MetricKind.SUP:  # d >= |img_r - x_r| less the axis allowance
-        h = 0.0 if metric is MetricKind.EUCLIDEAN else metric_norm(metric, x) + np.finfo(float).tiny
-        eps = (eps + _AXIS_ROUNDING * h) / (1.0 - _AXIS_ROUNDING)
+    # d >= |img_r - x_r| less the axis allowance of ``_scan``.
+    h = metric_norm(metric, x) + np.finfo(float).tiny if metric is MetricKind.POLAR_WARP else 0.0
+    eps = (eps + _AXIS_ROUNDING * h) / (1.0 - _AXIS_ROUNDING)
     bound = size + np.abs(x) + eps[:, None]
     if not (np.all(bound < _SLAB_LIMIT) and np.all(np.abs(a) < _SLAB_LIMIT) and np.all(np.abs(c) < _SLAB_LIMIT)):
         return None
     half = eps[:, None] + _SLAB_ROUNDING * bound + np.finfo(float).tiny
-    # With s = sign(A_r1): s (A_r0 p_0 + c_r - x_r) + |A_r1| p_1 in (-half, half), and
-    # |A_r1| p_1 is sorted along axes[1].
-    sign = np.where(a[..., 1] < 0.0, -1.0, 1.0)
-    shift = sign[..., None] * (a[..., 0, None] * axes[0] + (c - x)[..., None])
+    ns = ns[:_BLOCK_POINTS // len(axes[0])]
+    if not ns.size:
+        return None
     lo = np.zeros((len(ns) + 1, len(axes[0])), dtype=np.intp)
     hi = np.full_like(lo, len(axes[1]))
-    for k in np.flatnonzero(ns != 0):
+    for k, n in enumerate(ns):  # row k + 1 is row k within the slabs of n; index 0 has none
+        lo[k + 1], hi[k + 1] = lo[k], hi[k]
+        if n == 0:
+            continue
         for r in range(2):
+            # With s = sign(A_r1): s (A_r0 p_0 + c_r - x_r) + |A_r1| p_1 in (-half, half),
+            # and |A_r1| p_1 is sorted along axes[1].
+            shift = (-1.0 if a[k, r, 1] < 0.0 else 1.0) * (a[k, r, 0] * axes[0] + (c[k, r] - x[k, r]))
             scaled = abs(a[k, r, 1]) * axes[1]
-            np.maximum(lo[k + 1], np.searchsorted(scaled, -half[k, r] - shift[k, r], "left"), out=lo[k + 1])
-            np.minimum(hi[k + 1], np.searchsorted(scaled, half[k, r] - shift[k, r], "right"), out=hi[k + 1])
-    return np.maximum.accumulate(lo), np.minimum.accumulate(hi)
+            np.maximum(lo[k + 1], np.searchsorted(scaled, -half[k, r] - shift, "left"), out=lo[k + 1])
+            np.minimum(hi[k + 1], np.searchsorted(scaled, half[k, r] - shift, "right"), out=hi[k + 1])
+    return lo, hi
 
 
 def _run(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind, chunks,
@@ -599,72 +605,62 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
     """Scan the grid spanned by ``axes`` against the window constraints in ``order``.
 
     Returns ``(first passing point, None, len(order))``, or ``(near miss, gap, k)`` for
-    the first candidate closest to ``order[k]``, the constraint that emptied the grid.  A first
-    constraint whose image is coordinatewise starts on the axes' gaps
-    |img_j - x_j| (README, "Numerical policy"): SUP decides it there and builds
-    only the product of the survivors; EUCLIDEAN and POLAR_WARP bound a point's
-    distance below by each of its gaps, and build only the product of the axis
-    values whose bound can pass, or, when none passes, can tie the least distance.
-    The product runs the order in row-major chunks of whole first-axis values,
-    at most ``_CHUNK_POINTS`` points each unless one value alone spans more, so
-    the scan's memory does not grow with the number of points a tolerance keeps.
+    the first candidate closest to ``order[k]``, the constraint that emptied the grid.
+    The first constraint's image is coordinatewise (index 0, or any index of a
+    diagonal-affine map), and each gap |img_j - x_j| bounds a point's distance below
+    under every metric (README, "Numerical policy").  Only the product of the axis
+    values whose bound can pass, or, when none passes, can tie the least distance, is
+    built.  It runs the order in row-major chunks of whole first-axis values, at most
+    ``_CHUNK_POINTS`` points each unless one value alone spans more, so the scan's
+    memory does not grow with the number of points a tolerance keeps.
 
-    A planar affine conjugate runs only the points within the slabs of every
-    constraint (``_slab_spans``).  When none of them passes, the block dies at
-    some position k* of the order, and every point that reaches k* lies within
+    A planar affine conjugate runs only the points within the slabs of the longest
+    prefix of the order that ``_slab_spans`` covers.  When none of them passes, the grid
+    dies at some position k* of the order, and every point that reaches k* lies within
     the slabs of ``order[:k]`` for each k <= k*.  So the scan steps down to the
     slabs of shorter prefixes until a run reaches the end of its prefix, which
     puts k <= k*: that run holds every point the whole product's near miss is
     taken from.
     """
-    n, lows, decided = order[0], None, 0
-    if n == 0 or is_diagonal_affine(m):
-        x, eps, unit = window.point_at(n), float(eps_vals[n - window.start]), np.eye(len(axes))
-        gaps = [np.abs((a if n == 0 else m.iterate(np.outer(a, unit[j]), n)[:, j]) - x[j])
-                for j, a in enumerate(axes)]
-        if any(np.isnan(g).any() for g in gaps):  # NaN at every grid point with that coordinate
-            raise IterationRangeError(n, "the grid oracle's distance to the window point is NaN")
-        if metric is MetricKind.SUP:
-            dists = [g - eps for g in gaps]
-            if not all(np.any(d < 0.0) for d in dists):
-                gap = max(float(np.min(d)) for d in dists)
-                return np.array([a[np.argmax(d <= gap)] for a, d in zip(axes, dists)]), gap, 0
-            axes, order, decided = [a[d < 0.0] for a, d in zip(axes, dists)], order[1:], 1
-        else:
-            # |H(p) - H(x)| >= |p - x| >= |p_j - x_j|, less the rounding allowance: 2^-48 of
-            # the gap, and under POLAR_WARP of |H(x)| too (README, "Numerical policy").
-            h = 0.0
-            if metric is MetricKind.POLAR_WARP:  # the smallest normal covers subnormal products
-                h = float(metric_norm(metric, x)) + np.finfo(float).tiny
-            # Lower bounds of d(img, x) - eps.  A NaN one (inf - inf, where image and H(x)
-            # overflow) bounds nothing, and ~(lo > t) keeps its value.
-            lows = [g * (1.0 - _AXIS_ROUNDING) - _AXIS_ROUNDING * h - eps for g in gaps]
-            full, reach = axes, max(0.0, max(float(np.min(lo)) for lo in lows))
-            axes = [a[~(lo > reach)] for a, lo in zip(axes, lows)]
-    spans = _slab_spans(m, window, eps_vals, metric, axes, order)
+    n = order[0]
+    x, eps, unit = window.point_at(n), float(eps_vals[n - window.start]), np.eye(len(axes))
+    # |H(p) - H(x)| >= |p - x| >= |p_j - x_j|, less the rounding allowance: 2^-48 of the gap,
+    # and under POLAR_WARP of |H(x)| plus the smallest normal (README, "Numerical policy").
+    h = float(metric_norm(metric, x)) + np.finfo(float).tiny if metric is MetricKind.POLAR_WARP else 0.0
+    # Lower bounds of d(img, x) - eps, ``_CHUNK_POINTS`` axis values at a time.  A NaN one
+    # (inf - inf, where image and H(x) overflow) bounds nothing, and ~(lo > t) keeps its value.
+    lows = [np.empty(len(a)) for a in axes]
+    for j, a in enumerate(axes):
+        for i in range(0, len(a), _CHUNK_POINTS):
+            part = a[i:i + _CHUNK_POINTS]
+            gap = np.abs((part if n == 0 else m.iterate(np.outer(part, unit[j]), n)[:, j]) - x[j])
+            if np.isnan(gap).any():  # NaN at every grid point with that coordinate
+                raise IterationRangeError(n, "the grid oracle's distance to the window point is NaN")
+            lows[j][i:i + len(part)] = gap * (1.0 - _AXIS_ROUNDING) - _AXIS_ROUNDING * h - eps
+    reach = max(0.0, max(float(np.min(lo)) for lo in lows))
+    kept = [a[~(lo > reach)] for a, lo in zip(axes, lows)]
+    spans = _slab_spans(m, window, eps_vals, metric, kept, order)
     if spans is None:
-        dead, near, gap = _run(m, window, eps_vals, metric, _chunks(axes), order)
+        dead, near, gap = _run(m, window, eps_vals, metric, _chunks(kept), order)
     else:
         counts = np.sum(np.maximum(spans[1] - spans[0], 0), axis=1)  # nonincreasing in k
-        k = len(order)
+        k = len(counts) - 1
         while True:
-            dead, near, gap = _run(m, window, eps_vals, metric, _chunks(axes, (spans[0][k], spans[1][k])), order)
+            dead, near, gap = _run(m, window, eps_vals, metric, _chunks(kept, (spans[0][k], spans[1][k])), order)
             shortest = int(np.argmax(counts == counts[k]))  # the shortest prefix with these points
             if dead >= shortest:
                 break
             k = shortest - 1
-    if gap is None:
-        return near, None, decided + dead
-    if dead == 0 and lows is not None:  # the argmin and its ties lie where the bounds reach gap
-        wide = [a[~(lo > gap)] for a, lo in zip(full, lows)]
-        if any(len(w) > len(a) for w, a in zip(wide, axes)):
+    if dead == 0:  # the argmin and its ties lie where the bounds reach gap
+        wide = [a[~(lo > gap)] for a, lo in zip(axes, lows)]
+        if any(len(w) > len(a) for w, a in zip(wide, kept)):
             near = None
             for live in _chunks(wide):
-                dist = _excess(m, window, eps_vals, metric, live, order[0])
+                dist = _excess(m, window, eps_vals, metric, live, n)
                 j = int(np.argmin(dist))
                 if near is None or dist[j] < gap:
                     near, gap = live[j].copy(), float(dist[j])
-    return near, gap, decided + dead
+    return near, gap, dead
 
 
 def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
@@ -672,12 +668,13 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     """Grid-scan a box for a point whose whole-window report passes.
 
     The fallback decision procedure for maps without the diagonal-affine
-    structure, and the independent oracle validating the exact one.  Streams
-    the grid in row-major blocks of whole rows and returns the first passing
-    grid point: the first block that keeps a survivor holds it.  On absence
-    the near miss is the closest point to the constraint that emptied the
-    blocks reaching furthest along the order, the first on ties, whatever the
-    block size; one refinement pass scans the half-step grid around it.
+    structure, and the independent oracle validating the exact one.  One
+    ``_scan`` over the whole grid returns its first row-major passing point.
+    ``checked`` counts the grid up to the end of the ``_BLOCK_POINTS`` block of
+    whole rows that holds that point's row, or the whole grid on absence.
+    Then the near miss is the first point closest to the constraint that
+    emptied the grid, and one refinement pass scans the half-step grid
+    around it.
     """
     m = spec.map
     if not 0.0 < grid_step < np.inf:
@@ -695,26 +692,20 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     else:  # index 0 first: README, "Numerical policy"
         order = [0, *range(1, window.stop + 1), *range(-1, window.start - 1, -1)]
 
-    row_size = int(np.prod([len(a) for a in axes[1:]]))
-    rows_per_block = max(1, _BLOCK_POINTS // row_size)
-    reached, best_gap, near, checked = -1, np.inf, None, 0
-    for row in range(0, len(axes[0]), rows_per_block):
-        rows = axes[0][row:row + rows_per_block]
-        checked += len(rows) * row_size
-        point, gap, dead = _scan(m, window, eps_vals, metric, [rows] + axes[1:], order)
-        if gap is None:
-            return SearchResult(point, checked, grid_step)
-        if dead > reached or (dead == reached and gap < best_gap):
-            reached, best_gap, near = dead, gap, point
-
-    if refine and near is not None:
-        checked += 5 ** len(axes)
-        point, gap, _ = _scan(m, window, eps_vals, metric, list(near[:, None] + grid_step / 2.0 * np.arange(-2, 3)),
-                              order)
-        if gap is None:
-            return SearchResult(point, checked, grid_step, refined=True)
-        return SearchResult(None, checked, grid_step, near_miss=near, refined=True)
-    return SearchResult(None, checked, grid_step, near_miss=near)
+    row_size = math.prod(len(a) for a in axes[1:])
+    near, gap, _ = _scan(m, window, eps_vals, metric, axes, order)
+    if gap is None:
+        rows = max(1, _BLOCK_POINTS // row_size)
+        end = (int(np.searchsorted(axes[0], near[0])) // rows + 1) * rows
+        return SearchResult(near, min(end, len(axes[0])) * row_size, grid_step)
+    if not refine:
+        return SearchResult(None, len(axes[0]) * row_size, grid_step, near_miss=near)
+    point, gap, _ = _scan(m, window, eps_vals, metric, list(near[:, None] + grid_step / 2.0 * np.arange(-2, 3)),
+                          order)
+    checked = len(axes[0]) * row_size + 5 ** len(axes)
+    if gap is None:
+        return SearchResult(point, checked, grid_step, refined=True)
+    return SearchResult(None, checked, grid_step, near_miss=near, refined=True)
 
 
 # ---------------------------------------------------------------------------

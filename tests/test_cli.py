@@ -116,6 +116,43 @@ def test_plot_subcommand(tmp_path, capsys):
     assert str(out_path) in capsys.readouterr().out
 
 
+# Files that user-input failures read, by name: text is written as UTF-8, bytes as they are.
+_INPUT_FILES = {
+    "latin1.json": b'{"name": "caf\xe9"}',
+    "latin1.csv": b"n,x1,x2\r\n0,1.0,caf\xe9\r\n",
+    "text-cell.csv": "n,x1,x2\r\n0,1.0,abc\r\n",
+    "no-x2.csv": "n,x1\r\n0,1.0\r\n",
+    "ragged.csv": "n,x1,x2\r\n0,1.0\r\n",
+    "infinite.csv": "n,x1,x2\r\n0,1.0,inf\r\n",
+    "a-file": "",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "a-directory"], "Is a directory"),
+    (["run", "latin1.json"], "latin1.json: not UTF-8 text"),
+    (["run", "homothety-tsp", "--out", "a-file"], "'a-file' is not a directory"),
+    (["plot", "latin1.csv", "--kind", "orbit2d"], "latin1.csv: 'utf-8' codec can't decode"),
+    (["plot", "text-cell.csv", "--kind", "orbit2d"], "could not convert string to float: 'abc'"),
+    (["plot", "no-x2.csv", "--kind", "orbit2d"], "orbit2d needs x1 and x2 columns"),
+    (["plot", "ragged.csv", "--kind", "orbit2d"], "malformed CSV row"),
+    (["plot", "infinite.csv", "--kind", "orbit2d"], "non-finite plot data"),
+])
+def test_user_input_failures_exit_64_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    # Each printed a traceback and exited 1, or exited 70 as a contract violation,
+    # although what failed is a file or path the user gave.
+    for name, content in _INPUT_FILES.items():
+        path = tmp_path / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content, encoding="utf-8")
+    (tmp_path / "a-directory").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("shadowlab: ") and err.count("\n") == 1 and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_internal_contract_violation_exits_70(tmp_path, capsys, monkeypatch):
     # A broken invariant inside a handler, on a valid config, is an internal fault.
     import shadowlab.scenarios as sc

@@ -808,7 +808,7 @@ def test_scan_builds_its_product_in_chunks(monkeypatch):
     assert len(built) > 2 and max(built) <= 8 and sum(built) == _longest_kept(counts) == 31
 
 
-def test_sup_scan_builds_only_the_points_its_first_constraint_keeps(monkeypatch):
+def test_scan_builds_only_the_points_its_axis_bound_and_slab_table_keep(monkeypatch):
     built = []
     grid_points = shadowing._grid_points
 
@@ -818,28 +818,60 @@ def test_sup_scan_builds_only_the_points_its_first_constraint_keeps(monkeypatch)
         return points
 
     monkeypatch.setattr(shadowing, "_grid_points", counting)
-    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", 5_000)  # 201 x 201 grids: nine blocks
+    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", 5_000)  # 201 x 201 grids: nine blocks of rows
     saddle_case = (saddle_splice(0.1), saddle_adversarial_epsilon(), [(0.0, 2.0), (-1.0, 1.0)], 1e-2)
-    # Under SUP the saddle's first constraint empties every block and the refinement grid.
-    assert sampled_search(*saddle_case[:2], SUP, *saddle_case[2:]).absent and built == []
-    # Under EUCLIDEAN each gap |img_j - x_j| bounds the distance below.  The first
-    # constraint is index -32, where the image's second coordinate is 2^32 y: only the
-    # value of y nearest 0.1 reaches the least distance, while every first-axis value
-    # does, so each block builds its rows times that one value.
-    assert sampled_search(*saddle_case[:2], MetricKind.EUCLIDEAN, *saddle_case[2:], refine=False).absent
-    assert len(built) == 9 and sum(built) == 201
-    # A conjugated map builds, per block, only the points within the slabs of the longest
-    # prefix of its order whose slabs keep any: 32 of the 1,640 that pass its index 0.
+    # Every metric bounds a point's distance below by each gap |img_j - x_j| of the first
+    # constraint, index -32, where the image's second coordinate is 2^32 y.  No point
+    # passes, and only the value of y nearest 0.1 reaches the least distance, while every
+    # first-axis value does: the one pass builds those 201 points once.  Under SUP the
+    # refinement's 5 x 5 grid then builds its five points on that row.
+    result = sampled_search(*saddle_case[:2], SUP, *saddle_case[2:])
+    assert result.absent and result.checked == 201 * 201 + 25 and built == [201, 5]
+    for metric in (MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP):
+        built.clear()
+        assert sampled_search(*saddle_case[:2], metric, *saddle_case[2:], refine=False).absent
+        assert built == [201]
+    # A conjugated map builds only the points within the slabs of the longest prefix of
+    # its order whose slabs keep any: 31 of the 1,640 that pass its index 0.
     m = SEARCH_MAPS["affine-saddle"]
     spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
                                        m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
-    box = [(-1.0, 3.0), (-1.0, 3.0)]
+    box, step = [(-1.0, 3.0), (-1.0, 3.0)], 2e-2
     built.clear()
-    assert sampled_search(spec, Const(0.4), SUP, box, 2e-2, refine=False).absent
-    grid = grid_points(shadowing._grid_axes(box, 2e-2))
-    survivors = int(np.sum(distance(SUP, grid, realize(spec).point_at(0)) - 0.4 < 0.0))
-    kept = sum(_longest_kept(c) for c in _slab_counts(spec, 0.4, box, 2e-2, 5_000 // 201) if np.any(c > 0))
-    assert sum(built) == kept == 32 and survivors < len(grid) / 4
+    whole = sampled_search(spec, Const(0.4), SUP, box, step, refine=False)
+    [counts] = _slab_counts(spec, 0.4, box, step, 201)
+    assert whole.absent and sum(built) == _longest_kept(counts) == 31
+    # The axis bound keeps the 41 x 41 values whose gap, less its allowance, is at most
+    # 0.4, so a table of 100 entries covers the slabs of the order's first two indices, 0
+    # and 1, only: the scan builds the points of that square within the slabs of index 1,
+    # and the rest of the order finds the same result.
+    window, axes = realize(spec), shadowing._grid_axes(box, step)
+    square = grid_points([a[np.abs(a - x) * (1.0 - 2.0 ** -48) <= 0.4] for a, x in zip(axes, window.point_at(0))])
+    assert len(square) == 41 * 41
+    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", 100)
+    built.clear()
+    assert sampled_search(spec, Const(0.4), SUP, box, step, refine=False).to_obj() == whole.to_obj()
+    excess = distance(SUP, m.iterate(square, 1), window.point_at(1)) - 0.4
+    assert not np.any((np.abs(excess) > 1e-12) & (np.abs(excess) < 1e-8))
+    assert sum(built) == int(np.sum(excess < 1e-9)) == 1_073
+
+
+def test_conjugated_scan_memory_does_not_grow_with_the_window():
+    # metric-warp's splice on an affine-conjugated saddle, on a 200,001 x 2 grid: a point
+    # passes the window +-5, and none passes +-40.  A slab table with a row per window
+    # index would take 2 x 82 x 200,001 x 8 bytes = 262 MB at +-40; the table of
+    # _BLOCK_POINTS entries keeps the peak the same at both windows.
+    m = conjugate_map(saddle(), AffineChange([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0]))
+    peaks = []
+    for reach in (5, 40):
+        spec = PseudoOrbitSpec(SplicedRule(np.array([1.0, 0.0]), np.array([1.0, 0.00500003]), 0), (-reach, reach), m)
+        tracemalloc.start()
+        try:
+            sampled_search(spec, Const(1.0), MetricKind.POLAR_WARP, [(0.0, 2.0), (0.0, 1e-5)], 1e-5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 48_000_000 and abs(peaks[1] - peaks[0]) < 1_000_000, peaks
 
 
 # ---------------------------------------------------------------------------
