@@ -151,14 +151,15 @@ def one_of(names):
     return lambda value, fields=None: check(isinstance(value, str) and value in names, wanted, value)
 
 
-def read_fields(obj, table: dict) -> dict:
+def read_fields(obj, table: dict, fields: dict | None = None) -> dict:
     """Decode the object ``obj`` by ``table``: field -> ``(read, default)``, where
-    ``read(value, fields)`` and a callable default see the fields decoded before."""
+    ``read(value, fields)`` and a callable default see the fields decoded before, after
+    the given ``fields``."""
     check(isinstance(obj, dict), "an object", obj)
     for key in obj:
         with within(f".{key}"):
             one_of(table)(key)
-    fields = {}
+    fields = dict(fields or {})
     for key, (read, default) in table.items():
         with within(f".{key}"):
             if key in obj:

@@ -624,10 +624,31 @@ def _direction(value, fields):
     return check(np.any(direction), "a nonzero direction", direction)
 
 
+# An ensemble is sized before anything is drawn: every orbit gets its own generator, and a
+# free orbit draws its whole window at once.  The built-ins use at most 200 orbits and
+# 12,200 points; at the bounds a run takes about 0.25 GB and 8 s.
+_MAX_ORBITS = 10_000
+_MAX_STACK_POINTS = 1_000_000  # count x window length
+
+
 def _window(value, fields):
     ok = (isinstance(value, (list, tuple)) and len(value) == 2 and all(type(n) is int for n in value)
           and value[0] <= 0 <= value[1] and value[0] < value[1])
-    return tuple(check(ok, "integers [n_min, n_max] with n_min <= 0 <= n_max, n_min < n_max", value))
+    check(ok, "integers [n_min, n_max] with n_min <= 0 <= n_max, n_min < n_max", value)
+    wanted = f"a window of at most {_MAX_STACK_POINTS} points"
+    return tuple(check(value[1] - value[0] + 1 <= _MAX_STACK_POINTS, wanted, value))
+
+
+def _count(default):
+    """An ensemble's orbit count, given or ``default``, within ``_MAX_ORBITS`` and, with the
+    window read before it, ``_MAX_STACK_POINTS``."""
+    def read(value, fields):
+        count = _COUNT(value)
+        length = fields["window"][1] - fields["window"][0] + 1
+        return check(count <= _MAX_ORBITS and count * length <= _MAX_STACK_POINTS,
+                     f"at most {_MAX_ORBITS} orbits holding at most {_MAX_STACK_POINTS} window points "
+                     f"in all ({length} each)", value)
+    return read, lambda fields: read(default, fields)
 
 
 def _shifted_window(value, fields):
@@ -649,19 +670,29 @@ def _oracle(value, fields):
 
 def _adversarial_map(value, fields):
     """The adversarial kind's map: a map expanding or contracting in every coordinate shadows,
-    so no emptiness claim is made for it."""
+    so no emptiness claim is made for it.  Its orbit plot draws x1 and x2, and the
+    polar-warped metric measures the plane."""
     m = map_from_dict(value)
+    polar = fields["metric"] == MetricKind.POLAR_WARP.value
+    check(m.dimension == 2 if polar else m.dimension >= 2,
+          "a planar map under polar_warp" if polar else "a map of dimension 2 or more", value)
     moduli = np.abs(m.scales) if isinstance(m, DiagonalAffine) else np.ones(1)
     check(not (np.all(moduli > 1.0) or np.all(moduli < 1.0)),
           "a map neither expanding nor contracting", value)
     return m
 
 
+def _planar_map(value, fields):
+    """A map of the plane, which the polar-warped metric and the ensemble kinds measure."""
+    m = map_from_dict(value)
+    check(m.dimension == 2, "a planar map", value)
+    return m
+
+
 def _homothety_map(value, fields):
     """The ensemble kinds' map: the synthesis, its check and the shadow series need a planar
     diagonal linear map whose scales share one modulus |k| > 1."""
-    m = map_from_dict(value)
-    check(m.dimension == 2, "a planar map", value)
+    m = _planar_map(value, fields)
     linear_scales(m)
     return m
 
@@ -689,7 +720,6 @@ def _change(value, fields):
 
 _POSITIVE = number(0.0, open_lo=True)
 _COUNT = number(1, integer=True)
-_MAP = (lambda v, f: map_from_dict(v), REQUIRED)
 _HOMOTHETY = (_homothety_map, REQUIRED)
 _FN = (_fn, REQUIRED)
 _POINT = (_point, REQUIRED)
@@ -702,16 +732,16 @@ _KINDS = {
         "jump_direction": _DIRECTION, "window_limit": (_COUNT, 32), "margin": (number(0.0), 0.0),
         "jump": (_POSITIVE, None), "oracle": (_oracle, None)}),
     "homothety_shadow": (_run_homothety_pipeline, _SAMPLED, {
-        "map": _HOMOTHETY, "window": (_window, (-20, 40)), "epsilon": _FN, "count": (_COUNT, 200)}),
+        "map": _HOMOTHETY, "window": (_window, (-20, 40)), "epsilon": _FN, "count": _count(200)}),
     "metric_warp": (_run_metric_warp, ["polar_warp"], {
-        "map": _MAP, "forward_seed": _POINT, "jump": (_POSITIVE, REQUIRED), "jump_direction": _DIRECTION,
-        "window": (_window, (-24, 24)), "oracle": (_oracle, REQUIRED)}),
+        "map": (_planar_map, REQUIRED), "forward_seed": _POINT, "jump": (_POSITIVE, REQUIRED),
+        "jump_direction": _DIRECTION, "window": (_window, (-24, 24)), "oracle": (_oracle, REQUIRED)}),
     "conjugacy": (_run_conjugacy, _SAMPLED, {
         "map": _HOMOTHETY, "changes": (_each(_change), REQUIRED), "epsilon": _FN,
-        "window": (_window, (-10, 20)), "count": (_COUNT, 40)}),
+        "window": (_window, (-10, 20)), "count": _count(40)}),
     "forward_to_full": (_run_forward_to_full, _SAMPLED, {
         "map": _HOMOTHETY, "epsilon": _FN, "depth": (_COUNT, 16),
-        "window": (_shifted_window, lambda f: (-f["depth"], 2 * f["depth"])), "count": (_COUNT, 20)}),
+        "window": (_shifted_window, lambda f: (-f["depth"], 2 * f["depth"])), "count": _count(20)}),
     "neighborhood": (_run_neighborhood, ["sup"], {"radius_functions": (_each(_fn), REQUIRED)}),
     "fixed_point_scan": (_run_fixed_point_scan, _SAMPLED, {}),
 }
@@ -811,7 +841,7 @@ def check_config(config: ScenarioConfig) -> dict:
     with config_path(""):
         read_fields(config.to_obj(), _CONFIG_FIELDS)
     with config_path("params"):
-        return read_fields(config.params, _KINDS[config.kind][2])
+        return read_fields(config.params, _KINDS[config.kind][2], {"metric": config.metric})
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunReport:

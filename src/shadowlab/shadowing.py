@@ -23,13 +23,15 @@ writing x_i = k*x_{i-1} + r_i for the realized perturbations r_i, the point
 
     w = x_0 + sum_{i=1..stop} r_i * k^(-i)
 
-is the shadowing orbit's point at index 0, and f^n(w) - x_n =
+is the shadowing orbit's point at index 0, and f^n(w) - x_n = T_n =
 sum_{i>n} k^(n-i) r_i, so its distance to the pseudo-orbit at index n is
 the norm of the perturbation tail sum beyond n, hence bounded by the
-geometric tail of the slack values.  ``forward_to_full_shadow`` upgrades
-that forward-only shadower to the full window by shifting the sequence and
-following the iterates f^k(y_{-k}); their containment gaps and the diameter
-of their tail are returned for the caller to judge, and no limit is guessed.
+geometric tail of the slack values.  One backward recurrence, ``_tail_sums``,
+computes every such series: the tails, the tail bounds and the series
+points x_n + T_n.  ``forward_to_full_shadow`` upgrades that forward-only
+shadower to the full window through the shifted points y_{-k} = x_{-k} + T_{-k}
+and their iterates f^k(y_{-k}); their containment gaps and the diameter of
+their tail are returned for the caller to judge, and no limit is guessed.
 
 Shadow reports, tail bounds, series points and the shifted iterates also take
 a stack of windows ``(N, L, d)`` and give each orbit's row the bits of its own
@@ -290,44 +292,41 @@ def _residuals(points: np.ndarray, scales: np.ndarray) -> np.ndarray:
 
 def _tail_sums(terms: np.ndarray, scales) -> np.ndarray:
     """T_l = sum_{i > l} terms_i * scales^(l-i) for l = 0..L, by the backward
-    recurrence T_{l-1} = (terms_l + T_l) / scales.
+    recurrence T_{l-1} = (terms_l + T_l) / scales, in the dtype of ``terms``.
 
     The index axis of ``terms`` is the one before the axes of ``scales``, and
     the recurrence runs once along it for every leading (orbit) axis.
     """
     axis = -1 - np.ndim(scales)
     terms = np.moveaxis(terms, axis, 0)
-    tails = np.zeros((len(terms) + 1,) + terms.shape[1:])
+    tails = np.zeros((len(terms) + 1,) + terms.shape[1:], dtype=terms.dtype)
     for i in range(len(terms), 0, -1):
         tails[i - 1] = (terms[i - 1] + tails[i]) / scales
     return np.moveaxis(tails, 0, axis)
 
 
-def _series_tails(window: OrbitWindow, m: MapSpec) -> np.ndarray:
-    """f^n(w) - x_n at every window index, for the series point w of the homothety ``m``."""
-    scales = linear_scales(m)
-    return _tail_sums(_residuals(window.points, scales), scales)
+def _series_tails(points: np.ndarray, m: MapSpec) -> np.ndarray:
+    """f^n(w) - x_n at every index of ``points`` ``(..., L, d)``, in their dtype, for the series
+    point w of the homothety ``m``; x_n + T_n is the series point of the window from n on."""
+    scales = linear_scales(m).astype(points.dtype)
+    return _tail_sums(_residuals(points, scales), scales)
 
 
 def homothety_shadow_point(window: OrbitWindow, m: MapSpec) -> np.ndarray:
     """The shadowing orbit's point at index 0, for the expanding homothety ``m`` = diag(A).
 
     With per-step perturbations r_i = x_i - A x_{i-1} the returned point is
-    w = x_0 + sum_{i=1..stop} A^(-i) r_i, the series of the window's forward
-    half; a window that ends at 0 gives x_0, and one without index 0 is
+    w = x_0 + T_0, T_0 = sum_{i=1..stop} A^(-i) r_i, the series of the window's
+    forward half; a window that ends at 0 gives x_0, and one without index 0 is
     refused.  The scales may differ in sign (``maps.linear_scales``), which
-    admits the orientation-reversing variant diag(k, -k).  The series
-    accumulates in ``np.longdouble`` from 0, in index order, for each orbit of
-    a stack at once (README, "Numerical policy").
+    admits the orientation-reversing variant diag(k, -k).  T_0 is summed in
+    ``np.longdouble`` by ``_tail_sums``, from the window's far end, for each
+    orbit of a stack at once (README, "Numerical policy").
     """
     if not window.start <= 0 <= window.stop:
         raise ContractViolation(f"shadow point needs index 0, window is [{window.start}, {window.stop}]")
-    scales = linear_scales(m).astype(np.longdouble)
     x = window.points[..., -window.start:, :].astype(np.longdouble)
-    terms = _residuals(x, scales) * np.cumprod(np.tile(1.0 / scales, (x.shape[-2] - 1, 1)), axis=0)
-    # A running sum along the index axis: its order does not depend on the stack's shape.
-    total = np.cumsum(np.concatenate([np.zeros_like(x[..., :1, :]), terms], axis=-2), axis=-2)
-    return x[..., 0, :] + total[..., -1, :]
+    return x[..., 0, :] + _series_tails(x, m)[..., 0, :]
 
 
 def homothety_shadow_report(window: OrbitWindow, epsilon, m: MapSpec,
@@ -346,7 +345,7 @@ def homothety_shadow_report(window: OrbitWindow, epsilon, m: MapSpec,
     window's far end exceeds about 2^50 times its start.  A stack of windows
     gets one report whose rows are its orbits.
     """
-    return ShadowReport(window.start, metric_norm(metric, _series_tails(window, m)),
+    return ShadowReport(window.start, metric_norm(metric, _series_tails(window.points, m)),
                         _values_along(epsilon, window.points, window.indices))
 
 
@@ -356,7 +355,7 @@ def transported_shadow_report(window: OrbitWindow, eps_values, m: MapSpec, chang
     distances |h.difference(x_n, T_n)| for the tails T_n = f^n(w) - x_n, so no orbit of
     h o m o h^-1 is iterated, against ``transported_epsilon_values`` of ``eps_values``.
     A stack of windows gets one report (README, "Numerical policy")."""
-    distances = metric_norm(metric, change.difference(window.points, _series_tails(window, m)))
+    distances = metric_norm(metric, change.difference(window.points, _series_tails(window.points, m)))
     return ShadowReport(window.start, distances, transported_epsilon_values(window, eps_values, change, metric))
 
 
@@ -396,9 +395,9 @@ def forward_to_full_shadow(window: OrbitWindow, epsilon: CPlusFn, m: MapSpec, de
                            metric: MetricKind = MetricKind.SUP) -> ForwardToFull:
     """Upgrade the forward-only series shadower to the whole window by shifting.
 
-    For k = 0..depth the window is reindexed as z_n = x_{n-k}, from index -k on,
-    and shadowed forward by y_{-k} = ``homothety_shadow_point`` of it, one call
-    per shift for every orbit of a stack.  The iterates f^k(y_{-k}) should all
+    For k = 0..depth the window from index -k on is shadowed forward by its series
+    point y_{-k} = x_{-k} + T_{-k}; one recurrence from the far end gives every
+    T_{-k}, for every orbit of a stack.  The iterates f^k(y_{-k}) should all
     fall in the closed ball around x_0 of radius epsilon(x_0) (``breach``) and
     settle: the caller judges the diameter of the last max(2, (depth + 1) // 4)
     of them against its tolerance, and nothing is guessed.  A power of the
@@ -410,8 +409,8 @@ def forward_to_full_shadow(window: OrbitWindow, epsilon: CPlusFn, m: MapSpec, de
                                 f"window is [{window.start}, {window.stop}]")
     zero = -window.start
     x0 = window.points[..., zero, :]
-    series = [homothety_shadow_point(OrbitWindow(0, window.points[..., zero - k:, :]), m)
-              for k in range(depth + 1)]
+    x = window.points[..., zero - depth:, :].astype(np.longdouble)
+    series = (x + _series_tails(x, m))[..., depth::-1, :]  # y_{-k} = x_{-k} + T_{-k}, k = 0..depth
     shifts, overflow = np.arange(depth + 1), None
     try:
         scale, drift = m.power_coefficients(shifts)
@@ -420,11 +419,11 @@ def forward_to_full_shadow(window: OrbitWindow, epsilon: CPlusFn, m: MapSpec, de
         scale, drift = m.power_coefficients(shifts)
     # Past an orbit's breach its iterates may overflow; they are never read.
     with np.errstate(over="ignore", invalid="ignore"):
-        iterates = _scale_shift(np.stack(series[:len(shifts)], axis=-2).astype(float), scale, drift)
+        iterates = _scale_shift(series[..., :len(shifts), :].astype(float), scale, drift)
         gaps = distance(metric, iterates, x0[..., None, :])
         tail = iterates[..., -max(2, (depth + 1) // 4):, :]
         diameter = np.max(distance(metric, tail[..., :, None, :], tail[..., None, :, :]), axis=(-2, -1))
-    result = ForwardToFull(iterates, series[0], gaps, _values_along(epsilon, x0[..., None, :], [0])[..., 0],
+    result = ForwardToFull(iterates, series[..., 0, :], gaps, _values_along(epsilon, x0[..., None, :], [0])[..., 0],
                            tail.shape[-2], diameter)
     if overflow is not None and np.any(result.breach < 0):
         raise overflow

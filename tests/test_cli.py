@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import pytest
@@ -198,16 +199,24 @@ def _write_config(path, config):
 
 @pytest.mark.parametrize("name", ["homothety-tsp", "conjugacy-invariance", "forward-to-full"])
 @pytest.mark.parametrize("edit", [{"count": -3}, {"count": 0}, {"window": [2, 8]},
-                                  {"window": [-4, -1]}, {"window": [0, 0]}])
+                                  {"window": [-4, -1]}, {"window": [0, 0]},
+                                  # Sized before anything is drawn.
+                                  {"count": 10**9}, {"window": [-1, 10**9]}])
 def test_bad_ensemble_count_or_window_is_config_error(tmp_path, capsys, name, edit):
     from shadowlab.scenarios import builtin_config
 
     config = builtin_config(name).to_obj()
     config["params"].update(edit)
     path = _write_config(tmp_path / "bad.json", config)
-    assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+    tracemalloc.start()
+    try:
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
+        assert tracemalloc.get_traced_memory()[1] < 8_000_000
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     assert "config error" in err and f"params.{next(iter(edit))}" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "out" / name / "report.json").exists()
 
 
@@ -266,12 +275,23 @@ def test_malformed_params_are_config_errors(tmp_path, capsys, params, field):
     ("conjugacy-invariance", {"changes": {"affine": {"kind": "affine", "offset": [0.0, 0.0],
                                                       "matrix": [[1.0, 2.0], [2.0, 4.0]]}}},
      "params.changes.affine"),
+    # Maps the kind cannot run: the orbit plot draws x1 and x2, and the polar-warped metric
+    # measures the plane.  ``metric`` in an edit replaces the config's metric.
+    ("translation-adversarial", {"map": {"kind": "translation", "dimension": 1}, "forward_seed": [0.0],
+                                 "jump_direction": [1.0], "oracle": {"box": [[-1.0, 1.0]], "step": 1e-2}},
+     "params.map"),
+    ("metric-warp", {"map": {"kind": "translation", "dimension": 1}, "forward_seed": [1.0],
+                     "jump_direction": [1.0], "oracle": {"box": [[0.0, 4.0]], "step": 5e-3}}, "params.map"),
+    ("saddle-not-tsp", {"metric": "polar_warp", "map": {"kind": "diagonal_affine", "scales": [2.0, 0.5, 0.5]},
+                        "forward_seed": [1.0, 0.0, 0.0], "jump_direction": [0.0, 1.0, 0.0],
+                        "oracle": {"box": [[0.0, 2.0], [-1.0, 1.0], [-1.0, 1.0]], "step": 0.1}}, "params.map"),
 ])
 def test_ill_typed_or_refused_params_are_config_errors(tmp_path, capsys, name, edit, field):
     from shadowlab.scenarios import builtin_config
 
     config = builtin_config(name).to_obj()
-    config["params"].update(edit)
+    config["metric"] = edit.get("metric", config["metric"])
+    config["params"].update((key, value) for key, value in edit.items() if key != "metric")
     path = _write_config(tmp_path / "bad.json", config)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 64
     err = capsys.readouterr().err

@@ -218,14 +218,15 @@ def test_window_shapes_make_no_false_refutation(tmp_path, kind, metric, factor, 
 def test_forward_to_full_breaches_before_the_power_leaves_double_range(tmp_path):
     # 1e6^52 leaves double range at shift 52, but every orbit breaks containment at shift 5
     # first: the run refutes (falsely, as the iterated route does) instead of raising
-    # IterationRangeError, and limits.json has the bytes the per-orbit loop wrote.
+    # IterationRangeError, and limits.json has the bytes that reference_forward_to_full's
+    # scalar series loop (tests/test_shadowing.py) gives.
     params = {"map": {"kind": "homothety", "factor": 1e6}, "epsilon": "const:1.0", "depth": 60,
               "window": [-60, 2]}
     report = run_scenario(ScenarioConfig(name="overflow", kind="forward_to_full", seed=37, params=params),
                           str(tmp_path))
     assert report.exit_code == 2 and report.details["converged"] == 0
     limits = (tmp_path / "overflow" / "limits.json").read_bytes()
-    assert hashlib.sha256(limits).hexdigest() == "a4b9c8c58d1de1a523e9af176904803d4eb9cf8ed29d16e0a73f597cdad501a2"
+    assert hashlib.sha256(limits).hexdigest() == "122db107a12b61cf9472bd184c89a168bf369a7fb022469fb0b43f279a499812"
 
 
 _CONJUGACY_CASES = ([("euclidean", -3.38, "const:0.068", [-11, 33])]
@@ -272,7 +273,7 @@ def test_positive_half_makes_no_false_refutation(tmp_path_factory, kind, m, epsi
     """The paper's positive half over configs the schema accepts: an expanding homothety
     shadows, so no verdict is ``contradicts-paper``.
 
-    The band |k| < 1.5 is left out because it fails today (ROADMAP item 3): there an
+    The band |k| < 1.5 is left out because it fails today (ROADMAP item 2): there an
     escaping orbit can sit inside the r0-ball at backward indices, where the synthesized
     slack does not imply shadowing.  ``test_weak_expansion_refutes_falsely`` pins two such
     failures, one of them at |k| = 1.2.
@@ -312,7 +313,7 @@ def test_negative_half_makes_no_false_refutation(tmp_path_factory, a, b, signs, 
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: the slack conditions do not imply shadowing near |k| = 1")
+                   reason="ROADMAP item 2: the slack conditions do not imply shadowing near |k| = 1")
 @pytest.mark.parametrize("name, metric, factor, epsilon, seed", [
     ("homothety-tsp", "sup", 1.05, "const:0.5", 17),
     ("conjugacy-invariance", "euclidean", -1.2, "const:0.0625", 13),

@@ -261,12 +261,17 @@ def test_shadow_series_supports_sign_flipped_scales():
 
 
 def reference_series_point(window, m):
-    """The series point of one orbit, summed by ``np.sum`` over its index axis."""
-    scales = linear_scales(m).astype(np.longdouble)
-    x = window.points[-window.start:].astype(np.longdouble)
-    residuals = x[1:] - x[:-1] * scales
-    inv_powers = np.cumprod(np.tile(1.0 / scales, (len(residuals), 1)), axis=0)
-    return x[0] + np.sum(residuals * inv_powers, axis=0)
+    """The series point of one orbit, one coordinate and one index at a time in
+    ``np.longdouble``: T = (r_i + T) / a for i = stop, ..., 1, then x_0 + T."""
+    x = window.points[-window.start:]
+    point = []
+    for j, a in enumerate(linear_scales(m)):
+        a, tail = np.longdouble(a), np.longdouble(0.0)
+        for i in range(len(x) - 1, 0, -1):
+            residual = np.longdouble(x[i, j]) - np.longdouble(x[i - 1, j]) * a
+            tail = (residual + tail) / a
+        point.append(np.longdouble(x[0, j]) + tail)
+    return np.array(point, dtype=np.longdouble)
 
 
 class NotCauchy(Exception):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from shadowlab.cplus import Const, Norm, Sub, decaying_epsilon, delta_reference_levels, synthesize_delta_homothety
 from shadowlab.errors import PositivityError
 from shadowlab.geometry import MetricKind
-from shadowlab.maps import DiagonalAffine, homothety, power_map, reverse_homothety
+from shadowlab.maps import DiagonalAffine, homothety, power_map
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
     OrbitWindow,
@@ -49,18 +49,20 @@ def _unclassified_points(r0, window, dim=2):
 @pytest.mark.parametrize("window", WINDOWS)
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(count=st.sampled_from([1, 2, 17]), which=st.sampled_from(["homothety", "power", "flip"]),
-       k=st.floats(1.2, 4.0), decaying=st.booleans(), seed=st.integers(0, 2**20))
-def test_stacked_rows_match_one_orbit_calls_bit_for_bit(metric, window, count, which, k, decaying, seed):
-    m = {"homothety": homothety(2.0), "power": power_map(reverse_homothety(0.5), -1),
-         "flip": DiagonalAffine([k, -k])}[which]
+       dim=st.sampled_from([1, 2, 3]), k=st.floats(1.2, 4.0), decaying=st.booleans(), seed=st.integers(0, 2**20))
+def test_stacked_rows_match_one_orbit_calls_bit_for_bit(metric, window, count, which, dim, k, decaying, seed):
+    # The power form inverts diag(1/2, -1/2, 1/2, ...), the planar reverse homothety at d = 2.
+    signs = np.resize([1.0, -1.0], dim)
+    m = {"homothety": homothety(2.0, dim), "power": power_map(DiagonalAffine(0.5 * signs), -1),
+         "flip": DiagonalAffine(-k * signs if dim == 1 else k * signs)}[which]
     epsilon = decaying_epsilon(0.5) if decaying else Const(1.0)
     delta, r0, specs, stacked = _ensemble(m, epsilon, metric, window, count, seed)
 
     windows = realize(stacked)
-    assert windows.points.shape == (count, window[1] - window[0] + 1, 2) and len(windows) == windows.points.shape[1]
+    assert windows.points.shape == (count, window[1] - window[0] + 1, dim) and len(windows) == windows.points.shape[1]
     checks = validate(stacked, delta, metric)
     classes = classify_pseudo_orbit(windows, r0, m, metric)
-    origin = is_shadowed_by(windows, np.zeros(2), m, epsilon, metric)
+    origin = is_shadowed_by(windows, np.zeros(dim), m, epsilon, metric)
     series = homothety_shadow_report(windows, epsilon, m, metric)
     bounds = shadow_tail_bound(windows, m, delta)
     point = homothety_shadow_point(windows, m)
@@ -74,7 +76,7 @@ def test_stacked_rows_match_one_orbit_calls_bit_for_bit(metric, window, count, w
         assert checks.passed[i] == check.passed
         cls = classify_pseudo_orbit(one, r0, m, metric)
         assert classes.kind[i] == cls.kind and classes.escape_index[i] == cls.escape_index
-        for stacked_report, report in ((origin, is_shadowed_by(one, np.zeros(2), m, epsilon, metric)),
+        for stacked_report, report in ((origin, is_shadowed_by(one, np.zeros(dim), m, epsilon, metric)),
                                        (series, homothety_shadow_report(one, epsilon, m, metric))):
             assert np.array_equal(stacked_report.distances[i], report.distances)
             assert np.array_equal(stacked_report.tolerances[i], report.tolerances)
