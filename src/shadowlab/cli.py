@@ -5,16 +5,18 @@
     shadowlab plot <trace.csv> --kind {orbit2d,slack,boxwidth} [--out FILE]
 
 Exit codes: 0 when every run matches the expected result, 1 when some run is
-inconclusive (a metric_warp window whose sup grid finds no point while the exact
-certificate does not show that none exists), 2 when some run contradicts it (the
-largest code wins), 64 for usage or configuration errors (unknown fields,
-ill-typed or out-of-range values, --window/--seed overrides included, refused
-maps such as an adversarial map that shadows or a non-planar ensemble map,
-tolerance trees not positive at the origin, where a slack is synthesized from
-them or on the neighbourhood grid, margins that swallow the tolerance, maps the
-exact certificate does not support, oversized oracle grids, and iterates that
-leave double range before the run decides: the certificate stops at the depth
-that decides it, while the oracle and the ensembles realize their whole windows;
+inconclusive (an adversarial_box run that keeps a nonempty box, or a metric_warp
+window whose sup grid finds no point while the exact certificate does not show
+that none exists), 2 when some run contradicts it (the largest code wins), 64 for
+usage or configuration errors (unknown fields, ill-typed or out-of-range values,
+--window/--seed overrides included, refused maps such as an adversarial map that
+shadows or a non-planar ensemble map, tolerance trees not positive and finite at
+the origin, where they are read, where a slack is synthesized from them or on the
+neighbourhood grid, margins that swallow the tolerance, maps the exact
+certificate does not support, oversized oracle grids, a forward_to_full depth
+whose power leaves double range, and iterates that leave double range before
+the run decides: the certificate stops at the depth that decides it, while the
+oracle and the ensembles realize their whole windows;
 a NaN oracle distance, where warped images overflow, counts as such; files that
 cannot be read or written, an --out that is not a directory, and traces that
 ``plot`` cannot read or draw count too), 70 for internal contract violations.

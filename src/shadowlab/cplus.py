@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _TINY = math.ulp(0.0)  # smallest positive subnormal double
+_HUGE = float(np.finfo(float).max)  # largest finite double
 
 
 def _as_batch(p) -> tuple[np.ndarray, bool]:
@@ -89,9 +90,13 @@ class CPlusFn:
     op: str = "?"
 
     def eval(self, p):
-        """Evaluate at a point or batch; raises if any value is <= 0."""
+        """Evaluate at a point or batch; raises if any value is <= 0 or overflows to inf."""
         pts, single = _as_batch(p)
-        values = _positive(self.op, self._eval(pts))
+        with np.errstate(over="ignore"):  # an overflow is refused below, at its row
+            values = _positive(self.op, self._eval(pts))
+        if not np.all(values < np.inf):
+            row = int(np.argmax(values))
+            raise PositivityError(self.op, float(values[row]), row)
         return float(values[0]) if single else values
 
     def _eval(self, pts: np.ndarray) -> np.ndarray:
@@ -209,7 +214,8 @@ class _Unary(CPlusFn):
 
 
 class Exp2Neg(_Unary):
-    """u -> 2^(-u); saturates at the smallest subnormal instead of underflowing."""
+    """u -> 2^(-u); saturates at the smallest subnormal and at the largest double instead
+    of underflowing or overflowing, so a tolerance 2^(-u) is finite wherever u is."""
 
     op = "exp2neg"
 
@@ -217,7 +223,7 @@ class Exp2Neg(_Unary):
         u = self.child._eval(pts)
         with np.errstate(over="ignore", under="ignore"):
             out = np.exp2(-u)
-        return np.maximum(out, _TINY)
+        return np.minimum(np.maximum(out, _TINY, out=out), _HUGE, out=out)
 
 
 class Recip(_Unary):

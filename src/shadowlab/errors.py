@@ -18,8 +18,8 @@ class DimensionMismatch(ContractViolation):
 
 
 class PositivityError(ContractViolation):
-    """A strictly positive function evaluated to a value <= 0, first at row ``row`` of
-    its batch; an evaluation along a window sets ``n``, the window index of that row."""
+    """A strictly positive function evaluated to a value <= 0, or to inf, first at row
+    ``row`` of its batch; an evaluation along a window sets ``n``, the window index of that row."""
 
     n: int | None = None
 
@@ -27,7 +27,7 @@ class PositivityError(ContractViolation):
         self.node = node
         self.value = value
         self.row = row
-        super().__init__(f"node '{node}' produced non-positive value {value!r}")
+        super().__init__(f"node '{node}' produced {'non-finite' if value > 0.0 else 'non-positive'} value {value!r}")
 
 
 class IterationRangeError(OverflowError):
@@ -35,6 +35,8 @@ class IterationRangeError(OverflowError):
 
     Carries the offending iterate index ``n``.
     """
+
+    path = ""  # where in a decoded config value, as ContractViolation's
 
     def __init__(self, n: int, detail: str = ""):
         self.n = n
@@ -86,10 +88,10 @@ REQUIRED = object()  # the default of a field that must be present
 
 @contextmanager
 def within(step: str):
-    """Prefix ``step`` to the path of a ContractViolation raised inside."""
+    """Prefix ``step`` to the path of a ContractViolation or IterationRangeError raised inside."""
     try:
         yield
-    except ContractViolation as exc:
+    except (ContractViolation, IterationRangeError) as exc:
         exc.path = step + exc.path
         raise
 

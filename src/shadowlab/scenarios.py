@@ -9,8 +9,8 @@ build the shadow, report) and judges the outcome:
   where one must exist, and so on);
 * ``contradicts-paper``: the run produced the opposite, which makes the CLI
   exit with status 2;
-* ``inconclusive``: the run could not decide (for example a non-convergent
-  limit procedure).
+* ``inconclusive``: the run could not decide (for example a nonempty
+  adversarial certificate, or a warped grid search that finds no point).
 
 Artifacts (JSON certificates and reports, CSV traces, SVG plots) are written
 under ``<out>/<scenario>/`` and are byte-deterministic for a fixed config and
@@ -44,10 +44,10 @@ from .cplus import (
     synthesize_delta_homothety,
     verify_delta_conditions,
 )
-from .errors import (REQUIRED, ConfigError, PositivityError,
+from .errors import (REQUIRED, ConfigError, ContractViolation, PositivityError,
                      UnboundedSlackError, UnsupportedMapError, check, config_path, number, numbers, one_of,
                      read_fields, rows, window_path, within)
-from .geometry import MetricKind, metric_norm
+from .geometry import MetricKind
 from .maps import (
     DiagonalAffine,
     MapSpec,
@@ -75,7 +75,6 @@ from .pseudo_orbit import (
     validate,
 )
 from .shadowing import (
-    ForwardToFull,
     ShadowReport,
     box_feasibility,
     forward_to_full_shadow,
@@ -386,53 +385,27 @@ def _run_conjugacy(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tupl
 # Forward-to-full
 # ---------------------------------------------------------------------------
 
-# Convergence tolerance of the limit, and the largest gap between the limit and
-# the direct construction that counts as a match.
-_TOL = 1e-9
-_MATCH_TOL = 1e-8
-
-
-def _judge_limits(shifted: ForwardToFull, metric: MetricKind) -> tuple[dict, list]:
-    """(counts, failures) of the shifted iterates, orbit by orbit: a breach of containment,
-    else a tail wider than _TOL, else a limit farther than _MATCH_TOL from the direct
-    construction (the shift-0 series point) fails the orbit."""
-    breach = shifted.breach
-    unsettled = (breach < 0) & (shifted.diameter > _TOL)
-    converged = (breach < 0) & ~unsettled
-    gaps = metric_norm(metric, np.asarray(shifted.iterates[..., -1, :] - shifted.direct, dtype=float))
-    matched = converged & (gaps <= _MATCH_TOL)
-    failures = []
-    for i, k in enumerate(breach):
-        if k >= 0:
-            failures.append({"orbit": i, "error": f"forward shadower broke containment at shift {k}: "
-                                                  f"d={float(shifted.gaps[i, k])!r} > {float(shifted.eps0[i])!r}"})
-        elif unsettled[i]:
-            failures.append({"orbit": i, "error": f"iterates not Cauchy within {_TOL!r} over the last "
-                                                  f"{shifted.tail} shifts"})
-        elif not matched[i]:
-            failures.append({"orbit": i, "gap": float(gaps[i])})
-    return {"converged": int(np.count_nonzero(converged)), "matched": int(np.count_nonzero(matched)),
-            "non_converged": int(np.count_nonzero(unsettled)), "total": len(breach)}, failures
-
-
 def _run_forward_to_full(config: ScenarioConfig, p: dict, sink: _ArtifactSink) -> tuple[str, dict]:
+    """Containment |T_0| <= epsilon(x_0) decides each orbit.  The iterated route checks the
+    series point: an iterate farther from it than its rounding budget is an internal fault."""
     metric = MetricKind(config.metric)
     m, epsilon, depth, window = p["map"], p["epsilon"], p["depth"], p["window"]
     *_, ensemble = _homothety_ensemble(m, epsilon, config, window, p["count"], 0.0)
     with window_path("params.epsilon"):
         shifted = forward_to_full_shadow(realize(ensemble), epsilon, m, depth, metric)
-    details, failures = _judge_limits(shifted, metric)
-    converged, matched, total = details["converged"], details["matched"], details["total"]
-    sink.json("limits.json", {"depth": depth, "tol": _TOL, "match_tol": _MATCH_TOL, "converged": converged,
-                              "matched": matched, "total": total, "failures": failures})
-    if matched == total:
-        return "matches-paper", details
-    # A non-convergent limit refutes nothing by itself; only a converged
-    # limit that disagrees with the direct construction (or a contract
-    # breach) does.
-    if converged == matched and matched + details["non_converged"] == total:
-        return "inconclusive", details
-    return "contradicts-paper", details
+    over = shifted.rounding > 1.0
+    if np.any(over):
+        orbit = int(np.argmax(np.any(over, axis=-1)))
+        shift = int(np.argmax(over[orbit]))
+        raise ContractViolation(f"forward-to-full: orbit {orbit}'s iterate at shift {shift} is "
+                                f"{float(shifted.rounding[orbit, shift])!r} rounding budgets from the series point")
+    failures = [{"orbit": int(i), "residual": float(shifted.residual[i]), "eps0": float(shifted.eps0[i])}
+                for i in np.flatnonzero(~shifted.contained)]
+    total = len(shifted.residual)
+    details = {"contained": total - len(failures), "total": total,
+               "max_rounding_share": float(np.max(shifted.rounding))}
+    sink.json("limits.json", {"depth": depth, **details, "failures": failures})
+    return ("contradicts-paper" if failures else "matches-paper"), details
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +624,15 @@ def _count(default):
     return read, lambda fields: read(default, fields)
 
 
+def _depth(value, fields):
+    """forward_to_full's depth, below the window bound: a shift k <= depth whose power of the
+    map leaves double range is refused here, with its index, before anything is drawn."""
+    depth = _COUNT(value)
+    check(depth < _MAX_STACK_POINTS, f"a depth below {_MAX_STACK_POINTS}", value)
+    fields["map"].power_coefficients(np.arange(depth + 1))
+    return depth
+
+
 def _shifted_window(value, fields):
     """forward_to_full's window: each shift k <= depth realizes the window from index -k."""
     window = _window(value, fields)
@@ -699,10 +681,11 @@ def _homothety_map(value, fields):
 
 def _fn(value, fields):
     """A tolerance tree, evaluated once at the origin of the map's dimension (of the plane
-    without a map): a tree that is not positive there is not in C+."""
+    without a map): a tree that is not positive and finite there is not in C+."""
     fn = fn_from_obj(value)
     origin = np.zeros((1, fields["map"].dimension if "map" in fields else 2))
-    check(fn._eval(origin)[0] > 0.0, "a tree positive at the origin", value)
+    with np.errstate(over="ignore"):
+        check(0.0 < fn._eval(origin)[0] < np.inf, "a tree positive and finite at the origin", value)
     return fn
 
 
@@ -740,7 +723,7 @@ _KINDS = {
         "map": _HOMOTHETY, "changes": (_each(_change), REQUIRED), "epsilon": _FN,
         "window": (_window, (-10, 20)), "count": _count(40)}),
     "forward_to_full": (_run_forward_to_full, _SAMPLED, {
-        "map": _HOMOTHETY, "epsilon": _FN, "depth": (_COUNT, 16),
+        "map": _HOMOTHETY, "epsilon": _FN, "depth": (_depth, 16),
         "window": (_shifted_window, lambda f: (-f["depth"], 2 * f["depth"])), "count": _count(20)}),
     "neighborhood": (_run_neighborhood, ["sup"], {"radius_functions": (_each(_fn), REQUIRED)}),
     "fixed_point_scan": (_run_fixed_point_scan, _SAMPLED, {}),

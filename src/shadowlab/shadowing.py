@@ -30,8 +30,9 @@ geometric tail of the slack values.  One backward recurrence, ``_tail_sums``,
 computes every such series: the tails, the tail bounds and the series
 points x_n + T_n.  ``forward_to_full_shadow`` upgrades that forward-only
 shadower to the full window through the shifted points y_{-k} = x_{-k} + T_{-k}
-and their iterates f^k(y_{-k}); their containment gaps and the diameter of
-their tail are returned for the caller to judge, and no limit is guessed.
+and their iterates f^k(y_{-k}), which all equal x_0 + T_0 up to rounding: it
+returns the residual |T_0| that decides containment, and each iterate's
+distance to x_0 + T_0 in units of its rounding budget.
 
 Shadow reports, tail bounds, series points and the shifted iterates also take
 a stack of windows ``(N, L, d)`` and give each orbit's row the bits of its own
@@ -373,22 +374,26 @@ def shadow_tail_bound(window: OrbitWindow, m: MapSpec, delta: CPlusFn) -> np.nda
     return _tail_sums(_values_along(delta, images, window.indices[:-1]), k)
 
 
+# The rounding budget of an iterate f^k(y_{-k}), in units of the values it is built from:
+# y_{-k} = x_{-k} + T_{-k} cancels, so its rounding scales with |x_{-k}|, and the iteration
+# multiplies it by |k|^k.  2^-50 is eight float64 ulps; the worst iterate measured uses a tenth.
+_ROUNDING_UNIT = 2.0 ** -50
+
+
 @dataclass
 class ForwardToFull:
-    """The shifted iterates of ``forward_to_full_shadow``; rows of a stack are its orbits."""
+    """The forward-to-full construction of ``forward_to_full_shadow``; rows of a stack are its orbits."""
 
-    iterates: np.ndarray  # f^k(y_{-k}) for the shifts k = 0, 1, ..., shape (..., K, d)
-    direct: np.ndarray    # the shift-0 series point y_0, in np.longdouble
-    gaps: np.ndarray      # d(f^k(y_{-k}), x_0), shape (..., K)
+    iterates: np.ndarray  # f^k(y_{-k}) for the shifts k = 0, 1, ..., depth, shape (..., K, d)
+    direct: np.ndarray    # the series point x_0 + T_0, in np.longdouble
+    residual: np.ndarray  # |T_0|, its distance to x_0, in the run's metric
     eps0: np.ndarray      # epsilon(x_0)
-    tail: int             # how many of the last iterates ``diameter`` spans
-    diameter: np.ndarray  # the largest distance between two of them
+    rounding: np.ndarray  # |f^k(y_{-k}) - direct| over its rounding budget, shape (..., K)
 
     @property
-    def breach(self) -> np.ndarray:
-        """The first shift whose iterate leaves the closed epsilon(x_0)-ball around x_0, or -1."""
-        out = self.gaps > self.eps0[..., None]
-        return np.where(np.any(out, axis=-1), np.argmax(out, axis=-1), -1)
+    def contained(self) -> np.ndarray:
+        """Whether the series point lies in the closed epsilon(x_0)-ball around x_0."""
+        return self.residual <= self.eps0
 
 
 def forward_to_full_shadow(window: OrbitWindow, epsilon: CPlusFn, m: MapSpec, depth: int,
@@ -397,12 +402,12 @@ def forward_to_full_shadow(window: OrbitWindow, epsilon: CPlusFn, m: MapSpec, de
 
     For k = 0..depth the window from index -k on is shadowed forward by its series
     point y_{-k} = x_{-k} + T_{-k}; one recurrence from the far end gives every
-    T_{-k}, for every orbit of a stack.  The iterates f^k(y_{-k}) should all
-    fall in the closed ball around x_0 of radius epsilon(x_0) (``breach``) and
-    settle: the caller judges the diameter of the last max(2, (depth + 1) // 4)
-    of them against its tolerance, and nothing is guessed.  A power of the
-    homothety that leaves double range raises ``IterationRangeError`` only if
-    some orbit reaches that shift without an earlier breach.
+    T_{-k}, for every orbit of a stack.  On a homothety f^k(y_{-k}) = x_0 + T_0 for
+    every k, so the limit is exact and containment is decided in residual space,
+    |T_0| <= epsilon(x_0).  The iterates f^k(y_{-k}) are the independent route: each
+    is measured against the series point x_0 + T_0 in units of its rounding budget
+    2^-50 (|k|^k (|x_{-k}| + |y_{-k}|) + |x_0 + T_0|).  A power of the homothety
+    that leaves double range raises ``IterationRangeError``.
     """
     if not (depth >= 1 and window.start <= -depth and 0 <= window.stop):
         raise ContractViolation(f"depth {depth} needs depth >= 1 and a window from -depth through 0, "
@@ -410,24 +415,21 @@ def forward_to_full_shadow(window: OrbitWindow, epsilon: CPlusFn, m: MapSpec, de
     zero = -window.start
     x0 = window.points[..., zero, :]
     x = window.points[..., zero - depth:, :].astype(np.longdouble)
-    series = (x + _series_tails(x, m))[..., depth::-1, :]  # y_{-k} = x_{-k} + T_{-k}, k = 0..depth
-    shifts, overflow = np.arange(depth + 1), None
-    try:
-        scale, drift = m.power_coefficients(shifts)
-    except IterationRangeError as exc:
-        shifts, overflow = shifts[:exc.n], exc
-        scale, drift = m.power_coefficients(shifts)
-    # Past an orbit's breach its iterates may overflow; they are never read.
-    with np.errstate(over="ignore", invalid="ignore"):
-        iterates = _scale_shift(series[..., :len(shifts), :].astype(float), scale, drift)
-        gaps = distance(metric, iterates, x0[..., None, :])
-        tail = iterates[..., -max(2, (depth + 1) // 4):, :]
-        diameter = np.max(distance(metric, tail[..., :, None, :], tail[..., None, :, :]), axis=(-2, -1))
-    result = ForwardToFull(iterates, series[..., 0, :], gaps, _values_along(epsilon, x0[..., None, :], [0])[..., 0],
-                           tail.shape[-2], diameter)
-    if overflow is not None and np.any(result.breach < 0):
-        raise overflow
-    return result
+    tails = _series_tails(x, m)
+    series = (x + tails)[..., depth::-1, :]  # y_{-k} = x_{-k} + T_{-k}, k = 0..depth
+    scale, drift = m.power_coefficients(np.arange(depth + 1))
+    iterates = _scale_shift(series.astype(float), scale, drift)
+    direct = series[..., 0, :]
+
+    def norm(points):
+        return metric_norm(metric, np.asarray(points, dtype=float))
+
+    gaps = norm(iterates - direct[..., None, :])
+    magnitude = np.max(np.abs(scale), axis=-1) * (norm(x[..., depth::-1, :]) + norm(series))
+    budget = _ROUNDING_UNIT * (magnitude + norm(direct)[..., None])
+    rounding = np.divide(gaps, budget, out=np.zeros_like(gaps), where=gaps > 0.0)
+    return ForwardToFull(iterates, direct, norm(tails[..., depth, :]),
+                         _values_along(epsilon, x0[..., None, :], [0])[..., 0], rounding)
 
 
 # ---------------------------------------------------------------------------

@@ -174,10 +174,11 @@ def test_criterion_4_forward_to_full():
     window = OrbitWindow(-30, np.stack([realize(spec).points for spec in specs]))
 
     shifted = forward_to_full_shadow(window, eps, m, 30, SUP)  # all 100 orbits in one call
-    assert np.all(shifted.breach == -1) and np.all(shifted.diameter <= 1e-9)
-    gaps = np.max(np.abs(np.asarray(shifted.iterates[:, -1] - shifted.direct, dtype=float)), axis=-1)
-    assert gaps.shape == (100,) and np.all(gaps <= 1e-8)
-    _line(4, True, f"100 limits converged at depth 30, worst deviation {float(np.max(gaps)):.2e}")
+    assert shifted.contained.shape == (100,) and np.all(shifted.contained)
+    assert np.all(shifted.rounding <= 1.0)
+    assert np.array_equal(shifted.direct, homothety_shadow_point(window, m))
+    _line(4, True, f"100 series points contained at depth 30, worst rounding share "
+                   f"{float(np.max(shifted.rounding)):.2e}")
 
 
 def test_criterion_5_neighborhood_equivalence():

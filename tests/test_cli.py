@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from shadowlab.cli import main
-from shadowlab.scenarios import SCENARIO_NAMES
+from shadowlab.scenarios import SCENARIO_NAMES, builtin_config
 
 
 def test_list_prints_ten_names(capsys):
@@ -117,8 +117,25 @@ def test_plot_subcommand(tmp_path, capsys):
     assert str(out_path) in capsys.readouterr().out
 
 
+def _tolerance_config(name, field, tree):
+    """The built-in ``name`` with ``params[field]`` set to ``tree``, as JSON text."""
+    config = builtin_config(name).to_obj()
+    config["params"][field] = tree
+    return json.dumps(config)
+
+
+# 1e308 * 1e308 overflows everywhere; 1e308 * (1 + |x|) where |x| > 0.8.
+_HUGE = {"op": "mul", "args": [{"op": "const", "args": [1e308]}, {"op": "const", "args": [1e308]}]}
+_HUGE_AWAY = {"op": "mul", "args": [{"op": "const", "args": [1e308]}, {"op": "add", "args": [
+    {"op": "const", "args": [1.0]}, {"op": "norm", "args": ["sup"]}]}]}
+
 # Files that user-input failures read, by name: text is written as UTF-8, bytes as they are.
 _INPUT_FILES = {
+    "huge-box.json": _tolerance_config("saddle-not-tsp", "epsilon", _HUGE),
+    "huge-away-box.json": _tolerance_config("saddle-not-tsp", "epsilon", _HUGE_AWAY),
+    "huge-grid.json": _tolerance_config("neighborhood-equivalence", "radius_functions", {"big": _HUGE}),
+    "huge-away-grid.json": _tolerance_config("neighborhood-equivalence", "radius_functions", {"big": _HUGE_AWAY}),
+    "huge-away-ensemble.json": _tolerance_config("homothety-tsp", "epsilon", _HUGE_AWAY),
     "latin1.json": b'{"name": "caf\xe9"}',
     "latin1.csv": b"n,x1,x2\r\n0,1.0,caf\xe9\r\n",
     "text-cell.csv": "n,x1,x2\r\n0,1.0,abc\r\n",
@@ -138,6 +155,13 @@ _INPUT_FILES = {
     (["plot", "no-x2.csv", "--kind", "orbit2d"], "orbit2d needs x1 and x2 columns"),
     (["plot", "ragged.csv", "--kind", "orbit2d"], "malformed CSV row"),
     (["plot", "infinite.csv", "--kind", "orbit2d"], "non-finite plot data"),
+    # Tolerance trees that overflow to inf: the box exited 70 with partial artifacts, the
+    # grid refuted (exit 2) or matched (exit 0), and the ensemble blamed 'params.map'.
+    (["run", "huge-box.json"], "'params.epsilon': must be a tree positive and finite at the origin"),
+    (["run", "huge-away-box.json"], "'params.epsilon': node 'mul' produced non-finite value inf at window index 0"),
+    (["run", "huge-grid.json"], "'params.radius_functions.big': must be a tree positive and finite at the origin"),
+    (["run", "huge-away-grid.json"], "node 'mul' produced non-finite value inf on the neighbourhood grid"),
+    (["run", "huge-away-ensemble.json"], "'params.epsilon': node 'mul' produced non-finite value inf"),
 ])
 def test_user_input_failures_exit_64_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
     # Each printed a traceback and exited 1, or exited 70 as a contract violation,
@@ -166,6 +190,19 @@ def test_internal_contract_violation_exits_70(tmp_path, capsys, monkeypatch):
     assert main(["run", "translation-adversarial", "--out", str(tmp_path)]) == 70
     err = capsys.readouterr().err
     assert "contract violation: box bounds out of order" in err and "config error" not in err
+
+
+def test_forward_to_full_route_disagreement_exits_70(tmp_path, capsys, monkeypatch):
+    # At a budget of 2^-80 the iterates' own rounding exceeds it: the two routes
+    # disagree, which is a fault of the program, not of the config.
+    import shadowlab.shadowing as sh
+
+    monkeypatch.setattr(sh, "_ROUNDING_UNIT", 2.0 ** -80)
+    assert main(["run", "forward-to-full", "--out", str(tmp_path)]) == 70
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"shadowlab: contract violation: forward-to-full: orbit \d+'s iterate at shift \d+ is "
+                        r"\S+ rounding budgets from the series point\n", err)
+    assert not list(tmp_path.iterdir())
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch, capsys):

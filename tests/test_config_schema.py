@@ -152,6 +152,10 @@ REFUSED = [
     # A depth past the window's start: every orbit failed to realize its
     # deepest shift, which counted as a false contradicts-paper.
     ("forward-to-full", ["params", "depth"], 200, "params.window"),
+    # Depths that no window admits, or whose power 2^1024 leaves double range at shift 1024,
+    # are refused before the window is read.
+    ("forward-to-full", ["params", "depth"], 10**12, "params.depth"),
+    ("forward-to-full", ["params", "depth"], 1100, "params.depth"),
 ]
 # The translation-adversarial row whose tree first turns non-positive at window index -7.
 _WINDOW_INDEX_ROW = next(row for row in REFUSED if row[0] == "translation-adversarial")
@@ -217,7 +221,7 @@ def test_defaults_and_normalisation_are_not_written_back(tmp_path):
     assert report["config"]["params"] == config["params"]
     assert sorted(report["config"]) == ["kind", "metric", "name", "params", "seed"]
     limits = json.loads((tmp_path / "out" / "short" / "limits.json").read_text())
-    assert limits["depth"] == 4 and limits["tol"] == 1e-9
+    assert limits["depth"] == 4 and limits["contained"] == limits["total"] == 2
 
 
 def test_a_missing_metric_is_the_kinds_first(tmp_path):

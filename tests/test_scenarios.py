@@ -1,4 +1,3 @@
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shadowlab.cli import main
 from shadowlab.cplus import fn_from_obj, random_positive_fn
 from shadowlab.errors import ConfigError, ContractViolation
 from shadowlab.scenarios import (
@@ -215,18 +215,18 @@ def test_window_shapes_make_no_false_refutation(tmp_path, kind, metric, factor, 
     assert report.verdict != "contradicts-paper", report.details
 
 
-def test_forward_to_full_breaches_before_the_power_leaves_double_range(tmp_path):
-    # 1e6^52 leaves double range at shift 52, but every orbit breaks containment at shift 5
-    # first: the run refutes (falsely, as the iterated route does) instead of raising
-    # IterationRangeError, and limits.json has the bytes that reference_forward_to_full's
-    # scalar series loop (tests/test_shadowing.py) gives.
-    params = {"map": {"kind": "homothety", "factor": 1e6}, "epsilon": "const:1.0", "depth": 60,
-              "window": [-60, 2]}
-    report = run_scenario(ScenarioConfig(name="overflow", kind="forward_to_full", seed=37, params=params),
-                          str(tmp_path))
-    assert report.exit_code == 2 and report.details["converged"] == 0
-    limits = (tmp_path / "overflow" / "limits.json").read_bytes()
-    assert hashlib.sha256(limits).hexdigest() == "122db107a12b61cf9472bd184c89a168bf369a7fb022469fb0b43f279a499812"
+def test_forward_to_full_refuses_a_depth_whose_power_leaves_double_range(tmp_path, capsys):
+    # 1e6^52 leaves double range at shift 52.  The whole ensemble was drawn, and every
+    # orbit's iterates left the ball at shift 5: a false refutation, exit 2.
+    config = {"name": "overflow", "kind": "forward_to_full", "seed": 37,
+              "params": {"map": {"kind": "homothety", "factor": 1e6}, "epsilon": "const:1.0", "depth": 60,
+                         "window": [-60, 2]}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 64
+    assert capsys.readouterr().err == ("shadowlab: config error: 'params.depth': iterate overflow at n=52: "
+                                       "scale power left double range\n")
+    assert not (tmp_path / "out").exists()
 
 
 _CONJUGACY_CASES = ([("euclidean", -3.38, "const:0.068", [-11, 33])]
@@ -247,10 +247,10 @@ def test_conjugacy_transport_makes_no_false_refutation(tmp_path, metric, factor,
 
 
 @st.composite
-def _homothety_maps(draw):
-    """A map config of modulus |k| in [1.5, 8], either sign: a homothety, or a power of a
+def _homothety_maps(draw, low=1.5):
+    """A map config of modulus |k| in [low, 8], either sign: a homothety, or a power of a
     homothety or reverse homothety."""
-    k = draw(st.floats(1.5, 8.0)) * draw(st.sampled_from([1.0, -1.0]))
+    k = draw(st.floats(low, 8.0)) * draw(st.sampled_from([1.0, -1.0]))
     if draw(st.booleans()):
         return {"kind": "homothety", "factor": k}
     p = draw(st.sampled_from([-2, -1, 2]))
@@ -284,6 +284,23 @@ def test_positive_half_makes_no_false_refutation(tmp_path_factory, kind, m, epsi
     config = ScenarioConfig(name="positive", kind=kind, metric=metric, seed=seed, params=params)
     report = run_scenario(config, str(tmp_path_factory.mktemp("positive")))
     assert report.verdict != "contradicts-paper", report.details
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(m=_homothety_maps(1.05), epsilon=_TOLERANCES, metric=st.sampled_from(["sup", "euclidean"]),
+       depth=st.integers(1, 44), back=st.integers(0, 40), n_max=st.integers(0, 40), seed=st.integers(0, 2**31 - 1))
+def test_forward_to_full_makes_no_false_refutation(tmp_path_factory, m, epsilon, metric, depth, back, n_max, seed):
+    """Forward-to-full over configs the schema accepts, down to |k| = 1.05: every series
+    point lies in its epsilon(x_0)-ball, and every iterate f^k(y_{-k}) within its rounding
+    budget of it (a share above 1 raises).  Judged by its iterates, with a Cauchy and a
+    match tolerance, the route refuted 5 of these 100 configs and left 12 inconclusive."""
+    params = {"map": m, "epsilon": epsilon, "depth": depth, "window": [-depth - back, n_max], "count": 10}
+    out = tmp_path_factory.mktemp("forward")
+    report = run_scenario(ScenarioConfig(name="ftf", kind="forward_to_full", metric=metric, seed=seed,
+                                         params=params), str(out))
+    assert report.verdict == "matches-paper", report.details
+    limits = json.loads((out / "ftf" / "limits.json").read_text())
+    assert limits["contained"] == limits["total"] == 10 and limits["max_rounding_share"] <= 1.0
 
 
 @settings(max_examples=90, derandomize=True, deadline=None)

@@ -30,7 +30,6 @@ from shadowlab.pseudo_orbit import (
     generate_orbit_ensemble,
     realize,
 )
-from shadowlab.scenarios import _MATCH_TOL, _TOL, _judge_limits
 from shadowlab.shadowing import (
     FeasibilityCertificate,
     box_feasibility,
@@ -274,62 +273,15 @@ def reference_series_point(window, m):
     return np.array(point, dtype=np.longdouble)
 
 
-class NotCauchy(Exception):
-    """The reference's iterates did not settle; ``diameters`` traces their tail diameters."""
-
-    def __init__(self, message, diameters):
-        super().__init__(message)
-        self.diameters = diameters
-
-
-def reference_forward_to_full(spec, epsilon, forward_shadower, depth, tol, metric=SUP):
-    """The limit of f^k(y_{-k}) one orbit and one shift at a time, for any ``forward_shadower``
-    (a callable from a window starting at 0 to a point whose forward orbit shadows it)."""
-    x0 = realize(spec, (0, 0)).points[0]
-    eps0 = float(epsilon.eval(x0))
+def reference_forward_to_full(spec, forward_shadower, depth):
+    """The iterates f^k(y_{-k}), k = 0..depth, one orbit and one shift at a time, for any
+    ``forward_shadower`` (a callable from a window starting at 0 to a point whose forward
+    orbit shadows it)."""
     iterates = []
     for k in range(depth + 1):
         y = np.asarray(forward_shadower(OrbitWindow(0, realize(spec, (-k, spec.window[1])).points)), dtype=float)
-        fk = spec.map.iterate(y, k)
-        gap = float(distance(metric, fk, x0))
-        if gap > eps0:
-            raise ContractViolation(f"forward shadower broke containment at shift {k}: d={gap!r} > {eps0!r}")
-        iterates.append(fk)
-    pts = np.stack(iterates)
-    tail_len = max(2, (depth + 1) // 4)
-    tail = pts[-tail_len:]
-    if float(np.max(distance(metric, tail[:, None, :], tail[None, :, :]))) > tol:
-        diameters = [float(np.max(distance(metric, pts[j:][:, None, :], pts[j:][None, :, :])))
-                     for j in range(len(pts) - 1)]
-        raise NotCauchy(f"iterates not Cauchy within {tol!r} over the last {tail_len} shifts", diameters)
-    return pts[-1]
-
-
-def reference_limits(window, epsilon, m, depth, metric):
-    """The forward-to-full scenario's (counts, failures, limits, direct points) of a stack,
-    judged one orbit at a time by ``reference_forward_to_full``."""
-    counts = {"converged": 0, "matched": 0, "non_converged": 0, "total": len(window.points)}
-    failures, limits, directs = [], {}, {}
-    for i, points in enumerate(window.points):
-        spec = PseudoOrbitSpec(ExplicitRule(points, window.start), (window.start, window.stop), m)
-        try:
-            limits[i] = reference_forward_to_full(spec, epsilon, lambda zw: reference_series_point(zw, m), depth,
-                                                  _TOL, metric)
-        except ContractViolation as exc:
-            failures.append({"orbit": i, "error": str(exc)})
-            continue
-        except NotCauchy as exc:
-            counts["non_converged"] += 1
-            failures.append({"orbit": i, "error": str(exc)})
-            continue
-        counts["converged"] += 1
-        directs[i] = reference_series_point(realize(spec), m)
-        gap = float(metric_norm(metric, np.asarray(limits[i] - directs[i], dtype=float)))
-        if gap <= _MATCH_TOL:
-            counts["matched"] += 1
-        else:
-            failures.append({"orbit": i, "gap": gap})
-    return counts, failures, limits, directs
+        iterates.append(spec.map.iterate(y, k))
+    return np.stack(iterates)
 
 
 def _escaping_window(m, epsilon, metric, window, count, seed):
@@ -351,68 +303,73 @@ _FORWARD_TOLERANCES = {"const:0.01": Const(0.01), "const:1.0": Const(1.0),
 @given(st.sampled_from(sorted(_FORWARD_MAPS)), st.floats(1.1, 6.0), st.sampled_from([1.0, -1.0]),
        st.sampled_from([SUP, MetricKind.EUCLIDEAN]), st.sampled_from(sorted(_FORWARD_TOLERANCES)),
        st.integers(1, 44), st.integers(0, 40), st.sampled_from([0, 1, 7, 40]), st.integers(0, 2**20))
-# A false refutation of the iterated route: every orbit breaks containment at shift 27, 28 or 29.
+# The iterated route once refuted here: the iterates from shift 27 on stray past
+# epsilon(x_0), some by hundreds, and stay within their rounding budget.
 @example("homothety", 5.53, 1.0, SUP, "const:1.0", 31, 44, 7, 3)
-# Every orbit breaks containment before 1e6^52 leaves double range at shift 52.
-@example("homothety", 1e6, 1.0, SUP, "const:1.0", 60, 0, 2, 37)
 @example("flip", 3.0, 1.0, MetricKind.EUCLIDEAN, "decaying", 1, 0, 0, 5)
 def test_forward_to_full_matches_the_reference_loop(form, k, sign, metric, tolerance, depth, back, n_max, seed):
     m, epsilon = _FORWARD_MAPS[form](sign * k), _FORWARD_TOLERANCES[tolerance]
     window = _escaping_window(m, epsilon, metric, (-depth - back, n_max), 3, seed)
     shifted = forward_to_full_shadow(window, epsilon, m, depth, metric)
-    counts, failures, limits, directs = reference_limits(window, epsilon, m, depth, metric)
-    assert _judge_limits(shifted, metric) == (counts, failures)
-    for i, limit in limits.items():
-        assert shifted.iterates[i, -1].dtype == limit.dtype and np.array_equal(shifted.iterates[i, -1], limit)
-        assert shifted.direct[i].dtype == directs[i].dtype and np.array_equal(shifted.direct[i], directs[i])
+    assert np.all(shifted.contained) and np.all(shifted.rounding <= 1.0)
+    for i, points in enumerate(window.points):
+        spec = PseudoOrbitSpec(ExplicitRule(points, window.start), (window.start, window.stop), m)
+        iterates = reference_forward_to_full(spec, lambda zw: reference_series_point(zw, m), depth)
+        direct = reference_series_point(realize(spec), m)
+        assert np.array_equal(shifted.iterates[i], iterates)
+        assert shifted.direct[i].dtype == direct.dtype and np.array_equal(shifted.direct[i], direct)
+        # |T_0| against |direct - x_0|: the longdouble sum x_0 + T_0 and the float64 norm round.
+        x0 = points[-window.start]
+        residual = float(metric_norm(metric, np.asarray(direct - x0, dtype=float)))
+        assert abs(shifted.residual[i] - residual) <= 2.0 ** -50 * (residual + float(metric_norm(metric, x0)))
+        assert shifted.eps0[i] == epsilon.eval(x0)
 
 
-def test_forward_to_full_raises_where_an_orbit_reaches_the_overflowing_shift():
-    # A zero orbit never breaks containment, so it reaches 1e6^52, past double range.
-    m, epsilon = homothety(1e6), Const(1.0)
-    window = _escaping_window(m, epsilon, SUP, (-60, 2), 3, 37)
-    window.points[1] = 0.0
+def test_forward_to_full_raises_at_the_shift_whose_power_overflows():
+    # 1e6^52 leaves double range: the shift-52 power is taken for every orbit.
+    m = homothety(1e6)
+    window = _escaping_window(m, Const(1.0), SUP, (-60, 2), 3, 37)
     spec = PseudoOrbitSpec(ExplicitRule(window.points[1], -60), (-60, 2), m)
     with pytest.raises(IterationRangeError) as ref:
-        reference_forward_to_full(spec, epsilon, lambda zw: reference_series_point(zw, m), 60, _TOL)
+        reference_forward_to_full(spec, lambda zw: reference_series_point(zw, m), 60)
     with pytest.raises(IterationRangeError) as new:
-        forward_to_full_shadow(window, epsilon, m, 60)
+        forward_to_full_shadow(window, Const(1.0), m, 60)
     assert new.value.n == ref.value.n == 52 and str(new.value) == str(ref.value)
 
 
 def test_forward_to_full_true_orbit_returns_anchor():
     spec = true_orbit_spec(homothety(2.0), [0.6, -0.2], (-12, 12))
     shifted = forward_to_full_shadow(realize(spec), Const(1.0), homothety(2.0), 10)
-    assert shifted.breach == -1 and shifted.diameter <= 1e-9 and shifted.tail == 2
-    assert np.allclose(shifted.iterates[-1], [0.6, -0.2], atol=1e-12)
+    assert shifted.contained and shifted.residual <= 1e-12 and np.all(shifted.rounding <= 1.0)
+    assert shifted.iterates.shape == (11, 2) and np.allclose(shifted.iterates[-1], [0.6, -0.2], atol=1e-12)
     assert shifted.direct.dtype == np.longdouble and np.allclose(np.asarray(shifted.direct, dtype=float),
                                                                  [0.6, -0.2], atol=1e-12)
 
 
 def test_forward_to_full_reports_containment_breaches():
-    # At |k| = 5.53 rounding in y_{-k}, multiplied by 5.53^k, leaves the
-    # ball around x_0 from shift 27 on, for every orbit.
+    # At |k| = 5.53 the iterates from shift 27 on leave the ball around x_0, by their
+    # rounding of 5.53^k ulps of x_{-k}, while every series point stays in it.
     m = homothety(5.53)
-    shifted = forward_to_full_shadow(_escaping_window(m, Const(1.0), SUP, (-75, 7), 20, 3), Const(1.0), m, 31)
-    assert set(shifted.breach) <= {27, 28, 29}
-    assert np.all(shifted.gaps[np.arange(20), shifted.breach] > 1.0)
+    window = _escaping_window(m, Const(1.0), SUP, (-75, 7), 20, 3)
+    shifted = forward_to_full_shadow(window, Const(1.0), m, 31)
+    strays = np.max(np.abs(shifted.iterates - window.points[:, 75, None, :]), axis=-1) > 1.0
+    assert not np.any(strays[:, :27]) and np.all(strays[:, 29:])
+    assert np.all(shifted.contained) and np.all(shifted.rounding <= 1.0)
+    # A jump of 4 just after index 0 puts the series point 4/2 away from x_0.
+    points = np.zeros((9, 2))
+    points[5:] = 4.0 * 2.0 ** np.arange(4)[:, None]
+    shifted = forward_to_full_shadow(OrbitWindow(-4, points), Const(1.0), homothety(2.0), 4)
+    assert not shifted.contained and shifted.residual == 2.0 and shifted.eps0 == 1.0
 
 
-def test_forward_to_full_reports_non_convergence():
-    # At k = 3.64 and depth 32 every orbit stays in the ball, and its last eight iterates
-    # spread wider than 1e-9.
+def test_forward_to_full_decides_what_the_iterated_route_left_unsettled():
+    # At k = 3.64 and depth 32 the last eight iterates of every orbit spread wider than
+    # 1e-9, which the iterated route's Cauchy test reported as non-convergence.
     m = homothety(3.64)
-    window = _escaping_window(m, Const(1.0), SUP, (-32, 64), 20, 3)
-    shifted = forward_to_full_shadow(window, Const(1.0), m, 32)
-    assert np.all(shifted.breach == -1) and shifted.tail == 8 and np.all(shifted.diameter > 1e-9)
-    counts, failures = _judge_limits(shifted, SUP)
-    assert counts == {"converged": 0, "matched": 0, "non_converged": 20, "total": 20}
-    assert failures[0] == {"orbit": 0, "error": "iterates not Cauchy within 1e-09 over the last 8 shifts"}
-    # The reference's diameter trace: that of the last j iterates, for j = depth + 1, ..., 2.
-    spec = PseudoOrbitSpec(ExplicitRule(window.points[0], -32), (-32, 64), m)
-    with pytest.raises(NotCauchy) as ref:
-        reference_forward_to_full(spec, Const(1.0), lambda zw: reference_series_point(zw, m), 32, _TOL)
-    assert len(ref.value.diameters) == 32 and ref.value.diameters[-7] == shifted.diameter[0]
+    shifted = forward_to_full_shadow(_escaping_window(m, Const(1.0), SUP, (-32, 64), 20, 3), Const(1.0), m, 32)
+    tail = shifted.iterates[:, -8:]
+    assert np.all(np.max(np.abs(tail[:, :, None] - tail[:, None, :]), axis=(1, 2, 3)) > 1e-9)
+    assert np.all(shifted.contained) and np.all(shifted.rounding <= 1.0)
 
 
 def test_forward_to_full_refuses_shifts_outside_the_window():
@@ -426,8 +383,8 @@ def test_forward_to_full_refuses_shifts_outside_the_window():
     assert err.value.n == 0
 
 
-# (depth, n_min, n_max): the window reaches past the deepest shift, so the limit
-# and the series point of the whole window are different routes.
+# (depth, n_min, n_max): the window reaches past the deepest shift, which the shifts
+# do not read.
 _SHIFTED_WINDOWS = st.integers(4, 16).flatmap(
     lambda depth: st.tuples(st.just(depth), st.integers(-depth - 200, -depth), st.integers(0, 2 * depth)))
 
@@ -444,9 +401,9 @@ def test_forward_to_full_limit_matches_the_series_point(scales, metric, toleranc
            "decaying": decaying_epsilon(1.0)}[tolerance]
     window = _escaping_window(m, eps, metric, (n_min, n_max), 2, seed)
     shifted = forward_to_full_shadow(window, eps, m, depth, metric)
-    assert np.all(shifted.breach == -1) and np.all(shifted.diameter <= 1e-9)
-    whole = homothety_shadow_point(window, m)
-    assert float(np.max(np.abs(np.asarray(shifted.iterates[:, -1] - whole, dtype=float)))) <= 1e-8
+    assert np.all(shifted.contained) and np.all(shifted.rounding <= 1.0)
+    # T_0 reads only the forward half, so the whole window's series point has its bits.
+    assert np.array_equal(shifted.direct, homothety_shadow_point(window, m))
 
 
 # ---------------------------------------------------------------------------

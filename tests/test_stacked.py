@@ -87,7 +87,7 @@ def test_stacked_rows_match_one_orbit_calls_bit_for_bit(metric, window, count, w
         assert point[i].dtype == one_point.dtype == np.longdouble and np.array_equal(point[i], one_point)
         if shifted is not None:
             one_shifted = forward_to_full_shadow(one, epsilon, m, depth, metric)
-            for name in ("iterates", "direct", "gaps", "eps0", "diameter", "breach"):
+            for name in ("iterates", "direct", "residual", "eps0", "rounding", "contained"):
                 assert np.array_equal(getattr(shifted, name)[i], getattr(one_shifted, name))
 
 
