@@ -44,7 +44,7 @@ from .cplus import (
     synthesize_delta_homothety,
     verify_delta_conditions,
 )
-from .errors import (REQUIRED, ConfigError, ContractViolation, PositivityError,
+from .errors import (REQUIRED, ConfigError, ContractViolation, PositivityError, SearchSpaceError,
                      UnboundedSlackError, UnsupportedMapError, check, config_path, number, numbers, one_of,
                      read_fields, rows, window_path, within)
 from .geometry import MetricKind
@@ -76,6 +76,7 @@ from .pseudo_orbit import (
 )
 from .shadowing import (
     ShadowReport,
+    _grid_counts,
     box_feasibility,
     forward_to_full_shadow,
     homothety_shadow_report,
@@ -641,12 +642,17 @@ def _shifted_window(value, fields):
 
 
 def _oracle(value, fields):
-    """(box, step): ``box`` holds one [lo, hi] pair with lo < hi per map dimension."""
+    """(box, step): ``box`` holds one [lo, hi] pair with lo < hi per map dimension, and the
+    grid is sized before anything runs."""
     oracle = read_fields(value, {"box": (rows, REQUIRED), "step": (_POSITIVE, REQUIRED)})
     with within(".box"):
         box = check(len(oracle["box"]) == fields["map"].dimension
                     and all(len(b) == 2 and b[0] < b[1] for b in oracle["box"]),
                     "one [lo, hi] pair with lo < hi per map dimension", oracle["box"])
+    try:
+        _grid_counts(box, oracle["step"])
+    except SearchSpaceError as exc:
+        raise ContractViolation(str(exc)) from exc
     return [tuple(b) for b in box], oracle["step"]
 
 
@@ -703,6 +709,7 @@ def _change(value, fields):
 
 _POSITIVE = number(0.0, open_lo=True)
 _COUNT = number(1, integer=True)
+_WINDOW_LIMIT = number(1, (_MAX_STACK_POINTS - 1) // 2, integer=True)  # [-limit, limit] within the budget
 _HOMOTHETY = (_homothety_map, REQUIRED)
 _FN = (_fn, REQUIRED)
 _POINT = (_point, REQUIRED)
@@ -712,7 +719,7 @@ _SAMPLED = ["sup", "euclidean"]  # the metrics with uniform ball sampling
 _KINDS = {
     "adversarial_box": (_run_adversarial_box, [k.value for k in MetricKind], {
         "map": (_adversarial_map, REQUIRED), "epsilon": _FN, "forward_seed": _POINT,
-        "jump_direction": _DIRECTION, "window_limit": (_COUNT, 32), "margin": (number(0.0), 0.0),
+        "jump_direction": _DIRECTION, "window_limit": (_WINDOW_LIMIT, 32), "margin": (number(0.0), 0.0),
         "jump": (_POSITIVE, None), "oracle": (_oracle, None)}),
     "homothety_shadow": (_run_homothety_pipeline, _SAMPLED, {
         "map": _HOMOTHETY, "window": (_window, (-20, 40)), "epsilon": _FN, "count": _count(200)}),

@@ -442,7 +442,7 @@ class SearchResult:
     """Outcome of the brute-force grid oracle."""
 
     found: np.ndarray | None
-    checked: int  # grid points up to the end of the found point's block, refinement included
+    checked: int  # row-major position of the point found plus one; else the grid plus 5^d refinement points
     grid_step: float
     near_miss: np.ndarray | None = None
     refined: bool = False
@@ -462,54 +462,58 @@ class SearchResult:
 
 
 _MAX_GRID = 100_000_000
-# Grid points per block of whole rows in ``checked``, and entries per ``_slab_spans`` table.
-_BLOCK_POINTS = 1_000_000
+# Entries of a ``_span_table`` slab table.
+_SLAB_TABLE_ENTRIES = 1_000_000
 
 
-def _grid_axes(search_box, grid_step: float) -> list[np.ndarray]:
+def _grid_counts(search_box, grid_step: float) -> list[float]:
+    """Values per axis of the grid over ``search_box`` at ``grid_step``, sized before any axis
+    is built, so a tiny step does not allocate first; more than ``_MAX_GRID`` points in all
+    raise ``SearchSpaceError``."""
     if not all(np.isfinite(lo) and np.isfinite(hi) and lo <= hi for lo, hi in search_box):
         raise ContractViolation("search box must be bounded with lo <= hi")
-    # Sized before any axis is built: a tiny step must not allocate first.
     counts = [float(np.floor((hi - lo) / grid_step + 0.5)) + 1 for lo, hi in search_box]
     if math.prod(counts) > _MAX_GRID:
         raise SearchSpaceError(f"grid of {math.prod(counts):.0f} points exceeds the {_MAX_GRID} limit")
-    return [lo + grid_step * np.arange(int(c)) for (lo, _), c in zip(search_box, counts)]
+    return counts
 
 
-def _grid_points(axes: list[np.ndarray], spans=None) -> np.ndarray:
-    """The grid spanned by ``axes`` as row-major points (first axis slowest); with
-    ``spans`` = (lo, hi), lo <= hi, only the points (axes[0][i], axes[1][j]) with
-    lo[i] <= j < hi[i] of a planar grid."""
-    if spans is None:
-        # Broadcast views: only the stacked points are allocated.
-        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
-    lo, hi = spans
-    counts = hi - lo
-    cols = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return np.stack([np.repeat(axes[0], counts), axes[1][cols]], axis=-1)
+def _grid_axes(search_box, grid_step: float) -> list[np.ndarray]:
+    return [lo + grid_step * np.arange(int(c)) for (lo, _), c in zip(search_box, _grid_counts(search_box, grid_step))]
 
 
-# Grid points per chunk of a block's product.  Each chunk runs the window on its
-# own, so the scan's temporaries stay this size however many points a tolerance keeps.
+# Grid points per chunk of a scan.  Each chunk runs the window on its own, so the
+# scan's temporaries stay this size however many points a tolerance keeps.
 _CHUNK_POINTS = 1 << 14
 
 
-def _chunks(axes: list[np.ndarray], spans=None):
-    """The grid points of ``_grid_points(axes, spans)``, in row-major chunks of whole
-    first-axis values, at most ``_CHUNK_POINTS`` each unless one value alone has more."""
-    if spans is None:
-        rows = max(1, _CHUNK_POINTS // max(1, math.prod(len(a) for a in axes[1:])))
-        for i in range(0, len(axes[0]), rows):
-            yield _grid_points([axes[0][i:i + rows], *axes[1:]])
-        return
-    kept = spans[1] > spans[0]
-    first, lo, hi = axes[0][kept], spans[0][kept], spans[1][kept]
-    ends = np.cumsum(hi - lo)
-    i = 0
-    while i < len(first):
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] - (hi[i] - lo[i]) + _CHUNK_POINTS, "right")))
-        yield _grid_points([first[i:j], axes[1]], (lo[i:j], hi[i:j]))
-        i = j
+def _chunks(axes: list[np.ndarray], lo, hi):
+    """The grid points (axes[0][i], q) for the rows q of the row-major product of ``axes[1:]``
+    with lo[i] <= q < hi[i], in row-major chunks of whole first-axis values, at most
+    ``_CHUNK_POINTS`` points each unless one value alone has more; each chunk is one array
+    filled in place.  ``lo`` and ``hi`` are arrays along ``axes[0]`` or scalars, read
+    ``_CHUNK_POINTS`` values at a time, which no chunk crosses: scalar spans add no
+    whole-axis array."""
+    size = len(axes[0])
+    # A scalar span becomes a stride-0 view, built faster than by np.broadcast_to.
+    lo, hi = (v if np.ndim(v) else np.ndarray(size, np.intp, np.array(v, np.intp), strides=(0,)) for v in (lo, hi))
+    for i in range(0, size, _CHUNK_POINTS):
+        counts = np.maximum(hi[i:i + _CHUNK_POINTS] - lo[i:i + _CHUNK_POINTS], 0)
+        ends = np.cumsum(counts)
+        shift = lo[i:i + _CHUNK_POINTS] + counts - ends  # a point's row less its place in the spans read
+        s = 0
+        while s < len(ends):
+            base = ends[s] - counts[s]
+            e = max(s + 1, int(np.searchsorted(ends, base + _CHUNK_POINTS, "right")))
+            if ends[e - 1] > base:
+                points = np.empty((int(ends[e - 1] - base), len(axes)))
+                points[:, 0] = np.repeat(axes[0][i + s:i + e], counts[s:e])
+                rows = np.arange(base, ends[e - 1]) + np.repeat(shift[s:e], counts[s:e])
+                for j in range(len(axes) - 1, 0, -1):  # the last axis varies fastest
+                    rows, col = (0, rows) if j == 1 else np.divmod(rows, len(axes[j]))
+                    points[:, j] = axes[j][col]
+                yield points
+            s = e
 
 
 # Relative rounding allowance of the axis lower bound (README, "Numerical policy").
@@ -531,37 +535,37 @@ def _excess(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: Metri
     return dist - float(eps_vals[n - window.start])
 
 
-def _slab_spans(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind,
+def _span_table(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, h: np.ndarray,
                 axes: list[np.ndarray], order: list[int]):
-    """Ranges of ``axes[1]`` indices holding every grid point that can pass each prefix of
-    ``order``, for a planar affine conjugate g^n(p) = A p + c; None for any other map.
+    """``(lo, hi, counts)``: row k of ``lo`` and ``hi`` bounds, per value of ``axes[0]``, the
+    rows of the product of ``axes[1:]`` holding every grid point that passes ``order[:k]``;
+    ``counts[k]`` is the number of points in row k.
 
-    Returns ``(lo, hi)`` of shape ``(K + 1, len(axes[0]))``: row k <= K bounds the points
-    passing ``order[:k]`` by the slabs |(A p + c - x_n)_r| < half of its nonzero indices,
-    one second-axis range per first-axis value (README, "Numerical policy").  K is the
-    length of the order, or less, so that ``K * len(axes[0])`` stays within
-    ``_BLOCK_POINTS``; with K = 0 None is returned.  When a constraint anywhere in the order has coefficients,
-    magnitudes or a tolerance not below ``_SLAB_LIMIT``, the window bounds nothing and None
-    is returned too, so the scan raises exactly where the product's does.
-    """
+    For a planar affine conjugate g^n(p) = A p + c, row k <= K holds the ``axes[1]`` ranges
+    within the slabs |(A p + c - x_n)_r| < half of ``order[:k]``, widened by the axis
+    bound's allowance ``h`` (README, "Numerical policy"), with K * len(axes[0]) within
+    ``_SLAB_TABLE_ENTRIES``.  Any other map, K = 0, and an order with coefficients,
+    magnitudes or a tolerance not below ``_SLAB_LIMIT`` get one row of scalars that takes
+    every row, so the scan raises exactly where an unslabbed scan does."""
+    rows = math.prod(len(a) for a in axes[1:])
+    every = [0], [rows], np.array([len(axes[0]) * rows])
     if not isinstance(m, Conjugated) or len(axes) != 2:
-        return None
+        return every
     ns = np.asarray(order)
     try:
         a, c, size = m.affine_coefficients(ns, [float(np.max(np.abs(v))) for v in axes])
     except (UnsupportedMapError, IterationRangeError):
-        return None
+        return every
     x, eps = window.points[ns - window.start], eps_vals[ns - window.start]
     # d >= |img_r - x_r| less the axis allowance of ``_scan``.
-    h = metric_norm(metric, x) + np.finfo(float).tiny if metric is MetricKind.POLAR_WARP else 0.0
-    eps = (eps + _AXIS_ROUNDING * h) / (1.0 - _AXIS_ROUNDING)
+    eps = (eps + _AXIS_ROUNDING * h[ns - window.start]) / (1.0 - _AXIS_ROUNDING)
     bound = size + np.abs(x) + eps[:, None]
     if not (np.all(bound < _SLAB_LIMIT) and np.all(np.abs(a) < _SLAB_LIMIT) and np.all(np.abs(c) < _SLAB_LIMIT)):
-        return None
+        return every
     half = eps[:, None] + _SLAB_ROUNDING * bound + np.finfo(float).tiny
-    ns = ns[:_BLOCK_POINTS // len(axes[0])]
+    ns = ns[:_SLAB_TABLE_ENTRIES // len(axes[0])]
     if not ns.size:
-        return None
+        return every
     lo = np.zeros((len(ns) + 1, len(axes[0])), dtype=np.intp)
     hi = np.full_like(lo, len(axes[1]))
     for k, n in enumerate(ns):  # row k + 1 is row k within the slabs of n; index 0 has none
@@ -575,7 +579,7 @@ def _slab_spans(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: M
             scaled = abs(a[k, r, 1]) * axes[1]
             np.maximum(lo[k + 1], np.searchsorted(scaled, -half[k, r] - shift, "left"), out=lo[k + 1])
             np.minimum(hi[k + 1], np.searchsorted(scaled, half[k, r] - shift, "right"), out=hi[k + 1])
-    return lo, hi
+    return lo, hi, np.sum(np.maximum(hi - lo, 0), axis=1)
 
 
 def _run(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricKind, chunks,
@@ -611,23 +615,22 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
     diagonal-affine map), and each gap |img_j - x_j| bounds a point's distance below
     under every metric (README, "Numerical policy").  Only the product of the axis
     values whose bound can pass, or, when none passes, can tie the least distance, is
-    built.  It runs the order in row-major chunks of whole first-axis values, at most
-    ``_CHUNK_POINTS`` points each unless one value alone spans more, so the scan's
-    memory does not grow with the number of points a tolerance keeps.
+    enumerated, by ``_chunks``, so memory does not grow with the points a tolerance keeps.
 
-    A planar affine conjugate runs only the points within the slabs of the longest
-    prefix of the order that ``_slab_spans`` covers.  When none of them passes, the grid
-    dies at some position k* of the order, and every point that reaches k* lies within
-    the slabs of ``order[:k]`` for each k <= k*.  So the scan steps down to the
-    slabs of shorter prefixes until a run reaches the end of its prefix, which
-    puts k <= k*: that run holds every point the whole product's near miss is
-    taken from.
+    The scan runs the points of the last row of the ``_span_table``: the slabs of the
+    longest prefix of the order the table covers, or every point.  When none passes, the
+    grid dies at some position k* of the order, and every point that reaches k* lies
+    within the slabs of ``order[:k]`` for each k <= k*.  So the scan steps down to the
+    rows of shorter prefixes until a run reaches the end of its prefix, which puts
+    k <= k*: that run holds every point the whole product's near miss is taken from.
     """
     n = order[0]
     x, eps, unit = window.point_at(n), float(eps_vals[n - window.start]), np.eye(len(axes))
     # |H(p) - H(x)| >= |p - x| >= |p_j - x_j|, less the rounding allowance: 2^-48 of the gap,
-    # and under POLAR_WARP of |H(x)| plus the smallest normal (README, "Numerical policy").
-    h = float(metric_norm(metric, x)) + np.finfo(float).tiny if metric is MetricKind.POLAR_WARP else 0.0
+    # and under POLAR_WARP 2^-48 h, h = |H(x)| plus the smallest normal, for the axis bound
+    # and the slabs alike (README, "Numerical policy").
+    h = (metric_norm(metric, window.points) + np.finfo(float).tiny if metric is MetricKind.POLAR_WARP
+         else np.zeros(len(window.points)))
     # Lower bounds of d(img, x) - eps, ``_CHUNK_POINTS`` axis values at a time.  A NaN one
     # (inf - inf, where image and H(x) overflow) bounds nothing, and ~(lo > t) keeps its value.
     lows = [np.empty(len(a)) for a in axes]
@@ -637,45 +640,34 @@ def _scan(m: MapSpec, window: OrbitWindow, eps_vals: np.ndarray, metric: MetricK
             gap = np.abs((part if n == 0 else m.iterate(np.outer(part, unit[j]), n)[:, j]) - x[j])
             if np.isnan(gap).any():  # NaN at every grid point with that coordinate
                 raise IterationRangeError(n, "the grid oracle's distance to the window point is NaN")
-            lows[j][i:i + len(part)] = gap * (1.0 - _AXIS_ROUNDING) - _AXIS_ROUNDING * h - eps
-    reach = max(0.0, max(float(np.min(lo)) for lo in lows))
-    kept = [a[~(lo > reach)] for a, lo in zip(axes, lows)]
-    spans = _slab_spans(m, window, eps_vals, metric, kept, order)
-    if spans is None:
-        dead, near, gap = _run(m, window, eps_vals, metric, _chunks(kept), order)
-    else:
-        counts = np.sum(np.maximum(spans[1] - spans[0], 0), axis=1)  # nonincreasing in k
-        k = len(counts) - 1
-        while True:
-            dead, near, gap = _run(m, window, eps_vals, metric, _chunks(kept, (spans[0][k], spans[1][k])), order)
-            shortest = int(np.argmax(counts == counts[k]))  # the shortest prefix with these points
-            if dead >= shortest:
-                break
-            k = shortest - 1
+            lows[j][i:i + len(part)] = gap * (1.0 - _AXIS_ROUNDING) - _AXIS_ROUNDING * h[n - window.start] - eps
+    reach = max(0.0, max(float(np.min(low)) for low in lows))
+    kept = [a[~(low > reach)] for a, low in zip(axes, lows)]
+    lo, hi, counts = _span_table(m, window, eps_vals, h, kept, order)
+    k = int(np.argmax(counts == counts[-1]))  # counts fall with k: the shortest prefix with these points
+    while True:
+        dead, near, gap = _run(m, window, eps_vals, metric, _chunks(kept, lo[k], hi[k]), order)
+        if dead >= k:
+            break
+        k = int(np.argmax(counts == counts[k - 1]))
     if dead == 0:  # the argmin and its ties lie where the bounds reach gap
-        wide = [a[~(lo > gap)] for a, lo in zip(axes, lows)]
+        wide = [a[~(low > gap)] for a, low in zip(axes, lows)]
         if any(len(w) > len(a) for w, a in zip(wide, kept)):
-            near = None
-            for live in _chunks(wide):
-                dist = _excess(m, window, eps_vals, metric, live, n)
-                j = int(np.argmin(dist))
-                if near is None or dist[j] < gap:
-                    near, gap = live[j].copy(), float(dist[j])
+            _, near, gap = _run(m, window, eps_vals, metric, _chunks(wide, 0, math.prod(map(len, wide[1:]))), [n])
     return near, gap, dead
 
 
 def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
-                   search_box, grid_step: float, refine: bool = True) -> SearchResult:
+                   search_box, grid_step: float) -> SearchResult:
     """Grid-scan a box for a point whose whole-window report passes.
 
     The fallback decision procedure for maps without the diagonal-affine
     structure, and the independent oracle validating the exact one.  One
-    ``_scan`` over the whole grid returns its first row-major passing point.
-    ``checked`` counts the grid up to the end of the ``_BLOCK_POINTS`` block of
-    whole rows that holds that point's row, or the whole grid on absence.
-    Then the near miss is the first point closest to the constraint that
-    emptied the grid, and one refinement pass scans the half-step grid
-    around it.
+    ``_scan`` over the whole grid returns its first row-major passing point,
+    and ``checked`` is that point's row-major position plus one.  Otherwise
+    the near miss is the first point closest to the constraint that emptied
+    the grid, one refinement pass scans the half-step grid of 5^d points
+    around it, and ``checked`` counts both grids.
     """
     m = spec.map
     if not 0.0 < grid_step < np.inf:
@@ -693,17 +685,14 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
     else:  # index 0 first: README, "Numerical policy"
         order = [0, *range(1, window.stop + 1), *range(-1, window.start - 1, -1)]
 
-    row_size = math.prod(len(a) for a in axes[1:])
     near, gap, _ = _scan(m, window, eps_vals, metric, axes, order)
-    if gap is None:
-        rows = max(1, _BLOCK_POINTS // row_size)
-        end = (int(np.searchsorted(axes[0], near[0])) // rows + 1) * rows
-        return SearchResult(near, min(end, len(axes[0])) * row_size, grid_step)
-    if not refine:
-        return SearchResult(None, len(axes[0]) * row_size, grid_step, near_miss=near)
+    shape = [len(a) for a in axes]
+    if gap is None:  # an axis repeats a value only where rounding merges steps: the first is found
+        position = np.ravel_multi_index([np.searchsorted(a, v) for a, v in zip(axes, near)], shape)
+        return SearchResult(near, int(position) + 1, grid_step)
     point, gap, _ = _scan(m, window, eps_vals, metric, list(near[:, None] + grid_step / 2.0 * np.arange(-2, 3)),
                           order)
-    checked = len(axes[0]) * row_size + 5 ** len(axes)
+    checked = math.prod(shape) + 5 ** len(axes)
     if gap is None:
         return SearchResult(point, checked, grid_step, refined=True)
     return SearchResult(None, checked, grid_step, near_miss=near, refined=True)

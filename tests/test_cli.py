@@ -240,6 +240,23 @@ def _write_config(path, config):
                                   # Sized before anything is drawn.
                                   {"count": 10**9}, {"window": [-1, 10**9]}])
 def test_bad_ensemble_count_or_window_is_config_error(tmp_path, capsys, name, edit):
+    _assert_refused_before_running(tmp_path, capsys, name, edit)
+
+
+@pytest.mark.parametrize("name, edit", [
+    # 2 x 10^8 + 1 window points: the oracle's realize once failed to allocate 1.49 GiB.
+    ("saddle-not-tsp", {"window_limit": 10**8}),
+    # Grids of about 4 x 10^10 and 1.6 x 10^13 points, refused before any certificate runs.
+    ("saddle-not-tsp", {"oracle": {"box": [[0.0, 2.0], [-1.0, 1.0]], "step": 1e-5}}),
+    ("metric-warp", {"oracle": {"box": [[0.0, 4.0], [-2.0, 2.0]], "step": 1e-6}}),
+])
+def test_oversized_window_limit_or_oracle_grid_is_config_error(tmp_path, capsys, name, edit):
+    _assert_refused_before_running(tmp_path, capsys, name, edit)
+
+
+def _assert_refused_before_running(tmp_path, capsys, name, edit):
+    """The built-in ``name`` with ``edit`` in its params exits 64 with one line naming the
+    edited field, within 8 MB and without a report."""
     from shadowlab.scenarios import builtin_config
 
     config = builtin_config(name).to_obj()

@@ -441,17 +441,18 @@ def test_search_on_conjugated_map_finds_transported_shadow():
     assert np.allclose(result.found, target, atol=1e-12)
 
 
-def test_search_counts_the_grid_points_it_scanned(monkeypatch):
-    # Nine rows of nine points, one row per block.  Only the seed of the true
-    # orbit passes, in row 3, so the scan stops after four blocks.
-    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", 9)
+def test_search_counts_the_grid_points_it_scanned():
+    # Nine rows of nine points.  Only the seed of the true orbit passes, at row 3 and
+    # column 5: row-major position 3 * 9 + 5, so 33 points are counted.
     spec = true_orbit_spec(homothety(2.0), [-0.5, 0.5], (-4, 4))
     found = sampled_search(spec, Const(1.0), SUP, [(-2.0, 2.0), (-2.0, 2.0)], 0.5)
-    assert np.array_equal(found.found, [-0.5, 0.5]) and found.checked == 4 * 9
-    # An absent search scans every block, plus the 5 x 5 refinement grid.
-    far = [(1.0, 5.0), (1.0, 5.0)]
-    assert sampled_search(spec, Const(1.0), SUP, far, 0.5, refine=False).checked == 81
-    absent = sampled_search(spec, Const(1.0), SUP, far, 0.5)
+    assert np.array_equal(found.found, [-0.5, 0.5]) and found.checked == 3 * 9 + 5 + 1
+    # In 9 x 9 x 9 points the seed sits at (3, 5, 6).
+    spec3 = true_orbit_spec(homothety(2.0, 3), [-0.5, 0.5, 1.0], (-4, 4))
+    found3 = sampled_search(spec3, Const(1.0), SUP, [(-2.0, 2.0)] * 3, 0.5)
+    assert np.array_equal(found3.found, [-0.5, 0.5, 1.0]) and found3.checked == (3 * 9 + 5) * 9 + 6 + 1
+    # An absent search scans the whole grid, plus the 5 x 5 refinement grid.
+    absent = sampled_search(spec, Const(1.0), SUP, [(1.0, 5.0), (1.0, 5.0)], 0.5)
     assert absent.absent and absent.refined and absent.checked == 81 + 25
 
 
@@ -485,10 +486,11 @@ def first_passing_grid_point(spec, epsilon, box, step):
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_MAPS))
-def test_search_first_point_is_independent_of_block_size(name, monkeypatch):
-    # Blocks of 7 and 31 points cut the grids below into one or several
-    # rows per block; 10**6 scans each grid as a single block.  Five short
-    # windows come first, then three that reach up to 11 indices from 0.
+def test_search_first_point_is_independent_of_slab_table_size(name, monkeypatch):
+    # Slab tables of 7 and 31 entries cover none or a few constraints of the grids
+    # below; 10**6 covers every one.  Five short windows come first, then three that
+    # reach up to 11 indices from 0.  The refinement runs only when the first pass
+    # finds nothing.
     m = SEARCH_MAPS[name]
     rng = np.random.default_rng(sum(map(ord, name)))
     outcomes = set()
@@ -503,13 +505,13 @@ def test_search_first_point_is_independent_of_block_size(name, monkeypatch):
         step = float(rng.choice([0.05, 0.1]))
         expected = first_passing_grid_point(spec, epsilon, box, step)
         outcomes.add(expected is None)
-        for block in (7, 31, 10**6):
-            monkeypatch.setattr(shadowing, "_BLOCK_POINTS", block)
-            found = sampled_search(spec, epsilon, SUP, box, step, refine=False).found
+        for entries in (7, 31, 10**6):
+            monkeypatch.setattr(shadowing, "_SLAB_TABLE_ENTRIES", entries)
+            result = sampled_search(spec, epsilon, SUP, box, step)
             if expected is None:
-                assert found is None
+                assert result.refined
             else:
-                assert found is not None and np.array_equal(found, expected)
+                assert not result.refined and np.array_equal(result.found, expected)
     assert outcomes == {True, False}  # both found and absent cases are exercised
 
 
@@ -527,182 +529,221 @@ def reference_scan(m, window, eps_vals, metric, axes, order):
     return live[0].copy(), None, len(order)
 
 
-@pytest.mark.parametrize("block", [10**6, 5_000, 777])
-def test_near_miss_is_independent_of_block_size(block, monkeypatch):
-    # The blocks of this conjugated splice die at different indices of its order.  The
-    # near miss is taken at the latest of them, so blocks of any size give the one-block
-    # point; comparing gaps at different constraints gave [1.88, -0.08] in blocks of 5,000.
+@pytest.mark.parametrize("entries", [10**6, 200, 41])
+def test_near_miss_is_independent_of_slab_table_size(entries, monkeypatch):
+    # Over the 41 first-axis values the axis bound keeps, slab tables of these sizes
+    # cover the whole order of this conjugated splice, its first four indices, and only
+    # index 0, which has no slabs; its points die at different indices of the order.  The near miss is taken at
+    # the latest of them, so every table gives the same point.
     m = SEARCH_MAPS["affine-saddle"]
     spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
                                        m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
-    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", block)
-    result = sampled_search(spec, Const(0.4), SUP, [(-1.0, 3.0), (-1.0, 3.0)], 2e-2, refine=False)
+    monkeypatch.setattr(shadowing, "_SLAB_TABLE_ENTRIES", entries)
+    result = sampled_search(spec, Const(0.4), SUP, [(-1.0, 3.0), (-1.0, 3.0)], 2e-2)
     assert result.absent and np.array_equal(result.near_miss, [-1.0 + 2e-2 * 98, -1.0 + 2e-2 * 96])  # (0.96, 0.92)
 
 
-# Planar diagonal-affine maps with negative, unit and fractional scales and with translations.
 _PLANAR_SCALES = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]) | st.floats(-3.0, 3.0).filter(
     lambda v: abs(v) >= 0.1)
-_PLANAR_DIAGONAL = st.builds(
-    DiagonalAffine, st.lists(_PLANAR_SCALES, min_size=2, max_size=2),
-    st.lists(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0), min_size=2, max_size=2))
+
+
+def _diagonal(d):
+    """Diagonal-affine maps of dimension ``d`` with negative, unit and fractional scales and
+    with translations."""
+    return st.builds(DiagonalAffine, st.lists(_PLANAR_SCALES, min_size=d, max_size=d),
+                     st.lists(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0), min_size=d, max_size=d))
+
+
+_PLANAR_DIAGONAL = _diagonal(2)
 
 
 @st.composite
-def _affine_conjugate(draw):
-    """A planar diagonal-affine map conjugated by a random invertible affine change: a
-    general, an orientation-reversing or an ill-conditioned matrix, then maybe a power."""
+def _affine_conjugate(draw, d=2):
+    """A diagonal-affine map of dimension ``d`` conjugated by a random invertible affine
+    change: a general matrix, or in the plane also an orientation-reversing or an
+    ill-conditioned one, then maybe a power."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["general", "reflection", "ill-conditioned"]))
+    kind = draw(st.sampled_from(["general", "reflection", "ill-conditioned"] if d == 2 else ["general"]))
     if kind == "general":
-        matrix = rng.uniform(-2.0, 2.0, (2, 2))
+        matrix = rng.uniform(-2.0, 2.0, (d, d))
         assume(abs(np.linalg.det(matrix)) > 0.05)
     elif kind == "reflection":
         turn = rng.uniform(0.0, 2.0 * np.pi)
         matrix = rng.uniform(0.3, 2.0) * np.array([[np.cos(turn), np.sin(turn)], [np.sin(turn), -np.cos(turn)]])
     else:  # condition number about 4 / 10^-k
         matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 10.0 ** -rng.integers(3, 8)]]) * rng.choice([-1.0, 1.0], 2)
-    m = conjugate_map(draw(_PLANAR_DIAGONAL), AffineChange(matrix, rng.uniform(-1.0, 1.0, 2)))
+    m = conjugate_map(draw(_diagonal(d)), AffineChange(matrix, rng.uniform(-1.0, 1.0, d)))
     power = draw(st.sampled_from([1, 1, -1, 2, 3]))
     return m if power == 1 else power_map(m, power)
 
 
+_PLANAR_MAPS = (st.sampled_from([SEARCH_MAPS[name] for name in sorted(SEARCH_MAPS)]) | _PLANAR_DIAGONAL
+                | _affine_conjugate())
+
+
 @st.composite
-def _search_case(draw):
-    m = draw(st.sampled_from([SEARCH_MAPS[name] for name in sorted(SEARCH_MAPS)]) | _PLANAR_DIAGONAL
-             | _affine_conjugate())
+def _search_case(draw, maps=_PLANAR_MAPS):
+    """A search on one of ``maps``; 3-D grids take twice the step."""
+    m = draw(maps)
+    d = m.dimension
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         # Integer seeds, jumps, box ends and tolerance on a half or unit step:
         # many grid points share the least gap, so near-miss ties occur.
-        seed, jump = rng.integers(-2, 3, (2, 2)).astype(float)
+        seed, jump = rng.integers(-2, 3, (2, d)).astype(float)
         epsilon = Const(float(rng.integers(1, 3)))
-        box = [(float(c - h), float(c + h)) for c, h in zip(rng.integers(-2, 3, 2), rng.integers(1, 4, 2))]
+        box = [(float(c - h), float(c + h)) for c, h in zip(rng.integers(-2, 3, d), rng.integers(1, 4, d))]
         step = float(rng.choice([0.5, 1.0]))
     else:
-        seed, jump = rng.uniform(-0.8, 0.8, 2), rng.uniform(-1.2, 1.2, 2)
+        seed, jump = rng.uniform(-0.8, 0.8, d), rng.uniform(-1.2, 1.2, d)
         epsilon = Const(float(rng.uniform(0.2, 0.6)))
-        box = [(c - h, c + h) for c, h in zip(seed, rng.uniform(0.3, 1.0, 2))]
-        step = float(rng.choice([0.05, 0.1]))
+        box = [(c - h, c + h) for c, h in zip(seed, rng.uniform(0.3, 1.0, d))]
+        step = float(rng.choice([0.05, 0.1])) * (2.0 if d == 3 else 1.0)
     back, ahead = (int(k) for k in rng.integers(0, 6, 2))
     return PseudoOrbitSpec(SplicedRule(seed, seed + jump, 0), (-back, max(ahead, 1 - back)), m), epsilon, box, step
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_search_case(), st.sampled_from([SUP, MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP]),
-       st.sampled_from([7, 31, 10**6]), st.booleans())
+       st.sampled_from([7, 31, 10**6]))
 # Grid points exactly at the tolerance of index 0, which comes first for a conjugated map.
 @example((true_orbit_spec(SEARCH_MAPS["affine-saddle"], [0.0, 0.0], (0, 1)), Const(1.0),
-          [(-1.0, 1.0), (-1.0, 1.0)], 1.0), SUP, 7, False)
+          [(-1.0, 1.0), (-1.0, 1.0)], 1.0), SUP, 7)
 # Under EUCLIDEAN and POLAR_WARP: grid points whose gap along one axis is exactly the
 # tolerance, at both indices of the saddle's window.
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(1.0),
-          [(-2.0, 2.0), (-2.0, 2.0)], 1.0), MetricKind.EUCLIDEAN, 7, False)
+          [(-2.0, 2.0), (-2.0, 2.0)], 1.0), MetricKind.EUCLIDEAN, 7)
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(1.0),
-          [(-2.0, 2.0), (-2.0, 2.0)], 1.0), MetricKind.POLAR_WARP, 7, False)
+          [(-2.0, 2.0), (-2.0, 2.0)], 1.0), MetricKind.POLAR_WARP, 7)
 # H rounds a one-ulp step of the small coordinate away: the first grid point is at
 # computed warped distance 0, below its axis gap of 4.2e-22 and the tolerance.
 @example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.611868474358969e-06, -5.328914708747884], (0, 1)),
           Const(2e-22), [(2.6118684743589685e-06, 2.611868474358969e-06),
                          (-5.328914708747884, -5.328914708747884)], 4.235164736271502e-22),
-         MetricKind.POLAR_WARP, 10**6, False)
+         MetricKind.POLAR_WARP, 10**6)
 # metric-warp's search: first constraint at index -24, where |x_n| is about 2^24 * 0.005.
 @example((saddle_splice(0.00500003, (-24, 24)), Const(1.0), [(0.0, 4.0), (-2.0, 2.0)], 5e-3),
-         MetricKind.EUCLIDEAN, 10**6, True)
+         MetricKind.EUCLIDEAN, 10**6)
 @example((saddle_splice(0.00500003, (-24, 24)), Const(1.0), [(0.0, 4.0), (-2.0, 2.0)], 5e-3),
-         MetricKind.POLAR_WARP, 10**6, True)
+         MetricKind.POLAR_WARP, 10**6)
 # Around x_0 = (2, 0) the warp stretches outward more than inward: the nearest axis
 # values (3, 0) give warped distance 6, while (0.8, 0), with an axis gap of 1.2, gives 4.56.
 @example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
-          [(0.8, 3.0), (-2.2, 2.2)], 2.2), MetricKind.POLAR_WARP, 10**6, False)
+          [(0.8, 3.0), (-2.2, 2.2)], 2.2), MetricKind.POLAR_WARP, 10**6)
 # Around x_0 = (2, 0) the warped distance of (3, 0), whose axis gap is 1, is 12 - 6 and
 # ties with that of (0, 0), whose gap is 2: the second product holds the earlier tie.
 @example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
-          [(0.0, 3.0), (0.0, 0.0)], 3.0), MetricKind.POLAR_WARP, 10**6, False)
+          [(0.0, 3.0), (0.0, 0.0)], 3.0), MetricKind.POLAR_WARP, 10**6)
 # The near miss ties between (1, -1) and (1, 1).
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
-          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.EUCLIDEAN, 10**6, False)
+          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.EUCLIDEAN, 10**6)
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
-          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.POLAR_WARP, 10**6, False)
+          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.POLAR_WARP, 10**6)
 # The first constraint empties each of the four one-row blocks.
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
-          [(1.0, 4.0), (-3.0, 3.0)], 1.0), MetricKind.EUCLIDEAN, 7, False)
+          [(1.0, 4.0), (-3.0, 3.0)], 1.0), MetricKind.EUCLIDEAN, 7)
 # The first passing point lies on the edge of a slab, and its computed sup distance rounds
 # below the tolerance: slabs without the rounding allowance drop it.
 @example((PseudoOrbitSpec(SplicedRule(np.array([-2.0, 0.0]), np.array([-1.0, -1.0]), 0), (-3, 0),
                           conjugate_map(DiagonalAffine([1.0, -2.0], [1.0, -0.5]),
                                         AffineChange([[-0.6, 1.0], [-0.6, -2.0]], [0.5, 0.3]))),
-          Const(2.0), [(-5.0, 1.0), (-3.0, 3.0)], 0.5), SUP, 10**6, False)
+          Const(2.0), [(-5.0, 1.0), (-3.0, 3.0)], 0.5), SUP, 10**6)
 # The sup-norm slabs of the whole window keep two points whose Euclidean distance fails,
 # so the conjugated scan steps down to the slabs of a shorter prefix.
 @example((PseudoOrbitSpec(SplicedRule(np.array([-1.0, 2.0]), np.array([0.0, 1.0]), 0), (-1, 1),
                           SEARCH_MAPS["affine-saddle"]), Const(1.0), [(-1.0, 3.0), (-4.0, 2.0)], 0.5),
-         MetricKind.EUCLIDEAN, 10**6, False)
+         MetricKind.EUCLIDEAN, 10**6)
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
-          [(1.0, 4.0), (-3.0, 3.0)], 1.0), MetricKind.POLAR_WARP, 7, False)
-def test_scan_is_bit_identical_to_the_reference_scan(case, metric, block, refine):
+          [(1.0, 4.0), (-3.0, 3.0)], 1.0), MetricKind.POLAR_WARP, 7)
+def test_scan_is_bit_identical_to_the_reference_scan(case, metric, entries):
     spec, epsilon, box, step = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shadowing, "_BLOCK_POINTS", block)
-        new = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
+        mp.setattr(shadowing, "_SLAB_TABLE_ENTRIES", entries)
+        new = sampled_search(spec, epsilon, metric, box, step).to_obj()
         mp.setattr(shadowing, "_scan", reference_scan)
-        ref = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
+        ref = sampled_search(spec, epsilon, metric, box, step).to_obj()
     assert json.dumps(new) == json.dumps(ref)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(_search_case(), st.sampled_from([SUP, MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP]),
-       st.sampled_from([1, 5, 40]), st.booleans())
+       st.sampled_from([1, 5, 40]))
 # Chunks of one point die at different constraints; the near miss ties between
 # (1, -1) and (1, 1), which lie in different chunks.
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
-          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.EUCLIDEAN, 1, False)
+          [(1.0, 3.0), (-1.0, 1.0)], 2.0), MetricKind.EUCLIDEAN, 1)
 @example((true_orbit_spec(SEARCH_MAPS["saddle"], [0.0, 0.0], (0, 1)), Const(0.5),
-          [(1.0, 3.0), (-1.0, 1.0)], 2.0), SUP, 1, False)
+          [(1.0, 3.0), (-1.0, 1.0)], 2.0), SUP, 1)
 # The warp's second product, itself built one point at a time.
 @example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
-          [(0.8, 3.0), (-2.2, 2.2)], 2.2), MetricKind.POLAR_WARP, 1, False)
+          [(0.8, 3.0), (-2.2, 2.2)], 2.2), MetricKind.POLAR_WARP, 1)
 # Around x_0 = (2, 0) the warped distance of (3, 0), whose axis gap is 1, is 12 - 6 and
 # ties with that of (0, 0), whose gap is 2: the second product holds the earlier tie.
 @example((true_orbit_spec(DiagonalAffine([1.0, 1.0]), [2.0, 0.0], (0, 1)), Const(0.5),
-          [(0.0, 3.0), (0.0, 0.0)], 3.0), MetricKind.POLAR_WARP, 1, False)
+          [(0.0, 3.0), (0.0, 0.0)], 3.0), MetricKind.POLAR_WARP, 1)
 # The slab descent of the reference property, one point per chunk.
 @example((PseudoOrbitSpec(SplicedRule(np.array([-1.0, 2.0]), np.array([0.0, 1.0]), 0), (-1, 1),
                           SEARCH_MAPS["affine-saddle"]), Const(1.0), [(-1.0, 3.0), (-4.0, 2.0)], 0.5),
-         MetricKind.EUCLIDEAN, 1, False)
+         MetricKind.EUCLIDEAN, 1)
 # A conjugated splice, whose chunks die at several indices of its window.
 @example((PseudoOrbitSpec(SplicedRule(SEARCH_MAPS["affine-saddle"].change.apply(np.array([1.0, 0.0])),
                                       SEARCH_MAPS["affine-saddle"].change.apply(np.array([1.0, 0.5])), 0),
                           (-4, 4), SEARCH_MAPS["affine-saddle"]),
-          Const(0.4), [(-1.0, 3.0), (-1.0, 3.0)], 0.1), SUP, 5, True)
-def test_chunked_scan_is_bit_identical_to_the_reference_scan(case, metric, chunk, refine):
+          Const(0.4), [(-1.0, 3.0), (-1.0, 3.0)], 0.1), SUP, 5)
+def test_chunked_scan_is_bit_identical_to_the_reference_scan(case, metric, chunk):
     spec, epsilon, box, step = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shadowing, "_CHUNK_POINTS", chunk)
-        new = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
+        new = sampled_search(spec, epsilon, metric, box, step).to_obj()
         mp.setattr(shadowing, "_scan", reference_scan)
-        ref = sampled_search(spec, epsilon, metric, box, step, refine).to_obj()
+        ref = sampled_search(spec, epsilon, metric, box, step).to_obj()
+    assert json.dumps(new) == json.dumps(ref)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_search_case(_diagonal(1) | _diagonal(3) | _affine_conjugate(3)), st.sampled_from([SUP, MetricKind.EUCLIDEAN]),
+       st.sampled_from([5, 40, 1 << 14]))
+# Shadowed orbits: the fixed point b of a 3-D affine conjugate of x -> 2x, a grid point,
+# and on the line the fixed point -1 of x -> 2x + 1, which only the refinement grid around
+# the near miss -0.5 holds.
+@example((true_orbit_spec(conjugate_map(homothety(2.0, 3), AffineChange([[1.0, 0.5, 0.0], [0.0, 1.0, 0.25],
+                                                                          [0.5, 0.0, 1.0]], [0.0, 0.5, -0.5])),
+                          [0.0, 0.5, -0.5], (-3, 3)), Const(0.4), [(-1.0, 1.0), (-0.5, 1.5), (-1.5, 0.5)], 0.25),
+         MetricKind.EUCLIDEAN, 5)
+@example((true_orbit_spec(DiagonalAffine([2.0], [1.0]), [-1.0], (-3, 3)), Const(0.6), [(-0.5, 2.0)], 0.5), SUP, 5)
+def test_off_plane_scan_is_bit_identical_to_the_reference_scan(case, metric, chunk):
+    # Grids of dimension 1 and 3, where a chunk's points take their rows of the
+    # product of the other axes apart; chunks of 5 and 40 points cut those rows.
+    spec, epsilon, box, step = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shadowing, "_CHUNK_POINTS", chunk)
+        new = sampled_search(spec, epsilon, metric, box, step).to_obj()
+        mp.setattr(shadowing, "_scan", reference_scan)
+        ref = sampled_search(spec, epsilon, metric, box, step).to_obj()
     assert json.dumps(new) == json.dumps(ref)
 
 
 @pytest.mark.parametrize("metric", [SUP, MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP])
-def test_conjugated_scan_overflows_where_the_product_scan_does(metric):
+def test_conjugated_scan_overflows_where_the_unslabbed_scan_does(metric):
     # The fixed point b of an affine conjugate of x -> 2x lies on the grid of the box
     # from b - 0.5 and passes every index up to 1023; 2^1024 leaves double range.  The
     # grid from b - 0.3 misses b by 0.05 or more, so each of its points dies by n = 5.
     b = np.array([0.25, -0.5])
     m = conjugate_map(homothety(2.0), AffineChange([[0.96, -0.72], [0.72, 0.96]], b))
-    slabbed, slab_spans = [], shadowing._slab_spans
+    slabbed, span_table = [], shadowing._span_table
 
     def recorded(*args):
-        slabbed.append(slab_spans(*args))
+        slabbed.append(span_table(*args))
         return slabbed[-1]
+
+    def unslabbed(g, *args):  # the table of a map without slabs: one row of every point
+        return span_table(g.inner, *args)
 
     def search(stop, corner, slabs):
         spec = PseudoOrbitSpec(ExplicitRule(np.tile(b, (stop + 1, 1)), 0), (0, stop), m)
         box = [(v, v + 1.0) for v in b + corner]
-        with pytest.MonkeyPatch.context() as mp:  # without slabs: the product scan
-            mp.setattr(shadowing, "_slab_spans", recorded if slabs else lambda *args: None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shadowing, "_span_table", recorded if slabs else unslabbed)
             try:
                 return sampled_search(spec, Const(0.5), metric, box, 0.125).to_obj()
             except IterationRangeError as exc:
@@ -712,11 +753,11 @@ def test_conjugated_scan_overflows_where_the_product_scan_does(metric):
         1024, "iterate overflow at n=1024: scale power left double range")
     absent = search(1030, -0.3, True)
     assert absent == search(1030, -0.3, False) and absent["found"] is None
-    assert slabbed and all(spans is None for spans in slabbed)  # no slab past double range
+    assert slabbed and all(len(counts) == 1 for _, _, counts in slabbed)  # no slab past double range
     slabbed.clear()
     found = search(400, -0.5, True)
     assert found == search(400, -0.5, False) and found["found"] == b.tolist()
-    assert slabbed and all(spans is not None for spans in slabbed)
+    assert slabbed and all(len(counts) > 1 for _, _, counts in slabbed)
 
 
 def _slab_counts(spec, eps, box, step, rows):
@@ -743,6 +784,25 @@ def _longest_kept(counts) -> int:
     return int(counts[counts > 0][-1])
 
 
+def _count_built(monkeypatch) -> list[list[int]]:
+    """Per ``_scan`` call, the sizes of the chunks ``_chunks`` builds: the first pass's,
+    then the refinement's."""
+    scans, scan, chunks = [], shadowing._scan, shadowing._chunks
+
+    def counting_scan(*args):
+        scans.append([])
+        return scan(*args)
+
+    def counting_chunks(*args):
+        for points in chunks(*args):
+            scans[-1].append(len(points))
+            yield points
+
+    monkeypatch.setattr(shadowing, "_scan", counting_scan)
+    monkeypatch.setattr(shadowing, "_chunks", counting_chunks)
+    return scans
+
+
 def test_scan_builds_its_product_in_chunks(monkeypatch):
     # The conjugated search of the test below keeps 1,640 points at index 0 and 31 within
     # the slabs of the longest prefix of its order whose slabs keep any, n = 1..6; chunks
@@ -751,19 +811,12 @@ def test_scan_builds_its_product_in_chunks(monkeypatch):
     spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
                                        m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
     box = [(-1.0, 3.0), (-1.0, 3.0)]
-    whole = sampled_search(spec, Const(0.4), SUP, box, 2e-2, refine=False).to_obj()
-    built = []
-    grid_points = shadowing._grid_points
-
-    def counting(axes, spans=None):
-        points = grid_points(axes, spans)
-        built.append(len(points))
-        return points
-
-    monkeypatch.setattr(shadowing, "_grid_points", counting)
+    whole = sampled_search(spec, Const(0.4), SUP, box, 2e-2).to_obj()
+    scans = _count_built(monkeypatch)
     monkeypatch.setattr(shadowing, "_CHUNK_POINTS", 8)
-    assert sampled_search(spec, Const(0.4), SUP, box, 2e-2, refine=False).to_obj() == whole
-    grid = grid_points(shadowing._grid_axes(box, 2e-2))
+    assert sampled_search(spec, Const(0.4), SUP, box, 2e-2).to_obj() == whole
+    built = scans[0]
+    grid = np.stack(np.meshgrid(*shadowing._grid_axes(box, 2e-2), indexing="ij"), axis=-1).reshape(-1, 2)
     survivors = int(np.sum(distance(SUP, grid, realize(spec).point_at(0)) - 0.4 < 0.0))
     [counts] = _slab_counts(spec, 0.4, box, 2e-2, len(grid))
     assert survivors == 1_640 and counts[5] == 31 and counts[6] == 0
@@ -771,58 +824,48 @@ def test_scan_builds_its_product_in_chunks(monkeypatch):
 
 
 def test_scan_builds_only_the_points_its_axis_bound_and_slab_table_keep(monkeypatch):
-    built = []
-    grid_points = shadowing._grid_points
-
-    def counting(axes, spans=None):
-        points = grid_points(axes, spans)
-        built.append(len(points))
-        return points
-
-    monkeypatch.setattr(shadowing, "_grid_points", counting)
-    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", 5_000)  # 201 x 201 grids: nine blocks of rows
+    scans = _count_built(monkeypatch)
     saddle_case = (saddle_splice(0.1), saddle_adversarial_epsilon(), [(0.0, 2.0), (-1.0, 1.0)], 1e-2)
     # Every metric bounds a point's distance below by each gap |img_j - x_j| of the first
     # constraint, index -32, where the image's second coordinate is 2^32 y.  No point
     # passes, and only the value of y nearest 0.1 reaches the least distance, while every
-    # first-axis value does: the one pass builds those 201 points once.  Under SUP the
-    # refinement's 5 x 5 grid then builds its five points on that row.
-    result = sampled_search(*saddle_case[:2], SUP, *saddle_case[2:])
-    assert result.absent and result.checked == 201 * 201 + 25 and built == [201, 5]
-    for metric in (MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP):
-        built.clear()
-        assert sampled_search(*saddle_case[:2], metric, *saddle_case[2:], refine=False).absent
-        assert built == [201]
+    # first-axis value does: the one pass builds those 201 points once.  The refinement's
+    # 5 x 5 grid then builds its five points on that row.
+    for metric in (SUP, MetricKind.EUCLIDEAN, MetricKind.POLAR_WARP):
+        scans.clear()
+        result = sampled_search(*saddle_case[:2], metric, *saddle_case[2:])
+        assert result.absent and result.checked == 201 * 201 + 25 and scans == [[201], [5]]
     # A conjugated map builds only the points within the slabs of the longest prefix of
     # its order whose slabs keep any: 31 of the 1,640 that pass its index 0.
     m = SEARCH_MAPS["affine-saddle"]
     spec = PseudoOrbitSpec(SplicedRule(m.change.apply(np.array([1.0, 0.0])),
                                        m.change.apply(np.array([1.0, 0.8 / 0.96])), 0), (-6, 6), m)
     box, step = [(-1.0, 3.0), (-1.0, 3.0)], 2e-2
-    built.clear()
-    whole = sampled_search(spec, Const(0.4), SUP, box, step, refine=False)
+    scans.clear()
+    whole = sampled_search(spec, Const(0.4), SUP, box, step)
     [counts] = _slab_counts(spec, 0.4, box, step, 201)
-    assert whole.absent and sum(built) == _longest_kept(counts) == 31
+    assert whole.absent and sum(scans[0]) == _longest_kept(counts) == 31
     # The axis bound keeps the 41 x 41 values whose gap, less its allowance, is at most
     # 0.4, so a table of 100 entries covers the slabs of the order's first two indices, 0
     # and 1, only: the scan builds the points of that square within the slabs of index 1,
     # and the rest of the order finds the same result.
     window, axes = realize(spec), shadowing._grid_axes(box, step)
-    square = grid_points([a[np.abs(a - x) * (1.0 - 2.0 ** -48) <= 0.4] for a, x in zip(axes, window.point_at(0))])
+    square = np.stack(np.meshgrid(*[a[np.abs(a - x) * (1.0 - 2.0 ** -48) <= 0.4]
+                                    for a, x in zip(axes, window.point_at(0))], indexing="ij"), axis=-1).reshape(-1, 2)
     assert len(square) == 41 * 41
-    monkeypatch.setattr(shadowing, "_BLOCK_POINTS", 100)
-    built.clear()
-    assert sampled_search(spec, Const(0.4), SUP, box, step, refine=False).to_obj() == whole.to_obj()
+    monkeypatch.setattr(shadowing, "_SLAB_TABLE_ENTRIES", 100)
+    scans.clear()
+    assert sampled_search(spec, Const(0.4), SUP, box, step).to_obj() == whole.to_obj()
     excess = distance(SUP, m.iterate(square, 1), window.point_at(1)) - 0.4
     assert not np.any((np.abs(excess) > 1e-12) & (np.abs(excess) < 1e-8))
-    assert sum(built) == int(np.sum(excess < 1e-9)) == 1_073
+    assert sum(scans[0]) == int(np.sum(excess < 1e-9)) == 1_073
 
 
 def test_conjugated_scan_memory_does_not_grow_with_the_window():
     # metric-warp's splice on an affine-conjugated saddle, on a 200,001 x 2 grid: a point
     # passes the window +-5, and none passes +-40.  A slab table with a row per window
     # index would take 2 x 82 x 200,001 x 8 bytes = 262 MB at +-40; the table of
-    # _BLOCK_POINTS entries keeps the peak the same at both windows.
+    # _SLAB_TABLE_ENTRIES entries keeps the peak the same at both windows.
     m = conjugate_map(saddle(), AffineChange([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0]))
     peaks = []
     for reach in (5, 40):
