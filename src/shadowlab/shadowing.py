@@ -136,10 +136,10 @@ class FeasibilityCertificate:
 
     ``outcome`` is "nonempty" (with the feasibility box and a witness, the
     box center) or "empty" (with the first |n| at which some coordinate's
-    interval intersection vanished).  ``trace`` records, in processing order,
-    the per-coordinate intervals after each constraint.  ``near_degenerate``
-    marks decisions within 4*margin of flipping; those should be cross-checked
-    with the sampled oracle.
+    interval intersection vanished).  ``trace`` reads the walk's ``blocks``,
+    arrays (ns, los, his), as one (n, lo row, hi row) per constraint, in
+    processing order.  ``near_degenerate`` marks decisions within 4*margin of
+    flipping; those should be cross-checked with the sampled oracle.
     """
 
     outcome: str
@@ -150,11 +150,15 @@ class FeasibilityCertificate:
     witness: np.ndarray | None = None
     emptiness_window: int | None = None
     near_degenerate: bool = False
-    trace: list = field(default_factory=list)  # (n, lo row, hi row) of the block arrays
+    blocks: list = field(default_factory=list)  # (ns, los, his) per block, in processing order
 
     @property
     def empty(self) -> bool:
         return self.outcome == "empty"
+
+    @property
+    def trace(self) -> list:
+        return [entry for ns, los, his in self.blocks for entry in zip(ns.tolist(), los, his)]
 
     def to_obj(self) -> dict:
         dim = len(self.lo)
@@ -164,12 +168,10 @@ class FeasibilityCertificate:
             "margin": float(self.margin),
             "near_degenerate": bool(self.near_degenerate),
             "box": [[float(a), float(b)] for a, b in zip(self.lo, self.hi)],
-            # One intersection trace per coordinate: entries [n, lo, hi] in
-            # processing order.
-            "trace": [
-                [[int(n), float(lo[j]), float(hi[j])] for n, lo, hi in self.trace]
-                for j in range(dim)
-            ],
+            # One intersection trace per coordinate: [n, lo, hi] per constraint, in processing order.
+            "trace": [[[n, lo, hi] for ns, los, his in self.blocks
+                       for n, lo, hi in zip(ns.tolist(), los[:, j].tolist(), his[:, j].tolist())]
+                      for j in range(dim)],
         }
         if self.witness is not None:
             obj["witness"] = [float(v) for v in self.witness]
@@ -182,10 +184,10 @@ class FeasibilityCertificate:
 
     def trace_to_csv(self) -> str:
         """Interval widths per processed constraint, one column per coordinate."""
-        ns = [n for n, _, _ in self.trace]
-        widths = np.array([hi - lo for _, lo, hi in self.trace]).reshape(len(ns), len(self.lo))
+        ns = np.concatenate([np.zeros(0, dtype=int)] + [ns for ns, _, _ in self.blocks])
+        widths = np.concatenate([np.zeros((0, len(self.lo)))] + [his - los for _, los, his in self.blocks])
         widths = np.where(widths < 0.0, 0.0, widths)  # an emptied interval has width 0
-        columns = {"order": np.arange(len(ns)), "n": np.array(ns, dtype=int)}
+        columns = {"order": np.arange(len(ns)), "n": ns}
         columns.update((f"width{j + 1}", widths[:, j]) for j in range(len(self.lo)))
         return trace_csv(columns)
 
@@ -209,16 +211,16 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
     balls are boxes and orbit maps are coordinatewise affine.
 
     The order is walked in blocks of ``_FIRST_BLOCK`` constraints, doubling
-    each time; a block realizes and evaluates only its own indices and
-    intersects its intervals by running maxima and minima, so a walk that
-    decides early never realizes the far end of a long window.
+    each time; a block computes one power table for its own indices only,
+    builds a spliced rule's points seed * a^n + drift(n) from it with the bits
+    ``realize`` gives them, and intersects its intervals by running extrema.
 
     Raises ``UnsupportedMapError`` for other maps (use ``sampled_search``),
     ``DegenerateMarginError`` if a still-undecided run reaches a constraint
     whose tolerance does not exceed the margin, and ``IterationRangeError``
-    if it reaches an index whose iterates leave double range.
+    if it reaches an index whose power or point leaves double range.
     """
-    m = spec.map
+    m, rule = spec.map, spec.rule
     if not is_diagonal_affine(m):
         raise UnsupportedMapError(
             f"{type(m).__name__} is not diagonal-affine; use sampled_search instead"
@@ -229,9 +231,9 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
     if window_limit < 0:
         raise ContractViolation("window_limit must be nonnegative")
 
-    if isinstance(spec.rule, ExplicitRule):
-        n_min = max(spec.window[0], spec.rule.start)
-        n_max = min(spec.window[1], spec.rule.start + len(spec.rule.points) - 1)
+    if isinstance(rule, ExplicitRule):
+        n_min = max(spec.window[0], rule.start)
+        n_max = min(spec.window[1], rule.start + len(rule.points) - 1)
         if not n_min <= 0 <= n_max:
             raise ContractViolation("explicit rule must cover index 0 of its window")
     else:
@@ -239,7 +241,7 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
     rows = 2 * min(window_limit, max(n_max, -n_min)) + 1
 
     lo, hi = np.full(m.dimension, -np.inf), np.full(m.dimension, np.inf)
-    trace: list = []  # (n, lo, hi) after each constraint
+    blocks: list = []  # (ns, los, his) of each block's processed constraints
     start, size = 0, _FIRST_BLOCK
     while start < rows:
         ns = _constraint_order(np.arange(start, min(start + size, rows)))
@@ -252,31 +254,39 @@ def box_feasibility(spec: PseudoOrbitSpec, epsilon: CPlusFn, window_limit: int,
             # Decide on the constraints before the overflow, or refuse.
             overflow, ns = exc, ns[: np.argmax(ns == exc.n)]
             pow_, drift = m.power_coefficients(ns)
+        if isinstance(rule, ExplicitRule):
+            x_n = rule.points[ns - rule.start]
+        else:
+            seeds = np.where((ns >= rule.splice)[:, None], rule.forward_seed, rule.backward_seed)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_n = _scale_shift(seeds, pow_, drift)
+            bad = np.flatnonzero(~np.all(np.isfinite(x_n), axis=1))
+            if bad.size:
+                overflow = IterationRangeError(int(ns[bad[0]]), "a spliced point left double range")
+                ns, pow_, drift, x_n = ns[: bad[0]], pow_[: bad[0]], drift[: bad[0]], x_n[: bad[0]]
         if ns.size:
-            window = realize(spec, (ns.min(), ns.max()))
-            x_n = window.points[ns - window.start]
             eps = _values_along(epsilon, x_n, ns)
             radius = (eps - margin)[:, None]
             ends = ((x_n - drift - radius) / pow_, (x_n - drift + radius) / pow_)
             los = np.maximum.accumulate(np.vstack([lo, np.minimum(*ends)]))[1:]
             his = np.minimum.accumulate(np.vstack([hi, np.maximum(*ends)]))[1:]
             decided = np.flatnonzero((radius[:, 0] <= 0.0) | np.any(los > his, axis=1))
-            trace.extend(zip(ns[: decided[0] + 1 if decided.size else None].tolist(), los, his))
             if decided.size:
                 i, n = decided[0], int(ns[decided[0]])
                 if radius[i, 0] <= 0.0:
                     raise DegenerateMarginError(n, float(eps[i]), margin)
                 gap = float(np.max(los[i] - his[i]))
-                return FeasibilityCertificate("empty", window_limit, margin, los[i], his[i],
-                                              emptiness_window=abs(n), trace=trace,
+                return FeasibilityCertificate("empty", window_limit, margin, los[i], his[i], emptiness_window=abs(n),
+                                              blocks=[*blocks, (ns[: i + 1], los[: i + 1], his[: i + 1])],
                                               near_degenerate=margin > 0.0 and gap <= 4.0 * margin)
+            blocks.append((ns, los, his))
             lo, hi = los[-1], his[-1]
         if overflow is not None:
             raise overflow
 
     min_width = float(np.min(hi - lo))
     return FeasibilityCertificate("nonempty", window_limit, margin, lo, hi, witness=0.5 * (lo + hi),
-                                  near_degenerate=margin > 0.0 and min_width <= 4.0 * margin, trace=trace)
+                                  near_degenerate=margin > 0.0 and min_width <= 4.0 * margin, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

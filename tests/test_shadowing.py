@@ -884,11 +884,8 @@ def test_conjugated_scan_memory_does_not_grow_with_the_window():
 # ---------------------------------------------------------------------------
 
 
-def reference_box_feasibility(spec, epsilon, window_limit, margin=0.0):
-    """The certificate one constraint at a time, after realizing the whole window."""
-    m = spec.map
-    if not isinstance(m, DiagonalAffine):
-        raise UnsupportedMapError(f"{type(m).__name__} is not diagonal-affine")
+def _reference_order(spec, window_limit):
+    """The window indices 0, 1, -1, 2, -2, ... that the certificate of ``spec`` may process."""
     if isinstance(spec.rule, ExplicitRule):
         n_min = max(spec.window[0], spec.rule.start)
         n_max = min(spec.window[1], spec.rule.start + len(spec.rule.points) - 1)
@@ -902,7 +899,31 @@ def reference_box_feasibility(spec, epsilon, window_limit, margin=0.0):
             order.append(-k)
         if k > n_max and -k < n_min:
             break
+    return order
 
+
+def _first_overflow(spec, order):
+    """The first index of ``order`` whose scale power or spliced point leaves double range,
+    one index at a time, or None."""
+    rule = spec.rule
+    for n in order:
+        try:
+            if isinstance(rule, ExplicitRule):
+                spec.map.power_coefficients(n)
+            elif not np.all(np.isfinite(spec.map.iterate(rule.forward_seed if n >= rule.splice
+                                                         else rule.backward_seed, n))):
+                return n
+        except IterationRangeError:
+            return n
+    return None
+
+
+def reference_box_feasibility(spec, epsilon, window_limit, margin=0.0):
+    """The certificate one constraint at a time, after realizing the whole window."""
+    m = spec.map
+    if not isinstance(m, DiagonalAffine):
+        raise UnsupportedMapError(f"{type(m).__name__} is not diagonal-affine")
+    order = _reference_order(spec, window_limit)
     lo = np.full(m.dimension, -np.inf)
     hi = np.full(m.dimension, np.inf)
     trace = []
@@ -924,10 +945,17 @@ def reference_box_feasibility(spec, epsilon, window_limit, margin=0.0):
         if np.any(lo > hi):
             gap = float(np.max(lo - hi))
             return FeasibilityCertificate("empty", window_limit, margin, lo, hi, emptiness_window=abs(n),
-                                          near_degenerate=margin > 0.0 and gap <= 4.0 * margin, trace=trace)
+                                          near_degenerate=margin > 0.0 and gap <= 4.0 * margin,
+                                          blocks=_one_block(trace))
     return FeasibilityCertificate("nonempty", window_limit, margin, lo, hi, witness=0.5 * (lo + hi),
                                   near_degenerate=margin > 0.0 and float(np.min(hi - lo)) <= 4.0 * margin,
-                                  trace=trace)
+                                  blocks=_one_block(trace))
+
+
+def _one_block(trace):
+    """The reference's (n, lo, hi) per constraint as the certificate's one block of arrays."""
+    ns, los, his = zip(*trace)
+    return [(np.array(ns, dtype=int), np.array(los), np.array(his))]
 
 
 def _outcome(decide, *args):
@@ -952,7 +980,10 @@ def _certificate_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     window_limit = draw(st.integers(0, 512))
     if draw(st.booleans()):
-        forward = rng.uniform(-3.0, 3.0, dim)
+        # Coordinates up to about 1e300 leave double range before their powers do.
+        exponents = draw(st.lists(st.sampled_from([0, 300]) | st.integers(0, 300), min_size=dim, max_size=dim))
+        magnitudes = 10.0 ** np.array(exponents)
+        forward = rng.uniform(-3.0, 3.0, dim) * magnitudes
         backward = forward + 10.0 ** rng.uniform(-6.0, 0.0) * rng.standard_normal(dim)
         spec = PseudoOrbitSpec(SplicedRule(forward, backward, draw(st.integers(-3, 3))),
                                (-max(window_limit, 1), max(window_limit, 1)), m)
@@ -972,8 +1003,16 @@ def _depth(outcome) -> int:
     return outcome[2].emptiness_window
 
 
+def _far_splice(seed, jump):
+    """A saddle splice whose first coordinate, at ``seed``, leaves double range at n = 28 when
+    ``seed`` is 1e300; the second jumps from 0 to ``jump`` across the splice."""
+    return PseudoOrbitSpec(SplicedRule((seed, 0.0), (seed, jump), 0), (-64, 64), saddle())
+
+
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(_certificate_case())
+@example((_far_splice(1e300, 1.0 + 2.0 ** -25), Const(1.0), 64, 0.0))
+@example((_far_splice(1e300, 1.0 + 2.0 ** -40), Const(1.0), 64, 0.0))
 def test_block_walk_matches_the_reference_loop(case):
     spec, epsilon, window_limit, margin = case
     with np.errstate(all="ignore"):
@@ -981,16 +1020,24 @@ def test_block_walk_matches_the_reference_loop(case):
         new = _outcome(box_feasibility, spec, epsilon, window_limit, margin)
         # The reference realizes and evaluates the whole window before its
         # first constraint, so iterates past double range refuse it up
-        # front; the walk may decide before it reaches them.
+        # front; the walk decides on the constraints before the first index
+        # of its order whose power or point leaves double range, or refuses
+        # there.
         up_front = (IterationRangeError, PositivityError)
         if ref[0] in up_front and new[:2] != ref[:2]:
+            order = _reference_order(spec, window_limit)
             if new[0] in up_front:
+                if new[0] is IterationRangeError:
+                    assert new[2].n == _first_overflow(spec, order)
                 if new[0] is ref[0] is IterationRangeError:
                     assert abs(new[2].n) <= abs(ref[2].n)
                 return
             depth = _depth(new)
             if ref[0] is IterationRangeError:
                 assert depth < abs(ref[2].n)
+                decided = new[2].n if new[0] is DegenerateMarginError else new[2].trace[-1][0]
+                overflow = _first_overflow(spec, order)
+                assert overflow is None or order.index(decided) < order.index(overflow)
             # The reference cut to that depth decides alike, unless the cut
             # still reaches an iterate past double range.
             ref = _outcome(reference_box_feasibility, spec, epsilon, depth, margin)
@@ -1028,6 +1075,52 @@ def test_saddle_certificate_decides_without_realizing_the_far_window():
     shallow = box_feasibility(spec, eps, 32).to_obj()
     assert deep.pop("window_limit") == 2000 and shallow.pop("window_limit") == 32
     assert deep == shallow and deep["outcome"] == "empty"
+
+
+@pytest.mark.parametrize("seed, jump_bits, depth", [(1e300, 25, 26), (1e300, 26, 27), (1e300, 40, None),
+                                                     (1.0, 25, 26), (1.0, 26, 27)])
+def test_a_point_past_double_range_lets_the_constraints_before_it_decide(seed, jump_bits, depth):
+    # With seed 1e300 the first coordinate leaves double range at n = 28, inside the third
+    # block (n = -55..56): the constraints before it in the order decide as they do for
+    # seed 1, and a walk still undecided there refuses at that index.
+    spec = _far_splice(seed, 1.0 + 2.0 ** -jump_bits)
+    if depth is None:
+        with pytest.raises(IterationRangeError, match="n=28: a spliced point left double range"):
+            box_feasibility(spec, Const(1.0), 64)
+        return
+    cert = box_feasibility(spec, Const(1.0), 64).to_obj()
+    cut = reference_box_feasibility(spec, Const(1.0), depth).to_obj()
+    assert cert.pop("window_limit") == 64 and cut.pop("window_limit") == depth
+    assert cert == cut and cert["outcome"] == "empty" and cert["emptiness_window"] == depth
+
+
+def test_a_block_computes_one_power_table_and_realizes_nothing(monkeypatch):
+    # A nonempty window-512 translation walk processes its 1,025 constraints in 7 blocks of
+    # 16, 32, ..., 512 and 17 constraints, with one power table each and no realized window.
+    spec = PseudoOrbitSpec(SplicedRule(np.zeros(2), np.array([0.0, 0.001]), 0), (-512, 512), translation_map(2))
+    calls = {"power_coefficients": 0, "realize": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(DiagonalAffine, "power_coefficients",
+                        counting("power_coefficients", DiagonalAffine.power_coefficients))
+    monkeypatch.setattr(shadowing, "realize", counting("realize", shadowing.realize))
+    cert = box_feasibility(spec, decaying_epsilon(1.0), 512)
+    assert calls == {"power_coefficients": 7, "realize": 0} and not cert.empty
+    assert [len(ns) for ns, _, _ in cert.blocks] == [16, 32, 64, 128, 256, 512, 17]
+    trace = cert.trace
+    assert len(trace) == 1_025
+    assert [n for n, _, _ in trace] == [0] + [s * k for k in range(1, 513) for s in (1, -1)]
+    for n, lo, hi in trace:
+        assert type(n) is int and isinstance(lo, np.ndarray) and isinstance(hi, np.ndarray)
+        assert (hi - lo).shape == (2,) and np.all(hi - lo >= 0.0)
+    monkeypatch.undo()
+    ref = reference_box_feasibility(spec, decaying_epsilon(1.0), 512)
+    assert (cert.to_json(), cert.trace_to_csv()) == (ref.to_json(), ref.trace_to_csv())
 
 
 def test_certificate_json_schema():
