@@ -574,16 +574,18 @@ def synthesize_delta_homothety(epsilon: CPlusFn, m: MapSpec, metric: MetricKind 
 
         delta(x) = 0.5 * G(|x|) / (1 + |x|)
 
-    where g(s) is the sampled-direction minimum at radius s of epsilon, b and,
-    for s > r0, the escape bound s*(k-1)/(2k) (equal to s/4 at k = 2), and G
-    is the running minimum of g along the radial grid, which has r0 as a knot.
-    From r0 on, each knot's value is at most the escape bound as well, since
-    the interpolant just outside r0 starts from the value at r0.  By
-    construction delta is strictly positive and, at every verified point,
+    where g(s) is the sampled-direction minimum at radius s of epsilon, the cap c =
+    b*min(1, k-1) and, for s > r0, the escape bound s*(k-1)/(2k) (equal to s/4 at
+    k = 2), and G is the running minimum of g along the radial grid, which has r0 as
+    a knot.  From r0 on, each knot's value is at most the escape bound as well, since
+    the interpolant just outside r0 starts from the value at r0.  By construction
+    delta is strictly positive and, at every verified point,
 
-        delta < epsilon,   delta < b,   delta < |x|*(k-1)/(2k) outside the
+        delta < epsilon,   delta < c,   delta < |x|*(k-1)/(2k) outside the
         ball,   and delta is strictly decreasing in the norm.
 
+    The factor k-1 suffices near k = 1: an escaping orbit inside the r0-ball at
+    backward indices has a series tail of at most delta/(k-1) <= 0.5*b < epsilon.
     The 0.9 and 0.5 safety factors absorb the sampling of true minima; callers
     re-verify a posteriori with ``verify_delta_conditions``.  Beyond ``_RHO_MAX``
     the table continues by the harmonic tail rule, which preserves positivity
@@ -605,7 +607,7 @@ def synthesize_delta_homothety(epsilon: CPlusFn, m: MapSpec, metric: MetricKind 
     dirs = sample_directions(metric, m.dimension, sphere_samples)
     pts = (s_grid[:, None, None] * dirs[None, :, :]).reshape(-1, m.dimension)
     eps_on_rays = epsilon.eval(pts).reshape(len(s_grid), sphere_samples)
-    g = np.minimum(np.min(eps_on_rays, axis=1), ball_min)
+    g = np.minimum(np.min(eps_on_rays, axis=1), ball_min * min(1.0, k - 1.0))
     outside = s_grid > r0
     escape_bound = s_grid * (k - 1.0) / (2.0 * k)
     g = np.where(outside, np.minimum(g, escape_bound), g)
@@ -684,7 +686,7 @@ def verify_delta_conditions(delta: CPlusFn, epsilon: CPlusFn, m: MapSpec,
 
     failures = {
         "below_epsilon": int(np.sum(~(d_vals < e_vals))),
-        "below_ball_min": int(np.sum(~(d_vals < ball_min))),
+        "below_ball_min": int(np.sum(~(d_vals < ball_min * min(1.0, k - 1.0)))),
         "escape_bound": int(np.sum(~(d_vals[outside] < norms[outside] * (k - 1.0) / (2.0 * k)))),
     }
 

@@ -29,8 +29,9 @@ conjugated map iterates through its inner map's closed form,
 ``change(inner^n(change^{-1}(p)))``, and never steps, in the grid oracle
 too, which chooses only the order of its indices by map (README,
 "Numerical policy").  Changes of coordinates compute each point alone, so a
-point's image has the same bits in a call of any size, and its
-``difference(p, t)`` is change(p + t) - change(p) without subtracting two images.
+point's image has the same bits in a call of any size; ``difference(p, t)`` is
+change(p + t) - change(p) without subtracting two images, and
+``difference_bound(p, e, metric)`` its closed-form bound over the e-ball.
 
 ``power_map`` normalizes eagerly: powers of diagonal-affine maps are again
 diagonal-affine (exactness is preserved), and powers commute with conjugacy.
@@ -42,7 +43,9 @@ import numpy as np
 
 from .errors import (REQUIRED, ContractViolation, DimensionMismatch, IterationRangeError, UnsupportedMapError,
                      number, numbers, read_kind, rows)
-from .geometry import as_point, euclidean_norm, radial_rescale
+from .geometry import MetricKind, as_point, euclidean_norm, radial_rescale
+
+_OUTWARD = 1.0 + 2.0 ** -48  # difference bounds round up by 32 ulps, above what their inputs round by
 
 __all__ = [
     "MapSpec",
@@ -89,6 +92,10 @@ class Diffeo:
         """apply(p + t) - apply(p), computed without subtracting two images."""
         raise NotImplementedError
 
+    def difference_bound(self, p: np.ndarray, e, metric: MetricKind) -> np.ndarray:
+        """An upper bound of |difference(p, t)| over |t| <= e in the norm of ``metric``, SUP or EUCLIDEAN."""
+        raise NotImplementedError
+
 
 class IdentityChange(Diffeo):
     dimension = None
@@ -101,6 +108,9 @@ class IdentityChange(Diffeo):
 
     def difference(self, p, t):
         return np.asarray(t, dtype=float)
+
+    def difference_bound(self, p, e, metric):
+        return _OUTWARD * np.asarray(e, dtype=float)
 
 
 class AffineChange(Diffeo):
@@ -127,6 +137,12 @@ class AffineChange(Diffeo):
 
     def difference(self, p, t):
         return _linear(np.asarray(t, dtype=float), self.matrix)
+
+    def difference_bound(self, p, e, metric):
+        # |M t| <= |M| |t|: the largest absolute row sum under SUP, the Frobenius norm under EUCLIDEAN.
+        modulus = (np.max(np.sum(np.abs(self.matrix), axis=1)) if metric is MetricKind.SUP
+                   else euclidean_norm(self.matrix.reshape(-1)))
+        return _OUTWARD * modulus * np.asarray(e, dtype=float)
 
 
 def _linear(p: np.ndarray, matrix: np.ndarray, before=None, after=None) -> np.ndarray:
@@ -187,6 +203,11 @@ class RadialRescale(Diffeo):
         growth = (2.0 * _dot(p, t) + _dot(t, t)) / np.where(s + r > 0.0, s + r, 1.0)
         return self.a * t + self.b * (s[..., None] * t + growth[..., None] * p)
 
+    def difference_bound(self, p, e, metric):
+        # |difference|_2 <= (a + b (2|p| + |t|)) |t|_2, |t|_2 <= sqrt(d) |t|_inf, and |.|_inf <= |.|_2.
+        e = np.asarray(e, dtype=float) * (np.sqrt(np.shape(p)[-1]) if metric is MetricKind.SUP else 1.0)
+        return _OUTWARD * (self.a + self.b * (2.0 * euclidean_norm(p) + e)) * e
+
 
 class ComposedChange(Diffeo):
     """outer o inner."""
@@ -207,6 +228,9 @@ class ComposedChange(Diffeo):
 
     def difference(self, p, t):
         return self.outer.difference(self.inner.apply(p), self.inner.difference(p, t))
+
+    def difference_bound(self, p, e, metric):
+        return self.outer.difference_bound(self.inner.apply(p), self.inner.difference_bound(p, e, metric), metric)
 
 
 # ---------------------------------------------------------------------------

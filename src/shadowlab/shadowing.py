@@ -63,7 +63,7 @@ from .errors import (
     SearchSpaceError,
     UnsupportedMapError,
 )
-from .geometry import MetricKind, distance, metric_norm, sample_directions
+from .geometry import MetricKind, distance, metric_norm
 from .maps import Conjugated, MapSpec, _scale_shift, is_diagonal_affine, linear_scales
 from .plots import trace_csv
 from .pseudo_orbit import ExplicitRule, OrbitWindow, PseudoOrbitSpec, _per_orbit, _values_along, realize
@@ -713,32 +713,16 @@ def sampled_search(spec: PseudoOrbitSpec, epsilon: CPlusFn, metric: MetricKind,
 # ---------------------------------------------------------------------------
 
 
-# Directions sampled on each sphere around a window point, and the factor by
-# which the transported tolerance exceeds the largest sampled displacement.
-_BOUNDARY_SAMPLES = 64
-_TRANSPORT_SAFETY = 1.05
-
-
 def transported_epsilon_values(window: OrbitWindow, eps_values, change,
                                metric: MetricKind = MetricKind.SUP) -> np.ndarray:
     """Tolerances for a transported window, or each orbit of a stack, that cover the transported balls.
 
-    For each window point x with tolerance e, ``_TRANSPORT_SAFETY`` times the largest
-    displacement ``change.difference(x, o)`` over offsets o on the spheres of radius e
-    and e/2, taken over the whole stack in blocks of offsets with a running maximum
-    (README, "Numerical policy").  The polar-warped metric is refused.
+    For each window point x with tolerance e, the closed-form ``change.difference_bound(x, e,
+    metric)`` (README, "Numerical policy").  The polar-warped metric is refused.
     """
     if metric is MetricKind.POLAR_WARP:
         raise ContractViolation("transported tolerances need a norm, not the polar-warped metric")
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.shape != window.points.shape[:-1]:
         raise ContractViolation("need one tolerance per window index")
-    points, eps = window.points.reshape(-1, window.dimension), eps_values.reshape(-1)
-    shells = np.repeat([0.5, 1.0], _BOUNDARY_SAMPLES)[:, None]
-    dirs = np.tile(sample_directions(metric, window.dimension, _BOUNDARY_SAMPLES), (2, 1))[:, None]
-    size = max(1, _CHUNK_POINTS // max(1, eps.size))
-    widest = np.zeros(eps.size)
-    for i in range(0, len(shells), size):
-        moved = change.difference(points, (shells[i:i + size] * eps)[..., None] * dirs[i:i + size])
-        np.maximum(widest, np.max(metric_norm(metric, moved), axis=0), out=widest)
-    return _TRANSPORT_SAFETY * widest.reshape(eps_values.shape)
+    return change.difference_bound(window.points, eps_values, metric)

@@ -4,7 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shadowlab.errors import ContractViolation, IterationRangeError, UnsupportedMapError
+from shadowlab.geometry import MetricKind, metric_norm, sample_directions
 from shadowlab.maps import (
+    _DIFFEO_KINDS,
     AffineChange,
     ComposedChange,
     Conjugated,
@@ -182,13 +184,21 @@ def _marched_orbit(m, y: np.ndarray, start: int, count: int) -> np.ndarray:
 
 
 @st.composite
-def _changes(draw):
-    if draw(st.booleans()):
+def _changes(draw, d=2, kind=None):
+    """A change of R^d of the named kind of ``maps._DIFFEO_KINDS``, radial or affine when none
+    is named; a composed change joins two of those."""
+    if kind is None:
+        kind = "radial" if draw(st.booleans()) else "affine"
+    if kind == "identity":
+        return IdentityChange()
+    if kind == "radial":
         return RadialRescale(draw(st.floats(0.25, 3.0)), draw(st.floats(0.0, 2.0)))
+    if kind == "composed":
+        return ComposedChange(draw(_changes(d)), draw(_changes(d)))
     entries = st.floats(-2.0, 2.0, allow_nan=False)
-    matrix = np.array([[draw(entries), draw(entries)], [draw(entries), draw(entries)]])
-    assume(abs(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]) >= 0.25)
-    return AffineChange(matrix, [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    matrix = np.array([[draw(entries) for _ in range(d)] for _ in range(d)])
+    assume(abs(np.linalg.det(matrix)) >= 0.25)
+    return AffineChange(matrix, [draw(st.floats(-1.0, 1.0)) for _ in range(d)])
 
 
 _INNER = st.sampled_from([saddle(), homothety(2.0), translation_map(2)])
@@ -241,26 +251,35 @@ def test_affine_coefficients_give_the_iterates_and_bound_their_size(inner, chang
     assert np.all(np.abs(a @ p + c - images) <= 2.0 ** -45 * size)
 
 
-_DIFFERENCE_CHANGES = _changes() | st.tuples(_changes(), _changes()).map(lambda pair: ComposedChange(*pair))
+_NORMS = (MetricKind.SUP, MetricKind.EUCLIDEAN)
+_SPHERES = {(metric, d): sample_directions(metric, d, 10_000) for metric in _NORMS for d in (1, 2, 3)}
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(change=_DIFFERENCE_CHANGES, p=st.tuples(coords, coords).map(np.array),
-       t=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).map(np.array), seed=st.integers(0, 2**32 - 1))
-def test_difference_is_the_difference_of_images_without_their_rounding(change, p, t, seed):
+@pytest.mark.parametrize("kind", sorted(_DIFFEO_KINDS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data(), e=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_difference_is_the_difference_of_images_without_their_rounding(d, kind, data, e, seed):
+    change = data.draw(_changes(d, kind))
+    p = np.array(data.draw(st.lists(coords, min_size=d, max_size=d)))
+    t = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+    # Over the e-ball the difference stays within its closed-form bound, under both norms.
+    for metric in _NORMS:
+        widest = np.max(metric_norm(metric, change.difference(p, e * _SPHERES[metric, d])))
+        assert widest <= change.difference_bound(p, e, metric)
     # Where float64 resolves apply(p + t) - apply(p), the two agree.
     assume(np.linalg.norm(t) >= 1e-6 * max(1.0, np.linalg.norm(p)))
     images = np.stack([change.apply(p), change.apply(p + t)])
     assert np.allclose(change.difference(p, t), images[1] - images[0], rtol=1e-9,
                        atol=64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(images)))))
     # Below the ulp of p the images are equal; the difference is not 0.
-    far, tiny = np.array([56.0, 0.0]), np.array([1e-17, 0.0])
+    far, tiny = np.eye(d)[0] * 56.0, np.eye(d)[0] * 1e-17
     assert np.array_equal(change.apply(far + tiny), change.apply(far))
     assert np.any(change.difference(far, tiny) != 0.0)
     # A row has the same bits in batches of any size.
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-100.0, 100.0, (9, 2))
-    steps = 10.0 ** rng.uniform(-20.0, 1.0, (9, 1)) * rng.normal(size=(9, 2))
+    points = rng.uniform(-100.0, 100.0, (9, d))
+    steps = 10.0 ** rng.uniform(-20.0, 1.0, (9, 1)) * rng.normal(size=(9, d))
     whole = change.difference(points, steps)
     for size in (1, 4):
         assert np.array_equal(change.difference(points[:size], steps[:size]), whole[:size])

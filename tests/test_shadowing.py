@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +16,9 @@ from shadowlab.errors import (
     SearchSpaceError,
     UnsupportedMapError,
 )
-from shadowlab.geometry import MetricKind, distance, metric_norm, sample_directions
+from shadowlab.geometry import MetricKind, distance, metric_norm
 from shadowlab import shadowing
-from shadowlab.maps import (AffineChange, ComposedChange, DiagonalAffine, RadialRescale, conjugate_map, homothety,
+from shadowlab.maps import (AffineChange, DiagonalAffine, RadialRescale, conjugate_map, homothety,
                             linear_scales, power_map, reverse_homothety, saddle, translation_map)
 from shadowlab.pseudo_orbit import (
     ExplicitRule,
@@ -1180,69 +1179,21 @@ def test_exact_certificate_and_oracle_agree(case):
 
 
 # ---------------------------------------------------------------------------
-# The per-point transport loop the stacked transport must reproduce
+# Transported tolerances
 # ---------------------------------------------------------------------------
 
 
-def reference_transported_epsilon_values(window, eps_values, change, metric):
-    """One change.difference per window point over all its offsets: 64 directions on the
-    spheres of radius e/2 and e, times 1.05."""
-    dirs = sample_directions(metric, window.dimension, 64)
-    out = np.empty(len(window))
-    shells = np.array([0.5, 1.0])
-    for i in range(len(window)):
-        offsets = (shells[:, None, None] * eps_values[i] * dirs[None, :, :]).reshape(-1, window.dimension)
-        out[i] = 1.05 * float(np.max(metric_norm(metric, change.difference(window.points[i], offsets))))
-    return out
-
-
-@st.composite
-def _planar_change(draw, depth=0):
-    kind = draw(st.sampled_from(["affine", "radial", "composed"] if depth == 0 else ["affine", "radial"]))
-    if kind == "radial":
-        return RadialRescale(draw(st.floats(0.25, 3.0)), draw(st.floats(0.0, 2.0)))
-    if kind == "composed":
-        return ComposedChange(draw(_planar_change(1)), draw(_planar_change(1)))
-    coords = st.floats(-2.0, 2.0)
-    matrix = np.array([[draw(coords), draw(coords)], [draw(coords), draw(coords)]])
-    assume(abs(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]) >= 0.25)
-    return AffineChange(matrix, [draw(coords), draw(coords)])
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([1, 3]), _planar_change(),
-       st.sampled_from(list(MetricKind)), st.sampled_from([None, 1, 5, 128]))
-def test_batched_transport_is_bit_identical_to_the_per_point_loop(seed, length, count, change, metric, block):
-    # Blocks of 1 offset, of 5 (the last of the 128 holds 3), of all 128, or as many as
-    # _CHUNK_POINTS holds.
-    rng = np.random.default_rng(seed)
-    scale = 10.0 ** rng.uniform(-3.0, 2.0)
-    stack = OrbitWindow(int(rng.integers(-20, 1)), scale * rng.uniform(-10.0, 10.0, (count, length, 2)))
-    eps_values = 10.0 ** rng.uniform(-4.0, 1.0, (count, length))
-    if metric is MetricKind.POLAR_WARP:
-        with pytest.raises(ContractViolation, match="polar-warped"):
-            transported_epsilon_values(stack, eps_values, change, metric)
-        return
-    chunk = shadowing._CHUNK_POINTS if block is None else block * count * length
-    with mock.patch.object(shadowing, "_CHUNK_POINTS", chunk):
-        got = transported_epsilon_values(stack, eps_values, change, metric)
-    for i in range(count):
-        expected = reference_transported_epsilon_values(OrbitWindow(stack.start, stack.points[i]), eps_values[i],
-                                                        change, metric)
-        assert np.array_equal(got[i], expected)
-
-
-def test_transported_tolerances_keep_the_memory_of_one_stack():
-    # Sampling every offset of a 200 x 61 stack at once peaks at 131 MB; blocks of offsets
-    # hold at most _CHUNK_POINTS points (here one offset, as the stack has 12,200), so the
-    # running maximum stays near the size of a few stacks (195 kB each).
-    rng = np.random.default_rng(3)
-    stack = OrbitWindow(-20, rng.uniform(-10.0, 10.0, (200, 61, 2)))
-    eps_values = rng.uniform(0.1, 1.0, (200, 61))
-    tracemalloc.start()
-    try:
-        transported_epsilon_values(stack, eps_values, RadialRescale(1.0, 0.5), MetricKind.EUCLIDEAN)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000, peak
+def test_transported_tolerances_cover_the_image_of_the_sup_ball():
+    # An affine change moves the corner of the e-box signed like its widest row by |M|_inf e,
+    # a corner that directions sampled on the 3-dimensional sphere miss.
+    rng = np.random.default_rng(5)
+    window = OrbitWindow(-2, rng.uniform(-5.0, 5.0, (5, 3)))
+    eps_values = 10.0 ** rng.uniform(-3.0, 0.0, 5)
+    for _ in range(200):
+        change = AffineChange(rng.uniform(-2.0, 2.0, (3, 3)), rng.uniform(-1.0, 1.0, 3))
+        widest_row = np.max(np.sum(np.abs(change.matrix), axis=1))
+        assert np.all(transported_epsilon_values(window, eps_values, change, SUP) >= widest_row * eps_values)
+    with pytest.raises(ContractViolation, match="polar-warped"):
+        transported_epsilon_values(window, eps_values, change, MetricKind.POLAR_WARP)
+    with pytest.raises(ContractViolation, match="one tolerance per window index"):
+        transported_epsilon_values(window, eps_values[1:], change, SUP)
